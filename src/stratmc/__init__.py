@@ -11,7 +11,9 @@ computable constant times n^(-r/s), and polynomials of total degree < r are
 integrated exactly.
 """
 
-from .lattice import GridSpec, Stream, StratumSample, centres, containing_centre, sample_offset
+import types as _types
+
+from .lattice import GridSpec, Stream, centres, containing_centre, sample_offset
 from .stencil import (
     BlockAssignment,
     DerivativeStencil,
@@ -62,4 +64,5 @@ from .bench import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name, obj in globals().items()
+           if not name.startswith("_") and not isinstance(obj, _types.ModuleType)]

@@ -87,7 +87,7 @@ def main(argv=None) -> int:
     p_run.add_argument("--reps", type=int, help="replicates per cell (default 50)")
     p_run.add_argument("--out", help="output CSV path (default: stdout)")
     p_run.add_argument("--rel-mode", dest="rel_mode", choices=["squared", "literal"],
-                       help="normalize MSE by I^2 (default) or by I")
+                       help="normalize MSE by I^2 (default) or by |I|")
 
     p_slope = sub.add_parser("slope", help="fit log-log slopes from a run CSV")
     p_slope.add_argument("--input", required=True, help="CSV produced by 'run'")

@@ -35,3 +35,7 @@ class OptimizationError(StratError, RuntimeError):
     def __init__(self, message, trace=None):
         super().__init__(message)
         self.trace = list(trace) if trace is not None else []
+
+
+class IntegrandError(StratError, ValueError):
+    """An integrand broke its contract: (n, s) points in, n finite floats out."""

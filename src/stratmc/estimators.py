@@ -1,26 +1,31 @@
 """Unbiased integral estimators on the unit cube.
 
-All estimators stratify the cube, draw one uniform offset per stratum, and
-average per-stratum terms; they differ in what each term looks like:
+Every stratified estimator is one plan run by one core, ``_estimate``.  The
+core draws each stratum's uniform offset U_c once, forms the per-stratum term
+``sum_j w_j f(c + lambda_j U_c)`` over the plan's dilations lambda_j, and, when
+the plan has control variates, subtracts ``sum_alpha D^alpha f(c) (U_c^alpha -
+E U^alpha) / alpha!`` with derivatives from an exact oracle or from grid
+stencils on the centre values.  The public functions only validate their
+arguments and build the plan:
 
-* ``crude_mc`` - plain iid Monte Carlo, for reference.
-* ``haber1`` - one evaluation per stratum, f(c + U).
-* ``haber2`` - the symmetrized pair {f(c+U) + f(c-U)} / 2.
+* ``crude_mc`` - plain iid Monte Carlo, for reference (not stratified).
+* ``haber1`` - dilations (1,): one evaluation per stratum, f(c + U).
+* ``haber2`` - dilations (1, -1): the symmetrized pair {f(c+U) + f(c-U)} / 2.
 * ``estimate_analytic_cv`` - haber2 plus a zero-mean Taylor control variate
   built from caller-supplied exact derivatives at the centres.
 * ``estimate_paired_cv`` - same control variate with the derivatives
   replaced by grid finite differences (even orders only; the pair term is
   symmetric so odd orders cancel).
-* ``estimate_single_cv`` - one evaluation per stratum with difference-based
-  control variates on every order below r.
+* ``estimate_single_cv`` - haber1 with difference-based control variates on
+  every order below r.
 * ``estimate_vanishing`` - for integrands whose derivatives vanish on the
-  cube boundary: a weighted combination of dilated evaluations f(c + shift*U)
+  cube boundary: the dilations 1, -1, 3, -3, ... with Vandermonde weights
   over a grid with margin strata, needing no numerical derivatives at all.
 
 Estimators that admit exact identities (vanishing at orders 1/2 vs. the two
 Haber rules, the single-point rule at r=1 vs. haber1, paired rules at 2q vs.
-2q-1) share their floating-point paths, so those identities hold bit for bit
-on a common stream, not just in distribution.
+2q-1) run the same floating-point path through the core, so those identities
+hold bit for bit on a common stream, not just in distribution.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import OrderError, ResolutionError
+from .errors import IntegrandError, OrderError, ResolutionError
 from .lattice import GridSpec, Stream, centre_array
 from .stencil import (
     BlockAssignment,
@@ -181,17 +186,34 @@ class EstimateReport:
 
 
 # ---------------------------------------------------------------------------
-# shared shifted-sum core
+# the estimator core
 
-def _shift_parts(f, grid: GridSpec, shifts, stream: Stream, guard: bool):
+def _evaluate(f, pts: np.ndarray) -> np.ndarray:
+    """f at ``pts``, checked against the integrand contract: finite float (n,) values."""
+    vals = np.asarray(f(pts), dtype=float)
+    if vals.shape != (len(pts),):
+        raise IntegrandError(
+            f"integrand returned shape {vals.shape} for {len(pts)} points; expected ({len(pts)},)"
+        )
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if len(bad):
+        i = bad[0]
+        raise IntegrandError(
+            f"integrand returned {vals[i]} at point {i} {pts[i].tolist()} "
+            f"({len(bad)} non-finite values in total)"
+        )
+    return vals
+
+
+def _shift_parts(f, grid: GridSpec, shifts, u: np.ndarray, guard: bool):
     """Per-shift stratum means A_j = k^-s sum_c fbar(c + shift_j U_c).
 
-    With ``guard`` the zero extension fbar is applied: points outside the
-    closed unit cube contribute 0 without calling f.  Returns the means, the
+    ``u`` holds the drawn offsets, row-aligned with the centres.  With
+    ``guard`` the zero extension fbar is applied: points outside the closed
+    unit cube contribute 0 without calling f.  Returns the means, the
     per-centre value rows (guarded entries zero), and the in-domain count.
     """
     ctr = centre_array(grid)
-    u = stream.offsets(grid)
     scale = float(grid.k) ** grid.s
     means = []
     rows = []
@@ -206,12 +228,12 @@ def _shift_parts(f, grid: GridSpec, shifts, stream: Stream, guard: bool):
             vals = np.zeros(len(pts))
             total = 0.0
             if mask.any():
-                inside = np.asarray(f(pts[mask]), dtype=float)
+                inside = _evaluate(f, pts[mask])
                 vals[mask] = inside
                 total = float(np.sum(inside))
             n_in += int(mask.sum())
         else:
-            vals = np.asarray(f(pts), dtype=float)
+            vals = _evaluate(f, pts)
             total = float(np.sum(vals))
             n_in += len(pts)
         means.append(total / scale)
@@ -233,6 +255,62 @@ def _combine_rows(weights, rows) -> np.ndarray:
     return acc
 
 
+@dataclass(frozen=True)
+class _Plan:
+    """One estimator: dilations and weights, the zero-extension guard, and the
+    control-variate multi-indices with their derivative source (``oracle``
+    if set, else stencils of order ``r_build``, block-local with ``blocks``)."""
+
+    variant: str
+    r: int
+    shifts: tuple[int, ...]
+    weights: tuple[float, ...]
+    guard: bool = False
+    alphas: tuple[tuple[int, ...], ...] = ()
+    oracle: object = None
+    r_build: int = 0
+    blocks: BlockAssignment | None = None
+
+
+_HABER1 = _Plan("haber1", 1, (1,), (1.0,))
+_HABER2 = _Plan("haber2", 2, (1, -1), (0.5, 0.5))
+
+
+def _estimate(plan: _Plan, f, grid: GridSpec, stream: Stream, keep_terms: bool) -> EstimateReport:
+    """Run one plan: one offset draw, the shifted sums, the control variate, one report."""
+    u = stream.offsets(grid)
+    means, rows, n_in = _shift_parts(f, grid, plan.shifts, u, plan.guard)
+    value = _combine(plan.weights, means)
+    terms = _combine_rows(plan.weights, rows) if keep_terms else None
+    n_det = 0
+    if plan.alphas:
+        if plan.oracle is not None:
+            ctr = centre_array(grid)
+            derivs = [np.asarray(plan.oracle(a, ctr), dtype=float) for a in plan.alphas]
+        else:
+            fvals = _evaluate(f, centre_array(grid))
+            n_det = grid.n_centres
+            derivs = [derivative_grid(fvals, a, grid, plan.r_build, plan.blocks)
+                      for a in plan.alphas]
+        cv = np.zeros(grid.n_centres)
+        for alpha, d_hat in zip(plan.alphas, derivs):
+            cv += d_hat * _cv_factor(alpha, u, grid.k)
+        value -= float(np.sum(cv)) / float(grid.k) ** grid.s
+        if terms is not None:
+            terms = terms - cv
+    return EstimateReport(
+        value=value,
+        config=EstimatorConfig(plan.variant, plan.r, grid,
+                               "free" if plan.blocks is None else "block"),
+        n_deterministic=n_det,
+        n_random=len(plan.shifts) * grid.n_centres,
+        n_in_domain=n_det + n_in,
+        normalizer=grid.k ** grid.s,
+        per_stratum_terms=terms,
+        shift_averages=tuple(means) if plan.guard else None,
+    )
+
+
 def shifted_stratum_mean(g, shift: int, grid: GridSpec, stream: Stream) -> float:
     """k^-s sum over centres of gbar(c + shift * U_c); unbiased for the integral.
 
@@ -246,7 +324,7 @@ def shifted_stratum_mean(g, shift: int, grid: GridSpec, stream: Stream) -> float
             f"margin {grid.m} too small for dilation {shift}; "
             f"need at least {(abs(shift) - 1) // 2}"
         )
-    means, _rows, _n = _shift_parts(g, grid, (shift,), stream, guard=True)
+    means, _rows, _n = _shift_parts(g, grid, (shift,), stream.offsets(grid), guard=True)
     return means[0]
 
 
@@ -257,8 +335,7 @@ def crude_mc(f, s: int, n: int, stream: Stream, keep_terms: bool = False) -> Est
     """Plain Monte Carlo: mean of f at n iid uniform points."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    pts = stream.bulk_uniform(_CRUDE_TAG, (n, s))
-    vals = np.asarray(f(pts), dtype=float)
+    vals = _evaluate(f, stream.bulk_uniform(_CRUDE_TAG, (n, s)))
     return EstimateReport(
         value=float(np.sum(vals)) / n,
         config=EstimatorConfig("crude", 1, GridSpec(s, 1, 0)),
@@ -273,31 +350,13 @@ def crude_mc(f, s: int, n: int, stream: Stream, keep_terms: bool = False) -> Est
 def haber1(f, grid: GridSpec, stream: Stream, keep_terms: bool = False) -> EstimateReport:
     """One random evaluation per stratum; optimal for once-differentiable f."""
     _require_margin_free(grid)
-    means, rows, _ = _shift_parts(f, grid, (1,), stream, guard=False)
-    return EstimateReport(
-        value=_combine((1.0,), means),
-        config=EstimatorConfig("haber1", 1, grid),
-        n_deterministic=0,
-        n_random=grid.n_centres,
-        n_in_domain=grid.n_centres,
-        normalizer=grid.n_centres,
-        per_stratum_terms=_combine_rows((1.0,), rows) if keep_terms else None,
-    )
+    return _estimate(_HABER1, f, grid, stream, keep_terms)
 
 
 def haber2(f, grid: GridSpec, stream: Stream, keep_terms: bool = False) -> EstimateReport:
     """Antithetic pair per stratum; optimal for twice-differentiable f."""
     _require_margin_free(grid)
-    means, rows, _ = _shift_parts(f, grid, (1, -1), stream, guard=False)
-    return EstimateReport(
-        value=_combine((0.5, 0.5), means),
-        config=EstimatorConfig("haber2", 2, grid),
-        n_deterministic=0,
-        n_random=2 * grid.n_centres,
-        n_in_domain=2 * grid.n_centres,
-        normalizer=grid.n_centres,
-        per_stratum_terms=_combine_rows((0.5, 0.5), rows) if keep_terms else None,
-    )
+    return _estimate(_HABER2, f, grid, stream, keep_terms)
 
 
 def _require_margin_free(grid: GridSpec):
@@ -305,12 +364,12 @@ def _require_margin_free(grid: GridSpec):
         raise ValueError("this estimator runs on margin-free grids (m = 0)")
 
 
-def _even_alphas(s: int, r: int) -> list[tuple[int, ...]]:
-    return [a for total in range(2, r, 2) for a in multi_indices(s, total)]
+def _even_alphas(s: int, r: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(a for total in range(2, r, 2) for a in multi_indices(s, total))
 
 
-def _all_alphas(s: int, r: int) -> list[tuple[int, ...]]:
-    return [a for total in range(1, r) for a in multi_indices(s, total)]
+def _all_alphas(s: int, r: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(a for total in range(1, r) for a in multi_indices(s, total))
 
 
 def _cv_factor(alpha, u: np.ndarray, k: int) -> np.ndarray:
@@ -356,11 +415,9 @@ def estimate_analytic_cv(f, derivative_oracle, r: int, grid: GridSpec,
     _require_margin_free(grid)
     if r < 1:
         raise OrderError(f"order must be >= 1, got {r}")
-    ctr = centre_array(grid)
-    alphas = _even_alphas(grid.s, r)
-    derivs = {a: np.asarray(derivative_oracle(a, ctr), dtype=float) for a in alphas}
-    return _paired_value(f, grid, stream, derivs, "analytic_cv", r,
-                         n_det=0, keep_terms=keep_terms)
+    plan = _Plan("analytic_cv", r, _HABER2.shifts, _HABER2.weights,
+                 alphas=_even_alphas(grid.s, r), oracle=derivative_oracle)
+    return _estimate(plan, f, grid, stream, keep_terms)
 
 
 def estimate_paired_cv(f, r: int, grid: GridSpec, stream: Stream,
@@ -377,42 +434,12 @@ def estimate_paired_cv(f, r: int, grid: GridSpec, stream: Stream,
     if grid.k < r:
         raise ResolutionError(f"need k >= r, got k={grid.k}, r={r}")
     blocks = _checked_blocks(grid, r, mode)
-    alphas = _even_alphas(grid.s, r)
-    derivs = {}
-    n_det = 0
-    if alphas:
-        # block-local stencils must fit in side-r blocks, so the widened
-        # window of the odd-order identity is a free-mode refinement only
-        r_build = r if blocks is not None else _paired_stencil_order(r, grid.k)
-        fvals = np.asarray(f(centre_array(grid)), dtype=float)
-        n_det = grid.n_centres
-        derivs = {a: derivative_grid(fvals, a, grid, r_build, blocks) for a in alphas}
-    return _paired_value(f, grid, stream, derivs, "paired_cv", r,
-                         n_det=n_det, mode=mode, keep_terms=keep_terms)
-
-
-def _paired_value(f, grid, stream, derivs, variant, r, n_det, mode="free",
-                  keep_terms=False) -> EstimateReport:
-    means, rows, _ = _shift_parts(f, grid, (1, -1), stream, guard=False)
-    value = _combine((0.5, 0.5), means)
-    terms = _combine_rows((0.5, 0.5), rows) if keep_terms else None
-    if derivs:
-        u = stream.offsets(grid)
-        cv = np.zeros(grid.n_centres)
-        for alpha, d_hat in derivs.items():
-            cv += d_hat * _cv_factor(alpha, u, grid.k)
-        value -= float(np.sum(cv)) / float(grid.k) ** grid.s
-        if terms is not None:
-            terms = terms - cv
-    return EstimateReport(
-        value=value,
-        config=EstimatorConfig(variant, r, grid, mode),
-        n_deterministic=n_det,
-        n_random=2 * grid.n_centres,
-        n_in_domain=n_det + 2 * grid.n_centres,
-        normalizer=grid.n_centres,
-        per_stratum_terms=terms,
-    )
+    # block-local stencils must fit in side-r blocks, so the widened window
+    # of the odd-order identity is a free-mode refinement only
+    r_build = r if blocks is not None else _paired_stencil_order(r, grid.k)
+    plan = _Plan("paired_cv", r, _HABER2.shifts, _HABER2.weights,
+                 alphas=_even_alphas(grid.s, r), r_build=r_build, blocks=blocks)
+    return _estimate(plan, f, grid, stream, keep_terms)
 
 
 def estimate_single_cv(f, r: int, grid: GridSpec, stream: Stream,
@@ -427,32 +454,10 @@ def estimate_single_cv(f, r: int, grid: GridSpec, stream: Stream,
         raise OrderError(f"order must be >= 1, got {r}")
     if grid.k < r:
         raise ResolutionError(f"need k >= r, got k={grid.k}, r={r}")
-    blocks = _checked_blocks(grid, r, mode)
-    means, rows, _ = _shift_parts(f, grid, (1,), stream, guard=False)
-    value = _combine((1.0,), means)
-    terms = _combine_rows((1.0,), rows) if keep_terms else None
-    alphas = _all_alphas(grid.s, r)
-    n_det = 0
-    if alphas:
-        fvals = np.asarray(f(centre_array(grid)), dtype=float)
-        n_det = grid.n_centres
-        u = stream.offsets(grid)
-        cv = np.zeros(grid.n_centres)
-        for alpha in alphas:
-            d_hat = derivative_grid(fvals, alpha, grid, r, blocks)
-            cv += d_hat * _cv_factor(alpha, u, grid.k)
-        value -= float(np.sum(cv)) / float(grid.k) ** grid.s
-        if terms is not None:
-            terms = terms - cv
-    return EstimateReport(
-        value=value,
-        config=EstimatorConfig("single_cv", r, grid, mode),
-        n_deterministic=n_det,
-        n_random=grid.n_centres,
-        n_in_domain=n_det + grid.n_centres,
-        normalizer=grid.n_centres,
-        per_stratum_terms=terms,
-    )
+    plan = _Plan("single_cv", r, _HABER1.shifts, _HABER1.weights,
+                 alphas=_all_alphas(grid.s, r), r_build=r,
+                 blocks=_checked_blocks(grid, r, mode))
+    return _estimate(plan, f, grid, stream, keep_terms)
 
 
 def estimate_vanishing(f, r: int, grid: GridSpec, stream: Stream,
@@ -471,17 +476,8 @@ def estimate_vanishing(f, r: int, grid: GridSpec, stream: Stream,
         )
     if grid.k < 2:
         raise ResolutionError(f"need k >= 2, got {grid.k}")
-    means, rows, n_in = _shift_parts(f, grid, coeff.shifts, stream, guard=True)
-    return EstimateReport(
-        value=_combine(coeff.weights, means),
-        config=EstimatorConfig("vanishing", r, grid),
-        n_deterministic=0,
-        n_random=r * grid.n_centres,
-        n_in_domain=n_in,
-        normalizer=grid.k ** grid.s,
-        per_stratum_terms=_combine_rows(coeff.weights, rows) if keep_terms else None,
-        shift_averages=tuple(means),
-    )
+    plan = _Plan("vanishing", r, coeff.shifts, coeff.weights, guard=True)
+    return _estimate(plan, f, grid, stream, keep_terms)
 
 
 # ---------------------------------------------------------------------------

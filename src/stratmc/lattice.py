@@ -32,7 +32,6 @@ from .errors import DomainError
 __all__ = [
     "GridSpec",
     "Stream",
-    "StratumSample",
     "centres",
     "centre_array",
     "index_array",
@@ -138,13 +137,6 @@ def containing_centre(point, grid: GridSpec) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class StratumSample:
-    """Uniform offset drawn for one stratum; components in [-1/2k, 1/2k]."""
-
-    offset: np.ndarray
-
-
-@dataclass(frozen=True)
 class Stream:
     """Identifies one replicate's randomness; cheap to create and hash.
 
@@ -197,10 +189,10 @@ def _hashed_uniforms(seed: int, replicate: int, indices: np.ndarray) -> np.ndarr
     return out
 
 
-def sample_offset(grid: GridSpec, centre_index, stream: Stream) -> StratumSample:
-    """Offset for a single stratum; see Stream.offsets for the batch form."""
+def sample_offset(grid: GridSpec, centre_index, stream: Stream) -> np.ndarray:
+    """(s,) offset for a single stratum, components in [-1/2k, 1/2k]; see Stream.offsets."""
     idx = np.asarray(centre_index, dtype=np.int64).reshape(1, grid.s)
-    return StratumSample(offset=stream.offsets(grid, idx)[0])
+    return stream.offsets(grid, idx)[0]
 
 
 def substream_id(*parts) -> int:

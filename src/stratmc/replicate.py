@@ -134,7 +134,7 @@ def select_order(f, r_max: int, grid: GridSpec, l: int, stream: Stream):
     all_rows = []
     for j in range(l):
         sub = Stream(stream.seed, stream.replicate + j)
-        means, rows, _n_in = _shift_parts(f, grid, top.shifts, sub, guard=True)
+        means, rows, _n_in = _shift_parts(f, grid, top.shifts, sub.offsets(grid), guard=True)
         all_means.append(means)
         all_rows.append(rows)
 

@@ -289,12 +289,6 @@ class BlockAssignment:
     def blocks_per_axis(self) -> int:
         return len(self.starts)
 
-    @property
-    def n_blocks(self) -> int:
-        # total for dimension s is blocks_per_axis ** s; the assignment is
-        # the tensor product of the per-axis rule
-        return self.blocks_per_axis
-
     def axis_block(self, j: int) -> int:
         return min(j // self.r, self.blocks_per_axis - 1)
 
@@ -323,8 +317,8 @@ def block_partition(grid: GridSpec, r: int) -> BlockAssignment:
 # whole-grid evaluation
 
 @lru_cache(maxsize=2048)
-def _axis_matrix(k: int, window: int, a: int, lo: int, hi: int,
-                 block_key: tuple[int, int] | None) -> np.ndarray:
+def _axis_matrix(window: int, a: int, lo: int, hi: int,
+                 blocks: BlockAssignment | None) -> np.ndarray:
     """(k', k') matrix applying the univariate stencil at every axis position.
 
     Row j holds the weights of the window chosen for position j.  ``lo``/
@@ -333,8 +327,6 @@ def _axis_matrix(k: int, window: int, a: int, lo: int, hi: int,
     """
     size = hi - lo + 1
     mat = np.zeros((size, size))
-    blocks = BlockAssignment(k=k, r=block_key[0], starts=_starts(k, block_key[0])) \
-        if block_key else None
     for row, j in enumerate(range(lo, hi + 1)):
         if blocks is None:
             b_lo, b_hi = lo, hi
@@ -345,14 +337,6 @@ def _axis_matrix(k: int, window: int, a: int, lo: int, hi: int,
         mat[row, [o + j - lo for o in offs]] = w
     mat.setflags(write=False)
     return mat
-
-
-def _starts(k: int, r: int) -> tuple[int, ...]:
-    q, rem = divmod(k, r)
-    starts = [i * r for i in range(q)]
-    if rem:
-        starts.append(k - r)
-    return tuple(starts)
 
 
 def derivative_grid(fvals: np.ndarray, alpha, grid: GridSpec, r: int,
@@ -373,9 +357,8 @@ def derivative_grid(fvals: np.ndarray, alpha, grid: GridSpec, r: int,
     if grid.k < r:
         raise ResolutionError(f"need k >= r, got k={grid.k}, r={r}")
     lo, hi = -grid.m, grid.k + grid.m - 1
-    block_key = (blocks.r, 0) if blocks is not None else None
     for axis, a, window in _axis_windows(alpha, r):
-        mat = _axis_matrix(grid.k, window, a, lo, hi, block_key)
+        mat = _axis_matrix(window, a, lo, hi, blocks)
         t = np.moveaxis(np.tensordot(mat, t, axes=(1, axis)), 0, axis)
     return t.reshape(-1) * float(grid.k) ** abs_order(alpha)
 

@@ -159,7 +159,9 @@ def laplace_reparametrize(h, mode_guess, *, scale: str, tau: float = 1.5,
     ``h`` maps (n, s) arrays of points to (n,) log-density values and must be
     concave near the mode.  The mode is found by damped Newton ascent on
     central-difference derivatives, stopping when the gradient max-norm
-    drops below ``grad_tol``.
+    drops below ``grad_tol``, or when no step improves h while the predicted
+    Newton gain ``grad . step / 2`` is at the rounding level of ``|h|``
+    (the difference gradient then only measures noise).
 
     ``scale`` selects the linear change of variables, with H the curvature
     (Hessian of -h) at the mode:
@@ -197,7 +199,10 @@ def laplace_reparametrize(h, mode_guess, *, scale: str, tau: float = 1.5,
                 break
             t *= 0.5
         else:
-            raise OptimizationError("no ascent step found from current iterate", trace)
+            # converged when the predicted gain is rounding noise in h
+            if 0.5 * float(grad @ step_dir) > 64.0 * np.finfo(float).eps * max(1.0, abs(h_now)):
+                raise OptimizationError("no ascent step found from current iterate", trace)
+            break
         x = x + t * step_dir
         trace.append(x.copy())
     else:

@@ -9,6 +9,7 @@ from stratmc.errors import StratError
 from stratmc.bench import (
     DISCARD_THRESHOLD,
     ExperimentConfig,
+    Integrand,
     ResultRow,
     fit_slope,
     load_labelled_csv,
@@ -126,6 +127,24 @@ def test_run_validates_config():
         _config(replicates=1)
 
 
+def test_run_rejects_zero_exact():
+    zero = Integrand(name="zero", s=1, fn=lambda p: p[:, 0] - 0.5, exact=0.0)
+    with pytest.raises(StratError, match="nonzero exact"):
+        _config(integrand=zero)
+
+
+def test_run_literal_mode_negative_exact():
+    # literal mode divides by |I|: the statistic stays a positive error, and
+    # the slope fit keeps every row
+    base = product_family(1)
+    neg = Integrand(name="-fs(1)", s=1, fn=lambda p: -base.fn(p), exact=-base.exact)
+    rows = run(_config(integrand=neg, rel_mode="literal", replicates=30))
+    ref = run(_config(integrand=base, rel_mode="literal", replicates=30))
+    assert [r.rel_error for r in rows] == [r.rel_error for r in ref]
+    assert all(r.rel_error > 0.0 for r in rows)
+    assert fit_slope(rows) == fit_slope(ref)
+
+
 def test_csv_roundtrip(tmp_path):
     rows = run(_config())
     path = tmp_path / "rows.csv"
@@ -202,6 +221,19 @@ def test_logistic_zero_observations_normalizes(tmp_path):
     ])
     se = vals.std(ddof=1) / math.sqrt(len(vals))
     assert abs(vals.mean() - 1.0) <= 4 * se
+
+
+def test_logistic_mode_search_stops_at_rounding_level(tmp_path):
+    # on this dataset Newton reaches the finite-difference noise floor above
+    # the default gradient tolerance; the fit must still succeed at the mode
+    path = tmp_path / "d.csv"
+    _write_dataset(path, n_obs=250, seed=0)
+    integ = logistic_marginal_likelihood(path, 3)
+    y, preds = load_labelled_csv(path)
+    design = np.hstack([np.ones((len(y), 1)), preds])
+    mode = integ.laplace_fit.mode
+    grad = design.T @ (y / (1.0 + np.exp(y * (design @ mode)))) - mode / 5.0 ** 2
+    assert np.max(np.abs(grad)) < 1e-6
 
 
 def test_logistic_too_many_predictors(tmp_path):
@@ -338,12 +370,13 @@ def test_builtin_integrands_pooled_mean_sane():
             integrand=integ, variants=(variant,), r_values=(3,),
             k_values=(4, 8, 16), replicates=30, seed=13,
         )
-        from stratmc.bench import _run_one
+        from stratmc.bench import _REGISTRY
+        _order, runner = _REGISTRY[variant]
         vals = []
         for k in rows_cfg.k_values:
             for rep in range(rows_cfg.replicates):
                 stream = Stream(13, substream_id(variant, 3, k, rep))
-                vals.append(_run_one(integ, variant, 3, k, stream).value)
+                vals.append(runner(integ, 3, k, stream).value)
         vals = np.array(vals)
         se = vals.std(ddof=1) / math.sqrt(len(vals))
         assert abs(vals.mean() - integ.exact) <= 5 * se, fn_id

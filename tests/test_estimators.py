@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from stratmc.errors import OrderError, ResolutionError
+from stratmc.errors import IntegrandError, OrderError, ResolutionError
 from stratmc.lattice import GridSpec, Stream
 from stratmc.estimators import (
     asymptotic_variance_estimate,
@@ -381,3 +381,25 @@ def test_single_cv_rate():
         mses.append(np.mean((vals - 1.0) ** 2))
     slope = np.polyfit(np.log(ns), np.log(mses), 1)[0]
     assert slope == pytest.approx(-7.0, abs=1.1)
+
+
+# ---------------------------------------------------------------------------
+# integrand contract
+
+def test_scalar_integrand_rejected():
+    # a scalar result used to broadcast into shape-() terms and a wrong variance
+    with pytest.raises(IntegrandError, match=r"shape \(\)"):
+        haber2(lambda p: 1.0, GridSpec(2, 4, 0), Stream(0, 0), keep_terms=True)
+    with pytest.raises(IntegrandError, match="shape"):
+        crude_mc(lambda p: np.ones((len(p), 1)), 2, 16, Stream(0, 0))
+
+
+def test_nonfinite_integrand_rejected():
+    # one NaN at a single random point of the pair, named in the error
+    def f(pts):
+        out = np.ones(len(pts))
+        out[np.flatnonzero(pts[:, 0] > 0.9)[:1]] = np.nan
+        return out
+
+    with pytest.raises(IntegrandError, match=r"nan at point \d+ \[0\.9"):
+        estimate_paired_cv(f, 4, GridSpec(1, 8, 0), Stream(1, 0))

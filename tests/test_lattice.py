@@ -99,7 +99,8 @@ def test_sample_offset_single():
     one = sample_offset(grid, (1, 2), st)
     batch = st.offsets(grid)
     pos = np.flatnonzero((index_array(grid) == (1, 2)).all(axis=1))[0]
-    assert np.array_equal(one.offset, batch[pos])
+    assert one.shape == (2,)
+    assert np.array_equal(one, batch[pos])
 
 
 def test_offset_empirical_mean():
