@@ -293,6 +293,11 @@ def run(config: ExperimentConfig) -> list[ResultRow]:
                 else:
                     stat = float(np.var(values, ddof=1))
                     denom = float(np.mean(values)) ** 2
+                    if denom == 0.0:
+                        raise StratError(
+                            f"{f.name}: {variant} at r={r}, k={k}: the estimates average 0, "
+                            f"so the relative error is undefined; supply the exact value"
+                        )
                 rows.append(ResultRow(
                     variant=variant,
                     r=r,

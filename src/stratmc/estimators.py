@@ -37,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import IntegrandError, OrderError, ResolutionError
-from .lattice import GridSpec, Stream, centre_array
+from .lattice import GridSpec, Stream, centre_array, index_array
 from .stencil import (
     BlockAssignment,
     _lagrange_coeff_exact,
@@ -188,18 +188,32 @@ class EstimateReport:
 # ---------------------------------------------------------------------------
 # the estimator core
 
-def _evaluate(f, pts: np.ndarray) -> np.ndarray:
-    """f at ``pts``, checked against the integrand contract: finite float (n,) values."""
-    vals = np.asarray(f(pts), dtype=float)
+def _evaluate(f, pts: np.ndarray, grid: GridSpec | None = None, mask=None) -> np.ndarray:
+    """f at ``pts``, checked against the integrand contract; see ``_checked``."""
+    return _checked(f(pts), pts, "integrand", grid, mask)
+
+
+def _checked(raw, pts: np.ndarray, source: str, grid: GridSpec | None = None,
+             mask=None) -> np.ndarray:
+    """``raw`` as finite float (n,) values for the n rows of ``pts``, else IntegrandError.
+
+    The error names ``source`` and the first offending point.  With ``grid``
+    it also names that point's stratum: row i of ``pts`` lies in stratum i,
+    or in stratum ``flatnonzero(mask)[i]`` when ``pts`` is the subset that
+    ``mask`` selects from the grid's rows.
+    """
+    vals = np.asarray(raw, dtype=float)
     if vals.shape != (len(pts),):
         raise IntegrandError(
-            f"integrand returned shape {vals.shape} for {len(pts)} points; expected ({len(pts)},)"
+            f"{source} returned shape {vals.shape} for {len(pts)} points; expected ({len(pts)},)"
         )
     bad = np.flatnonzero(~np.isfinite(vals))
     if len(bad):
         i = bad[0]
+        row = i if mask is None else int(np.flatnonzero(mask)[i])
+        where = "" if grid is None else f" in stratum {tuple(index_array(grid)[row].tolist())}"
         raise IntegrandError(
-            f"integrand returned {vals[i]} at point {i} {pts[i].tolist()} "
+            f"{source} returned {vals[i]} at point {row} {pts[i].tolist()}{where} "
             f"({len(bad)} non-finite values in total)"
         )
     return vals
@@ -228,12 +242,12 @@ def _shift_parts(f, grid: GridSpec, shifts, u: np.ndarray, guard: bool):
             vals = np.zeros(len(pts))
             total = 0.0
             if mask.any():
-                inside = _evaluate(f, pts[mask])
+                inside = _evaluate(f, pts[mask], grid, mask)
                 vals[mask] = inside
                 total = float(np.sum(inside))
             n_in += int(mask.sum())
         else:
-            vals = _evaluate(f, pts)
+            vals = _evaluate(f, pts, grid)
             total = float(np.sum(vals))
             n_in += len(pts)
         means.append(total / scale)
@@ -286,9 +300,10 @@ def _estimate(plan: _Plan, f, grid: GridSpec, stream: Stream, keep_terms: bool) 
     if plan.alphas:
         if plan.oracle is not None:
             ctr = centre_array(grid)
-            derivs = [np.asarray(plan.oracle(a, ctr), dtype=float) for a in plan.alphas]
+            derivs = [_checked(plan.oracle(a, ctr), ctr, f"derivative oracle at alpha={a}", grid)
+                      for a in plan.alphas]
         else:
-            fvals = _evaluate(f, centre_array(grid))
+            fvals = _evaluate(f, centre_array(grid), grid)
             n_det = grid.n_centres
             derivs = [derivative_grid(fvals, a, grid, plan.r_build, plan.blocks)
                       for a in plan.alphas]
@@ -512,7 +527,8 @@ def asymptotic_variance_estimate(derivative_oracle, s: int, r: int, budget: int,
     axis = (np.arange(quad_per_axis) + 0.5) / quad_per_axis
     mesh = np.meshgrid(*([axis] * s), indexing="ij")
     qpts = np.stack([m.ravel() for m in mesh], axis=1)
-    dvals = [np.asarray(derivative_oracle(a, qpts), dtype=float) for a in alphas]
+    dvals = [_checked(derivative_oracle(a, qpts), qpts, f"derivative oracle at alpha={a}")
+             for a in alphas]
     weight = 1.0 / len(qpts)
 
     total = 0.0

@@ -8,19 +8,21 @@ The unit cube is split into ``k^s`` congruent closed hypercubes of side
 componentwise.
 
 Per-stratum offsets are uniform on ``[-1/2k, 1/2k]^s`` and are produced by a
-counter-based scheme: the draw for a centre is a pure function of
-``(seed, replicate, index vector)``, so results do not depend on evaluation
-order, on the margin of the enclosing grid, or on any shared generator
-state.  Two grids that contain the same index receive bit-identical offsets
-for it, which is what makes the estimator-equivalence identities in
-:mod:`stratmc.estimators` exact rather than merely distributional.
+counter-based generator (in the sense of Salmon et al., "Parallel random
+numbers: as easy as 1, 2, 3", SC'11): a hash chain of SplitMix64 finalisers
+(Steele, Lea & Flood, OOPSLA'14) on ``uint64``, vectorised over index rows.
+The draw for a centre is a pure function of ``(seed, replicate, index
+vector)``, so results do not depend on evaluation order, on the margin of the
+enclosing grid, or on any shared generator state.  Two grids that contain the
+same index receive bit-identical offsets for it, which is what makes the
+estimator-equivalence identities in :mod:`stratmc.estimators` exact rather
+than merely distributional.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
-import struct
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
@@ -143,7 +145,9 @@ class Stream:
     All draws derived from a Stream are pure functions of
     ``(seed, replicate)`` plus the request (centre index or bulk tag), so
     replicates with distinct ids are independent and any single draw is
-    reproducible in isolation.
+    reproducible in isolation.  Stratum offsets come from the SplitMix64
+    hash chain of ``_hashed_uniforms``, keyed by ``(seed, replicate)``;
+    ``bulk_uniform`` uses numpy's ``SeedSequence`` and default generator.
     """
 
     seed: int
@@ -157,7 +161,9 @@ class Stream:
         if indices is None:
             indices = index_array(grid)
         u = _hashed_uniforms(self.seed, self.replicate, indices)
-        return (u - 0.5) / grid.k
+        u -= 0.5
+        u /= grid.k
+        return u
 
     def bulk_uniform(self, tag: int, shape) -> np.ndarray:
         """Vectorized iid uniforms for non-stratified use (e.g. crude MC)."""
@@ -166,27 +172,72 @@ class Stream:
 
 
 _MASK64 = (1 << 64) - 1
+# SplitMix64 (Steele, Lea & Flood, OOPSLA'14): the Weyl increment and the
+# two multipliers of the finaliser, plus one more odd constant for axis lanes
+_GOLDEN = 0x9E3779B97F4A7C15
+_MUL1 = 0xBF58476D1CE4E5B9
+_MUL2 = 0x94D049BB133111EB
+_LANE = 0xD6E8FEB86659FD93
+
+
+def _u64(value: int) -> np.ndarray:
+    # a shape-(1,) array, not a numpy scalar: array-with-array arithmetic
+    # wraps silently and stays uint64 under every promotion rule
+    return np.array([value], dtype=np.uint64)
+
+
+_C_MUL1, _C_MUL2 = _u64(_MUL1), _u64(_MUL2)
+_C_30, _C_27, _C_31, _C_11 = _u64(30), _u64(27), _u64(31), _u64(11)
+
+
+def _mix_int(z: int) -> int:
+    """The SplitMix64 finaliser on a Python int in [0, 2^64)."""
+    z = ((z ^ (z >> 30)) * _MUL1) & _MASK64
+    z = ((z ^ (z >> 27)) * _MUL2) & _MASK64
+    return z ^ (z >> 31)
+
+
+def _mix(z: np.ndarray) -> None:
+    """The SplitMix64 finaliser, in place on a uint64 array."""
+    z ^= z >> _C_30
+    z *= _C_MUL1
+    z ^= z >> _C_27
+    z *= _C_MUL2
+    z ^= z >> _C_31
+
+
+@lru_cache(maxsize=64)
+def _lanes(s: int) -> np.ndarray:
+    """(s,) distinct odd-multiple lane constants, one per axis."""
+    lanes = np.array([(a * _LANE) & _MASK64 for a in range(1, s + 1)], dtype=np.uint64)
+    lanes.setflags(write=False)
+    return lanes
 
 
 def _hashed_uniforms(seed: int, replicate: int, indices: np.ndarray) -> np.ndarray:
-    """One BLAKE2 digest per index row -> s uniforms in [0, 1)."""
-    indices = np.asarray(indices, dtype=np.int64)
-    n, s = indices.shape
-    # 8 bytes of digest per axis; BLAKE2b caps at 64, so chunk wide rows
-    out = np.empty((n, s), dtype=np.float64)
-    head = struct.pack("<QQ", seed & _MASK64, replicate & _MASK64)
-    for lo in range(0, s, 8):
-        hi = min(lo + 8, s)
-        width = hi - lo
-        packer = struct.Struct(f"<q{s}q")
-        dsize = 8 * width
-        rows = indices.tolist()
-        for i, row in enumerate(rows):
-            msg = head + packer.pack(lo, *row)
-            dig = hashlib.blake2b(msg, digest_size=dsize).digest()
-            words = np.frombuffer(dig, dtype="<u8")
-            out[i, lo:hi] = (words >> 11) * _U53
-    return out
+    """s uniforms in [0, 1) per index row from one SplitMix64 hash chain.
+
+    The chain starts from a key mixed from ``(seed, replicate)`` in Python
+    ints, absorbs the index components one at a time (wrapping add, then
+    the finaliser), and fans out into one lane per axis, finalised again.
+    Each uniform is the lane's top 53 bits times 2^-53.  Rows are hashed
+    independently, so a draw depends on nothing but
+    ``(seed, replicate, index vector)``.
+    """
+    idx = np.asarray(indices, dtype=np.int64).view(np.uint64)
+    s = idx.shape[1]
+    key = _mix_int(_mix_int((seed + _GOLDEN) & _MASK64) ^ (replicate & _MASK64))
+    h = idx[:, 0] + _u64(key)
+    _mix(h)
+    for axis in range(1, s):
+        h += idx[:, axis]
+        _mix(h)
+    z = h[:, None] + _lanes(s)
+    _mix(z)
+    z >>= _C_11
+    u = z.astype(np.float64)
+    u *= _U53
+    return u
 
 
 def sample_offset(grid: GridSpec, centre_index, stream: Stream) -> np.ndarray:

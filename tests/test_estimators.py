@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from stratmc.errors import IntegrandError, OrderError, ResolutionError
-from stratmc.lattice import GridSpec, Stream
+from stratmc.lattice import GridSpec, Stream, centre_array, index_array
 from stratmc.estimators import (
     asymptotic_variance_estimate,
     crude_mc,
@@ -356,9 +356,9 @@ def test_asymptotic_variance_zero_for_low_degree():
 
 def test_asymptotic_variance_symmetric_and_positive():
     val = asymptotic_variance_estimate(_f1_oracle, 1, 2, budget=2000, seed=1)
-    # closed form for this integrand: int (f'')^2 / 720
-    grid = np.linspace(0, 1, 20001)[1:-1]
-    closed = np.trapezoid((2 + grid) ** 2 * np.exp(2 * grid), grid) / 720.0
+    # closed form for this integrand: int (f'')^2 / 720, with
+    # int_0^1 (2 + u)^2 e^(2u) du = 13 e^2 / 4 - 5 / 4
+    closed = (3.25 * math.exp(2.0) - 1.25) / 720.0
     assert val == pytest.approx(closed, rel=0.15)
 
 
@@ -403,3 +403,48 @@ def test_nonfinite_integrand_rejected():
 
     with pytest.raises(IntegrandError, match=r"nan at point \d+ \[0\.9"):
         estimate_paired_cv(f, 4, GridSpec(1, 8, 0), Stream(1, 0))
+
+
+def test_scalar_derivative_oracle_rejected():
+    # a scalar oracle used to broadcast: 1.718119 against e - 1 for exp at r=4
+    with pytest.raises(IntegrandError, match=r"derivative oracle at alpha=\(2,\) returned shape \(\)"):
+        estimate_analytic_cv(lambda p: np.exp(p[:, 0]), lambda a, p: 1.0, 4,
+                             GridSpec(1, 8, 0), Stream(0, 0))
+
+
+def test_nonfinite_derivative_oracle_rejected():
+    # a NaN oracle used to turn the estimate into nan with no error
+    def oracle(alpha, pts):
+        out = np.exp(pts[:, 0])
+        out[3] = np.nan
+        return out
+
+    with pytest.raises(IntegrandError,
+                       match=r"derivative oracle at alpha=\(2,\) returned nan at point 3 "
+                             r"\[0\.4375\] in stratum \(3,\)"):
+        estimate_analytic_cv(lambda p: np.exp(p[:, 0]), oracle, 4, GridSpec(1, 8, 0), Stream(0, 0))
+
+
+def test_guarded_nonfinite_names_the_stratum():
+    # under the zero-extension guard only in-domain points reach f, so the
+    # offending row of that subset must be mapped back to its stratum
+    grid = GridSpec(2, 4, 1)
+    stream = Stream(5, 2)
+
+    def f(pts):
+        out = np.prod(pts * (1.0 - pts), axis=1)
+        out[np.flatnonzero((pts[:, 0] > 0.75) & (pts[:, 1] > 0.75))[:1]] = np.nan
+        return out
+
+    # the first shift is +1, so the first bad point is the first in-domain
+    # point c + U_c in the top corner cell
+    pts = centre_array(grid) + stream.offsets(grid)
+    inside = np.all((pts >= 0.0) & (pts <= 1.0), axis=1)
+    row = np.flatnonzero(inside & (pts[:, 0] > 0.75) & (pts[:, 1] > 0.75))[0]
+    stratum = tuple(index_array(grid)[row].tolist())
+    assert row != np.flatnonzero(np.flatnonzero(inside) == row)[0]  # the subset row differs
+    message = rf"at point {row} \[.*\] in stratum \({stratum[0]}, {stratum[1]}\)"
+    with pytest.raises(IntegrandError, match=message):
+        estimate_vanishing(f, 2, grid, stream)
+    with pytest.raises(IntegrandError, match=message):
+        shifted_stratum_mean(f, 1, grid, stream)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -153,3 +155,95 @@ def test_substream_id_stable():
     assert a == b
     assert a != substream_id("hat", 3, 16, 1)
     assert 0 <= a < 2 ** 63
+
+
+# ---------------------------------------------------------------------------
+# the counter-based generator
+
+_M64 = (1 << 64) - 1
+
+
+def _splitmix_finaliser(z):
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+    return z ^ (z >> 31)
+
+
+def _reference_uniforms(seed, replicate, row):
+    # the hash chain one row at a time in Python ints
+    h = _splitmix_finaliser(_splitmix_finaliser((seed + 0x9E3779B97F4A7C15) & _M64) ^ (replicate & _M64))
+    for j in row:
+        h = _splitmix_finaliser((h + j) & _M64)
+    lanes = [_splitmix_finaliser((h + a * 0xD6E8FEB86659FD93) & _M64) for a in range(1, len(row) + 1)]
+    return [(z >> 11) * 2.0 ** -53 for z in lanes]
+
+
+@pytest.mark.parametrize("s", [1, 3, 9])
+def test_offsets_match_python_reference(s):
+    # the numpy chain wraps exactly like Python ints masked to 64 bits,
+    # including negative margin indices and keys past 2^63
+    rng = np.random.default_rng(s)
+    idx = rng.integers(-3, 40, size=(50, s))
+    for seed, rep in [(0, 0), (7, 3), (2 ** 63 + 5, 2 ** 62 - 1), (-1, 11)]:
+        grid = GridSpec(s, 8, 3)
+        got = Stream(seed, rep).offsets(grid, idx)
+        want = (np.array([_reference_uniforms(seed, rep, row) for row in idx.tolist()]) - 0.5) / 8
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("s", [9, 12])
+def test_wide_rows_keyed_by_index(s):
+    # rows wider than 8 axes: the same index gets the same draw on a grid
+    # with margin, every draw stays in the stratum, and no two axes coincide
+    st = Stream(21, 4)
+    small = GridSpec(s, 2, 0)
+    big = GridSpec(s, 2, 1)
+    u_small = st.offsets(small)
+    extra = np.random.default_rng(s).integers(-1, 3, size=(1000, s))
+    rows = np.concatenate([index_array(small), extra])
+    perm = np.random.default_rng(s + 1).permutation(len(rows))
+    u_big = st.offsets(big, rows[perm])
+    assert np.array_equal(u_big[np.argsort(perm)][: len(u_small)], u_small)
+    for u in (u_small, u_big):
+        assert np.max(np.abs(u)) <= 0.5 / 2
+        for a in range(s):
+            for b in range(a + 1, s):
+                assert not np.any(u[:, a] == u[:, b]), (a, b)
+
+
+def _chi2_z(counts):
+    # Wilson-Hilferty: a chi-square statistic mapped to a standard normal z
+    expected = counts.sum() / len(counts)
+    stat = float(np.sum((counts - expected) ** 2 / expected))
+    df = len(counts) - 1
+    return ((stat / df) ** (1 / 3) - (1 - 2 / (9 * df))) / math.sqrt(2 / (9 * df))
+
+
+def _corr_z(x, y):
+    # Pearson correlation in standard errors under independence
+    return float(np.corrcoef(x, y)[0, 1]) * math.sqrt(len(x))
+
+
+def test_offsets_bulk_quality():
+    # one bulk draw of 46^3 ~ 1e5 cells, bounds at 5 sigma: per-axis binned
+    # uniformity, no correlation between axes, between neighbouring cells
+    # along each axis, or between neighbouring replicates and seeds
+    k, s = 46, 3
+    grid = GridSpec(s, k, 0)
+    u = Stream(2024, 0).offsets(grid) * k + 0.5
+    assert u.min() >= 0.0 and u.max() < 1.0
+    for a in range(s):
+        counts = np.bincount((u[:, a] * 32).astype(int), minlength=32)
+        assert _chi2_z(counts) <= 5, a
+        for b in range(a + 1, s):
+            assert abs(_corr_z(u[:, a], u[:, b])) <= 5, (a, b)
+    cube = u.reshape(k, k, k, s)
+    for d in range(s):
+        lo = np.take(cube, range(k - 1), axis=d).reshape(-1, s)
+        hi = np.take(cube, range(1, k), axis=d).reshape(-1, s)
+        for a in range(s):
+            assert abs(_corr_z(lo[:, a], hi[:, a])) <= 5, (d, a)
+    for other in (Stream(2024, 1), Stream(2025, 0)):
+        v = other.offsets(grid) * k + 0.5
+        for a in range(s):
+            assert abs(_corr_z(u[:, a], v[:, a])) <= 5, (other, a)
