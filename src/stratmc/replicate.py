@@ -49,7 +49,6 @@ class ReplicateSummary:
     v_hat: float
     pooled_variance: float
     values: tuple[float, ...]
-    per_order: dict | None = None
 
 
 def _aligned_terms(reports: list[EstimateReport]) -> np.ndarray:

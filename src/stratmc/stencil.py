@@ -15,6 +15,11 @@ on the grid (ties between two centred windows go to the negative side).  In
 block mode the window must additionally stay inside the block of the centre,
 which keeps the per-stratum contributions of the estimators independent
 across blocks.
+
+That rule is one clamp over axis positions (:func:`axis_node_offsets` is its
+scalar form), tabulated per axis as each position's window start and weights.
+:func:`derivative_stencil` reads one row per active axis and
+:func:`derivative_grid` applies whole tables, so the two agree by construction.
 """
 
 from __future__ import annotations
@@ -22,13 +27,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import factorial
 from typing import Iterator, Mapping
 
 import numpy as np
 
-from .errors import IncompleteEvaluationError, OrderError, ResolutionError, StencilError
+from .errors import (DomainError, IncompleteEvaluationError, OrderError, ResolutionError,
+                     StencilError)
 from .lattice import GridSpec
 
 __all__ = [
@@ -139,32 +145,50 @@ def univariate_weights(kappa, a: int) -> UnivariateStencil:
     return UnivariateStencil(offsets=kappa, weights=w, order=a)
 
 
-def axis_node_offsets(position: int, window: int, lo: int, hi: int) -> tuple[int, ...]:
-    """Contiguous window of offsets around ``position`` inside [lo, hi].
+def _window_start(position, window: int, lo, hi):
+    """First offset of the window at ``position`` inside [lo, hi], elementwise.
 
     Centred when possible; an even window leans one step to the negative
     side; at a boundary the window shifts by the minimal amount that fits.
     """
     if window < 2:
         raise StencilError(f"window must have at least 2 nodes, got {window}")
-    if hi - lo + 1 < window:
-        raise ResolutionError(
-            f"window of {window} nodes does not fit in axis range [{lo}, {hi}]"
-        )
-    base = -(window // 2)
-    start = max(lo - position, min(base, hi - position - (window - 1)))
+    width = int(np.min(hi - lo)) + 1
+    if width < window:
+        raise ResolutionError(f"window of {window} nodes does not fit in {width} axis cells")
+    return np.maximum(lo - position, np.minimum(-(window // 2), hi - position - (window - 1)))
+
+
+def axis_node_offsets(position: int, window: int, lo: int, hi: int) -> tuple[int, ...]:
+    """Contiguous window of offsets around ``position`` inside [lo, hi].
+
+    The scalar form of the window rule that :func:`derivative_stencil` and
+    :func:`derivative_grid` apply to every axis position at once.
+    """
+    start = int(_window_start(position, window, lo, hi))
     return tuple(range(start, start + window))
 
 
-def select_axis_nodes(centre_index, axis: int, grid: GridSpec, window: int,
-                      blocks: "BlockAssignment | None" = None) -> tuple[int, ...]:
-    """Offset window for one axis of a centre, free or block-constrained."""
-    j = int(centre_index[axis])
-    if blocks is None:
-        lo, hi = -grid.m, grid.k + grid.m - 1
-    else:
-        lo, hi = blocks.axis_bounds(j)
-    return axis_node_offsets(j, window, lo, hi)
+@lru_cache(maxsize=256)
+def _axis_table(window: int, a: int, lo: int, hi: int,
+                blocks: "BlockAssignment | None") -> tuple[np.ndarray, np.ndarray]:
+    """Window starts ``(side,)`` and weights ``(window, side)`` for d^a/dx^a.
+
+    Entry ``j - lo`` is axis position j in [lo, hi]: window ``start + (0, ...,
+    window-1)``, confined to the block of j in block mode.  Weights are solved
+    once per distinct start and stored window-major, so the contraction in
+    :func:`derivative_grid` runs over a contiguous position axis.
+    """
+    pos = np.arange(lo, hi + 1)
+    b_lo, b_hi = (lo, hi) if blocks is None else blocks.axis_bounds(pos)
+    starts = _window_start(pos, window, b_lo, b_hi)
+    patterns, row_pattern = np.unique(starts, return_inverse=True)
+    pattern_w = np.array([univariate_weights(range(p, p + window), a).weights
+                          for p in patterns.tolist()])
+    weights = np.ascontiguousarray(pattern_w[row_pattern.reshape(-1)].T)
+    starts.setflags(write=False)
+    weights.setflags(write=False)
+    return starts, weights
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +215,15 @@ def _axis_windows(alpha, r: int) -> list[tuple[int, int, int]]:
     return steps
 
 
+def _active_tables(alpha, grid: GridSpec, r: int, blocks: "BlockAssignment | None"):
+    """(axis, window starts, weights) from ``_axis_table`` per active axis."""
+    if grid.k < r:
+        raise ResolutionError(f"need k >= r, got k={grid.k}, r={r}")
+    lo, hi = -grid.m, grid.k + grid.m - 1
+    return [(axis, *_axis_table(window, a, lo, hi, blocks))
+            for axis, a, window in _axis_windows(alpha, r)]
+
+
 @dataclass(frozen=True)
 class DerivativeStencil:
     """Grid stencil approximating D^alpha f at one centre.
@@ -207,52 +240,37 @@ class DerivativeStencil:
     scale: float
 
 
-@lru_cache(maxsize=16384)
-def _pattern(alpha: tuple[int, ...], axis_offsets: tuple[tuple[int, ...], ...],
-             orders: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Tensor-product offsets and weights for one boundary pattern."""
-    s = len(alpha)
-    active = [i for i, a in enumerate(alpha) if a]
-    per_axis_w = [univariate_weights(offs, a).weights
-                  for offs, a in zip(axis_offsets, orders)]
-    combos = list(itertools.product(*[range(len(o)) for o in axis_offsets]))
-    offsets = np.zeros((len(combos), s), dtype=np.int64)
-    weights = np.ones(len(combos))
-    for row, combo in enumerate(combos):
-        for ax_pos, pick in enumerate(combo):
-            offsets[row, active[ax_pos]] = axis_offsets[ax_pos][pick]
-            weights[row] *= per_axis_w[ax_pos][pick]
-    offsets.setflags(write=False)
-    weights.setflags(write=False)
-    return offsets, weights
-
-
 def derivative_stencil(alpha, centre_index, grid: GridSpec, r: int,
                        blocks: "BlockAssignment | None" = None) -> DerivativeStencil:
     """Build the stencil for D^alpha at one centre.
 
-    Requires |alpha| < r and k >= r (so every window fits); in block mode
-    nodes stay inside the block of the centre.
+    Requires |alpha| < r, k >= r (so every window fits) and a centre inside
+    the grid; in block mode nodes stay inside the block of the centre.  The
+    per-axis windows are rows of the tables :func:`derivative_grid` applies,
+    and nodes run over their tensor product, first active axis slowest.
     """
     alpha = tuple(int(a) for a in alpha)
     centre = tuple(int(j) for j in centre_index)
     if len(alpha) != grid.s or any(a < 0 for a in alpha):
         raise ValueError(f"bad multi-index {alpha} for dimension {grid.s}")
+    if len(centre) != grid.s or any(j not in grid.index_range() for j in centre):
+        raise DomainError(f"centre {centre} is not an index of {grid}")
     if abs_order(alpha) >= r:
         raise OrderError(f"|alpha|={abs_order(alpha)} must be < r={r}")
     if abs_order(alpha) == 0:
         one = np.ones(1)
         z = np.zeros((1, grid.s), dtype=np.int64)
         return DerivativeStencil(alpha, centre, z, np.array([centre]), one, 1.0)
-    if grid.k < r:
-        raise ResolutionError(f"need k >= r, got k={grid.k}, r={r}")
-    steps = _axis_windows(alpha, r)
-    axis_offsets = tuple(
-        select_axis_nodes(centre, axis, grid, window, blocks)
-        for axis, _a, window in steps
-    )
-    orders = tuple(a for _axis, a, _w in steps)
-    offsets, weights = _pattern(alpha, axis_offsets, orders)
+    active, axis_offsets, axis_weights = [], [], []
+    for axis, starts, weights in _active_tables(alpha, grid, r, blocks):
+        row = centre[axis] + grid.m
+        active.append(axis)
+        axis_offsets.append(starts[row] + np.arange(len(weights)))
+        axis_weights.append(weights[:, row])
+    mesh = np.meshgrid(*axis_offsets, indexing="ij")
+    offsets = np.zeros((mesh[0].size, grid.s), dtype=np.int64)
+    offsets[:, active] = np.stack([m.reshape(-1) for m in mesh], axis=1)
+    weights = reduce(np.multiply.outer, axis_weights).reshape(-1)
     nodes = np.asarray(centre, dtype=np.int64) + offsets
     return DerivativeStencil(alpha, centre, offsets, nodes,
                              weights, float(grid.k) ** abs_order(alpha))
@@ -289,15 +307,17 @@ class BlockAssignment:
     def blocks_per_axis(self) -> int:
         return len(self.starts)
 
-    def axis_block(self, j: int) -> int:
-        return min(j // self.r, self.blocks_per_axis - 1)
+    def axis_block(self, j):
+        """Block of axis index ``j``; elementwise on an index array."""
+        return np.minimum(j // self.r, self.blocks_per_axis - 1)
 
-    def axis_bounds(self, j: int) -> tuple[int, int]:
-        start = self.starts[self.axis_block(j)]
+    def axis_bounds(self, j):
+        """First and last axis index of the block of ``j``; elementwise."""
+        start = np.asarray(self.starts)[self.axis_block(j)]
         return start, start + self.r - 1
 
     def block_of(self, index) -> tuple[int, ...]:
-        return tuple(self.axis_block(int(j)) for j in index)
+        return tuple(int(self.axis_block(int(j))) for j in index)
 
 
 def block_partition(grid: GridSpec, r: int) -> BlockAssignment:
@@ -316,50 +336,27 @@ def block_partition(grid: GridSpec, r: int) -> BlockAssignment:
 # ---------------------------------------------------------------------------
 # whole-grid evaluation
 
-@lru_cache(maxsize=2048)
-def _axis_matrix(window: int, a: int, lo: int, hi: int,
-                 blocks: BlockAssignment | None) -> np.ndarray:
-    """(k', k') matrix applying the univariate stencil at every axis position.
-
-    Row j holds the weights of the window chosen for position j.  ``lo``/
-    ``hi`` give the index range of the axis (margins included); in block
-    mode the window is confined to the side-r block of each position.
-    """
-    size = hi - lo + 1
-    mat = np.zeros((size, size))
-    for row, j in enumerate(range(lo, hi + 1)):
-        if blocks is None:
-            b_lo, b_hi = lo, hi
-        else:
-            b_lo, b_hi = blocks.axis_bounds(j)
-        offs = axis_node_offsets(j, window, b_lo, b_hi)
-        w = univariate_weights(offs, a).weights
-        mat[row, [o + j - lo for o in offs]] = w
-    mat.setflags(write=False)
-    return mat
-
-
 def derivative_grid(fvals: np.ndarray, alpha, grid: GridSpec, r: int,
                     blocks: BlockAssignment | None = None) -> np.ndarray:
     """D^alpha estimate at every centre from the flat vector of centre values.
 
-    ``fvals`` is indexed like :func:`stratmc.lattice.centre_array`.  The
-    stencil is applied axis by axis as a banded matrix, so cost is
-    O(n_centres * window) per active axis.
+    ``fvals`` is indexed like :func:`stratmc.lattice.centre_array`.  Each
+    active axis reads one window table (:func:`derivative_stencil` reads the
+    same rows): one gather takes every position's window along the axis and
+    one contraction applies the weights.  Cost is O(n_centres * window) per
+    active axis and memory O(n_centres * window), never side^2.
     """
     alpha = tuple(int(a) for a in alpha)
     if abs_order(alpha) >= r:
         raise OrderError(f"|alpha|={abs_order(alpha)} must be < r={r}")
     side = grid.side
-    t = np.asarray(fvals, dtype=float).reshape((side,) * grid.s)
+    t = np.asarray(fvals, dtype=float).reshape(grid.n_centres)
     if abs_order(alpha) == 0:
-        return t.reshape(-1).copy()
-    if grid.k < r:
-        raise ResolutionError(f"need k >= r, got k={grid.k}, r={r}")
-    lo, hi = -grid.m, grid.k + grid.m - 1
-    for axis, a, window in _axis_windows(alpha, r):
-        mat = _axis_matrix(window, a, lo, hi, blocks)
-        t = np.moveaxis(np.tensordot(mat, t, axes=(1, axis)), 0, axis)
+        return t.copy()
+    for axis, starts, weights in _active_tables(alpha, grid, r, blocks):
+        nodes = np.arange(len(weights))[:, None] + (np.arange(side) + starts)
+        t = t.reshape(side ** axis, side, side ** (grid.s - axis - 1))
+        t = np.einsum("pwsq,ws->psq", np.take(t, nodes, axis=1), weights)
     return t.reshape(-1) * float(grid.k) ** abs_order(alpha)
 
 

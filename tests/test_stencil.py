@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from stratmc.errors import (
+    DomainError,
     IncompleteEvaluationError,
     OrderError,
     ResolutionError,
@@ -21,7 +23,6 @@ from stratmc.stencil import (
     multi_factorial,
     multi_indices,
     nonzero_count,
-    select_axis_nodes,
     univariate_weights,
     univariate_weights_exact,
 )
@@ -121,8 +122,39 @@ def test_select_axis_nodes_block_mode():
     grid = GridSpec(1, 6, 0)
     blocks = block_partition(grid, 3)
     # centre at index 2 sits at the top of block {0,1,2}: window must shift
-    assert select_axis_nodes((2,), 0, grid, 3, blocks) == (-2, -1, 0)
-    assert select_axis_nodes((3,), 0, grid, 3, blocks) == (0, 1, 2)
+    assert tuple(derivative_stencil((1,), (2,), grid, 3, blocks).offsets[:, 0]) == (-2, -1, 0)
+    assert tuple(derivative_stencil((1,), (3,), grid, 3, blocks).offsets[:, 0]) == (0, 1, 2)
+
+
+@pytest.mark.parametrize("grid,block", [
+    (GridSpec(1, 6, 0), False),
+    (GridSpec(1, 6, 2), False),
+    (GridSpec(1, 6, 0), True),
+    (GridSpec(1, 7, 0), True),
+], ids=["free", "margin", "block-6", "block-7"])
+def test_stencil_windows_match_scalar_rule_and_exact_weights(grid, block):
+    r = 3
+    blocks = block_partition(grid, r) if block else None
+    for j in grid.index_range():
+        if blocks is None:
+            lo, hi = -grid.m, grid.k + grid.m - 1
+        else:
+            lo, hi = (int(b) for b in blocks.axis_bounds(j))
+        want = axis_node_offsets(j, r, lo, hi)
+        for a in range(1, r):
+            st = derivative_stencil((a,), (j,), grid, r, blocks)
+            assert tuple(st.offsets[:, 0].tolist()) == want
+            assert st.weights.tolist() == [float(w) for w in univariate_weights_exact(want, a)]
+
+
+def test_stencil_rejects_centre_outside_grid():
+    grid = GridSpec(1, 9, 0)
+    # a negative index must not wrap round to the last block
+    with pytest.raises(DomainError):
+        derivative_stencil((1,), (-1,), grid, 3, block_partition(grid, 3))
+    # past the upper edge a free window would extrapolate from (6, 7, 8)
+    with pytest.raises(DomainError):
+        derivative_stencil((1,), (12,), grid, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -234,16 +266,40 @@ def test_polynomial_exactness_everywhere(s, r):
                 assert np.max(np.abs(got - want)) / scale < 1e-9
 
 
-def test_derivative_grid_matches_apply():
-    # the vectorized whole-grid path agrees with per-centre stencils
+@pytest.mark.parametrize("s", [1, 2, 3])
+@pytest.mark.parametrize("k,m,block", [(5, 0, False), (4, 1, False), (7, 0, True)],
+                         ids=["free", "margin", "block"])
+def test_derivative_grid_matches_apply(s, k, m, block):
+    # the vectorized whole-grid path agrees with per-centre stencils on free,
+    # margin and block grids, for every alpha the smoothness admits
+    r = 3
     rng = np.random.default_rng(2)
-    grid = GridSpec(2, 5, 0)
+    grid = GridSpec(s, k, m)
+    blocks = block_partition(grid, r) if block else None
     fvals = rng.normal(size=grid.n_centres)
     values = {tuple(idx): v for idx, v in zip(index_array(grid).tolist(), fvals)}
-    got = derivative_grid(fvals, (1, 1), grid, 3)
-    for pos, idx in enumerate(index_array(grid).tolist()):
-        st = derivative_stencil((1, 1), idx, grid, 3)
-        assert got[pos] == pytest.approx(apply_stencil(st, values), rel=1e-12, abs=1e-12)
+    for total in range(r):
+        for alpha in multi_indices(s, total):
+            got = derivative_grid(fvals, alpha, grid, r, blocks)
+            for pos, idx in enumerate(index_array(grid).tolist()):
+                st = derivative_stencil(alpha, idx, grid, r, blocks)
+                assert got[pos] == pytest.approx(apply_stencil(st, values), rel=1e-12, abs=1e-12)
+
+
+def test_derivative_grid_memory_bounded():
+    # s=1, k=2^16: a dense side x side axis operator would need 32 GiB; the
+    # window tables keep the peak to a few arrays of side * window floats
+    grid = GridSpec(1, 2 ** 16, 0)
+    fvals = np.exp(centre_array(grid)[:, 0])
+    tracemalloc.start()
+    try:
+        derivs = [derivative_grid(fvals, alpha, grid, 4) for alpha in [(1,), (2,), (3,)]]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
+    # rounding grows like eps * k^|alpha|, so only the first derivative is sharp
+    assert np.max(np.abs(derivs[0] - fvals)) < 1e-8
 
 
 # ---------------------------------------------------------------------------
