@@ -305,8 +305,7 @@ def _estimate(plan: _Plan, f, grid: GridSpec, stream: Stream, keep_terms: bool) 
         else:
             fvals = _evaluate(f, centre_array(grid), grid)
             n_det = grid.n_centres
-            derivs = [derivative_grid(fvals, a, grid, plan.r_build, plan.blocks)
-                      for a in plan.alphas]
+            derivs = derivative_grid(fvals, plan.alphas, grid, plan.r_build, plan.blocks)
         cv = np.zeros(grid.n_centres)
         for alpha, d_hat in zip(plan.alphas, derivs):
             cv += d_hat * _cv_factor(alpha, u, grid.k)
@@ -379,21 +378,29 @@ def _require_margin_free(grid: GridSpec):
         raise ValueError("this estimator runs on margin-free grids (m = 0)")
 
 
+@lru_cache(maxsize=64)
 def _even_alphas(s: int, r: int) -> tuple[tuple[int, ...], ...]:
     return tuple(a for total in range(2, r, 2) for a in multi_indices(s, total))
 
 
+@lru_cache(maxsize=64)
 def _all_alphas(s: int, r: int) -> tuple[tuple[int, ...], ...]:
     return tuple(a for total in range(1, r) for a in multi_indices(s, total))
 
 
 def _cv_factor(alpha, u: np.ndarray, k: int) -> np.ndarray:
-    """(U^alpha - E[U^alpha]) / alpha! per stratum."""
-    mono = np.ones(len(u))
-    mean = 1.0
+    """(U^alpha - E[U^alpha]) / alpha! per stratum, for |alpha| >= 1.
+
+    Each U_axis^a is a chain of products, not ``**``: from a = 3 on numpy
+    calls libm ``pow``, tens of times slower than the products.
+    """
+    mono, mean = None, 1.0
     for axis, a in enumerate(alpha):
         if a:
-            mono = mono * u[:, axis] ** a
+            ua = power = u[:, axis]
+            for _ in range(a - 1):
+                power = power * ua
+            mono = power if mono is None else mono * power
             mean *= offset_moment(a, k)
     return (mono - mean) / multi_factorial(alpha)
 

@@ -19,7 +19,8 @@ across blocks.
 That rule is one clamp over axis positions (:func:`axis_node_offsets` is its
 scalar form), tabulated per axis as each position's window start and weights.
 :func:`derivative_stencil` reads one row per active axis and
-:func:`derivative_grid` applies whole tables, so the two agree by construction.
+:func:`derivative_grid` applies whole tables, so the two agree by construction;
+it walks a set of multi-indices axis by axis, sharing their common passes.
 """
 
 from __future__ import annotations
@@ -216,12 +217,25 @@ def _axis_windows(alpha, r: int) -> list[tuple[int, int, int]]:
 
 
 def _active_tables(alpha, grid: GridSpec, r: int, blocks: "BlockAssignment | None"):
-    """(axis, window starts, weights) from ``_axis_table`` per active axis."""
-    if grid.k < r:
+    """Checked ``alpha`` and (axis, order, window, starts, weights) per active axis.
+
+    The checks both stencil functions share: ``alpha`` has length s and no
+    negative entry, |alpha| < r, a block assignment was built for this k, and
+    k >= r once an axis is active.  Tables come from ``_axis_table``.
+    """
+    alpha = tuple(int(a) for a in alpha)
+    if len(alpha) != grid.s or any(a < 0 for a in alpha):
+        raise ValueError(f"bad multi-index {alpha} for dimension {grid.s}")
+    if abs_order(alpha) >= r:
+        raise OrderError(f"|alpha|={abs_order(alpha)} must be < r={r}")
+    if blocks is not None and blocks.k != grid.k:
+        raise ValueError(f"block assignment for k={blocks.k} used on a grid with k={grid.k}")
+    steps = _axis_windows(alpha, r)
+    if steps and grid.k < r:
         raise ResolutionError(f"need k >= r, got k={grid.k}, r={r}")
     lo, hi = -grid.m, grid.k + grid.m - 1
-    return [(axis, *_axis_table(window, a, lo, hi, blocks))
-            for axis, a, window in _axis_windows(alpha, r)]
+    return alpha, [(axis, a, window, *_axis_table(window, a, lo, hi, blocks))
+                   for axis, a, window in steps]
 
 
 @dataclass(frozen=True)
@@ -249,23 +263,19 @@ def derivative_stencil(alpha, centre_index, grid: GridSpec, r: int,
     per-axis windows are rows of the tables :func:`derivative_grid` applies,
     and nodes run over their tensor product, first active axis slowest.
     """
-    alpha = tuple(int(a) for a in alpha)
+    alpha, tables = _active_tables(alpha, grid, r, blocks)
     centre = tuple(int(j) for j in centre_index)
-    if len(alpha) != grid.s or any(a < 0 for a in alpha):
-        raise ValueError(f"bad multi-index {alpha} for dimension {grid.s}")
     if len(centre) != grid.s or any(j not in grid.index_range() for j in centre):
         raise DomainError(f"centre {centre} is not an index of {grid}")
-    if abs_order(alpha) >= r:
-        raise OrderError(f"|alpha|={abs_order(alpha)} must be < r={r}")
-    if abs_order(alpha) == 0:
+    if not tables:
         one = np.ones(1)
         z = np.zeros((1, grid.s), dtype=np.int64)
         return DerivativeStencil(alpha, centre, z, np.array([centre]), one, 1.0)
     active, axis_offsets, axis_weights = [], [], []
-    for axis, starts, weights in _active_tables(alpha, grid, r, blocks):
+    for axis, _a, window, starts, weights in tables:
         row = centre[axis] + grid.m
         active.append(axis)
-        axis_offsets.append(starts[row] + np.arange(len(weights)))
+        axis_offsets.append(starts[row] + np.arange(window))
         axis_weights.append(weights[:, row])
     mesh = np.meshgrid(*axis_offsets, indexing="ij")
     offsets = np.zeros((mesh[0].size, grid.s), dtype=np.int64)
@@ -337,27 +347,48 @@ def block_partition(grid: GridSpec, r: int) -> BlockAssignment:
 # whole-grid evaluation
 
 def derivative_grid(fvals: np.ndarray, alpha, grid: GridSpec, r: int,
-                    blocks: BlockAssignment | None = None) -> np.ndarray:
-    """D^alpha estimate at every centre from the flat vector of centre values.
+                    blocks: BlockAssignment | None = None) -> np.ndarray | list[np.ndarray]:
+    """D^alpha estimates at every centre from the flat vector of centre values.
 
-    ``fvals`` is indexed like :func:`stratmc.lattice.centre_array`.  Each
-    active axis reads one window table (:func:`derivative_stencil` reads the
-    same rows): one gather takes every position's window along the axis and
-    one contraction applies the weights.  Cost is O(n_centres * window) per
-    active axis and memory O(n_centres * window), never side^2.
+    ``fvals`` is indexed like :func:`stratmc.lattice.centre_array`.  ``alpha``
+    is one multi-index, giving one ``(n_centres,)`` array, or a sequence of
+    them, giving a list of such arrays in input order.  Each active axis reads
+    one window table (:func:`derivative_stencil` reads the same rows): one
+    gather takes every position's window along the axis and one contraction
+    per derivative order applies the weights.  Multi-indices are walked axis
+    by axis, so those that agree on their leading axes share the gathers and
+    contractions there.  Cost is O(n_centres * window) per pass and memory
+    O(n_centres * window), never side^2.
     """
-    alpha = tuple(int(a) for a in alpha)
-    if abs_order(alpha) >= r:
-        raise OrderError(f"|alpha|={abs_order(alpha)} must be < r={r}")
+    single = all(np.ndim(a) == 0 for a in alpha)
+    checked = [_active_tables(a, grid, r, blocks) for a in ([alpha] if single else alpha)]
+    t = np.asarray(fvals, dtype=float)
+    if t.size != grid.n_centres:
+        raise ValueError(f"fvals has {t.size} values, {grid} has {grid.n_centres} centres")
     side = grid.side
-    t = np.asarray(fvals, dtype=float).reshape(grid.n_centres)
-    if abs_order(alpha) == 0:
-        return t.copy()
-    for axis, starts, weights in _active_tables(alpha, grid, r, blocks):
-        nodes = np.arange(len(weights))[:, None] + (np.arange(side) + starts)
-        t = t.reshape(side ** axis, side, side ** (grid.s - axis - 1))
-        t = np.einsum("pwsq,ws->psq", np.take(t, nodes, axis=1), weights)
-    return t.reshape(-1) * float(grid.k) ** abs_order(alpha)
+    out = [None] * len(checked)
+    # (partial result, passes applied, members): every member agrees on those
+    # passes; a gather is dropped before its contractions are walked further
+    stack = [(t.reshape(grid.n_centres), 0, range(len(checked)))]
+    while stack:
+        t, depth, members = stack.pop()
+        groups = {}
+        for i in members:
+            alpha_i, tables = checked[i]
+            if depth == len(tables):
+                out[i] = t.reshape(-1) * float(grid.k) ** abs_order(alpha_i)
+                continue
+            axis, a, window, starts, weights = tables[depth]
+            orders = groups.setdefault((axis, window), ({}, starts))[0]
+            orders.setdefault(a, (weights, []))[1].append(i)
+        for (axis, window), (orders, starts) in groups.items():
+            nodes = np.arange(window)[:, None] + (np.arange(side) + starts)
+            gather = np.take(t.reshape(side ** axis, side, side ** (grid.s - axis - 1)),
+                             nodes, axis=1)
+            stack.extend((np.einsum("pwsq,ws->psq", gather, weights), depth + 1, idx)
+                         for weights, idx in orders.values())
+            del gather
+    return out[0] if single else out
 
 
 # ---------------------------------------------------------------------------

@@ -286,20 +286,68 @@ def test_derivative_grid_matches_apply(s, k, m, block):
                 assert got[pos] == pytest.approx(apply_stencil(st, values), rel=1e-12, abs=1e-12)
 
 
+def test_derivative_grid_multi_index_form():
+    # one call over several multi-indices: one array per entry, in input
+    # order, bit for bit the single-multi-index results, duplicates included
+    grid = GridSpec(2, 6, 0)
+    fvals = np.random.default_rng(3).normal(size=grid.n_centres)
+    alphas = [(1, 2), (0, 0), (2, 0), (1, 2), (0, 3), (1, 0)]
+    got = derivative_grid(fvals, alphas, grid, 4)
+    assert len(got) == len(alphas)
+    for alpha, d in zip(alphas, got):
+        assert d.tobytes() == derivative_grid(fvals, alpha, grid, 4).tobytes()
+    assert got[0] is not got[3] and not np.shares_memory(got[1], fvals)
+
+
+@pytest.mark.parametrize("alpha", [(1,), (0, 1, 0), (-1, 1), ((1, 0), (1,))],
+                         ids=["short", "long", "negative", "in-sequence"])
+def test_malformed_multi_index_rejected(alpha):
+    # a wrong length used to read as another multi-index, a negative entry
+    # used to fail as an OrderError from the weight solve
+    grid = GridSpec(2, 5, 0)
+    with pytest.raises(ValueError, match="bad multi-index"):
+        derivative_grid(np.zeros(grid.n_centres), alpha, grid, 3)
+    if np.ndim(alpha[0]) == 0:
+        with pytest.raises(ValueError, match="bad multi-index"):
+            derivative_stencil(alpha, (2, 2), grid, 3)
+
+
+def test_derivative_grid_rejects_wrong_fvals_size():
+    grid = GridSpec(2, 5, 0)
+    with pytest.raises(ValueError, match="24 values.*25 centres"):
+        derivative_grid(np.zeros(24), [(1, 0), (0, 1)], grid, 3)
+
+
+def test_blocks_for_another_k_rejected():
+    # the partition of k=6 on a k=9 grid used to clamp centre 8 into the
+    # window (3, 4, 5): a first-derivative error of 19.2 on exp(3x)
+    grid = GridSpec(1, 9, 0)
+    blocks = block_partition(GridSpec(1, 6, 0), 3)
+    fvals = np.exp(3 * centre_array(grid)[:, 0])
+    with pytest.raises(ValueError, match="k=6.*k=9"):
+        derivative_grid(fvals, (1,), grid, 3, blocks)
+    with pytest.raises(ValueError, match="k=6.*k=9"):
+        derivative_stencil((1,), (8,), grid, 3, blocks)
+
+
 def test_derivative_grid_memory_bounded():
     # s=1, k=2^16: a dense side x side axis operator would need 32 GiB; the
-    # window tables keep the peak to a few arrays of side * window floats
+    # window tables keep the peak to a few arrays of side * window floats,
+    # one multi-index at a time or all in one call
     grid = GridSpec(1, 2 ** 16, 0)
     fvals = np.exp(centre_array(grid)[:, 0])
-    tracemalloc.start()
-    try:
-        derivs = [derivative_grid(fvals, alpha, grid, 4) for alpha in [(1,), (2,), (3,)]]
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 32 * 2 ** 20
-    # rounding grows like eps * k^|alpha|, so only the first derivative is sharp
-    assert np.max(np.abs(derivs[0] - fvals)) < 1e-8
+    alphas = [(1,), (2,), (3,)]
+    for call in (lambda: [derivative_grid(fvals, alpha, grid, 4) for alpha in alphas],
+                 lambda: derivative_grid(fvals, alphas, grid, 4)):
+        tracemalloc.start()
+        try:
+            derivs = call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
+        # rounding grows like eps * k^|alpha|, so only the first derivative is sharp
+        assert np.max(np.abs(derivs[0] - fvals)) < 1e-8
 
 
 # ---------------------------------------------------------------------------
