@@ -10,7 +10,9 @@ rate information.
 
 Everything is deterministic given the master seed: replicate streams derive
 from (seed, variant, r, k, replicate), so rerunning a config reproduces the
-CSV byte for byte.
+CSV byte for byte.  A cell's replicate streams go to its estimator in one
+call, which computes the stream-independent work (centre values, stencils)
+once; each report equals its single-stream run, so the rows do too.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import numpy as np
 from .errors import StratError
 from .lattice import GridSpec, Stream, substream_id
 from .estimators import (
-    EstimateReport,
     crude_mc,
     estimate_analytic_cv,
     estimate_paired_cv,
@@ -214,13 +215,14 @@ def logistic_marginal_likelihood(dataset, s: int, prior_sd: float = 5.0,
 # ---------------------------------------------------------------------------
 # the experiment loop
 
-def _run_star(f: Integrand, r: int, k: int, stream: Stream) -> EstimateReport:
+def _run_star(f: Integrand, r: int, k: int, stream):
     if f.derivative is None:
         raise StratError(f"{f.name} has no derivative oracle for 'star'")
     return estimate_analytic_cv(f.fn, f.derivative, r, GridSpec(f.s, k, 0), stream)
 
 
-# variant -> (fixed order, or None to take config.r_values; runner(integrand, r, k, stream)).
+# variant -> (fixed order, or None to take config.r_values; runner(integrand, r, k, stream)),
+# where stream is one Stream or a sequence of them, as the estimators take it.
 # The runners look the estimators up in this module at call time, so wrappers
 # installed on these names (tracing) see every call.
 _REGISTRY = {
@@ -280,13 +282,11 @@ def run(config: ExperimentConfig) -> list[ResultRow]:
         order, runner = _REGISTRY[variant]
         for r in config.r_values if order is None else (order,):
             for k in config.k_values:
-                values = np.empty(config.replicates)
-                n_evals = np.empty(config.replicates)
-                for rep in range(config.replicates):
-                    stream = Stream(config.seed, substream_id(variant, r, k, rep))
-                    report = runner(f, r, k, stream)
-                    values[rep] = report.value
-                    n_evals[rep] = report.n_in_domain
+                streams = [Stream(config.seed, substream_id(variant, r, k, rep))
+                           for rep in range(config.replicates)]
+                reports = runner(f, r, k, streams)
+                values = np.array([report.value for report in reports])
+                n_evals = np.array([report.n_in_domain for report in reports], dtype=float)
                 if f.exact is not None:
                     stat = float(np.mean((values - f.exact) ** 2))
                     denom = f.exact ** 2 if config.rel_mode == "squared" else abs(f.exact)

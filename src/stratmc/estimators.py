@@ -22,6 +22,11 @@ arguments and build the plan:
   cube boundary: the dilations 1, -1, 3, -3, ... with Vandermonde weights
   over a grid with margin strata, needing no numerical derivatives at all.
 
+Every estimator's ``stream`` is a ``Stream`` or a sequence of them, which gives
+a list of reports in input order, each bit for bit the single-stream report.
+The centre values and derivatives are then computed once per call; each stream
+still draws its own offsets and calls f as a single-stream call would.
+
 Estimators that admit exact identities (vanishing at orders 1/2 vs. the two
 Haber rules, the single-point rule at r=1 vs. haber1, paired rules at 2q vs.
 2q-1) run the same floating-point path through the core, so those identities
@@ -30,6 +35,7 @@ hold bit for bit on a common stream, not just in distribution.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -169,6 +175,8 @@ class EstimateReport:
     variance estimation needs them.  ``shift_averages`` is filled by the
     vanishing estimator: entry j is the stratum mean of f(c + shift_j * U_c),
     from which the estimate at every order r' <= r can be re-assembled.
+    ``stream`` is the Stream the offsets were drawn from (None for
+    hand-built reports); pooling rejects replicates that share one.
     """
 
     value: float
@@ -179,6 +187,7 @@ class EstimateReport:
     normalizer: int
     per_stratum_terms: np.ndarray | None = None
     shift_averages: tuple[float, ...] | None = None
+    stream: Stream | None = None
 
     @property
     def n_evaluations(self) -> int:
@@ -290,39 +299,64 @@ _HABER1 = _Plan("haber1", 1, (1,), (1.0,))
 _HABER2 = _Plan("haber2", 2, (1, -1), (0.5, 0.5))
 
 
-def _estimate(plan: _Plan, f, grid: GridSpec, stream: Stream, keep_terms: bool) -> EstimateReport:
-    """Run one plan: one offset draw, the shifted sums, the control variate, one report."""
-    u = stream.offsets(grid)
-    means, rows, n_in = _shift_parts(f, grid, plan.shifts, u, plan.guard)
-    value = _combine(plan.weights, means)
-    terms = _combine_rows(plan.weights, rows) if keep_terms else None
-    n_det = 0
-    if plan.alphas:
-        if plan.oracle is not None:
-            ctr = centre_array(grid)
-            derivs = [_checked(plan.oracle(a, ctr), ctr, f"derivative oracle at alpha={a}", grid)
-                      for a in plan.alphas]
-        else:
-            fvals = _evaluate(f, centre_array(grid), grid)
-            n_det = grid.n_centres
-            derivs = derivative_grid(fvals, plan.alphas, grid, plan.r_build, plan.blocks)
-        cv = np.zeros(grid.n_centres)
-        for alpha, d_hat in zip(plan.alphas, derivs):
-            cv += d_hat * _cv_factor(alpha, u, grid.k)
-        value -= float(np.sum(cv)) / float(grid.k) ** grid.s
-        if terms is not None:
-            terms = terms - cv
-    return EstimateReport(
-        value=value,
-        config=EstimatorConfig(plan.variant, plan.r, grid,
-                               "free" if plan.blocks is None else "block"),
-        n_deterministic=n_det,
-        n_random=len(plan.shifts) * grid.n_centres,
-        n_in_domain=n_det + n_in,
-        normalizer=grid.k ** grid.s,
-        per_stratum_terms=terms,
-        shift_averages=tuple(means) if plan.guard else None,
-    )
+def _per_stream(stream, one):
+    """``one(stream)`` for a Stream; for a sequence of Streams, ``one`` of each, in order."""
+    if isinstance(stream, Stream):
+        return one(stream)
+    streams = list(stream)
+    if not streams:
+        raise ValueError("need at least one stream, got an empty sequence")
+    for i, st in enumerate(streams):
+        if not isinstance(st, Stream):
+            raise TypeError(f"stream {i} of the sequence is not a Stream: {st!r}")
+    return [one(st) for st in streams]
+
+
+def _estimate(plan: _Plan, f, grid: GridSpec, stream, keep_terms: bool):
+    """One plan per stream: offset draw, shifted sums, control variate, report.
+    The derivatives are built once, after the first stream's shifted sums."""
+    derivs = None
+    n_det = grid.n_centres if plan.alphas and plan.oracle is None else 0
+
+    def one(st: Stream) -> EstimateReport:
+        nonlocal derivs
+        u = st.offsets(grid)
+        means, rows, n_in = _shift_parts(f, grid, plan.shifts, u, plan.guard)
+        value = _combine(plan.weights, means)
+        terms = _combine_rows(plan.weights, rows) if keep_terms else None
+        if plan.alphas:
+            if derivs is None:
+                derivs = _derivatives(plan, f, grid)
+            cv = np.zeros(grid.n_centres)
+            for alpha, d_hat in zip(plan.alphas, derivs):
+                cv += d_hat * _cv_factor(alpha, u, grid.k)
+            value -= float(np.sum(cv)) / float(grid.k) ** grid.s
+            if terms is not None:
+                terms = terms - cv
+        return EstimateReport(
+            value=value,
+            config=EstimatorConfig(plan.variant, plan.r, grid,
+                                   "free" if plan.blocks is None else "block"),
+            n_deterministic=n_det,
+            n_random=len(plan.shifts) * grid.n_centres,
+            n_in_domain=n_det + n_in,
+            normalizer=grid.k ** grid.s,
+            per_stratum_terms=terms,
+            shift_averages=tuple(means) if plan.guard else None,
+            stream=st,
+        )
+
+    return _per_stream(stream, one)
+
+
+def _derivatives(plan: _Plan, f, grid: GridSpec) -> list[np.ndarray]:
+    """D^alpha f at the centres for every alpha of the plan: oracle or stencils."""
+    ctr = centre_array(grid)
+    if plan.oracle is not None:
+        return [_checked(plan.oracle(a, ctr), ctr, f"derivative oracle at alpha={a}", grid)
+                for a in plan.alphas]
+    fvals = _evaluate(f, ctr, grid)
+    return derivative_grid(fvals, plan.alphas, grid, plan.r_build, plan.blocks)
 
 
 def shifted_stratum_mean(g, shift: int, grid: GridSpec, stream: Stream) -> float:
@@ -345,29 +379,34 @@ def shifted_stratum_mean(g, shift: int, grid: GridSpec, stream: Stream) -> float
 # ---------------------------------------------------------------------------
 # estimators
 
-def crude_mc(f, s: int, n: int, stream: Stream, keep_terms: bool = False) -> EstimateReport:
+def crude_mc(f, s: int, n: int, stream: Stream | Sequence[Stream], keep_terms: bool = False):
     """Plain Monte Carlo: mean of f at n iid uniform points."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    vals = _evaluate(f, stream.bulk_uniform(_CRUDE_TAG, (n, s)))
-    return EstimateReport(
-        value=float(np.sum(vals)) / n,
-        config=EstimatorConfig("crude", 1, GridSpec(s, 1, 0)),
-        n_deterministic=0,
-        n_random=n,
-        n_in_domain=n,
-        normalizer=n,
-        per_stratum_terms=vals if keep_terms else None,
-    )
+
+    def one(st: Stream) -> EstimateReport:
+        vals = _evaluate(f, st.bulk_uniform(_CRUDE_TAG, (n, s)))
+        return EstimateReport(
+            value=float(np.sum(vals)) / n,
+            config=EstimatorConfig("crude", 1, GridSpec(s, 1, 0)),
+            n_deterministic=0,
+            n_random=n,
+            n_in_domain=n,
+            normalizer=n,
+            per_stratum_terms=vals if keep_terms else None,
+            stream=st,
+        )
+
+    return _per_stream(stream, one)
 
 
-def haber1(f, grid: GridSpec, stream: Stream, keep_terms: bool = False) -> EstimateReport:
+def haber1(f, grid: GridSpec, stream: Stream | Sequence[Stream], keep_terms: bool = False):
     """One random evaluation per stratum; optimal for once-differentiable f."""
     _require_margin_free(grid)
     return _estimate(_HABER1, f, grid, stream, keep_terms)
 
 
-def haber2(f, grid: GridSpec, stream: Stream, keep_terms: bool = False) -> EstimateReport:
+def haber2(f, grid: GridSpec, stream: Stream | Sequence[Stream], keep_terms: bool = False):
     """Antithetic pair per stratum; optimal for twice-differentiable f."""
     _require_margin_free(grid)
     return _estimate(_HABER2, f, grid, stream, keep_terms)
@@ -427,12 +466,13 @@ def _checked_blocks(grid: GridSpec, r: int, mode: str) -> BlockAssignment | None
 
 
 def estimate_analytic_cv(f, derivative_oracle, r: int, grid: GridSpec,
-                         stream: Stream, keep_terms: bool = False) -> EstimateReport:
+                         stream: Stream | Sequence[Stream], keep_terms: bool = False):
     """Antithetic pairs plus an exact-derivative Taylor control variate.
 
     ``derivative_oracle(alpha, points)`` must return D^alpha f at the given
     points; it is consulted for every even total order below r.  Exact for
-    polynomials of total degree < r on every single run.
+    polynomials of total degree < r on every single run.  A sequence of
+    streams consults the oracle once for all of them.
     """
     _require_margin_free(grid)
     if r < 1:
@@ -442,13 +482,15 @@ def estimate_analytic_cv(f, derivative_oracle, r: int, grid: GridSpec,
     return _estimate(plan, f, grid, stream, keep_terms)
 
 
-def estimate_paired_cv(f, r: int, grid: GridSpec, stream: Stream,
-                       mode: str = "free", keep_terms: bool = False) -> EstimateReport:
+def estimate_paired_cv(f, r: int, grid: GridSpec, stream: Stream | Sequence[Stream],
+                       mode: str = "free", keep_terms: bool = False):
     """Antithetic pairs plus difference-based control variates (even orders).
 
     Evaluates f once at every centre (shared by all stencils) and at the
     2 k^s random pair points: n = 3 k^s.  Exact for polynomials of total
-    degree < r; RMSE of order n^(-1/2 - r/s) for r-smooth f.
+    degree < r; RMSE of order n^(-1/2 - r/s) for r-smooth f.  A sequence of
+    streams shares one centre pass and its stencils; each report still
+    counts the k^s centre evaluations.
     """
     _require_margin_free(grid)
     if r < 1:
@@ -464,12 +506,13 @@ def estimate_paired_cv(f, r: int, grid: GridSpec, stream: Stream,
     return _estimate(plan, f, grid, stream, keep_terms)
 
 
-def estimate_single_cv(f, r: int, grid: GridSpec, stream: Stream,
-                       mode: str = "free", keep_terms: bool = False) -> EstimateReport:
+def estimate_single_cv(f, r: int, grid: GridSpec, stream: Stream | Sequence[Stream],
+                       mode: str = "free", keep_terms: bool = False):
     """Single random evaluation per stratum, control variates on all orders < r.
 
     n = 2 k^s (one random point per stratum plus the centre values).  At
-    r = 1 the control-variate sum is empty and this is exactly haber1.
+    r = 1 the control-variate sum is empty and this is exactly haber1.  A
+    sequence of streams shares one centre pass, as in ``estimate_paired_cv``.
     """
     _require_margin_free(grid)
     if r < 1:
@@ -482,8 +525,8 @@ def estimate_single_cv(f, r: int, grid: GridSpec, stream: Stream,
     return _estimate(plan, f, grid, stream, keep_terms)
 
 
-def estimate_vanishing(f, r: int, grid: GridSpec, stream: Stream,
-                       keep_terms: bool = False) -> EstimateReport:
+def estimate_vanishing(f, r: int, grid: GridSpec, stream: Stream | Sequence[Stream],
+                       keep_terms: bool = False):
     """Dilation-combination estimator for boundary-vanishing integrands.
 
     The caller asserts that f and its derivatives up to order r vanish on
@@ -522,11 +565,10 @@ def asymptotic_variance_estimate(derivative_oracle, s: int, r: int, budget: int,
     grid = GridSpec(s, r, 0)
     monomials = [_centred_monomial(alpha) for alpha in alphas]
 
+    streams = [Stream(seed, b) for b in range(budget)]  # shared across monomials
     samples = np.empty((budget, len(alphas)))
-    for b in range(budget):
-        stream = Stream(seed, b)  # shared across monomials: joint replicates
-        for j, g in enumerate(monomials):
-            samples[b, j] = estimate_paired_cv(g, r, grid, stream, mode="block").value
+    for j, g in enumerate(monomials):
+        samples[:, j] = [rep.value for rep in estimate_paired_cv(g, r, grid, streams, mode="block")]
     cov = np.cov(samples.T, ddof=1).reshape(len(alphas), len(alphas))
 
     if quad_per_axis is None:

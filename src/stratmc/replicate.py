@@ -55,7 +55,11 @@ def _aligned_terms(reports: list[EstimateReport]) -> np.ndarray:
     if len(reports) < 2:
         raise AlignmentError(f"need at least 2 replicates, got {len(reports)}")
     ref = reports[0]
+    seen = set()
     for rep in reports:
+        if rep.stream is not None and rep.stream in seen:
+            raise AlignmentError(f"replicates share {rep.stream}; pooling needs distinct streams")
+        seen.add(rep.stream)
         if rep.per_stratum_terms is None:
             raise AlignmentError(
                 "per-stratum terms were not retained; rerun with keep_terms=True"

@@ -448,3 +448,80 @@ def test_guarded_nonfinite_names_the_stratum():
         estimate_vanishing(f, 2, grid, stream)
     with pytest.raises(IntegrandError, match=message):
         shifted_stratum_mean(f, 1, grid, stream)
+
+
+# ---------------------------------------------------------------------------
+# the sequence form of ``stream``
+
+def _exp_oracle(alpha, pts):
+    return 0.5 ** sum(alpha) * np.exp(0.5 * np.sum(pts, axis=1))
+
+
+# name -> call(f, s, k, r, stream, keep_terms), for every public estimator
+_BATCHED = {
+    "crude": lambda f, s, k, r, st, keep: crude_mc(f, s, k ** s, st, keep_terms=keep),
+    "haber1": lambda f, s, k, r, st, keep: haber1(f, GridSpec(s, k, 0), st, keep_terms=keep),
+    "haber2": lambda f, s, k, r, st, keep: haber2(f, GridSpec(s, k, 0), st, keep_terms=keep),
+    "analytic": lambda f, s, k, r, st, keep: estimate_analytic_cv(
+        lambda p: np.exp(0.5 * np.sum(p, axis=1)), _exp_oracle, r, GridSpec(s, k, 0), st,
+        keep_terms=keep),
+    "paired-free": lambda f, s, k, r, st, keep: estimate_paired_cv(
+        f, r, GridSpec(s, k, 0), st, keep_terms=keep),
+    "paired-block": lambda f, s, k, r, st, keep: estimate_paired_cv(
+        f, r, GridSpec(s, k, 0), st, mode="block", keep_terms=keep),
+    "single-free": lambda f, s, k, r, st, keep: estimate_single_cv(
+        f, r, GridSpec(s, k, 0), st, keep_terms=keep),
+    "single-block": lambda f, s, k, r, st, keep: estimate_single_cv(
+        f, r, GridSpec(s, k, 0), st, mode="block", keep_terms=keep),
+    "vanishing": lambda f, s, k, r, st, keep: estimate_vanishing(
+        f, r, GridSpec(s, k, vanishing_margin(r)), st, keep_terms=keep),
+}
+
+
+def _fields(rep):
+    terms = None if rep.per_stratum_terms is None else rep.per_stratum_terms.tobytes()
+    return (rep.value, terms, rep.n_deterministic, rep.n_random, rep.n_in_domain,
+            rep.normalizer, rep.shift_averages, rep.config, rep.stream)
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+@pytest.mark.parametrize("name", list(_BATCHED))
+def test_stream_sequence_equals_single_calls(name, s):
+    call = _BATCHED[name]
+    f = product_family(s).fn
+    k, r = {1: (7, 5), 2: (5, 4), 3: (4, 3), 4: (3, 3)}[s]
+    for keep in (False, True):
+        for l in range(1, 6):
+            streams = [Stream(s, 10 * l + j) for j in range(l)]
+            batch = call(f, s, k, r, streams, keep)
+            assert isinstance(batch, list) and len(batch) == l
+            for st, rep in zip(streams, batch):
+                assert _fields(rep) == _fields(call(f, s, k, r, st, keep))
+
+
+def test_stream_sequence_evaluates_centres_once():
+    points = []
+
+    def f(pts):
+        points.append(len(pts))
+        return np.exp(pts[:, 0] * pts[:, 1])
+
+    grid = GridSpec(2, 5, 0)
+    reports = estimate_single_cv(f, 3, grid, (Stream(0, 0), Stream(0, 1)))
+    assert sum(points) == 3 * grid.n_centres  # not 4 k^s: one centre pass for both
+    # each report still counts its own k^s centre evaluations
+    assert [rep.n_in_domain for rep in reports] == [2 * grid.n_centres] * 2
+
+
+def test_stream_sequence_rejects_empty():
+    with pytest.raises(ValueError, match="empty"):
+        haber1(F1.fn, GridSpec(1, 4, 0), [])
+    with pytest.raises(ValueError, match="empty"):
+        crude_mc(F1.fn, 1, 4, ())
+
+
+def test_stream_sequence_rejects_non_stream():
+    with pytest.raises(TypeError, match="stream 1 of the sequence is not a Stream: 7"):
+        estimate_paired_cv(F1.fn, 3, GridSpec(1, 4, 0), [Stream(0, 0), 7])
+    with pytest.raises(TypeError, match=r"stream 0 of the sequence is not a Stream: \(0, 1\)"):
+        crude_mc(F1.fn, 1, 4, [(0, 1)])

@@ -17,6 +17,7 @@ from stratmc.estimators import (  # noqa: E402
     haber1,
     haber2,
     shifted_stratum_mean,
+    vanishing_margin,
 )
 from stratmc.lattice import GridSpec, Stream, centre_array, index_array  # noqa: E402
 from stratmc.stencil import (  # noqa: E402
@@ -111,3 +112,21 @@ def test_dilated_mean_margin_invariant_bit_for_bit(s, k, shift, extra, seed):
     stream = Stream(seed, 0)
     assert (shifted_stratum_mean(f, shift, GridSpec(s, k, m), stream)
             == shifted_stratum_mean(f, shift, GridSpec(s, k, m + extra), stream))
+
+
+@SETTINGS
+@given(st.integers(1, 3), st.integers(1, 5), st.integers(1, 5), st.integers(1, 4),
+       st.sampled_from(["free", "block"]), st.integers(0, 2 ** 32 - 1))
+def test_stream_sequence_equals_single_calls(s, extra_k, r, l, mode, seed):
+    # every report of a batched call is the single-stream report, bit for bit
+    f = product_family(s).fn
+    grid = GridSpec(s, r + extra_k - 1, 0)
+    streams = [Stream(seed, j) for j in range(l)]
+    for est in (estimate_paired_cv, estimate_single_cv):
+        for st_, rep in zip(streams, est(f, r, grid, streams, mode=mode, keep_terms=True)):
+            one = est(f, r, grid, st_, mode=mode, keep_terms=True)
+            assert rep.value == one.value
+            assert rep.per_stratum_terms.tobytes() == one.per_stratum_terms.tobytes()
+    vgrid = GridSpec(s, max(grid.k, 2), vanishing_margin(r))
+    for st_, rep in zip(streams, estimate_vanishing(f, r, vgrid, streams)):
+        assert rep.shift_averages == estimate_vanishing(f, r, vgrid, st_).shift_averages

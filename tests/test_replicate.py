@@ -72,6 +72,17 @@ def test_variance_rejects_mismatched_configs():
         variance_estimate(reps)
 
 
+def test_pooling_rejects_repeated_stream():
+    # three runs on one stream would pool to v_hat ~ 1e-34: a zero-width interval
+    reports = haber1(product_family(2).fn, GridSpec(2, 8, 0), [Stream(0)] * 3, keep_terms=True)
+    for pool in (variance_estimate, pooled):
+        with pytest.raises(AlignmentError, match=r"share Stream\(seed=0, replicate=0\)"):
+            pool(reports)
+    distinct = haber1(product_family(2).fn, GridSpec(2, 8, 0), [Stream(0, j) for j in range(3)],
+                      keep_terms=True)
+    assert pooled(distinct).v_hat > 1e-12
+
+
 def test_variance_rejects_single():
     with pytest.raises(AlignmentError):
         variance_estimate([_report([1.0])])
