@@ -27,6 +27,13 @@ a list of reports in input order, each bit for bit the single-stream report.
 The centre values and derivatives are then computed once per call; each stream
 still draws its own offsets and calls f as a single-stream call would.
 
+The control variate's stream-independent parts are planned once: the
+stencil passes by ``derivative_grid``, and each multi-index's active axes,
+mean E[U^alpha] and alpha! by ``_taylor_terms``, per (multi-indices, k).  Per
+stream, ``_control_variate`` forms every Taylor term in place in two reused
+buffers, with the products and roundings of a term-by-term evaluation, so the
+values are unchanged.
+
 Estimators that admit exact identities (vanishing at orders 1/2 vs. the two
 Haber rules, the single-point rule at r=1 vs. haber1, paired rules at 2q vs.
 2q-1) run the same floating-point path through the core, so those identities
@@ -216,16 +223,16 @@ def _checked(raw, pts: np.ndarray, source: str, grid: GridSpec | None = None,
         raise IntegrandError(
             f"{source} returned shape {vals.shape} for {len(pts)} points; expected ({len(pts)},)"
         )
+    if np.isfinite(vals).all():
+        return vals
     bad = np.flatnonzero(~np.isfinite(vals))
-    if len(bad):
-        i = bad[0]
-        row = i if mask is None else int(np.flatnonzero(mask)[i])
-        where = "" if grid is None else f" in stratum {tuple(index_array(grid)[row].tolist())}"
-        raise IntegrandError(
-            f"{source} returned {vals[i]} at point {row} {pts[i].tolist()}{where} "
-            f"({len(bad)} non-finite values in total)"
-        )
-    return vals
+    i = bad[0]
+    row = i if mask is None else int(np.flatnonzero(mask)[i])
+    where = "" if grid is None else f" in stratum {tuple(index_array(grid)[row].tolist())}"
+    raise IntegrandError(
+        f"{source} returned {vals[i]} at point {row} {pts[i].tolist()}{where} "
+        f"({len(bad)} non-finite values in total)"
+    )
 
 
 def _shift_parts(f, grid: GridSpec, shifts, u: np.ndarray, guard: bool):
@@ -242,7 +249,8 @@ def _shift_parts(f, grid: GridSpec, shifts, u: np.ndarray, guard: bool):
     rows = []
     n_in = 0
     for lam in shifts:
-        pts = ctr + lam * u
+        # c + U and c - U are exactly c + 1*U and c + (-1)*U, one temporary less
+        pts = ctr + u if lam == 1 else ctr - u if lam == -1 else ctr + lam * u
         if guard:
             # sum the in-domain values only: the compressed sequence (and
             # with it the floating-point sum) is then identical across grids
@@ -316,6 +324,7 @@ def _estimate(plan: _Plan, f, grid: GridSpec, stream, keep_terms: bool):
     """One plan per stream: offset draw, shifted sums, control variate, report.
     The derivatives are built once, after the first stream's shifted sums."""
     derivs = None
+    taylor = _taylor_terms(plan.alphas, grid.k)
     n_det = grid.n_centres if plan.alphas and plan.oracle is None else 0
 
     def one(st: Stream) -> EstimateReport:
@@ -327,9 +336,7 @@ def _estimate(plan: _Plan, f, grid: GridSpec, stream, keep_terms: bool):
         if plan.alphas:
             if derivs is None:
                 derivs = _derivatives(plan, f, grid)
-            cv = np.zeros(grid.n_centres)
-            for alpha, d_hat in zip(plan.alphas, derivs):
-                cv += d_hat * _cv_factor(alpha, u, grid.k)
+            cv = _control_variate(taylor, derivs, u)
             value -= float(np.sum(cv)) / float(grid.k) ** grid.s
             if terms is not None:
                 terms = terms - cv
@@ -347,6 +354,54 @@ def _estimate(plan: _Plan, f, grid: GridSpec, stream, keep_terms: bool):
         )
 
     return _per_stream(stream, one)
+
+
+@lru_cache(maxsize=64)
+def _taylor_terms(alphas: tuple[tuple[int, ...], ...],
+                  k: int) -> tuple[tuple[tuple[tuple[int, int], ...], float, float], ...]:
+    """Per multi-index: its active (axis, power) steps, E[U^alpha] and alpha!.
+
+    The mean is the product of the per-axis moments in axis order; it is 0.0
+    whenever an entry is odd.
+    """
+    terms = []
+    for alpha in alphas:
+        mean = 1.0
+        for a in alpha:
+            if a:
+                mean *= offset_moment(a, k)
+        steps = tuple((axis, a) for axis, a in enumerate(alpha) if a)
+        terms.append((steps, mean, float(multi_factorial(alpha))))
+    return tuple(terms)
+
+
+def _control_variate(taylor, derivs, u: np.ndarray) -> np.ndarray:
+    """sum_alpha D^alpha f(c) (U_c^alpha - E[U^alpha]) / alpha! per stratum.
+
+    ``taylor`` is ``_taylor_terms`` of the multi-indices (|alpha| >= 1) and
+    ``derivs`` their derivatives at the centres.  Each U^alpha is built in
+    two reused buffers as a chain of products, each axis's power first: from
+    a = 3 on ``**`` calls libm ``pow``, tens of times slower.  Subtracting a
+    zero mean and dividing by a unit factorial are skipped; both are exact.
+    """
+    n = len(u)
+    cv = np.zeros(n)
+    buf, power = np.empty(n), np.empty(n)
+    for (steps, mean, fact), d_hat in zip(taylor, derivs):
+        mono = None
+        for axis, a in steps:
+            col = p = u[:, axis]
+            if a > 1:
+                p = np.multiply(col, col, out=buf if mono is None else power)
+                for _ in range(a - 2):
+                    np.multiply(p, col, out=p)
+            mono = p if mono is None else np.multiply(mono, p, out=buf)
+        if mean:
+            mono = np.subtract(mono, mean, out=buf)
+        if fact != 1.0:
+            mono = np.divide(mono, fact, out=buf)
+        cv += np.multiply(mono, d_hat, out=buf)
+    return cv
 
 
 def _derivatives(plan: _Plan, f, grid: GridSpec) -> list[np.ndarray]:
@@ -425,23 +480,6 @@ def _even_alphas(s: int, r: int) -> tuple[tuple[int, ...], ...]:
 @lru_cache(maxsize=64)
 def _all_alphas(s: int, r: int) -> tuple[tuple[int, ...], ...]:
     return tuple(a for total in range(1, r) for a in multi_indices(s, total))
-
-
-def _cv_factor(alpha, u: np.ndarray, k: int) -> np.ndarray:
-    """(U^alpha - E[U^alpha]) / alpha! per stratum, for |alpha| >= 1.
-
-    Each U_axis^a is a chain of products, not ``**``: from a = 3 on numpy
-    calls libm ``pow``, tens of times slower than the products.
-    """
-    mono, mean = None, 1.0
-    for axis, a in enumerate(alpha):
-        if a:
-            ua = power = u[:, axis]
-            for _ in range(a - 1):
-                power = power * ua
-            mono = power if mono is None else mono * power
-            mean *= offset_moment(a, k)
-    return (mono - mean) / multi_factorial(alpha)
 
 
 def _paired_stencil_order(r: int, k: int) -> int:
@@ -585,4 +623,4 @@ def asymptotic_variance_estimate(derivative_oracle, s: int, r: int, budget: int,
         for j, aj in enumerate(alphas):
             cross = float(np.sum(dvals[i] * dvals[j])) * weight
             total += cov[i, j] * cross / (multi_factorial(ai) * multi_factorial(aj))
-    return float(r) ** (2 * r + s) * total
+    return float(float(r) ** (2 * r + s) * total)

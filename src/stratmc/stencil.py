@@ -20,7 +20,8 @@ That rule is one clamp over axis positions (:func:`axis_node_offsets` is its
 scalar form), tabulated per axis as each position's window start and weights.
 :func:`derivative_stencil` reads one row per active axis and
 :func:`derivative_grid` applies whole tables, so the two agree by construction;
-it walks a set of multi-indices axis by axis, sharing their common passes.
+it walks a set of multi-indices axis by axis, sharing their common passes, and
+plans that walk once per set of multi-indices and grid.
 """
 
 from __future__ import annotations
@@ -171,23 +172,38 @@ def axis_node_offsets(position: int, window: int, lo: int, hi: int) -> tuple[int
 
 
 @lru_cache(maxsize=256)
-def _axis_table(window: int, a: int, lo: int, hi: int,
-                blocks: "BlockAssignment | None") -> tuple[np.ndarray, np.ndarray]:
-    """Window starts ``(side,)`` and weights ``(window, side)`` for d^a/dx^a.
+def _axis_window(window: int, lo: int, hi: int,
+                 blocks: "BlockAssignment | None") -> tuple[np.ndarray, np.ndarray]:
+    """Window starts ``(side,)`` and gather nodes ``(window, side)`` on [lo, hi].
 
-    Entry ``j - lo`` is axis position j in [lo, hi]: window ``start + (0, ...,
-    window-1)``, confined to the block of j in block mode.  Weights are solved
-    once per distinct start and stored window-major, so the contraction in
-    :func:`derivative_grid` runs over a contiguous position axis.
+    Entry ``j - lo`` is axis position j: window ``start + (0, ..., window-1)``,
+    confined to the block of j in block mode.  ``nodes[w, j - lo]`` is the
+    0-based position of node w, which is what :func:`derivative_grid` gathers;
+    it is shared by every derivative order of the window.
     """
     pos = np.arange(lo, hi + 1)
     b_lo, b_hi = (lo, hi) if blocks is None else blocks.axis_bounds(pos)
     starts = _window_start(pos, window, b_lo, b_hi)
+    nodes = np.arange(window)[:, None] + (np.arange(len(pos)) + starts)
+    starts.setflags(write=False)
+    nodes.setflags(write=False)
+    return starts, nodes
+
+
+@lru_cache(maxsize=256)
+def _axis_table(window: int, a: int, lo: int, hi: int,
+                blocks: "BlockAssignment | None") -> tuple[np.ndarray, np.ndarray]:
+    """Window starts ``(side,)`` and weights ``(window, side)`` for d^a/dx^a.
+
+    Starts are those of :func:`_axis_window`.  Weights are solved once per
+    distinct start and stored window-major, so the contraction in
+    :func:`derivative_grid` runs over a contiguous position axis.
+    """
+    starts, _nodes = _axis_window(window, lo, hi, blocks)
     patterns, row_pattern = np.unique(starts, return_inverse=True)
     pattern_w = np.array([univariate_weights(range(p, p + window), a).weights
                           for p in patterns.tolist()])
     weights = np.ascontiguousarray(pattern_w[row_pattern.reshape(-1)].T)
-    starts.setflags(write=False)
     weights.setflags(write=False)
     return starts, weights
 
@@ -346,6 +362,52 @@ def block_partition(grid: GridSpec, r: int) -> BlockAssignment:
 # ---------------------------------------------------------------------------
 # whole-grid evaluation
 
+@lru_cache(maxsize=256)
+def _grid_program(alphas: tuple[tuple[int, ...], ...], grid: GridSpec, r: int,
+                  blocks: BlockAssignment | None) -> tuple[tuple, int]:
+    """The passes :func:`derivative_grid` runs for ``alphas``, as steps on numbered slots.
+
+    The multi-indices are walked axis by axis, depth first, from a stack of
+    (slot, passes applied, members), where every member agrees on those
+    passes.  Each step reads one slot (slot 0 holds the centre values) and
+    lists its outputs ``(i, k^|alpha_i|)`` and its passes ``(view shape,
+    gather nodes, ((weights, slot written), ...))``, one contraction per
+    derivative order.  Returns the steps and the number of slots.
+    """
+    checked = [_active_tables(a, grid, r, blocks) for a in alphas]
+    lo, hi = -grid.m, grid.k + grid.m - 1
+    side = grid.side
+    program = []
+    n_slots = 1
+    stack = [(0, 0, range(len(checked)))]
+    while stack:
+        src, depth, members = stack.pop()
+        outs, groups = [], {}
+        for i in members:
+            alpha_i, tables = checked[i]
+            if depth == len(tables):
+                outs.append((i, float(grid.k) ** abs_order(alpha_i)))
+                continue
+            axis, a, window, _starts, weights = tables[depth]
+            groups.setdefault((axis, window), {}).setdefault(a, (weights, []))[1].append(i)
+        passes = []
+        for (axis, window), orders in groups.items():
+            # a pass on the last axis of s >= 2 runs on the (side, side^(s-1))
+            # transpose, where the gather copies contiguous rows
+            if grid.s >= 2 and axis == grid.s - 1:
+                shape = (side ** axis, side)
+            else:
+                shape = (side ** axis, side, side ** (grid.s - axis - 1))
+            contractions = []
+            for weights, idx in orders.values():
+                contractions.append((weights, n_slots))
+                stack.append((n_slots, depth + 1, idx))
+                n_slots += 1
+            passes.append((shape, _axis_window(window, lo, hi, blocks)[1], tuple(contractions)))
+        program.append((src, tuple(outs), tuple(passes)))
+    return tuple(program), n_slots
+
+
 def derivative_grid(fvals: np.ndarray, alpha, grid: GridSpec, r: int,
                     blocks: BlockAssignment | None = None) -> np.ndarray | list[np.ndarray]:
     """D^alpha estimates at every centre from the flat vector of centre values.
@@ -359,34 +421,34 @@ def derivative_grid(fvals: np.ndarray, alpha, grid: GridSpec, r: int,
     by axis, so those that agree on their leading axes share the gathers and
     contractions there.  Cost is O(n_centres * window) per pass and memory
     O(n_centres * window), never side^2.
+
+    The walk is planned once per ``(alphas, grid, r, blocks)`` and cached as
+    a flat program of passes (``_grid_program``); a call only runs it, and
+    drops each partial result after its last read.  A failed plan is not
+    cached, so a bad argument raises on every call, and the values are the
+    same whether or not the program came from the cache.
     """
     single = all(np.ndim(a) == 0 for a in alpha)
-    checked = [_active_tables(a, grid, r, blocks) for a in ([alpha] if single else alpha)]
+    alphas = tuple(tuple(map(int, a)) for a in ([alpha] if single else alpha))
+    program, n_slots = _grid_program(alphas, grid, r, blocks)
     t = np.asarray(fvals, dtype=float)
     if t.size != grid.n_centres:
         raise ValueError(f"fvals has {t.size} values, {grid} has {grid.n_centres} centres")
-    side = grid.side
-    out = [None] * len(checked)
-    # (partial result, passes applied, members): every member agrees on those
-    # passes; a gather is dropped before its contractions are walked further
-    stack = [(t.reshape(grid.n_centres), 0, range(len(checked)))]
-    while stack:
-        t, depth, members = stack.pop()
-        groups = {}
-        for i in members:
-            alpha_i, tables = checked[i]
-            if depth == len(tables):
-                out[i] = t.reshape(-1) * float(grid.k) ** abs_order(alpha_i)
-                continue
-            axis, a, window, starts, weights = tables[depth]
-            orders = groups.setdefault((axis, window), ({}, starts))[0]
-            orders.setdefault(a, (weights, []))[1].append(i)
-        for (axis, window), (orders, starts) in groups.items():
-            nodes = np.arange(window)[:, None] + (np.arange(side) + starts)
-            gather = np.take(t.reshape(side ** axis, side, side ** (grid.s - axis - 1)),
-                             nodes, axis=1)
-            stack.extend((np.einsum("pwsq,ws->psq", gather, weights), depth + 1, idx)
-                         for weights, idx in orders.values())
+    slots = [t.reshape(grid.n_centres)] + [None] * (n_slots - 1)
+    out = [None] * len(alphas)
+    for src, outs, passes in program:
+        t, slots[src] = slots[src], None
+        for i, scale in outs:
+            out[i] = np.multiply(t, scale, order="C").reshape(-1)
+        for shape, nodes, contractions in passes:
+            if len(shape) == 2:     # the last axis, on the transpose
+                gather = np.take(np.ascontiguousarray(t.reshape(shape).T), nodes, axis=0)
+                for weights, dst in contractions:
+                    slots[dst] = np.einsum("wsp,ws->sp", gather, weights).T
+            else:
+                gather = np.take(t.reshape(shape), nodes, axis=1)
+                for weights, dst in contractions:
+                    slots[dst] = np.einsum("pwsq,ws->psq", gather, weights)
             del gather
     return out[0] if single else out
 

@@ -188,6 +188,20 @@ def test_cv_polynomial_exact(estimator):
             assert rep.value == pytest.approx(poly.integral(), rel=1e-9, abs=1e-9)
 
 
+@pytest.mark.parametrize("mode", ["free", "block"])
+@pytest.mark.parametrize("estimator", [estimate_paired_cv, estimate_single_cv])
+def test_cv_polynomial_exact_s4(estimator, mode):
+    # s=4 runs the last-axis passes on the transposed view; k = r + 1 puts an
+    # overlapping block on every axis in block mode
+    rng = np.random.default_rng(11)
+    for r in (2, 3, 4):
+        poly = random_poly(4, r - 1, rng)
+        g = GridSpec(4, r + 1, 0)
+        for st in _streams(11, 2):
+            rep = estimator(poly, r, g, st, mode=mode)
+            assert rep.value == pytest.approx(poly.integral(), rel=1e-9, abs=1e-9)
+
+
 def test_paired_counts():
     g = GridSpec(1, 8, 0)
     rep = estimate_paired_cv(F1.fn, 3, g, Stream(0, 0))
@@ -352,6 +366,11 @@ def test_asymptotic_variance_zero_for_low_degree():
     poly = random_poly(1, 1, rng)
     val = asymptotic_variance_estimate(poly.oracle(), 1, 2, budget=200, seed=0)
     assert val == pytest.approx(0.0, abs=1e-20)
+
+
+def test_asymptotic_variance_returns_python_float():
+    val = asymptotic_variance_estimate(_f1_oracle, 1, 2, budget=20, seed=2)
+    assert type(val) is float and val > 0.0
 
 
 def test_asymptotic_variance_symmetric_and_positive():

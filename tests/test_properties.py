@@ -37,9 +37,10 @@ SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples
 def stencil_cases(draw):
     """(grid, r, blocks, fvals, alphas): a free, margin or block grid and some
     multi-indices with |alpha| < r, duplicates and |alpha| = 0 allowed."""
-    s = draw(st.integers(1, 3))
+    s = draw(st.integers(1, 4))
     r = draw(st.integers(1, 5 if s < 3 else 4))
-    k = draw(st.integers(max(r, 2), r + 3))
+    # s=4 grids stay small: k <= r + 1
+    k = draw(st.integers(max(r, 2), r + 3 if s < 4 else r + 1))
     mode = draw(st.sampled_from(["free", "margin", "block"]))
     grid = GridSpec(s, k, draw(st.integers(1, 2)) if mode == "margin" else 0)
     blocks = block_partition(grid, r) if mode == "block" else None

@@ -299,6 +299,50 @@ def test_derivative_grid_multi_index_form():
     assert got[0] is not got[3] and not np.shares_memory(got[1], fvals)
 
 
+def _per_centre(fvals, alpha, grid, r, blocks=None):
+    values = {tuple(idx): v for idx, v in zip(index_array(grid).tolist(), fvals)}
+    return np.array([apply_stencil(derivative_stencil(alpha, idx, grid, r, blocks), values)
+                     for idx in index_array(grid).tolist()])
+
+
+def test_derivative_grid_cached_programs_stay_apart():
+    # the walk is planned once per (alphas, grid, r, blocks): alternating calls
+    # that differ in one of them each match their own per-centre stencils
+    alphas = [(1, 0), (0, 2), (1, 1), (0, 0)]
+    grid = GridSpec(2, 7, 0)
+    blocks = block_partition(grid, 3)
+    fvals = np.random.default_rng(4).normal(size=grid.n_centres)
+    want = {b: [_per_centre(fvals, a, grid, 3, b) for a in alphas] for b in (None, blocks)}
+    assert not np.allclose(want[None][0], want[blocks][0])
+    for b in (None, blocks, None, blocks):
+        for d, w in zip(derivative_grid(fvals, alphas, grid, 3, b), want[b]):
+            np.testing.assert_allclose(d, w, rtol=1e-12, atol=1e-12)
+
+    # the same side, 8, with and without a margin: only the scale k^|alpha| differs
+    fv = np.random.default_rng(5).normal(size=8)
+    grids = (GridSpec(1, 6, 1), GridSpec(1, 8, 0))
+    want_1d = {g: [_per_centre(fv, a, g, 3) for a in [(1,), (2,)]] for g in grids}
+    for g in grids + grids:
+        for d, w in zip(derivative_grid(fv, [(1,), (2,)], g, 3), want_1d[g]):
+            np.testing.assert_allclose(d, w, rtol=1e-12, atol=1e-12)
+
+    # a returned array is the caller's: mutating it changes no later result
+    before = fvals.copy()
+    first = derivative_grid(fvals, alphas, grid, 3)
+    kept = [d.copy() for d in first]
+    for d in first:
+        d += 1.0
+    assert fvals.tobytes() == before.tobytes()
+    for d, k in zip(derivative_grid(fvals, alphas, grid, 3), kept):
+        assert d.tobytes() == k.tobytes()
+
+    # an exception is not cached: a wrong-k block assignment raises every time
+    wrong = block_partition(GridSpec(2, 6, 0), 3)
+    for _ in range(3):
+        with pytest.raises(ValueError, match="k=6.*k=7"):
+            derivative_grid(fvals, alphas, grid, 3, wrong)
+
+
 @pytest.mark.parametrize("alpha", [(1,), (0, 1, 0), (-1, 1), ((1, 0), (1,))],
                          ids=["short", "long", "negative", "in-sequence"])
 def test_malformed_multi_index_rejected(alpha):
