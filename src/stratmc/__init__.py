@@ -13,22 +13,19 @@ integrated exactly.
 
 import types as _types
 
-from .lattice import GridSpec, Stream, centres, containing_centre, sample_offset
+from .lattice import GridSpec, Stream
 from .stencil import (
     BlockAssignment,
     DerivativeStencil,
-    UnivariateStencil,
     apply_stencil,
     block_partition,
     derivative_grid,
     derivative_stencil,
     error_constant,
-    univariate_weights,
 )
 from .estimators import (
     EstimateReport,
     EstimatorConfig,
-    ShiftCoefficients,
     asymptotic_variance_estimate,
     crude_mc,
     estimate_analytic_cv,
@@ -37,8 +34,6 @@ from .estimators import (
     estimate_vanishing,
     haber1,
     haber2,
-    offset_moment,
-    shift_coefficients,
     shifted_stratum_mean,
     vanishing_margin,
 )

@@ -152,17 +152,19 @@ def load_labelled_csv(path) -> tuple[np.ndarray, np.ndarray]:
             header = next(reader)
         except StopIteration:
             raise StratError(f"{path}: empty file, expected a header row")
-        rows = [row for row in reader if row]
+        rows = [(reader.line_num, row) for row in reader if row]
     if len(header) < 1:
         raise StratError(f"{path}: header row is empty")
     if not rows:
         return np.empty(0), np.empty((0, max(len(header) - 1, 0)))
+    for lineno, row in rows:
+        if len(row) != len(header):
+            raise StratError(f"{path}:{lineno}: ragged row: {len(row)} cells "
+                             f"under a {len(header)}-column header")
     try:
-        data = np.array([[float(v) for v in row] for row in rows])
+        data = np.array([[float(v) for v in row] for _lineno, row in rows])
     except ValueError as exc:
         raise StratError(f"{path}: non-numeric cell ({exc})") from exc
-    if data.shape[1] != len(header):
-        raise StratError(f"{path}: ragged rows")
     y = data[:, 0]
     if set(np.unique(y)) <= {0.0, 1.0}:
         y = 2.0 * y - 1.0
@@ -314,14 +316,19 @@ def run(config: ExperimentConfig) -> list[ResultRow]:
 
 def write_rows(path, rows: list[ResultRow]) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for row in rows:
-            writer.writerow([
-                row.variant, row.r, row.k,
-                repr(row.n_evals), repr(row.rel_error),
-                int(row.discarded), row.slope_group,
-            ])
+        _write_csv(fh, rows)
+
+
+def _write_csv(fh, rows: list[ResultRow], lineterminator: str = "\r\n") -> None:
+    """The header and one line per row, each ended by ``lineterminator``."""
+    writer = csv.writer(fh, lineterminator=lineterminator)
+    writer.writerow(CSV_COLUMNS)
+    for row in rows:
+        writer.writerow([
+            row.variant, row.r, row.k,
+            repr(row.n_evals), repr(row.rel_error),
+            int(row.discarded), row.slope_group,
+        ])
 
 
 def read_rows(path) -> list[ResultRow]:

@@ -19,6 +19,7 @@ import sys
 from .bench import (
     ExperimentConfig,
     VARIANTS,
+    _write_csv,
     fit_slope,
     make_integrand,
     read_rows,
@@ -149,10 +150,7 @@ def main(argv=None) -> int:
     )
     rows = run(config)
     if config.out is None:
-        print(",".join("variant r k n_evals rel_error discarded slope_group".split()))
-        for row in rows:
-            print(f"{row.variant},{row.r},{row.k},{row.n_evals!r},"
-                  f"{row.rel_error!r},{int(row.discarded)},{row.slope_group}")
+        _write_csv(sys.stdout, rows, lineterminator="\n")
     else:
         print(f"wrote {len(rows)} rows to {config.out}")
     return 0

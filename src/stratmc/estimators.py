@@ -137,10 +137,6 @@ class ShiftCoefficients:
     weights: tuple[float, ...]
     margin: int
 
-    @property
-    def order(self) -> int:
-        return len(self.shifts)
-
 
 @lru_cache(maxsize=64)
 def shift_coefficients(r: int) -> ShiftCoefficients:
@@ -195,10 +191,6 @@ class EstimateReport:
     per_stratum_terms: np.ndarray | None = None
     shift_averages: tuple[float, ...] | None = None
     stream: Stream | None = None
-
-    @property
-    def n_evaluations(self) -> int:
-        return self.n_deterministic + self.n_random
 
 
 # ---------------------------------------------------------------------------

@@ -22,10 +22,8 @@ than merely distributional.
 from __future__ import annotations
 
 import hashlib
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
 
 import numpy as np
 
@@ -34,11 +32,8 @@ from .errors import DomainError
 __all__ = [
     "GridSpec",
     "Stream",
-    "centres",
     "centre_array",
     "index_array",
-    "sample_offset",
-    "containing_centre",
     "substream_id",
 ]
 
@@ -76,27 +71,9 @@ class GridSpec:
     def n_centres(self) -> int:
         return self.side ** self.s
 
-    @property
-    def half_width(self) -> float:
-        """Max-norm radius of one stratum."""
-        return 0.5 / self.k
-
     def index_range(self) -> range:
         """Valid index values per axis."""
         return range(-self.m, self.k + self.m)
-
-    def centre_of(self, index) -> np.ndarray:
-        idx = np.asarray(index, dtype=np.int64)
-        return (2.0 * idx + 1.0) / (2.0 * self.k)
-
-
-def centres(grid: GridSpec) -> Iterator[tuple[float, ...]]:
-    """Yield all centre points in lexicographic order of the index vector.
-
-    Lazy by contract: for large ``side**s`` nothing is materialized.
-    """
-    axis = [(2 * j + 1) / (2 * grid.k) for j in grid.index_range()]
-    return itertools.product(axis, repeat=grid.s)
 
 
 @lru_cache(maxsize=128)
@@ -120,24 +97,6 @@ def centre_array(grid: GridSpec) -> np.ndarray:
     return _grid_arrays(grid)[1]
 
 
-def containing_centre(point, grid: GridSpec) -> np.ndarray:
-    """Index vector of the closed stratum containing ``point``.
-
-    Points on a shared face are assigned to the lower-indexed stratum.
-    Raises DomainError if the point lies outside the stratified region.
-    """
-    p = np.asarray(point, dtype=float)
-    if p.shape != (grid.s,):
-        raise ValueError(f"expected a point of dimension {grid.s}, got shape {p.shape}")
-    lo = -grid.m / grid.k
-    hi = 1.0 + grid.m / grid.k
-    if np.any(p < lo) or np.any(p > hi):
-        raise DomainError(f"point {p} outside [{lo}, {hi}]^{grid.s}")
-    raw = np.ceil(grid.k * p).astype(np.int64) - 1
-    # the lower-face tie rule pushes the global lower boundary one cell out
-    return np.maximum(raw, -grid.m)
-
-
 @dataclass(frozen=True)
 class Stream:
     """Identifies one replicate's randomness; cheap to create and hash.
@@ -156,10 +115,15 @@ class Stream:
     def offsets(self, grid: GridSpec, indices: np.ndarray | None = None) -> np.ndarray:
         """Stratum offsets for every listed centre index (default: whole grid).
 
-        Returns an (n, s) array, row order matching ``indices``.
+        ``indices`` is an (n, s) integer array of index vectors of ``grid``.
+        Returns an (n, s) array, row order matching ``indices``.  A wrong
+        shape or dtype raises ValueError, an index outside the grid
+        DomainError.
         """
         if indices is None:
             indices = index_array(grid)
+        else:
+            indices = _checked_indices(grid, indices)
         u = _hashed_uniforms(self.seed, self.replicate, indices)
         u -= 0.5
         u /= grid.k
@@ -169,6 +133,25 @@ class Stream:
         """Vectorized iid uniforms for non-stratified use (e.g. crude MC)."""
         ss = np.random.SeedSequence(entropy=(self.seed & _MASK64, self.replicate & _MASK64, tag & _MASK64))
         return np.random.default_rng(ss).random(shape)
+
+
+def _checked_indices(grid: GridSpec, indices) -> np.ndarray:
+    """``indices`` as an (n, s) integer array of index vectors of ``grid``.
+
+    Raises ValueError unless it is a 2-D integer array with ``grid.s``
+    columns, and DomainError naming the first row outside the grid.
+    """
+    idx = np.asarray(indices)
+    if idx.ndim != 2 or idx.shape[1] != grid.s or not np.issubdtype(idx.dtype, np.integer):
+        raise ValueError(f"indices must be an (n, {grid.s}) integer array, "
+                         f"got shape {idx.shape} of dtype {idx.dtype}")
+    lo, hi = -grid.m, grid.k + grid.m - 1
+    bad = np.flatnonzero(((idx < lo) | (idx > hi)).any(axis=1))
+    if bad.size:
+        i = int(bad[0])
+        raise DomainError(f"index row {i} {idx[i].tolist()} is outside {grid}: "
+                          f"entries must lie in [{lo}, {hi}]")
+    return idx
 
 
 _MASK64 = (1 << 64) - 1
@@ -238,12 +221,6 @@ def _hashed_uniforms(seed: int, replicate: int, indices: np.ndarray) -> np.ndarr
     u = z.astype(np.float64)
     u *= _U53
     return u
-
-
-def sample_offset(grid: GridSpec, centre_index, stream: Stream) -> np.ndarray:
-    """(s,) offset for a single stratum, components in [-1/2k, 1/2k]; see Stream.offsets."""
-    idx = np.asarray(centre_index, dtype=np.int64).reshape(1, grid.s)
-    return stream.offsets(grid, idx)[0]
 
 
 def substream_id(*parts) -> int:

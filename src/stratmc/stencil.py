@@ -26,7 +26,6 @@ plans that walk once per set of multi-indices and grid.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -41,10 +40,8 @@ from .lattice import GridSpec
 
 __all__ = [
     "abs_order",
-    "nonzero_count",
     "multi_factorial",
     "multi_indices",
-    "UnivariateStencil",
     "univariate_weights",
     "univariate_weights_exact",
     "axis_node_offsets",
@@ -64,10 +61,6 @@ __all__ = [
 def abs_order(alpha) -> int:
     """Total derivative order |alpha|."""
     return int(sum(alpha))
-
-def nonzero_count(alpha) -> int:
-    """Number of active axes."""
-    return int(sum(1 for a in alpha if a))
 
 def multi_factorial(alpha) -> int:
     out = 1
@@ -119,18 +112,6 @@ def _lagrange_coeff_exact(kappa: tuple[int, ...], a: int) -> tuple[Fraction, ...
     return tuple(weights)
 
 
-@dataclass(frozen=True)
-class UnivariateStencil:
-    """Nodes (integer offsets, units of one grid step) and weights for d^a/dx^a."""
-
-    offsets: tuple[int, ...]
-    weights: np.ndarray
-    order: int
-
-    def __len__(self) -> int:
-        return len(self.offsets)
-
-
 def univariate_weights_exact(kappa, a: int) -> tuple[Fraction, ...]:
     """Rational weights; oracle counterpart of univariate_weights."""
     kappa = tuple(int(x) for x in kappa)
@@ -138,13 +119,14 @@ def univariate_weights_exact(kappa, a: int) -> tuple[Fraction, ...]:
         raise OrderError(f"derivative order must be in [1, {len(kappa) - 1}], got {a}")
     return _lagrange_coeff_exact(kappa, a)
 
-def univariate_weights(kappa, a: int) -> UnivariateStencil:
-    """Difference weights for the a-th derivative on distinct nodes ``kappa``."""
-    kappa = tuple(int(x) for x in kappa)
-    exact = univariate_weights_exact(kappa, a)
-    w = np.array([float(x) for x in exact])
+def univariate_weights(kappa, a: int) -> np.ndarray:
+    """Read-only float weights for the a-th derivative on distinct nodes ``kappa``.
+
+    Entry j weights the node ``kappa[j]`` (integer offsets in grid steps).
+    """
+    w = np.array([float(x) for x in univariate_weights_exact(kappa, a)])
     w.setflags(write=False)
-    return UnivariateStencil(offsets=kappa, weights=w, order=a)
+    return w
 
 
 def _window_start(position, window: int, lo, hi):
@@ -201,7 +183,7 @@ def _axis_table(window: int, a: int, lo: int, hi: int,
     """
     starts, _nodes = _axis_window(window, lo, hi, blocks)
     patterns, row_pattern = np.unique(starts, return_inverse=True)
-    pattern_w = np.array([univariate_weights(range(p, p + window), a).weights
+    pattern_w = np.array([univariate_weights(range(p, p + window), a)
                           for p in patterns.tolist()])
     weights = np.ascontiguousarray(pattern_w[row_pattern.reshape(-1)].T)
     weights.setflags(write=False)
@@ -258,7 +240,7 @@ def _active_tables(alpha, grid: GridSpec, r: int, blocks: "BlockAssignment | Non
 class DerivativeStencil:
     """Grid stencil approximating D^alpha f at one centre.
 
-    ``value = scale * sum_j weights[j] * f(centre_of(nodes[j]))`` where scale
+    ``value = scale * sum_j weights[j] * f((2 nodes[j] + 1) / 2k)`` where scale
     is k^|alpha|.  Weights depend only on the offset pattern, never on k.
     """
 
@@ -341,9 +323,6 @@ class BlockAssignment:
         """First and last axis index of the block of ``j``; elementwise."""
         start = np.asarray(self.starts)[self.axis_block(j)]
         return start, start + self.r - 1
-
-    def block_of(self, index) -> tuple[int, ...]:
-        return tuple(int(self.axis_block(int(j))) for j in index)
 
 
 def block_partition(grid: GridSpec, r: int) -> BlockAssignment:
@@ -461,24 +440,15 @@ def _window_patterns(window: int) -> list[tuple[int, ...]]:
     return [tuple(range(start, start + window)) for start in range(-(window - 1), 1)]
 
 
-def _full_patterns(window: int) -> list[tuple[int, ...]]:
-    """All distinct-node patterns inside {-(window-1), ..., window-1}."""
-    universe = range(-(window - 1), window)
-    return [tuple(sorted(c)) for c in itertools.combinations(universe, window)]
-
-
-def _step_constant(window: int, a: int, exponent: int, full: bool) -> float:
-    pats = _full_patterns(window) if full else _window_patterns(window)
+def _step_constant(window: int, a: int, exponent: int) -> float:
     best = 0.0
-    for pat in pats:
-        orders = range(1, window) if full else (a,)
-        for ao in orders:
-            w = univariate_weights(pat, ao).weights
-            best = max(best, float(np.sum(np.abs(w * np.array(pat, dtype=float) ** exponent))))
+    for pat in _window_patterns(window):
+        w = univariate_weights(pat, a)
+        best = max(best, float(np.sum(np.abs(w * np.array(pat, dtype=float) ** exponent))))
     return best
 
 
-def error_constant(s: int, r: int, family: str = "single", full_family: bool = False) -> float:
+def error_constant(s: int, r: int, family: str = "single") -> float:
     """Computable constant C with |estimate - integral| <= C * ||f||_r * n^(-r/s).
 
     Assembled from the worst absolute weighted-moment sums of the univariate
@@ -486,9 +456,7 @@ def error_constant(s: int, r: int, family: str = "single", full_family: bool = F
     included), folded through the per-axis composition, then combined with
     the Taylor-remainder term.  ``family`` is "single" (control variates on
     every order below r) or "paired" (even orders only, windows widened to
-    the next even smoothness).  With ``full_family`` the per-step maxima run
-    over every distinct-node pattern and derivative order the window size
-    admits, which can only enlarge the constant.
+    the next even smoothness).
     """
     if r < 2:
         raise OrderError(f"error constant defined for r >= 2, got {r}")
@@ -510,7 +478,7 @@ def error_constant(s: int, r: int, family: str = "single", full_family: bool = F
             for _axis, a, _w in _axis_windows(alpha, r):
                 window = r_build - consumed
                 budget = r - consumed
-                m_step = _step_constant(window, a, budget, full_family)
+                m_step = _step_constant(window, a, budget)
                 c_alpha = m_step if first else m_step * (1.0 + c_alpha)
                 first = False
                 consumed += a

@@ -217,6 +217,14 @@ def test_load_rejects_non_numeric(tmp_path):
         load_labelled_csv(path)
 
 
+def test_load_rejects_ragged_rows(tmp_path):
+    # rows of unequal length are reported as ragged, naming the short line
+    path = tmp_path / "ragged.csv"
+    path.write_text("y,x1,x2\n1,0.5,0.2\n0,0.1\n")
+    with pytest.raises(StratError, match=r"ragged\.csv:3: ragged row: 2 cells under a 3-column"):
+        load_labelled_csv(path)
+
+
 def test_logistic_zero_observations_normalizes(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("y,x1\n")
@@ -300,6 +308,20 @@ def test_cli_run_and_slope(tmp_path, capsys):
     assert rc == 0
     printed = capsys.readouterr().out
     assert "haber1-r1" in printed and "hat-r3" in printed
+
+
+def test_cli_run_stdout_matches_out_file(tmp_path, capsys):
+    # without --out the CSV goes to stdout: the same lines, ended by "\n"
+    flags = ["run", "--fn", "fs", "--dim", "1", "--variant", "haber1,hat",
+             "--r", "3", "--k", "4,8", "--reps", "3"]
+    out = tmp_path / "rows.csv"
+    assert cli.main(flags + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert cli.main(flags) == 0
+    printed = capsys.readouterr().out
+    assert "\r" not in printed
+    assert printed.split("\n") == out.read_bytes().decode().split("\r\n")
+    assert len(printed.splitlines()) == 5
 
 
 def test_cli_config_file_with_flag_override(tmp_path):

@@ -8,38 +8,31 @@ from stratmc.lattice import (
     GridSpec,
     Stream,
     centre_array,
-    centres,
-    containing_centre,
     index_array,
-    sample_offset,
     substream_id,
 )
 
 
+def _centre_tuples(grid):
+    return [tuple(c) for c in centre_array(grid).tolist()]
+
+
 def test_centres_1d_no_margin():
-    got = list(centres(GridSpec(1, 2, 0)))
+    got = _centre_tuples(GridSpec(1, 2, 0))
     assert got == [(0.25,), (0.75,)]
 
 
 def test_centres_1d_margin():
-    got = list(centres(GridSpec(1, 2, 1)))
+    got = _centre_tuples(GridSpec(1, 2, 1))
     assert got == [(-0.25,), (0.25,), (0.75,), (1.25,)]
 
 
 def test_centres_2d_tensor():
-    got = list(centres(GridSpec(2, 2, 0)))
+    got = _centre_tuples(GridSpec(2, 2, 0))
     assert len(got) == 4
     assert set(got) == {(a, b) for a in (0.25, 0.75) for b in (0.25, 0.75)}
     # lexicographic in the index vector
     assert got[0] == (0.25, 0.25) and got[-1] == (0.75, 0.75)
-
-
-def test_centres_lazy():
-    big = GridSpec(6, 100, 0)  # 10^12 centres; must not materialize
-    it = centres(big)
-    assert not isinstance(it, list)
-    first = next(iter(it))
-    assert first == tuple([0.005] * 6)
 
 
 @pytest.mark.parametrize("s,k,m", [(1, 5, 0), (2, 3, 1), (3, 2, 2)])
@@ -95,14 +88,35 @@ def test_offsets_order_invariant():
     assert np.array_equal(shuffled, straight[perm])
 
 
-def test_sample_offset_single():
+def test_offsets_reject_wrong_shape():
     grid = GridSpec(2, 4, 0)
+    with pytest.raises(ValueError, match=r"\(n, 2\) integer array.*\(3, 3\)"):
+        Stream(11, 0).offsets(grid, np.zeros((3, 3), dtype=np.int64))
+
+
+def test_offsets_reject_one_dimensional_indices():
+    grid = GridSpec(2, 4, 0)
+    with pytest.raises(ValueError, match=r"\(n, 2\) integer array.*\(2,\)"):
+        Stream(11, 0).offsets(grid, np.array([1, 2]))
+
+
+def test_offsets_reject_float_indices():
+    grid = GridSpec(2, 4, 0)
+    with pytest.raises(ValueError, match="integer array.*float64"):
+        Stream(11, 0).offsets(grid, np.array([[0.7, 1.2]]))
+
+
+def test_offsets_reject_index_outside_grid():
+    grid = GridSpec(2, 4, 1)
     st = Stream(11, 0)
-    one = sample_offset(grid, (1, 2), st)
-    batch = st.offsets(grid)
-    pos = np.flatnonzero((index_array(grid) == (1, 2)).all(axis=1))[0]
-    assert one.shape == (2,)
-    assert np.array_equal(one, batch[pos])
+    with pytest.raises(DomainError, match=r"row 1 \[9, 9\].*\[-1, 4\]"):
+        st.offsets(grid, np.array([[0, 0], [9, 9], [-2, 0]]))
+    with pytest.raises(DomainError, match=r"row 0 \[-2, 0\]"):
+        st.offsets(grid, np.array([[-2, 0]]))
+    # the margin rows are indices of this grid; listed rows match the full draw
+    edge = np.array([[-1, 4], [4, -1]])
+    pos = [np.flatnonzero((index_array(grid) == row).all(axis=1))[0] for row in edge]
+    assert np.array_equal(st.offsets(grid, edge), st.offsets(grid)[pos])
 
 
 def test_offset_empirical_mean():
@@ -113,31 +127,6 @@ def test_offset_empirical_mean():
     ])
     se = draws.std(ddof=1) / np.sqrt(len(draws))
     assert abs(draws.mean()) <= 4 * se
-
-
-def test_containing_centre_examples():
-    grid = GridSpec(1, 2, 0)
-    assert containing_centre([0.3], grid).tolist() == [0]
-    assert containing_centre([0.5], grid).tolist() == [0]  # tie goes low
-    with pytest.raises(DomainError):
-        containing_centre([1.2], grid)
-
-
-def test_containing_centre_roundtrip():
-    rng = np.random.default_rng(5)
-    grid = GridSpec(2, 7, 1)
-    for _ in range(200):
-        j = rng.integers(-1, 8, size=2)
-        point = (2 * j + 1) / 14 + rng.uniform(-1 / 14, 1 / 14, size=2) * 0.999
-        assert containing_centre(point, grid).tolist() == j.tolist()
-
-
-def test_containing_centre_margin_boundary():
-    grid = GridSpec(1, 4, 1)
-    assert containing_centre([-0.25], grid).tolist() == [-1]
-    assert containing_centre([1.25], grid).tolist() == [4]
-    with pytest.raises(DomainError):
-        containing_centre([-0.26], grid)
 
 
 def test_grid_validation():
@@ -181,13 +170,14 @@ def _reference_uniforms(seed, replicate, row):
 @pytest.mark.parametrize("s", [1, 3, 9])
 def test_offsets_match_python_reference(s):
     # the numpy chain wraps exactly like Python ints masked to 64 bits,
-    # including negative margin indices and keys past 2^63
+    # including negative margin indices and keys past 2^63; the grid's
+    # index range -3..39 covers every drawn row
     rng = np.random.default_rng(s)
     idx = rng.integers(-3, 40, size=(50, s))
     for seed, rep in [(0, 0), (7, 3), (2 ** 63 + 5, 2 ** 62 - 1), (-1, 11)]:
-        grid = GridSpec(s, 8, 3)
+        grid = GridSpec(s, 37, 3)
         got = Stream(seed, rep).offsets(grid, idx)
-        want = (np.array([_reference_uniforms(seed, rep, row) for row in idx.tolist()]) - 0.5) / 8
+        want = (np.array([_reference_uniforms(seed, rep, row) for row in idx.tolist()]) - 0.5) / 37
         assert np.array_equal(got, want)
 
 

@@ -1,3 +1,4 @@
+import re
 import types
 from pathlib import Path
 
@@ -10,6 +11,9 @@ README_NAMES = (
     "tail_bound", "error_constant", "select_order", "wrap", "laplace_reparametrize",
     "derivative_stencil", "derivative_grid", "GridSpec", "Stream",
 )
+# exported on purpose although the README does not name them: reference
+# implementations that tests compare the fast paths against
+ORACLES = ("apply_stencil", "shifted_stratum_mean")
 
 
 def test_star_import_binds_no_module():
@@ -27,3 +31,13 @@ def test_readme_functions_resolve():
     for name in README_NAMES:
         assert f"`{name}`" in text or f"{name}(" in text, name
         assert name in stratmc.__all__ and callable(getattr(stratmc, name)), name
+
+
+def test_exports_are_documented_or_oracles():
+    # the package exports nothing by accident: each name is documented in
+    # the README, in backticks as itself or as a call, or a named oracle
+    text = README.read_text()
+    undocumented = [name for name in stratmc.__all__
+                    if name not in ORACLES and not re.search(rf"`{name}[`(]", text)]
+    assert undocumented == []
+    assert set(ORACLES) <= set(stratmc.__all__)
