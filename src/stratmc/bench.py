@@ -54,6 +54,7 @@ __all__ = [
 
 CSV_COLUMNS = ["variant", "r", "k", "n_evals", "rel_error", "discarded", "slope_group"]
 DISCARD_THRESHOLD = 1e-32
+PRIOR_SD = 5.0  # the logistic integrand's prior standard deviation per coefficient
 
 
 @dataclass
@@ -117,7 +118,7 @@ def _quadratic(s: int) -> Integrand:
 
 
 def make_integrand(fn_id: str, s: int, tau: float = 1.5,
-                   dataset: str | None = None, label_values=None) -> Integrand:
+                   dataset: str | None = None) -> Integrand:
     """Resolve a CLI integrand id."""
     if fn_id == "fs":
         return test_function(s)
@@ -173,16 +174,15 @@ def load_labelled_csv(path) -> tuple[np.ndarray, np.ndarray]:
     return y, data[:, 1:]
 
 
-def logistic_marginal_likelihood(dataset, s: int, prior_sd: float = 5.0,
-                                 tau: float = 1.5, standardize: bool = False,
-                                 scale: str = "inv-hessian") -> Integrand:
+def logistic_marginal_likelihood(dataset, s: int, tau: float = 1.5) -> Integrand:
     """Marginal likelihood of a logistic regression as a cube integrand.
 
     The coefficient vector has dimension s: an intercept plus the first
-    s - 1 predictor columns of the CSV, in file order.  The prior is
-    mean-zero Gaussian with standard deviation ``prior_sd`` per coordinate.
-    The integrand is the Laplace-recentred, tail-mapped posterior mass
-    function, so its cube integral is the marginal likelihood itself.
+    s - 1 predictor columns of the CSV, in file order, unscaled.  The prior
+    is mean-zero Gaussian with standard deviation ``PRIOR_SD`` per
+    coordinate.  The integrand is the posterior mass function recentred at
+    the mode with the inverse-Hessian Laplace scale and tail-mapped, so its
+    cube integral is the marginal likelihood itself.
     """
     if s < 1:
         raise ValueError(f"need at least the intercept, got s={s}")
@@ -191,23 +191,18 @@ def logistic_marginal_likelihood(dataset, s: int, prior_sd: float = 5.0,
         raise StratError(
             f"requested {s - 1} predictors but the file has {preds.shape[1]}"
         )
-    x = preds[:, : s - 1]
-    if standardize and len(x) and s > 1:
-        sd = x.std(axis=0)
-        sd[sd == 0.0] = 1.0
-        x = (x - x.mean(axis=0)) / sd
-    design = np.hstack([np.ones((len(y), 1)), x]) if len(y) else np.empty((0, s))
+    design = np.hstack([np.ones((len(y), 1)), preds[:, : s - 1]]) if len(y) else np.empty((0, s))
 
     def h(beta):
         beta = np.atleast_2d(np.asarray(beta, dtype=float))
-        logprior = (-0.5 * np.sum(beta * beta, axis=1) / prior_sd ** 2
-                    - s * math.log(prior_sd * math.sqrt(2.0 * math.pi)))
+        logprior = (-0.5 * np.sum(beta * beta, axis=1) / PRIOR_SD ** 2
+                    - s * math.log(PRIOR_SD * math.sqrt(2.0 * math.pi)))
         if len(y) == 0:
             return logprior
         z = y[None, :] * (beta @ design.T)
         return logprior + _log_sigmoid(z).sum(axis=1)
 
-    fit = laplace_reparametrize(h, np.zeros(s), scale=scale, tau=tau)
+    fit = laplace_reparametrize(h, np.zeros(s), scale="inv-hessian", tau=tau)
     out = Integrand(name=f"logistic(s={s})", s=s, fn=fit.integrand, exact=None,
                     vanishing=True)
     out.laplace_fit = fit

@@ -22,6 +22,11 @@ arguments and build the plan:
   cube boundary: the dilations 1, -1, 3, -3, ... with Vandermonde weights
   over a grid with margin strata, needing no numerical derivatives at all.
 
+The core also serves several plans from one pass when their dilations are
+prefixes of the first plan's: ``vanishing_orders`` gives the vanishing
+estimator at every order 1..r from the evaluations of order r, for
+``replicate.select_order``; ``shifted_stratum_mean`` is a one-dilation plan.
+
 Every estimator's ``stream`` is a ``Stream`` or a sequence of them, which gives
 a list of reports in input order, each bit for bit the single-stream report.
 The centre values and derivatives are then computed once per call; each stream
@@ -74,6 +79,7 @@ __all__ = [
     "estimate_paired_cv",
     "estimate_single_cv",
     "estimate_vanishing",
+    "vanishing_orders",
     "shifted_stratum_mean",
     "asymptotic_variance_estimate",
 ]
@@ -135,7 +141,6 @@ class ShiftCoefficients:
 
     shifts: tuple[int, ...]
     weights: tuple[float, ...]
-    margin: int
 
 
 @lru_cache(maxsize=64)
@@ -144,11 +149,7 @@ def shift_coefficients(r: int) -> ShiftCoefficients:
         raise OrderError(f"order must be >= 1, got {r}")
     shifts = _shifts(r)
     exact = _lagrange_coeff_exact(shifts, 0)
-    return ShiftCoefficients(
-        shifts=shifts,
-        weights=tuple(float(w) for w in exact),
-        margin=vanishing_margin(r),
-    )
+    return ShiftCoefficients(shifts=shifts, weights=tuple(float(w) for w in exact))
 
 
 def shift_coefficients_exact(r: int) -> tuple[Fraction, ...]:
@@ -233,13 +234,14 @@ def _shift_parts(f, grid: GridSpec, shifts, u: np.ndarray, guard: bool):
     ``u`` holds the drawn offsets, row-aligned with the centres.  With
     ``guard`` the zero extension fbar is applied: points outside the closed
     unit cube contribute 0 without calling f.  Returns the means, the
-    per-centre value rows (guarded entries zero), and the in-domain count.
+    per-centre value rows (guarded entries zero), and the per-shift
+    in-domain counts.
     """
     ctr = centre_array(grid)
     scale = float(grid.k) ** grid.s
     means = []
     rows = []
-    n_in = 0
+    counts = []
     for lam in shifts:
         # c + U and c - U are exactly c + 1*U and c + (-1)*U, one temporary less
         pts = ctr + u if lam == 1 else ctr - u if lam == -1 else ctr + lam * u
@@ -254,14 +256,14 @@ def _shift_parts(f, grid: GridSpec, shifts, u: np.ndarray, guard: bool):
                 inside = _evaluate(f, pts[mask], grid, mask)
                 vals[mask] = inside
                 total = float(np.sum(inside))
-            n_in += int(mask.sum())
+            counts.append(int(mask.sum()))
         else:
             vals = _evaluate(f, pts, grid)
             total = float(np.sum(vals))
-            n_in += len(pts)
+            counts.append(len(pts))
         means.append(total / scale)
         rows.append(vals)
-    return means, rows, n_in
+    return means, rows, counts
 
 
 def _combine(weights, values) -> float:
@@ -312,38 +314,53 @@ def _per_stream(stream, one):
     return [one(st) for st in streams]
 
 
-def _estimate(plan: _Plan, f, grid: GridSpec, stream, keep_terms: bool):
-    """One plan per stream: offset draw, shifted sums, control variate, report.
-    The derivatives are built once, after the first stream's shifted sums."""
-    derivs = None
-    taylor = _taylor_terms(plan.alphas, grid.k)
-    n_det = grid.n_centres if plan.alphas and plan.oracle is None else 0
+def _estimate(plans: _Plan | tuple[_Plan, ...], f, grid: GridSpec, stream, keep_terms: bool):
+    """Per stream: offset draw, shifted sums, control variate, report.
 
-    def one(st: Stream) -> EstimateReport:
-        nonlocal derivs
+    ``plans`` is one plan (one report per stream) or a tuple of plans whose
+    dilations are prefixes of the first plan's (a tuple of reports per
+    stream): one offset draw and one shifted-sum pass over the first plan's
+    dilations serve them all.  Each plan's derivatives are built once, after
+    the first stream's shifted sums.
+    """
+    single = isinstance(plans, _Plan)
+    if single:
+        plans = (plans,)
+    top = plans[0]
+    derivs = [None] * len(plans)
+    taylor = [_taylor_terms(plan.alphas, grid.k) for plan in plans]
+    configs = [EstimatorConfig(plan.variant, plan.r, grid,
+                               "free" if plan.blocks is None else "block") for plan in plans]
+    scale = float(grid.k) ** grid.s
+
+    def one(st: Stream):
         u = st.offsets(grid)
-        means, rows, n_in = _shift_parts(f, grid, plan.shifts, u, plan.guard)
-        value = _combine(plan.weights, means)
-        terms = _combine_rows(plan.weights, rows) if keep_terms else None
-        if plan.alphas:
-            if derivs is None:
-                derivs = _derivatives(plan, f, grid)
-            cv = _control_variate(taylor, derivs, u)
-            value -= float(np.sum(cv)) / float(grid.k) ** grid.s
-            if terms is not None:
-                terms = terms - cv
-        return EstimateReport(
-            value=value,
-            config=EstimatorConfig(plan.variant, plan.r, grid,
-                                   "free" if plan.blocks is None else "block"),
-            n_deterministic=n_det,
-            n_random=len(plan.shifts) * grid.n_centres,
-            n_in_domain=n_det + n_in,
-            normalizer=grid.k ** grid.s,
-            per_stratum_terms=terms,
-            shift_averages=tuple(means) if plan.guard else None,
-            stream=st,
-        )
+        means, rows, counts = _shift_parts(f, grid, top.shifts, u, top.guard)
+        reports = []
+        for i, plan in enumerate(plans):
+            n_shifts = len(plan.shifts)
+            value = _combine(plan.weights, means)
+            terms = _combine_rows(plan.weights, rows) if keep_terms else None
+            if plan.alphas:
+                if derivs[i] is None:
+                    derivs[i] = _derivatives(plan, f, grid)
+                cv = _control_variate(taylor[i], derivs[i], u)
+                value -= float(np.sum(cv)) / scale
+                if terms is not None:
+                    terms = terms - cv
+            n_det = grid.n_centres if plan.alphas and plan.oracle is None else 0
+            reports.append(EstimateReport(
+                value=value,
+                config=configs[i],
+                n_deterministic=n_det,
+                n_random=n_shifts * grid.n_centres,
+                n_in_domain=n_det + sum(counts[:n_shifts]),
+                normalizer=grid.k ** grid.s,
+                per_stratum_terms=terms,
+                shift_averages=tuple(means[:n_shifts]) if plan.guard else None,
+                stream=st,
+            ))
+        return reports[0] if single else tuple(reports)
 
     return _per_stream(stream, one)
 
@@ -419,8 +436,8 @@ def shifted_stratum_mean(g, shift: int, grid: GridSpec, stream: Stream) -> float
             f"margin {grid.m} too small for dilation {shift}; "
             f"need at least {(abs(shift) - 1) // 2}"
         )
-    means, _rows, _n = _shift_parts(g, grid, (shift,), stream.offsets(grid), guard=True)
-    return means[0]
+    plan = _Plan("dilated_mean", 1, (shift,), (1.0,), guard=True)
+    return _estimate(plan, g, grid, stream, keep_terms=False).shift_averages[0]
 
 
 # ---------------------------------------------------------------------------
@@ -555,6 +572,20 @@ def estimate_single_cv(f, r: int, grid: GridSpec, stream: Stream | Sequence[Stre
     return _estimate(plan, f, grid, stream, keep_terms)
 
 
+def _check_vanishing_grid(r: int, grid: GridSpec):
+    """A vanishing run of top order r needs r's margin and k >= 2."""
+    margin = vanishing_margin(r)
+    if grid.m != margin:
+        raise ValueError(f"order {r} needs a grid with margin {margin}, got m={grid.m}")
+    if grid.k < 2:
+        raise ResolutionError(f"need k >= 2, got {grid.k}")
+
+
+def _vanishing_plan(r: int) -> _Plan:
+    coeff = shift_coefficients(r)
+    return _Plan("vanishing", r, coeff.shifts, coeff.weights, guard=True)
+
+
 def estimate_vanishing(f, r: int, grid: GridSpec, stream: Stream | Sequence[Stream],
                        keep_terms: bool = False):
     """Dilation-combination estimator for boundary-vanishing integrands.
@@ -564,22 +595,31 @@ def estimate_vanishing(f, r: int, grid: GridSpec, stream: Stream | Sequence[Stre
     unbiasedness).  Evaluation points outside the closed cube contribute 0
     without calling f.  The grid must carry the margin matching r.
     """
-    coeff = shift_coefficients(r)
-    if grid.m != coeff.margin:
-        raise ValueError(
-            f"order {r} needs a grid with margin {coeff.margin}, got m={grid.m}"
-        )
-    if grid.k < 2:
-        raise ResolutionError(f"need k >= 2, got {grid.k}")
-    plan = _Plan("vanishing", r, coeff.shifts, coeff.weights, guard=True)
-    return _estimate(plan, f, grid, stream, keep_terms)
+    _check_vanishing_grid(r, grid)
+    return _estimate(_vanishing_plan(r), f, grid, stream, keep_terms)
+
+
+def vanishing_orders(f, r_max: int, grid: GridSpec,
+                     streams: Sequence[Stream]) -> dict[int, list[EstimateReport]]:
+    """The vanishing estimator at every order 1..r_max, from the evaluations of r_max.
+
+    The dilations of order r' are the first r' of order r_max, so one pass
+    per stream serves every order.  Returns ``{r': reports}`` in ascending
+    order, one report per stream with its per-stratum terms; each value is
+    bit for bit that of ``estimate_vanishing`` at order r' on the same
+    stream.  The grid must carry the margin of r_max.
+    """
+    _check_vanishing_grid(r_max, grid)
+    plans = tuple(_vanishing_plan(r) for r in range(r_max, 0, -1))
+    per_stream = _estimate(plans, f, grid, list(streams), keep_terms=True)
+    return {r: [reports[r_max - r] for reports in per_stream] for r in range(1, r_max + 1)}
 
 
 # ---------------------------------------------------------------------------
 # asymptotic variance diagnostic
 
 def asymptotic_variance_estimate(derivative_oracle, s: int, r: int, budget: int,
-                                 seed: int = 0, quad_per_axis: int | None = None) -> float:
+                                 seed: int = 0) -> float:
     """Limit of k^(s+2r) Var(paired estimate at resolution k) as k grows.
 
     Valid when the estimator's stencils are block-local.  The limit couples
@@ -601,8 +641,7 @@ def asymptotic_variance_estimate(derivative_oracle, s: int, r: int, budget: int,
         samples[:, j] = [rep.value for rep in estimate_paired_cv(g, r, grid, streams, mode="block")]
     cov = np.cov(samples.T, ddof=1).reshape(len(alphas), len(alphas))
 
-    if quad_per_axis is None:
-        quad_per_axis = {1: 4096, 2: 128}.get(s, max(8, int(round(8192 ** (1 / s)))))
+    quad_per_axis = {1: 4096, 2: 128}.get(s, max(8, int(round(8192 ** (1 / s)))))
     axis = (np.arange(quad_per_axis) + 0.5) / quad_per_axis
     mesh = np.meshgrid(*([axis] * s), indexing="ij")
     qpts = np.stack([m.ravel() for m in mesh], axis=1)

@@ -8,10 +8,10 @@ normalizer.  The resulting estimate is exactly unbiased for the variance of
 one replicate and its own noise shrinks one order of n faster than the
 squared variance, so even l = 2 or 3 is informative at moderate n.
 
-For the boundary-vanishing estimator the per-dilation stratum means can be
-combined into the estimate at every order up to r for free, so the order
-with the smallest estimated variance can be selected after the fact at the
-cost of running the largest order only.
+For the boundary-vanishing estimator the estimator core gives every order up
+to r from the evaluations of order r alone, so ``select_order`` pools each
+order with ``pooled`` and selects the one with the smallest estimated
+variance after the fact, at the cost of running the largest order only.
 """
 
 from __future__ import annotations
@@ -23,13 +23,7 @@ import numpy as np
 
 from .errors import AlignmentError, DomainError
 from .lattice import GridSpec, Stream
-from .estimators import (
-    EstimateReport,
-    _combine,
-    _combine_rows,
-    _shift_parts,
-    shift_coefficients,
-)
+from .estimators import EstimateReport, vanishing_orders
 
 __all__ = [
     "ReplicateSummary",
@@ -113,52 +107,21 @@ def tail_bound(delta: float, c_hat: float, norm_r: float, n: int, r: int, s: int
 def select_order(f, r_max: int, grid: GridSpec, l: int, stream: Stream):
     """Run the vanishing estimator at all orders 1..r_max and pick the best.
 
-    Per replicate, the r_max per-dilation stratum means are computed once
-    (the evaluations of the top order cover every lower order), and the
-    estimate at order r' is their weighted head sum.  The order with the
-    smallest estimated variance wins; ties go to the smaller order.
+    Every order runs through the one estimator core on the evaluations of
+    r_max (``vanishing_orders``: the dilations of a lower order are a prefix
+    of the top order's), and each order's replicates are pooled with
+    ``pooled``.  The order with the smallest estimated variance wins; ties go
+    to the smaller order.
 
     ``stream.replicate`` is the base id; replicate j uses base + j.  Returns
-    ``(best_order, {order: ReplicateSummary})``; the per-order values are
-    bit-identical to standalone runs of the vanishing estimator on the same
-    streams.
+    ``(best_order, {order: ReplicateSummary})`` in ascending order; the
+    per-order values are bit-identical to standalone runs of the vanishing
+    estimator on the same streams.
     """
     if l < 2:
         raise ValueError(f"need l >= 2 replicates, got {l}")
-    if grid.k < 2:
-        raise ValueError(f"need k >= 2, got {grid.k}")
-    top = shift_coefficients(r_max)
-    if grid.m != top.margin:
-        raise ValueError(
-            f"order {r_max} needs a grid with margin {top.margin}, got m={grid.m}"
-        )
-
-    all_means = []
-    all_rows = []
-    for j in range(l):
-        sub = Stream(stream.seed, stream.replicate + j)
-        means, rows, _n_in = _shift_parts(f, grid, top.shifts, sub.offsets(grid), guard=True)
-        all_means.append(means)
-        all_rows.append(rows)
-
-    summaries: dict[int, ReplicateSummary] = {}
-    norm2 = float(grid.k ** grid.s) ** 2
-    for r_prime in range(1, r_max + 1):
-        coeff = shift_coefficients(r_prime)
-        values = tuple(
-            _combine(coeff.weights, all_means[j][: r_prime]) for j in range(l)
-        )
-        terms = np.stack([
-            _combine_rows(coeff.weights, all_rows[j][: r_prime]) for j in range(l)
-        ])
-        v_hat = float(terms.var(axis=0, ddof=1).sum()) / norm2
-        summaries[r_prime] = ReplicateSummary(
-            l=l,
-            pooled_mean=float(np.mean(values)),
-            v_hat=v_hat,
-            pooled_variance=v_hat / l,
-            values=values,
-        )
-
+    streams = [Stream(stream.seed, stream.replicate + j) for j in range(l)]
+    summaries = {r_prime: pooled(reports)
+                 for r_prime, reports in vanishing_orders(f, r_max, grid, streams).items()}
     best = min(summaries, key=lambda r_prime: (summaries[r_prime].v_hat, r_prime))
     return best, summaries

@@ -48,14 +48,14 @@ def test_offset_moment_values():
 
 def test_shift_coefficients_r1():
     c = shift_coefficients(1)
-    assert c.shifts == (1,) and c.weights == (1.0,) and c.margin == 1
+    assert c.shifts == (1,) and c.weights == (1.0,) and vanishing_margin(1) == 1
 
 
 def test_shift_coefficients_r2():
     c = shift_coefficients(2)
     assert c.shifts == (1, -1)
     assert c.weights == (0.5, 0.5)
-    assert c.margin == 1
+    assert vanishing_margin(2) == 1
 
 
 def test_shift_coefficients_r4():
@@ -63,7 +63,7 @@ def test_shift_coefficients_r4():
     c = shift_coefficients(4)
     assert c.shifts == (1, -1, 3, -3)
     assert c.weights == (9 / 16, 9 / 16, -1 / 16, -1 / 16)
-    assert c.margin == 3
+    assert vanishing_margin(4) == 3
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6, 8])
@@ -80,7 +80,7 @@ def test_shift_coefficient_identities(r):
         assert sum(w * lam ** i for w, lam in zip(exact, c.shifts)) == 0
     assert all(lam % 2 for lam in c.shifts)
     assert len(set(c.shifts)) == r
-    assert c.margin == (r if r % 2 else r - 1)
+    assert vanishing_margin(r) == (r if r % 2 else r - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -207,5 +207,29 @@ def test_select_order_validation():
     grid = GridSpec(1, 8, vanishing_margin(2))
     with pytest.raises(ValueError):
         select_order(_smooth_bump, 2, grid, 1, Stream(0, 0))
-    with pytest.raises(ValueError):
-        select_order(_smooth_bump, 3, grid, 2, Stream(0, 0))  # wrong margin
+    # a bad grid fails as it does for the vanishing estimator at the top order
+    for r_max, bad in ((2, GridSpec(1, 1, vanishing_margin(2))),  # k = 1
+                       (3, grid)):                                # wrong margin
+        with pytest.raises(ValueError) as standalone:
+            estimate_vanishing(_smooth_bump, r_max, bad, Stream(0, 0))
+        with pytest.raises(ValueError) as selected:
+            select_order(_smooth_bump, r_max, bad, 2, Stream(0, 0))
+        assert type(selected.value) is type(standalone.value)
+        assert str(selected.value) == str(standalone.value)
+
+
+def test_select_order_pools_each_order_like_standalone_runs():
+    r_max, k, l = 5, 6, 3
+    grid = GridSpec(2, k, vanishing_margin(r_max))
+    base = Stream(4, 20)
+    _best, summaries = select_order(_smooth_bump, r_max, grid, l, base)
+    assert list(summaries) == list(range(1, r_max + 1))
+    for r_prime, summary in summaries.items():
+        # the standalone grids have fewer margin cells, so the per-stratum
+        # terms (and their summation order) differ: equal to rounding only
+        alone = pooled([estimate_vanishing(_smooth_bump, r_prime,
+                                           GridSpec(2, k, vanishing_margin(r_prime)),
+                                           Stream(base.seed, base.replicate + j), keep_terms=True)
+                        for j in range(l)])
+        assert summary.v_hat == pytest.approx(alone.v_hat, rel=1e-12, abs=0.0)
+        assert summary.pooled_variance == pytest.approx(alone.pooled_variance, rel=1e-12, abs=0.0)
