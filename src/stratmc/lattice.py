@@ -24,6 +24,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 
@@ -44,7 +45,7 @@ _U53 = 2.0 ** -53
 class GridSpec:
     """Cubic stratification of ``[-m/k, 1+m/k]^s`` into cells of side 1/k.
 
-    Attributes:
+    Attributes (integers; anything else raises ``TypeError``):
         s: dimension, >= 1.
         k: strata per axis inside the unit cube, >= 1.
         m: margin layers outside the unit cube on each side, >= 0.
@@ -55,6 +56,9 @@ class GridSpec:
     m: int = 0
 
     def __post_init__(self):
+        for name in ("s", "k", "m"):
+            if not isinstance(getattr(self, name), Integral):
+                raise TypeError(f"GridSpec.{name} must be an integer, got {getattr(self, name)!r}")
         if self.s < 1:
             raise ValueError(f"dimension must be >= 1, got {self.s}")
         if self.k < 1:

@@ -101,6 +101,8 @@ def tail_bound(delta: float, c_hat: float, norm_r: float, n: int, r: int, s: int
     """
     if not 0.0 < delta < 1.0:
         raise DomainError(f"delta must be in (0, 1), got {delta}")
+    if n < 1 or s < 1:
+        raise DomainError(f"need n >= 1 evaluations and dimension s >= 1, got n={n}, s={s}")
     return float(n) ** (-0.5 - r / s) * c_hat * norm_r * math.sqrt(2.0 * math.log(2.0 / delta))
 
 

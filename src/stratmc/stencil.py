@@ -16,12 +16,13 @@ block mode the window must additionally stay inside the block of the centre,
 which keeps the per-stratum contributions of the estimators independent
 across blocks.
 
-That rule is one clamp over axis positions (:func:`axis_node_offsets` is its
-scalar form), tabulated per axis as each position's window start and weights.
-:func:`derivative_stencil` reads one row per active axis and
-:func:`derivative_grid` applies whole tables, so the two agree by construction;
-it walks a set of multi-indices axis by axis, sharing their common passes, and
-plans that walk once per set of multi-indices and grid.
+That rule is one clamp over axis positions (``_window_start``), tabulated
+once per axis and window as each position's window start, gather nodes and
+weights for every derivative order.  :func:`derivative_stencil` reads one row
+per active axis and :func:`derivative_grid` applies whole tables, so the two
+agree by construction; it walks a set of multi-indices axis by axis as a tree
+of passes, sharing their common passes, and plans that tree once per set of
+multi-indices and grid.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ __all__ = [
     "multi_indices",
     "univariate_weights",
     "univariate_weights_exact",
-    "axis_node_offsets",
     "DerivativeStencil",
     "derivative_stencil",
     "apply_stencil",
@@ -70,6 +70,8 @@ def multi_factorial(alpha) -> int:
 
 def multi_indices(s: int, total: int) -> Iterator[tuple[int, ...]]:
     """All multi-indices of length s with |alpha| = total, lexicographic."""
+    if s < 1:
+        raise ValueError(f"dimension must be >= 1, got {s}")
     if s == 1:
         yield (total,)
         return
@@ -143,57 +145,37 @@ def _window_start(position, window: int, lo, hi):
     return np.maximum(lo - position, np.minimum(-(window // 2), hi - position - (window - 1)))
 
 
-def axis_node_offsets(position: int, window: int, lo: int, hi: int) -> tuple[int, ...]:
-    """Contiguous window of offsets around ``position`` inside [lo, hi].
-
-    The scalar form of the window rule that :func:`derivative_stencil` and
-    :func:`derivative_grid` apply to every axis position at once.
-    """
-    start = int(_window_start(position, window, lo, hi))
-    return tuple(range(start, start + window))
-
-
 @lru_cache(maxsize=256)
-def _axis_window(window: int, lo: int, hi: int,
-                 blocks: "BlockAssignment | None") -> tuple[np.ndarray, np.ndarray]:
-    """Window starts ``(side,)`` and gather nodes ``(window, side)`` on [lo, hi].
+def _axis_table(window: int, lo: int, hi: int, blocks: "BlockAssignment | None"):
+    """Window starts ``(side,)``, gather nodes and weights on the axis [lo, hi].
 
     Entry ``j - lo`` is axis position j: window ``start + (0, ..., window-1)``,
     confined to the block of j in block mode.  ``nodes[w, j - lo]`` is the
-    0-based position of node w, which is what :func:`derivative_grid` gathers;
-    it is shared by every derivative order of the window.
+    0-based position of node w, which is what :func:`derivative_grid`
+    gathers.  ``weights[a]`` is the ``(window, side)`` table for d^a/dx^a,
+    a = 1..window-1, solved once per distinct start and stored window-major,
+    so the contraction runs over a contiguous position axis.
     """
     pos = np.arange(lo, hi + 1)
     b_lo, b_hi = (lo, hi) if blocks is None else blocks.axis_bounds(pos)
     starts = _window_start(pos, window, b_lo, b_hi)
     nodes = np.arange(window)[:, None] + (np.arange(len(pos)) + starts)
+    patterns, row_pattern = np.unique(starts, return_inverse=True)
+    weights = {}
+    for a in range(1, window):
+        pattern_w = np.array([univariate_weights(range(p, p + window), a)
+                              for p in patterns.tolist()])
+        weights[a] = np.ascontiguousarray(pattern_w[row_pattern.reshape(-1)].T)
+        weights[a].setflags(write=False)
     starts.setflags(write=False)
     nodes.setflags(write=False)
-    return starts, nodes
-
-
-@lru_cache(maxsize=256)
-def _axis_table(window: int, a: int, lo: int, hi: int,
-                blocks: "BlockAssignment | None") -> tuple[np.ndarray, np.ndarray]:
-    """Window starts ``(side,)`` and weights ``(window, side)`` for d^a/dx^a.
-
-    Starts are those of :func:`_axis_window`.  Weights are solved once per
-    distinct start and stored window-major, so the contraction in
-    :func:`derivative_grid` runs over a contiguous position axis.
-    """
-    starts, _nodes = _axis_window(window, lo, hi, blocks)
-    patterns, row_pattern = np.unique(starts, return_inverse=True)
-    pattern_w = np.array([univariate_weights(range(p, p + window), a)
-                          for p in patterns.tolist()])
-    weights = np.ascontiguousarray(pattern_w[row_pattern.reshape(-1)].T)
-    weights.setflags(write=False)
-    return starts, weights
+    return starts, nodes, weights
 
 
 # ---------------------------------------------------------------------------
 # multivariate composition
 
-def _axis_windows(alpha, r: int) -> list[tuple[int, int, int]]:
+def _axis_steps(alpha, r: int) -> list[tuple[int, int, int]]:
     """(axis, derivative order, window) per active axis, ascending axis order.
 
     The first consumed axis gets a window of r nodes; each later axis gets
@@ -215,11 +197,12 @@ def _axis_windows(alpha, r: int) -> list[tuple[int, int, int]]:
 
 
 def _active_tables(alpha, grid: GridSpec, r: int, blocks: "BlockAssignment | None"):
-    """Checked ``alpha`` and (axis, order, window, starts, weights) per active axis.
+    """Checked ``alpha`` and (axis, order, window, starts, nodes, weights) per active axis.
 
     The checks both stencil functions share: ``alpha`` has length s and no
     negative entry, |alpha| < r, a block assignment was built for this k, and
-    k >= r once an axis is active.  Tables come from ``_axis_table``.
+    k >= r once an axis is active.  Each axis reads its ``_axis_table`` and
+    the weights of its order there.
     """
     alpha = tuple(int(a) for a in alpha)
     if len(alpha) != grid.s or any(a < 0 for a in alpha):
@@ -228,12 +211,15 @@ def _active_tables(alpha, grid: GridSpec, r: int, blocks: "BlockAssignment | Non
         raise OrderError(f"|alpha|={abs_order(alpha)} must be < r={r}")
     if blocks is not None and blocks.k != grid.k:
         raise ValueError(f"block assignment for k={blocks.k} used on a grid with k={grid.k}")
-    steps = _axis_windows(alpha, r)
+    steps = _axis_steps(alpha, r)
     if steps and grid.k < r:
         raise ResolutionError(f"need k >= r, got k={grid.k}, r={r}")
     lo, hi = -grid.m, grid.k + grid.m - 1
-    return alpha, [(axis, a, window, *_axis_table(window, a, lo, hi, blocks))
-                   for axis, a, window in steps]
+    tables = []
+    for axis, a, window in steps:
+        starts, nodes, weights = _axis_table(window, lo, hi, blocks)
+        tables.append((axis, a, window, starts, nodes, weights[a]))
+    return alpha, tables
 
 
 @dataclass(frozen=True)
@@ -270,7 +256,7 @@ def derivative_stencil(alpha, centre_index, grid: GridSpec, r: int,
         z = np.zeros((1, grid.s), dtype=np.int64)
         return DerivativeStencil(alpha, centre, z, np.array([centre]), one, 1.0)
     active, axis_offsets, axis_weights = [], [], []
-    for axis, _a, window, starts, weights in tables:
+    for axis, _a, window, starts, _nodes, weights in tables:
         row = centre[axis] + grid.m
         active.append(axis)
         axis_offsets.append(starts[row] + np.arange(window))
@@ -341,50 +327,47 @@ def block_partition(grid: GridSpec, r: int) -> BlockAssignment:
 # ---------------------------------------------------------------------------
 # whole-grid evaluation
 
-@lru_cache(maxsize=256)
-def _grid_program(alphas: tuple[tuple[int, ...], ...], grid: GridSpec, r: int,
-                  blocks: BlockAssignment | None) -> tuple[tuple, int]:
-    """The passes :func:`derivative_grid` runs for ``alphas``, as steps on numbered slots.
+def _plan_node(checked, members, depth: int, grid: GridSpec):
+    """The tree node for ``members`` of ``checked``, which agree on ``depth`` passes.
 
-    The multi-indices are walked axis by axis, depth first, from a stack of
-    (slot, passes applied, members), where every member agrees on those
-    passes.  Each step reads one slot (slot 0 holds the centre values) and
-    lists its outputs ``(i, k^|alpha_i|)`` and its passes ``(view shape,
-    gather nodes, ((weights, slot written), ...))``, one contraction per
-    derivative order.  Returns the steps and the number of slots.
+    A node is ``(outputs, passes)``: outputs ``(i, k^|alpha_i|)`` for the
+    members that are done, and per axis of the next step a pass
+    ``(view shape, gather nodes, ((weights, child), ...))`` with one
+    contraction per derivative order.
+    """
+    outs, groups = [], {}
+    for i in members:
+        alpha_i, tables = checked[i]
+        if depth == len(tables):
+            outs.append((i, float(grid.k) ** abs_order(alpha_i)))
+            continue
+        # members agree on every earlier pass, so each axis has one window here
+        axis, a, _window, _starts, nodes, weights = tables[depth]
+        orders = groups.setdefault(axis, (nodes, {}))[1]
+        orders.setdefault(a, (weights, []))[1].append(i)
+    passes = []
+    for axis, (nodes, orders) in groups.items():
+        # a pass on the last axis of s >= 2 runs on the (side, side^(s-1))
+        # transpose, where the gather copies contiguous rows
+        if grid.s >= 2 and axis == grid.s - 1:
+            shape = (grid.side ** axis, grid.side)
+        else:
+            shape = (grid.side ** axis, grid.side, grid.side ** (grid.s - axis - 1))
+        passes.append((shape, nodes, tuple((weights, _plan_node(checked, idx, depth + 1, grid))
+                                           for weights, idx in orders.values())))
+    return tuple(outs), tuple(passes)
+
+
+@lru_cache(maxsize=256)
+def _grid_tree(alphas: tuple[tuple[int, ...], ...], grid: GridSpec, r: int,
+               blocks: BlockAssignment | None):
+    """The tree of passes :func:`derivative_grid` runs for ``alphas``.
+
+    Its root reads the centre values; multi-indices are walked axis by axis,
+    and those that agree on their leading passes share one branch.
     """
     checked = [_active_tables(a, grid, r, blocks) for a in alphas]
-    lo, hi = -grid.m, grid.k + grid.m - 1
-    side = grid.side
-    program = []
-    n_slots = 1
-    stack = [(0, 0, range(len(checked)))]
-    while stack:
-        src, depth, members = stack.pop()
-        outs, groups = [], {}
-        for i in members:
-            alpha_i, tables = checked[i]
-            if depth == len(tables):
-                outs.append((i, float(grid.k) ** abs_order(alpha_i)))
-                continue
-            axis, a, window, _starts, weights = tables[depth]
-            groups.setdefault((axis, window), {}).setdefault(a, (weights, []))[1].append(i)
-        passes = []
-        for (axis, window), orders in groups.items():
-            # a pass on the last axis of s >= 2 runs on the (side, side^(s-1))
-            # transpose, where the gather copies contiguous rows
-            if grid.s >= 2 and axis == grid.s - 1:
-                shape = (side ** axis, side)
-            else:
-                shape = (side ** axis, side, side ** (grid.s - axis - 1))
-            contractions = []
-            for weights, idx in orders.values():
-                contractions.append((weights, n_slots))
-                stack.append((n_slots, depth + 1, idx))
-                n_slots += 1
-            passes.append((shape, _axis_window(window, lo, hi, blocks)[1], tuple(contractions)))
-        program.append((src, tuple(outs), tuple(passes)))
-    return tuple(program), n_slots
+    return _plan_node(checked, range(len(checked)), 0, grid)
 
 
 def derivative_grid(fvals: np.ndarray, alpha, grid: GridSpec, r: int,
@@ -392,42 +375,44 @@ def derivative_grid(fvals: np.ndarray, alpha, grid: GridSpec, r: int,
     """D^alpha estimates at every centre from the flat vector of centre values.
 
     ``fvals`` is indexed like :func:`stratmc.lattice.centre_array`.  ``alpha``
-    is one multi-index, giving one ``(n_centres,)`` array, or a sequence of
-    them, giving a list of such arrays in input order.  Each active axis reads
-    one window table (:func:`derivative_stencil` reads the same rows): one
-    gather takes every position's window along the axis and one contraction
-    per derivative order applies the weights.  Multi-indices are walked axis
-    by axis, so those that agree on their leading axes share the gathers and
-    contractions there.  Cost is O(n_centres * window) per pass and memory
+    is one multi-index, giving one ``(n_centres,)`` array, or a sequence or
+    iterator of them, read once, giving a list of such arrays in input order
+    (``[]`` for none).  Each active axis reads one window table
+    (:func:`derivative_stencil` reads the same rows): one gather takes every
+    position's window along the axis and one contraction per derivative order
+    applies the weights.  Multi-indices are walked axis by axis, so those
+    that agree on their leading axes share the gathers and contractions
+    there.  Cost is O(n_centres * window) per pass and memory
     O(n_centres * window), never side^2.
 
     The walk is planned once per ``(alphas, grid, r, blocks)`` and cached as
-    a flat program of passes (``_grid_program``); a call only runs it, and
-    drops each partial result after its last read.  A failed plan is not
-    cached, so a bad argument raises on every call, and the values are the
-    same whether or not the program came from the cache.
+    a tree of passes; a call runs it from a stack of (partial result, node),
+    so each partial is dropped once its children are computed.  A failed
+    plan is not cached, so a bad argument raises on every call, and the
+    values are the same whether or not the tree came from the cache.
     """
-    single = all(np.ndim(a) == 0 for a in alpha)
+    alpha = list(alpha)
+    single = bool(alpha) and all(np.ndim(a) == 0 for a in alpha)
     alphas = tuple(tuple(map(int, a)) for a in ([alpha] if single else alpha))
-    program, n_slots = _grid_program(alphas, grid, r, blocks)
+    root = _grid_tree(alphas, grid, r, blocks)
     t = np.asarray(fvals, dtype=float)
     if t.size != grid.n_centres:
         raise ValueError(f"fvals has {t.size} values, {grid} has {grid.n_centres} centres")
-    slots = [t.reshape(grid.n_centres)] + [None] * (n_slots - 1)
     out = [None] * len(alphas)
-    for src, outs, passes in program:
-        t, slots[src] = slots[src], None
+    stack = [(t.reshape(grid.n_centres), root)]
+    while stack:
+        t, (outs, passes) = stack.pop()
         for i, scale in outs:
             out[i] = np.multiply(t, scale, order="C").reshape(-1)
         for shape, nodes, contractions in passes:
             if len(shape) == 2:     # the last axis, on the transpose
                 gather = np.take(np.ascontiguousarray(t.reshape(shape).T), nodes, axis=0)
-                for weights, dst in contractions:
-                    slots[dst] = np.einsum("wsp,ws->sp", gather, weights).T
+                for weights, child in contractions:
+                    stack.append((np.einsum("wsp,ws->sp", gather, weights).T, child))
             else:
                 gather = np.take(t.reshape(shape), nodes, axis=1)
-                for weights, dst in contractions:
-                    slots[dst] = np.einsum("pwsq,ws->psq", gather, weights)
+                for weights, child in contractions:
+                    stack.append((np.einsum("pwsq,ws->psq", gather, weights), child))
             del gather
     return out[0] if single else out
 
@@ -435,14 +420,11 @@ def derivative_grid(fvals: np.ndarray, alpha, grid: GridSpec, r: int,
 # ---------------------------------------------------------------------------
 # worst-case error constant
 
-def _window_patterns(window: int) -> list[tuple[int, ...]]:
-    """Every boundary shift a contiguous window can take on a large grid."""
-    return [tuple(range(start, start + window)) for start in range(-(window - 1), 1)]
-
-
 def _step_constant(window: int, a: int, exponent: int) -> float:
+    """Worst weighted moment over every boundary shift of the window on a large grid."""
     best = 0.0
-    for pat in _window_patterns(window):
+    for start in range(-(window - 1), 1):
+        pat = tuple(range(start, start + window))
         w = univariate_weights(pat, a)
         best = max(best, float(np.sum(np.abs(w * np.array(pat, dtype=float) ** exponent))))
     return best
@@ -472,16 +454,10 @@ def error_constant(s: int, r: int, family: str = "single") -> float:
     c_bar = 0.0
     for total in totals:
         for alpha in multi_indices(s, total):
-            consumed = 0
             c_alpha = 0.0
-            first = True
-            for _axis, a, _w in _axis_windows(alpha, r):
-                window = r_build - consumed
-                budget = r - consumed
-                m_step = _step_constant(window, a, budget)
-                c_alpha = m_step if first else m_step * (1.0 + c_alpha)
-                first = False
-                consumed += a
+            for _axis, a, window in _axis_steps(alpha, r_build):
+                # the Taylor budget is r minus the order consumed before this axis
+                c_alpha = _step_constant(window, a, window - (r_build - r)) * (1.0 + c_alpha)
             c_bar = max(c_bar, c_alpha)
 
     cv_sum = sum(1.0 / multi_factorial(alpha)

@@ -138,6 +138,15 @@ def test_grid_validation():
         GridSpec(1, 2, -1)
 
 
+def test_grid_rejects_non_integer_fields():
+    for args, field in [((1, 4.0), "k"), ((1, 2.5), "k"), ((1.0, 4), "s"), ((1, 4, 0.0), "m")]:
+        with pytest.raises(TypeError, match=f"GridSpec.{field} "):
+            GridSpec(*args)
+    # numpy integers are integers, and the grid they make is the same grid
+    assert GridSpec(1, np.int64(4)) == GridSpec(1, 4)
+    assert hash(GridSpec(1, np.int64(4))) == hash(GridSpec(1, 4))
+
+
 def test_substream_id_stable():
     a = substream_id("hat", 3, 16, 0)
     b = substream_id("hat", 3, 16, 0)

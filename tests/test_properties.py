@@ -58,6 +58,10 @@ def test_multi_index_call_matches_single_calls(case):
     assert len(got) == len(alphas)
     for alpha, d in zip(alphas, got):
         assert d.tobytes() == derivative_grid(fvals, alpha, grid, r, blocks).tobytes()
+    # a one-shot iterator is read once, not probed and then walked
+    from_iter = derivative_grid(fvals, iter(alphas), grid, r, blocks)
+    assert [d.tobytes() for d in from_iter] == [d.tobytes() for d in got]
+    assert derivative_grid(fvals, [], grid, r, blocks) == []
 
 
 @SETTINGS

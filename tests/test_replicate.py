@@ -140,6 +140,11 @@ def test_tail_bound_domain():
         tail_bound(0.0, 1.0, 1.0, 10, 1, 1)
     with pytest.raises(DomainError):
         tail_bound(1.0, 1.0, 1.0, 10, 1, 1)
+    # no evaluations, or no dimension: n^(-1/2 - r/s) is undefined
+    with pytest.raises(DomainError):
+        tail_bound(0.1, 1.0, 1.0, 0, 2, 1)
+    with pytest.raises(DomainError):
+        tail_bound(0.1, 1.0, 1.0, 10, 2, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from stratmc.lattice import GridSpec, centre_array, index_array
 from stratmc.stencil import (
     abs_order,
     apply_stencil,
-    axis_node_offsets,
     block_partition,
     derivative_grid,
     derivative_stencil,
@@ -95,25 +94,30 @@ def test_order_too_high_rejected():
 # ---------------------------------------------------------------------------
 # node selection
 
+def _window(j, k, window):
+    """Offsets of the window at axis index j on a margin-free 1-d grid."""
+    return tuple(derivative_stencil((1,), (j,), GridSpec(1, k, 0), window).offsets[:, 0].tolist())
+
+
 def test_axis_nodes_interior():
-    assert axis_node_offsets(4, 3, 0, 9) == (-1, 0, 1)
+    assert _window(4, 10, 3) == (-1, 0, 1)
 
 
 def test_axis_nodes_left_boundary():
-    assert axis_node_offsets(0, 3, 0, 9) == (0, 1, 2)
+    assert _window(0, 10, 3) == (0, 1, 2)
 
 
 def test_axis_nodes_right_boundary():
-    assert axis_node_offsets(9, 3, 0, 9) == (-2, -1, 0)
+    assert _window(9, 10, 3) == (-2, -1, 0)
 
 
 def test_axis_nodes_even_window_leans_negative():
-    assert axis_node_offsets(5, 4, 0, 9) == (-2, -1, 0, 1)
+    assert _window(5, 10, 4) == (-2, -1, 0, 1)
 
 
 def test_axis_nodes_resolution_error():
     with pytest.raises(ResolutionError):
-        axis_node_offsets(0, 3, 0, 1)  # k=2, window 3
+        _window(0, 2, 3)  # k=2, window 3
 
 
 def test_select_axis_nodes_block_mode():
@@ -138,7 +142,10 @@ def test_stencil_windows_match_scalar_rule_and_exact_weights(grid, block):
             lo, hi = -grid.m, grid.k + grid.m - 1
         else:
             lo, hi = (int(b) for b in blocks.axis_bounds(j))
-        want = axis_node_offsets(j, r, lo, hi)
+        # the window rule, written out: centred, an even window leaning
+        # negative, shifted minimally to stay inside [lo, hi]
+        start = max(lo - j, min(-(r // 2), hi - j - (r - 1)))
+        want = tuple(range(start, start + r))
         for a in range(1, r):
             st = derivative_stencil((a,), (j,), grid, r, blocks)
             assert tuple(st.offsets[:, 0].tolist()) == want
@@ -453,6 +460,14 @@ def test_error_constant_positive():
     for s, r in [(1, 2), (1, 3), (2, 3), (2, 4)]:
         assert error_constant(s, r) > 0.0
         assert error_constant(s, r, family="paired") > 0.0
+
+
+def test_error_constant_rejects_dimension_zero():
+    # s = 0 is a typed error, not an endless recursion
+    with pytest.raises(ValueError):
+        error_constant(0, 2)
+    with pytest.raises(ValueError):
+        list(multi_indices(0, 1))
 
 
 def test_error_constant_r_too_small():
