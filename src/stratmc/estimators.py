@@ -249,7 +249,10 @@ def _shift_parts(f, grid: GridSpec, shifts, u: np.ndarray, guard: bool):
             # sum the in-domain values only: the compressed sequence (and
             # with it the floating-point sum) is then identical across grids
             # that differ only in margin layers
-            mask = np.all((pts >= 0.0) & (pts <= 1.0), axis=1)
+            mask = np.ones(len(pts), dtype=bool)
+            for col in pts.T:
+                mask &= col >= 0.0
+                mask &= col <= 1.0
             vals = np.zeros(len(pts))
             total = 0.0
             if mask.any():

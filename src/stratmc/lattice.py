@@ -11,12 +11,15 @@ Per-stratum offsets are uniform on ``[-1/2k, 1/2k]^s`` and are produced by a
 counter-based generator (in the sense of Salmon et al., "Parallel random
 numbers: as easy as 1, 2, 3", SC'11): a hash chain of SplitMix64 finalisers
 (Steele, Lea & Flood, OOPSLA'14) on ``uint64``, vectorised over index rows.
-The draw for a centre is a pure function of ``(seed, replicate, index
-vector)``, so results do not depend on evaluation order, on the margin of the
-enclosing grid, or on any shared generator state.  Two grids that contain the
-same index receive bit-identical offsets for it, which is what makes the
-estimator-equivalence identities in :mod:`stratmc.estimators` exact rather
-than merely distributional.
+The chain fans out lane-major, one ``(n,)`` lane per axis, so every step
+runs along the long cell axis; each lane's top 53 bits are centred exactly
+in integers and divided once by ``k * 2^53``.  The draw for a centre is a
+pure function of ``(seed, replicate, index vector)``, so results do not
+depend on evaluation order, on the margin of the enclosing grid, or on any
+shared generator state.  Two grids that contain the same index receive
+bit-identical offsets for it, which is what makes the estimator-equivalence
+identities in :mod:`stratmc.estimators` exact rather than merely
+distributional.
 """
 
 from __future__ import annotations
@@ -37,9 +40,6 @@ __all__ = [
     "index_array",
     "substream_id",
 ]
-
-_U53 = 2.0 ** -53
-
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -109,12 +109,27 @@ class Stream:
     ``(seed, replicate)`` plus the request (centre index or bulk tag), so
     replicates with distinct ids are independent and any single draw is
     reproducible in isolation.  Stratum offsets come from the SplitMix64
-    hash chain of ``_hashed_uniforms``, keyed by ``(seed, replicate)``;
+    hash chain of ``_hashed_offsets``, keyed by ``(seed, replicate)``: it
+    fans out lane-major into one lane per axis and centres each lane's top
+    53 bits in integers before one division by ``k * 2^53``.
     ``bulk_uniform`` uses numpy's ``SeedSequence`` and default generator.
+
+    ``seed`` and ``replicate`` must be integers (anything else raises
+    ``TypeError``); numpy integers are stored as Python ints, so
+    ``Stream(np.int64(3)) == Stream(3)`` with the same draws.
     """
 
     seed: int
     replicate: int = 0
+
+    def __post_init__(self):
+        for name in ("seed", "replicate"):
+            value = getattr(self, name)
+            if not isinstance(value, Integral):
+                raise TypeError(f"Stream.{name} must be an integer, got {value!r}")
+            # a numpy integer is stored as a Python int: the key is mixed in
+            # Python ints, where ``seed + _GOLDEN`` must not overflow int64
+            object.__setattr__(self, name, int(value))
 
     def offsets(self, grid: GridSpec, indices: np.ndarray | None = None) -> np.ndarray:
         """Stratum offsets for every listed centre index (default: whole grid).
@@ -128,10 +143,7 @@ class Stream:
             indices = index_array(grid)
         else:
             indices = _checked_indices(grid, indices)
-        u = _hashed_uniforms(self.seed, self.replicate, indices)
-        u -= 0.5
-        u /= grid.k
-        return u
+        return _hashed_offsets(self.seed, self.replicate, indices, grid.k)
 
     def bulk_uniform(self, tag: int, shape) -> np.ndarray:
         """Vectorized iid uniforms for non-stratified use (e.g. crude MC)."""
@@ -175,6 +187,7 @@ def _u64(value: int) -> np.ndarray:
 
 _C_MUL1, _C_MUL2 = _u64(_MUL1), _u64(_MUL2)
 _C_30, _C_27, _C_31, _C_11 = _u64(30), _u64(27), _u64(31), _u64(11)
+_C_HALF = np.array([1 << 52], dtype=np.int64)
 
 
 def _mix_int(z: int) -> int:
@@ -195,35 +208,42 @@ def _mix(z: np.ndarray) -> None:
 
 @lru_cache(maxsize=64)
 def _lanes(s: int) -> np.ndarray:
-    """(s,) distinct odd-multiple lane constants, one per axis."""
-    lanes = np.array([(a * _LANE) & _MASK64 for a in range(1, s + 1)], dtype=np.uint64)
+    """(s, 1) distinct odd-multiple lane constants, one row per axis."""
+    lanes = np.array([[(a * _LANE) & _MASK64] for a in range(1, s + 1)], dtype=np.uint64)
     lanes.setflags(write=False)
     return lanes
 
 
-def _hashed_uniforms(seed: int, replicate: int, indices: np.ndarray) -> np.ndarray:
-    """s uniforms in [0, 1) per index row from one SplitMix64 hash chain.
+def _hashed_offsets(seed: int, replicate: int, indices: np.ndarray, k: int) -> np.ndarray:
+    """Offsets in [-1/2k, 1/2k)^s per index row from one SplitMix64 hash chain.
 
     The chain starts from a key mixed from ``(seed, replicate)`` in Python
     ints, absorbs the index components one at a time (wrapping add, then
-    the finaliser), and fans out into one lane per axis, finalised again.
-    Each uniform is the lane's top 53 bits times 2^-53.  Rows are hashed
-    independently, so a draw depends on nothing but
-    ``(seed, replicate, index vector)``.
+    the finaliser), and fans out lane-major into an ``(s, n)`` block, one
+    lane per axis, finalised again.  Each lane's top 53 bits ``m`` are
+    centred in integers, ``m - 2^52``, and divided once by ``k * 2^53``:
+    the same real number as ``(m * 2^-53 - 1/2) / k``, whose steps before
+    the division are exact, so it rounds to the same double.  Rows are
+    hashed independently, so a draw depends on nothing but
+    ``(seed, replicate, index vector)``.  Returns a C-contiguous (n, s)
+    float64 array.
     """
     idx = np.asarray(indices, dtype=np.int64).view(np.uint64)
-    s = idx.shape[1]
+    n, s = idx.shape
     key = _mix_int(_mix_int((seed + _GOLDEN) & _MASK64) ^ (replicate & _MASK64))
     h = idx[:, 0] + _u64(key)
     _mix(h)
     for axis in range(1, s):
         h += idx[:, axis]
         _mix(h)
-    z = h[:, None] + _lanes(s)
+    z = _lanes(s) + h
     _mix(z)
     z >>= _C_11
-    u = z.astype(np.float64)
-    u *= _U53
+    centred = z.view(np.int64)
+    centred -= _C_HALF
+    u = np.empty((n, s))
+    u.T[...] = centred
+    u /= float(k) * 2.0 ** 53
     return u
 
 

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import factorial
+from numbers import Integral
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -116,6 +117,10 @@ def _lagrange_coeff_exact(kappa: tuple[int, ...], a: int) -> tuple[Fraction, ...
 
 def univariate_weights_exact(kappa, a: int) -> tuple[Fraction, ...]:
     """Rational weights; oracle counterpart of univariate_weights."""
+    kappa = tuple(kappa)
+    for x in kappa:
+        if not isinstance(x, Integral):
+            raise StencilError(f"stencil nodes must be integers, got {x!r} in {kappa}")
     kappa = tuple(int(x) for x in kappa)
     if not 1 <= a <= len(kappa) - 1:
         raise OrderError(f"derivative order must be in [1, {len(kappa) - 1}], got {a}")
@@ -313,6 +318,8 @@ class BlockAssignment:
 
 def block_partition(grid: GridSpec, r: int) -> BlockAssignment:
     """Side-r blocks covering the unit-cube part of the grid (m must be 0)."""
+    if r < 1:
+        raise OrderError(f"block side must be >= 1, got r={r}")
     if grid.m != 0:
         raise ValueError("block partition is defined for margin-free grids")
     if grid.k < r:

@@ -50,7 +50,10 @@ def jacobian_factor(u, tau: float):
 
     Per axis: 2 / (u(1-u))^tau + tau (2u-1)^2 / (u(1-u))^(tau+1), which is
     minimal (2 * 4^tau) at u = 1/2 and blows up polynomially at the faces.
-    For points of shape (n, s) the product runs over the last axis.
+    For points of shape (n, s) the product runs over the last axis, one
+    column at a time in axis order (the order numpy's ``prod`` takes over a
+    short axis); one point of shape (s,) gives a numpy scalar and a 0-d
+    input a float.
     """
     u = np.asarray(u, dtype=float)
     _interior(u)
@@ -58,7 +61,10 @@ def jacobian_factor(u, tau: float):
     per_axis = 2.0 / base ** tau + tau * (2.0 * u - 1.0) ** 2 / base ** (tau + 1.0)
     if u.ndim == 0:
         return float(per_axis)
-    return per_axis.prod(axis=-1)
+    out = per_axis[..., 0].copy()
+    for axis in range(1, u.shape[-1]):
+        out *= per_axis[..., axis]
+    return out[()]
 
 
 @dataclass
@@ -77,7 +83,10 @@ class VanishingIntegrand:
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         out = np.zeros(len(pts))
-        interior = np.all((pts > 0.0) & (pts < 1.0), axis=1)
+        interior = np.ones(len(pts), dtype=bool)
+        for col in pts.T:
+            interior &= col > 0.0
+            interior &= col < 1.0
         if not interior.any():
             return out
         inner = pts[interior]

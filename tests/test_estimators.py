@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import stratmc.estimators as estimators
+
 from stratmc.errors import IntegrandError, OrderError, ResolutionError
 from stratmc.lattice import GridSpec, Stream, centre_array, index_array
 from stratmc.estimators import (
@@ -544,3 +546,29 @@ def test_stream_sequence_rejects_non_stream():
         estimate_paired_cv(F1.fn, 3, GridSpec(1, 4, 0), [Stream(0, 0), 7])
     with pytest.raises(TypeError, match=r"stream 0 of the sequence is not a Stream: \(0, 1\)"):
         crude_mc(F1.fn, 1, 4, [(0, 1)])
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_guard_mask_is_closed_cube(s, monkeypatch):
+    # centres of -0.0 make c + U exactly U (no grid centre is 0, so c + U
+    # alone cannot reach -0.0 or the subnormals next to 0); every edge value
+    # on every axis, other axes at 1/2: the closed cube [0, 1]^s reaches f
+    edges = [0.0, -0.0, 1.0, np.nextafter(0.0, 1.0), np.nextafter(0.0, -1.0),
+             np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)]
+    u = np.full((len(edges) * s, s), 0.5)
+    for axis in range(s):
+        u[axis * len(edges):(axis + 1) * len(edges), axis] = edges
+    monkeypatch.setattr(estimators, "centre_array", lambda grid: np.full(u.shape, -0.0))
+    seen = []
+
+    def f(pts):
+        seen.append(pts.copy())
+        return np.ones(len(pts))
+
+    inside = np.all((u >= 0.0) & (u <= 1.0), axis=1)
+    assert inside.sum() == 5 * s
+    means, rows, counts = estimators._shift_parts(f, GridSpec(s, 1, 0), (1,), u, guard=True)
+    assert counts == [5 * s] and means == [5.0 * s]
+    assert np.array_equal(rows[0] != 0.0, inside)
+    assert np.array_equal(seen[0], u[inside])
+    assert np.array_equal(np.signbit(seen[0]), np.signbit(u[inside]))

@@ -176,18 +176,53 @@ def _reference_uniforms(seed, replicate, row):
     return [(z >> 11) * 2.0 ** -53 for z in lanes]
 
 
-@pytest.mark.parametrize("s", [1, 3, 9])
+def _reference_offsets(seed, replicate, rows, k):
+    return (np.array([_reference_uniforms(seed, replicate, row) for row in rows.tolist()]) - 0.5) / k
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 4, 9])
 def test_offsets_match_python_reference(s):
     # the numpy chain wraps exactly like Python ints masked to 64 bits,
     # including negative margin indices and keys past 2^63; the grid's
-    # index range -3..39 covers every drawn row
+    # index range -3..39 covers every drawn row.  Whole grids (s <= 4,
+    # margins 0-3) take the same kernel; the result is a C-contiguous
+    # (n, s) float64 array, and int32 indices draw what int64 indices do
     rng = np.random.default_rng(s)
     idx = rng.integers(-3, 40, size=(50, s))
+    whole_k = {1: 37, 2: 5, 3: 3, 4: 2}.get(s)
     for seed, rep in [(0, 0), (7, 3), (2 ** 63 + 5, 2 ** 62 - 1), (-1, 11)]:
+        st = Stream(seed, rep)
         grid = GridSpec(s, 37, 3)
-        got = Stream(seed, rep).offsets(grid, idx)
-        want = (np.array([_reference_uniforms(seed, rep, row) for row in idx.tolist()]) - 0.5) / 37
-        assert np.array_equal(got, want)
+        got = st.offsets(grid, idx)
+        assert np.array_equal(got, _reference_offsets(seed, rep, idx, 37))
+        assert np.array_equal(st.offsets(grid, idx.astype(np.int32)), got)
+        draws = [got]
+        if whole_k is not None:
+            for m in range(4):
+                grid = GridSpec(s, whole_k, m)
+                whole = st.offsets(grid)
+                assert np.array_equal(whole, _reference_offsets(seed, rep, index_array(grid), whole_k))
+                draws.append(whole)
+        for u in draws:
+            assert u.dtype == np.float64 and u.flags.c_contiguous and u.shape[1] == s
+
+
+def test_stream_rejects_non_integer_fields():
+    for args, field in [((1.5,), "seed"), ((3.0,), "seed"), (("3",), "seed"),
+                        ((3, 0.5), "replicate"), ((3, None), "replicate")]:
+        with pytest.raises(TypeError, match=f"Stream.{field} "):
+            Stream(*args)
+
+
+def test_stream_stores_numpy_integers_as_ints():
+    # numpy integers key the same stream as Python ints, past int64 too
+    grid = GridSpec(2, 3, 1)
+    for seed, rep in [(np.int64(3), np.int32(2)), (np.uint64(2 ** 63 + 5), np.int64(-1))]:
+        st = Stream(seed, rep)
+        plain = Stream(int(seed), int(rep))
+        assert st == plain and hash(st) == hash(plain)
+        assert type(st.seed) is int and type(st.replicate) is int
+        assert np.array_equal(st.offsets(grid), plain.offsets(grid))
 
 
 @pytest.mark.parametrize("s", [9, 12])

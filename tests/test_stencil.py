@@ -91,6 +91,23 @@ def test_order_too_high_rejected():
         univariate_weights((0, 1, 2), 3)
 
 
+def test_non_integer_nodes_rejected():
+    # 1.5 is not truncated to 1: the first non-integer node is named
+    for weights in (univariate_weights, univariate_weights_exact):
+        with pytest.raises(StencilError, match=r"got 1\.5 in \(0, 1\.5, 2\.0\)"):
+            weights((0, 1.5, 2.0), 1)
+        with pytest.raises(StencilError, match="got 2.0 in"):
+            weights((0, 1, 2.0), 1)
+    # numpy integers are integers
+    assert univariate_weights((0, np.int64(1), np.int32(2)), 1).tolist() == [-1.5, 2.0, -0.5]
+
+
+def test_block_partition_rejects_side_below_one():
+    for r in (0, -1):
+        with pytest.raises(OrderError, match=f"r={r}"):
+            block_partition(GridSpec(1, 4), r)
+
+
 # ---------------------------------------------------------------------------
 # node selection
 

@@ -61,6 +61,57 @@ def test_jacobian_product_over_axes():
     assert jacobian_factor(u, 1.5)[0] == pytest.approx(per, rel=1e-12)
 
 
+@pytest.mark.parametrize("s", range(1, 13))
+def test_jacobian_bitwise_matches_prod_over_last_axis(s):
+    # the column-by-column product is numpy's own reduction order
+    u = np.random.default_rng(s).uniform(1e-3, 1 - 1e-3, size=(257, s))
+    for tau in (0.5, 1.5):
+        base = u * (1.0 - u)
+        per_axis = 2.0 / base ** tau + tau * (2.0 * u - 1.0) ** 2 / base ** (tau + 1.0)
+        want = np.prod(per_axis, axis=-1)
+        got = jacobian_factor(u, tau)
+        assert got.shape == (257,) and np.array_equal(got, want)
+        # return types: (s,) gives a numpy scalar, 0-d a float
+        one = jacobian_factor(u[3], tau)
+        assert isinstance(one, np.float64) and np.ndim(one) == 0 and one == want[3]
+        assert type(jacobian_factor(u[3, 0], tau)) is float
+
+
+_EDGES = [0.0, -0.0, 1.0, np.nextafter(0.0, 1.0), np.nextafter(0.0, -1.0),
+          np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)]
+
+
+def _edge_points(s):
+    # every edge value on every axis, the other axes at 1/2
+    rows = []
+    for axis in range(s):
+        for x in _EDGES:
+            row = [0.5] * s
+            row[axis] = x
+            rows.append(row)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_tail_map_mask_is_open_cube(s):
+    # only points strictly inside (0, 1)^s reach g
+    seen = []
+
+    def g(y):
+        seen.append(y.copy())
+        return np.ones(len(y))
+
+    pts = _edge_points(s)
+    inside = np.all((pts > 0.0) & (pts < 1.0), axis=1)
+    assert inside.sum() == 2 * s
+    # psi and its Jacobian overflow at the subnormal 5e-324, legitimately
+    with np.errstate(divide="ignore", over="ignore"):
+        vals = wrap(g, s, 1.5)(pts)
+        want = psi(pts[inside], 1.5)
+    assert np.array_equal(vals != 0.0, inside)
+    assert np.array_equal(seen[0], want)
+
+
 # ---------------------------------------------------------------------------
 # wrapping
 
