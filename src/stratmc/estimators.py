@@ -85,6 +85,7 @@ __all__ = [
 ]
 
 _CRUDE_TAG = 0x611B
+_FLOAT64 = np.dtype(np.float64)
 
 
 def _centred_monomial(alpha):
@@ -206,12 +207,21 @@ def _checked(raw, pts: np.ndarray, source: str, grid: GridSpec | None = None,
              mask=None) -> np.ndarray:
     """``raw`` as finite float (n,) values for the n rows of ``pts``, else IntegrandError.
 
-    The error names ``source`` and the first offending point.  With ``grid``
-    it also names that point's stratum: row i of ``pts`` lies in stratum i,
-    or in stratum ``flatnonzero(mask)[i]`` when ``pts`` is the subset that
-    ``mask`` selects from the grid's rows.
+    Boolean, integer and float values are converted to float64; any other
+    dtype (complex, string, object, ...) is an error naming ``source`` and
+    the dtype.  A non-finite value is an error naming ``source`` and the
+    first offending point.  With ``grid`` it also names that point's
+    stratum: row i of ``pts`` lies in stratum i, or in stratum
+    ``flatnonzero(mask)[i]`` when ``pts`` is the subset that ``mask``
+    selects from the grid's rows.
     """
-    vals = np.asarray(raw, dtype=float)
+    vals = np.asarray(raw)
+    if vals.dtype != _FLOAT64:
+        if vals.dtype.kind not in "biuf":
+            raise IntegrandError(
+                f"{source} returned values of dtype {vals.dtype}; expected real numbers"
+            )
+        vals = vals.astype(_FLOAT64)
     if vals.shape != (len(pts),):
         raise IntegrandError(
             f"{source} returned shape {vals.shape} for {len(pts)} points; expected ({len(pts)},)"

@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, OptimizationError, StratError
+from .errors import DomainError, IntegrandError, OptimizationError, StratError
 
 __all__ = [
     "psi",
@@ -73,7 +73,9 @@ class VanishingIntegrand:
 
     Calling convention matches the estimators: (n, s) points in, (n,) values
     out.  When g underflows to zero the Jacobian factor is not evaluated, so
-    no 0 * inf appears near the faces.
+    no 0 * inf appears near the faces.  A non-finite value of g raises
+    ``IntegrandError`` naming the first such cube point and its image under
+    ``psi``.
     """
 
     g: Callable[[np.ndarray], np.ndarray]
@@ -90,9 +92,14 @@ class VanishingIntegrand:
         if not interior.any():
             return out
         inner = pts[interior]
-        gvals = np.asarray(self.g(psi(inner, self.tau)), dtype=float)
+        image = psi(inner, self.tau)
+        gvals = np.asarray(self.g(image), dtype=float)
         if not np.all(np.isfinite(gvals)):
-            raise StratError("wrapped integrand produced a non-finite value")
+            i = np.flatnonzero(~np.isfinite(gvals))[0]
+            raise IntegrandError(
+                f"wrapped integrand returned {gvals[i]} at cube point {inner[i].tolist()} "
+                f"(psi image {image[i].tolist()})"
+            )
         nz = gvals != 0.0
         if nz.any():
             vals = np.zeros(len(inner))

@@ -426,6 +426,32 @@ def test_nonfinite_integrand_rejected():
         estimate_paired_cv(f, 4, GridSpec(1, 8, 0), Stream(1, 0))
 
 
+@pytest.mark.parametrize("values, dtype", [
+    (lambda p: p[:, 0] + 1j, r"complex128"),
+    (lambda p: np.array(["0.5"] * len(p)), r"<U3"),
+    (lambda p: np.array([0.5] * len(p), dtype=object), r"object"),
+], ids=["complex", "string", "object"])
+def test_non_real_integrand_rejected(values, dtype):
+    # complex output used to lose its imaginary part with only a
+    # ComplexWarning; strings and objects raised a bare ValueError / TypeError
+    with pytest.raises(IntegrandError, match=rf"^integrand returned values of dtype {dtype};"):
+        haber1(values, GridSpec(2, 4), Stream(1))
+    with pytest.raises(IntegrandError,
+                       match=rf"^derivative oracle at alpha=\(2,\) returned values of dtype {dtype};"):
+        estimate_analytic_cv(lambda p: np.exp(p[:, 0]), lambda a, p: values(p), 4,
+                             GridSpec(1, 8, 0), Stream(0, 0))
+
+
+def test_boolean_and_integer_integrands_are_real():
+    # kinds b, i, u and f are converted to float64, as before
+    grid, st = GridSpec(2, 4), Stream(1)
+    step = lambda p: p[:, 0] > 0.5
+    want = haber1(lambda p: step(p).astype(float), grid, st).value
+    for f in (step, lambda p: step(p).astype(np.int32), lambda p: step(p).astype(np.uint8),
+              lambda p: step(p).astype(np.float32)):
+        assert haber1(f, grid, st).value == want
+
+
 def test_scalar_derivative_oracle_rejected():
     # a scalar oracle used to broadcast: 1.718119 against e - 1 for exp at r=4
     with pytest.raises(IntegrandError, match=r"derivative oracle at alpha=\(2,\) returned shape \(\)"):

@@ -5,6 +5,7 @@ import pytest
 
 from stratmc.errors import DomainError
 from stratmc.lattice import (
+    _BLOCK,
     GridSpec,
     Stream,
     centre_array,
@@ -205,6 +206,27 @@ def test_offsets_match_python_reference(s):
                 draws.append(whole)
         for u in draws:
             assert u.dtype == np.float64 and u.flags.c_contiguous and u.shape[1] == s
+
+
+@pytest.mark.parametrize("grid", [GridSpec(2, 200), GridSpec(3, 33, 2), GridSpec(4, 12),
+                                  GridSpec(5, 6, 1), GridSpec(6, 4)], ids=str)
+def test_whole_grid_prefixes_and_blocks_match_row_chain(grid):
+    # a whole grid absorbs each index prefix once and fans out in blocks of
+    # _BLOCK // s rows; all but GridSpec(6, 4) span several blocks, the last
+    # one partial.  The draw equals the row-by-row chain on the same rows
+    # and the Python reference on a sample of them
+    idx = index_array(grid)
+    assert (grid.n_centres > _BLOCK // grid.s) == (grid.s < 6)
+    assert grid.n_centres % (_BLOCK // grid.s) != 0
+    rows = np.random.default_rng(grid.s).choice(len(idx), size=200, replace=False)
+    for seed, rep in [(0, 0), (7, 3), (2 ** 63 + 5, 2 ** 62 - 1), (-1, 11)]:
+        st = Stream(seed, rep)
+        whole = st.offsets(grid)
+        by_row = st.offsets(grid, idx)
+        assert np.array_equal(whole, by_row)
+        assert np.array_equal(whole[rows], _reference_offsets(seed, rep, idx[rows], grid.k))
+        for u in (whole, by_row):
+            assert u.dtype == np.float64 and u.flags.c_contiguous and u.shape == idx.shape
 
 
 def test_stream_rejects_non_integer_fields():

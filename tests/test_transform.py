@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from stratmc.errors import DomainError, OptimizationError, StratError
+from stratmc.errors import DomainError, IntegrandError, OptimizationError, StratError
 from stratmc.lattice import GridSpec, Stream
 from stratmc.estimators import estimate_vanishing
 from stratmc.transform import (
@@ -151,9 +151,13 @@ def test_wrap_gaussian_unbiased():
 
 
 def test_wrap_nonfinite_raises():
-    bad = wrap(lambda x: np.full(len(np.atleast_2d(x)), np.nan), 1, 1.5)
-    with pytest.raises(StratError):
-        bad(np.array([[0.5]]))
+    # the error names the first non-finite cube point and its psi image; it
+    # stays a StratError for existing handlers
+    bad = wrap(lambda x: np.where(x[:, 0] > 0.5, np.inf, 1.0), 1, 1.5)
+    with pytest.raises(IntegrandError,
+                       match=r"returned inf at cube point \[0\.75\] \(psi image \[\d\.\d+"):
+        bad(np.array([[0.25], [0.75], [0.9]]))
+    assert issubclass(IntegrandError, StratError)
 
 
 def test_roundtrip_by_bisection():
