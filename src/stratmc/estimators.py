@@ -5,8 +5,8 @@ core draws each stratum's uniform offset U_c once, forms the per-stratum term
 ``sum_j w_j f(c + lambda_j U_c)`` over the plan's dilations lambda_j, and, when
 the plan has control variates, subtracts ``sum_alpha D^alpha f(c) (U_c^alpha -
 E U^alpha) / alpha!`` with derivatives from an exact oracle or from grid
-stencils on the centre values.  The public functions only validate their
-arguments and build the plan:
+stencils on the centre values.  The public functions build the plan, and
+the core checks the plan's grid rule once per call (``_check_grid``):
 
 * ``crude_mc`` - plain iid Monte Carlo, for reference (not stratified).
 * ``haber1`` - dilations (1,): one evaluation per stratum, f(c + U).
@@ -20,7 +20,8 @@ arguments and build the plan:
   every order below r.
 * ``estimate_vanishing`` - for integrands whose derivatives vanish on the
   cube boundary: the dilations 1, -1, 3, -3, ... with Vandermonde weights
-  over a grid with margin strata, needing no numerical derivatives at all.
+  over a grid whose margin covers their reach, ``vanishing_margin(r) =
+  (r - 1) // 2`` layers, needing no numerical derivatives at all.
 
 The core also serves several plans from one pass when their dilations are
 prefixes of the first plan's: ``vanishing_orders`` gives the vanishing
@@ -55,9 +56,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import IntegrandError, OrderError, ResolutionError
-from .lattice import GridSpec, Stream, centre_array, index_array
+from .lattice import GridSpec, Stream, centre_array
 from .stencil import (
-    BlockAssignment,
     _lagrange_coeff_exact,
     block_partition,
     derivative_grid,
@@ -124,11 +124,19 @@ def _shifts(r: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _reach(shifts) -> int:
+    """Cells that c + shift U_c can reach past stratum c: (max |shift| - 1) // 2."""
+    return (max(map(abs, shifts)) - 1) // 2
+
+
 def vanishing_margin(r: int) -> int:
-    """Margin layers needed at order r: max |shift| = r if odd else r - 1."""
+    """Smallest margin at order r: the reach (r - 1) // 2 of dilation r or r - 1.
+
+    Larger margins give the same values; their points fall outside the cube.
+    """
     if r < 1:
         raise OrderError(f"order must be >= 1, got {r}")
-    return r if r % 2 else r - 1
+    return _reach(_shifts(r))
 
 
 @dataclass(frozen=True)
@@ -231,7 +239,8 @@ def _checked(raw, pts: np.ndarray, source: str, grid: GridSpec | None = None,
     bad = np.flatnonzero(~np.isfinite(vals))
     i = bad[0]
     row = i if mask is None else int(np.flatnonzero(mask)[i])
-    where = "" if grid is None else f" in stratum {tuple(index_array(grid)[row].tolist())}"
+    where = "" if grid is None else " in stratum {}".format(
+        tuple(int(j) - grid.m for j in np.unravel_index(row, (grid.side,) * grid.s)))
     raise IntegrandError(
         f"{source} returned {vals[i]} at point {row} {pts[i].tolist()}{where} "
         f"({len(bad)} non-finite values in total)"
@@ -297,7 +306,8 @@ def _combine_rows(weights, rows) -> np.ndarray:
 class _Plan:
     """One estimator: dilations and weights, the zero-extension guard, and the
     control-variate multi-indices with their derivative source (``oracle``
-    if set, else stencils of order ``r_build``, block-local with ``blocks``)."""
+    if set, else stencils of order ``r_build``, block-local in ``"block"``
+    mode)."""
 
     variant: str
     r: int
@@ -307,11 +317,31 @@ class _Plan:
     alphas: tuple[tuple[int, ...], ...] = ()
     oracle: object = None
     r_build: int = 0
-    blocks: BlockAssignment | None = None
+    mode: str = "free"
 
 
 _HABER1 = _Plan("haber1", 1, (1,), (1.0,))
 _HABER2 = _Plan("haber2", 2, (1, -1), (0.5, 0.5))
+
+
+def _check_grid(plan: _Plan, grid: GridSpec):
+    """The grid rule of a plan, checked once per call: no margin without the
+    guard, with it a margin covering the dilations' reach (every stratum whose
+    points can land in the cube); k >= r for stencils, k >= 2 for vanishing."""
+    if not plan.guard and grid.m != 0:
+        raise ValueError("this estimator runs on margin-free grids (m = 0)")
+    reach = _reach(plan.shifts) if plan.guard else 0
+    if grid.m < reach:
+        raise ValueError(f"margin {grid.m} is below the reach {reach} of the dilations; "
+                         f"need at least {reach}")
+    if plan.r < 1:
+        raise OrderError(f"order must be >= 1, got {plan.r}")
+    if plan.r_build and grid.k < plan.r:
+        raise ResolutionError(f"need k >= r, got k={grid.k}, r={plan.r}")
+    if plan.variant == "vanishing" and grid.k < 2:
+        raise ResolutionError(f"need k >= 2, got {grid.k}")
+    if plan.mode not in ("free", "block"):
+        raise ValueError(f"unknown stencil mode {plan.mode!r}")
 
 
 def _per_stream(stream, one):
@@ -340,10 +370,10 @@ def _estimate(plans: _Plan | tuple[_Plan, ...], f, grid: GridSpec, stream, keep_
     if single:
         plans = (plans,)
     top = plans[0]
+    _check_grid(top, grid)
     derivs = [None] * len(plans)
     taylor = [_taylor_terms(plan.alphas, grid.k) for plan in plans]
-    configs = [EstimatorConfig(plan.variant, plan.r, grid,
-                               "free" if plan.blocks is None else "block") for plan in plans]
+    configs = [EstimatorConfig(plan.variant, plan.r, grid, plan.mode) for plan in plans]
     scale = float(grid.k) ** grid.s
 
     def one(st: Stream):
@@ -433,22 +463,19 @@ def _derivatives(plan: _Plan, f, grid: GridSpec) -> list[np.ndarray]:
         return [_checked(plan.oracle(a, ctr), ctr, f"derivative oracle at alpha={a}", grid)
                 for a in plan.alphas]
     fvals = _evaluate(f, ctr, grid)
-    return derivative_grid(fvals, plan.alphas, grid, plan.r_build, plan.blocks)
+    blocks = block_partition(grid, plan.r) if plan.mode == "block" else None
+    return derivative_grid(fvals, plan.alphas, grid, plan.r_build, blocks)
 
 
 def shifted_stratum_mean(g, shift: int, grid: GridSpec, stream: Stream) -> float:
     """k^-s sum over centres of gbar(c + shift * U_c); unbiased for the integral.
 
-    ``shift`` must be odd and the grid margin at least (|shift| - 1) / 2,
-    otherwise strata near the boundary would be over- or under-visited.
+    ``shift`` must be odd and the grid margin at least its reach
+    (|shift| - 1) / 2, otherwise strata near the boundary would be over- or
+    under-visited.
     """
     if shift % 2 == 0:
         raise ValueError(f"dilation must be odd, got {shift}")
-    if grid.m < (abs(shift) - 1) // 2:
-        raise ValueError(
-            f"margin {grid.m} too small for dilation {shift}; "
-            f"need at least {(abs(shift) - 1) // 2}"
-        )
     plan = _Plan("dilated_mean", 1, (shift,), (1.0,), guard=True)
     return _estimate(plan, g, grid, stream, keep_terms=False).shift_averages[0]
 
@@ -479,19 +506,12 @@ def crude_mc(f, s: int, n: int, stream: Stream | Sequence[Stream], keep_terms: b
 
 def haber1(f, grid: GridSpec, stream: Stream | Sequence[Stream], keep_terms: bool = False):
     """One random evaluation per stratum; optimal for once-differentiable f."""
-    _require_margin_free(grid)
     return _estimate(_HABER1, f, grid, stream, keep_terms)
 
 
 def haber2(f, grid: GridSpec, stream: Stream | Sequence[Stream], keep_terms: bool = False):
     """Antithetic pair per stratum; optimal for twice-differentiable f."""
-    _require_margin_free(grid)
     return _estimate(_HABER2, f, grid, stream, keep_terms)
-
-
-def _require_margin_free(grid: GridSpec):
-    if grid.m != 0:
-        raise ValueError("this estimator runs on margin-free grids (m = 0)")
 
 
 @lru_cache(maxsize=64)
@@ -517,14 +537,6 @@ def _paired_stencil_order(r: int, k: int) -> int:
     return r_even if k >= r_even else r
 
 
-def _checked_blocks(grid: GridSpec, r: int, mode: str) -> BlockAssignment | None:
-    if mode == "free":
-        return None
-    if mode == "block":
-        return block_partition(grid, r)
-    raise ValueError(f"unknown stencil mode {mode!r}")
-
-
 def estimate_analytic_cv(f, derivative_oracle, r: int, grid: GridSpec,
                          stream: Stream | Sequence[Stream], keep_terms: bool = False):
     """Antithetic pairs plus an exact-derivative Taylor control variate.
@@ -534,9 +546,6 @@ def estimate_analytic_cv(f, derivative_oracle, r: int, grid: GridSpec,
     polynomials of total degree < r on every single run.  A sequence of
     streams consults the oracle once for all of them.
     """
-    _require_margin_free(grid)
-    if r < 1:
-        raise OrderError(f"order must be >= 1, got {r}")
     plan = _Plan("analytic_cv", r, _HABER2.shifts, _HABER2.weights,
                  alphas=_even_alphas(grid.s, r), oracle=derivative_oracle)
     return _estimate(plan, f, grid, stream, keep_terms)
@@ -552,17 +561,11 @@ def estimate_paired_cv(f, r: int, grid: GridSpec, stream: Stream | Sequence[Stre
     streams shares one centre pass and its stencils; each report still
     counts the k^s centre evaluations.
     """
-    _require_margin_free(grid)
-    if r < 1:
-        raise OrderError(f"order must be >= 1, got {r}")
-    if grid.k < r:
-        raise ResolutionError(f"need k >= r, got k={grid.k}, r={r}")
-    blocks = _checked_blocks(grid, r, mode)
     # block-local stencils must fit in side-r blocks, so the widened window
     # of the odd-order identity is a free-mode refinement only
-    r_build = r if blocks is not None else _paired_stencil_order(r, grid.k)
+    r_build = r if mode == "block" else _paired_stencil_order(r, grid.k)
     plan = _Plan("paired_cv", r, _HABER2.shifts, _HABER2.weights,
-                 alphas=_even_alphas(grid.s, r), r_build=r_build, blocks=blocks)
+                 alphas=_even_alphas(grid.s, r), r_build=r_build, mode=mode)
     return _estimate(plan, f, grid, stream, keep_terms)
 
 
@@ -574,24 +577,9 @@ def estimate_single_cv(f, r: int, grid: GridSpec, stream: Stream | Sequence[Stre
     r = 1 the control-variate sum is empty and this is exactly haber1.  A
     sequence of streams shares one centre pass, as in ``estimate_paired_cv``.
     """
-    _require_margin_free(grid)
-    if r < 1:
-        raise OrderError(f"order must be >= 1, got {r}")
-    if grid.k < r:
-        raise ResolutionError(f"need k >= r, got k={grid.k}, r={r}")
     plan = _Plan("single_cv", r, _HABER1.shifts, _HABER1.weights,
-                 alphas=_all_alphas(grid.s, r), r_build=r,
-                 blocks=_checked_blocks(grid, r, mode))
+                 alphas=_all_alphas(grid.s, r), r_build=r, mode=mode)
     return _estimate(plan, f, grid, stream, keep_terms)
-
-
-def _check_vanishing_grid(r: int, grid: GridSpec):
-    """A vanishing run of top order r needs r's margin and k >= 2."""
-    margin = vanishing_margin(r)
-    if grid.m != margin:
-        raise ValueError(f"order {r} needs a grid with margin {margin}, got m={grid.m}")
-    if grid.k < 2:
-        raise ResolutionError(f"need k >= 2, got {grid.k}")
 
 
 def _vanishing_plan(r: int) -> _Plan:
@@ -606,9 +594,11 @@ def estimate_vanishing(f, r: int, grid: GridSpec, stream: Stream | Sequence[Stre
     The caller asserts that f and its derivatives up to order r vanish on
     the cube boundary (unchecked - it only affects the convergence rate, not
     unbiasedness).  Evaluation points outside the closed cube contribute 0
-    without calling f.  The grid must carry the margin matching r.
+    without calling f.  The grid needs k >= 2 and a margin of at least
+    ``vanishing_margin(r)``; any larger margin gives the same value,
+    ``shift_averages`` and ``n_in_domain``, while ``n_random`` and the
+    per-stratum terms follow the grid's cells.
     """
-    _check_vanishing_grid(r, grid)
     return _estimate(_vanishing_plan(r), f, grid, stream, keep_terms)
 
 
@@ -620,10 +610,11 @@ def vanishing_orders(f, r_max: int, grid: GridSpec,
     per stream serves every order.  Returns ``{r': reports}`` in ascending
     order, one report per stream with its per-stratum terms; each value is
     bit for bit that of ``estimate_vanishing`` at order r' on the same
-    stream.  The grid must carry the margin of r_max.
+    stream, on any grid that ``estimate_vanishing`` accepts at r_max.
     """
-    _check_vanishing_grid(r_max, grid)
-    plans = tuple(_vanishing_plan(r) for r in range(r_max, 0, -1))
+    # top order first, as its dilations and grid rule cover every lower order;
+    # built even for r_max < 1, so that it raises OrderError
+    plans = tuple(_vanishing_plan(r_max - i) for i in range(max(r_max, 1)))
     per_stream = _estimate(plans, f, grid, list(streams), keep_terms=True)
     return {r: [reports[r_max - r] for reports in per_stream] for r in range(1, r_max + 1)}
 

@@ -115,10 +115,11 @@ def select_order(f, r_max: int, grid: GridSpec, l: int, stream: Stream):
     ``pooled``.  The order with the smallest estimated variance wins; ties go
     to the smaller order.
 
-    ``stream.replicate`` is the base id; replicate j uses base + j.  Returns
+    ``stream.replicate`` is the base id; replicate j uses base + j.  The grid
+    needs a margin of at least ``vanishing_margin(r_max)``.  Returns
     ``(best_order, {order: ReplicateSummary})`` in ascending order; the
     per-order values are bit-identical to standalone runs of the vanishing
-    estimator on the same streams.
+    estimator on the same streams, on any accepted margin.
     """
     if l < 2:
         raise ValueError(f"need l >= 2 replicates, got {l}")

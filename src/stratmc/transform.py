@@ -22,6 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, IntegrandError, OptimizationError, StratError
+from .estimators import _checked
 
 __all__ = [
     "psi",
@@ -121,27 +122,30 @@ def wrap(g, s: int, tau: float = 1.5) -> VanishingIntegrand:
 # ---------------------------------------------------------------------------
 # Laplace-style reparametrization of log-densities
 
-def _num_gradient(h, x: np.ndarray, step: float) -> np.ndarray:
-    s = len(x)
+_FD_STEP = 1e-5  # of the central differences in the mode search and the curvature
+
+
+def _num_gradient(h, x: np.ndarray) -> np.ndarray:
+    s, step = len(x), _FD_STEP
     pts = np.repeat(x[None, :], 2 * s, axis=0)
     for i in range(s):
         pts[2 * i, i] += step
         pts[2 * i + 1, i] -= step
-    vals = np.asarray(h(pts), dtype=float)
+    vals = _checked(h(pts), pts, "log-density")
     return (vals[0::2] - vals[1::2]) / (2.0 * step)
 
 
-def _num_hessian(h, x: np.ndarray, step: float) -> np.ndarray:
-    s = len(x)
+def _num_hessian(h, x: np.ndarray) -> np.ndarray:
+    s, step = len(x), _FD_STEP
     hess = np.empty((s, s))
-    h0 = float(np.asarray(h(x[None, :]))[0])
+    h0 = float(_checked(h(x[None, :]), x[None, :], "log-density")[0])
     for i in range(s):
         for j in range(i, s):
             if i == j:
                 pts = np.repeat(x[None, :], 2, axis=0)
                 pts[0, i] += step
                 pts[1, i] -= step
-                vp, vm = np.asarray(h(pts), dtype=float)
+                vp, vm = _checked(h(pts), pts, "log-density")
                 hess[i, i] = (vp - 2.0 * h0 + vm) / step ** 2
             else:
                 pts = np.repeat(x[None, :], 4, axis=0)
@@ -151,7 +155,7 @@ def _num_hessian(h, x: np.ndarray, step: float) -> np.ndarray:
                 pts[2, i] -= step
                 pts[2, j] += step
                 pts[3, [i, j]] -= step
-                vpp, vpm, vmp, vmm = np.asarray(h(pts), dtype=float)
+                vpp, vpm, vmp, vmm = _checked(h(pts), pts, "log-density")
                 hess[i, j] = hess[j, i] = (vpp - vpm - vmp + vmm) / (4.0 * step ** 2)
     return hess
 
@@ -168,16 +172,16 @@ class LaplaceFit:
 
 
 def laplace_reparametrize(h, mode_guess, *, scale: str, tau: float = 1.5,
-                          grad_tol: float = 1e-8, max_iter: int = 200,
-                          fd_step: float = 1e-5) -> LaplaceFit:
+                          grad_tol: float = 1e-8, max_iter: int = 200) -> LaplaceFit:
     """Recentre exp(h) at its mode and wrap it into a cube integrand.
 
     ``h`` maps (n, s) arrays of points to (n,) log-density values and must be
     concave near the mode.  The mode is found by damped Newton ascent on
-    central-difference derivatives, stopping when the gradient max-norm
-    drops below ``grad_tol``, or when no step improves h while the predicted
-    Newton gain ``grad . step / 2`` is at the rounding level of ``|h|``
-    (the difference gradient then only measures noise).
+    central-difference derivatives with a fixed step of 1e-5, stopping when
+    the gradient max-norm drops below ``grad_tol``, or when no step improves
+    h while the predicted Newton gain ``grad . step / 2`` is at the rounding
+    level of ``|h|`` (the difference gradient then only measures noise).
+    A non-finite or misshapen h value there raises ``IntegrandError``.
 
     ``scale`` selects the linear change of variables, with H the curvature
     (Hessian of -h) at the mode:
@@ -197,10 +201,10 @@ def laplace_reparametrize(h, mode_guess, *, scale: str, tau: float = 1.5,
     s = len(x)
     trace = [x.copy()]
     for _ in range(max_iter):
-        grad = _num_gradient(h, x, fd_step)
+        grad = _num_gradient(h, x)
         if np.max(np.abs(grad)) <= grad_tol:
             break
-        hess = _num_hessian(h, x, fd_step)
+        hess = _num_hessian(h, x)
         try:
             step_dir = np.linalg.solve(-hess, grad)
         except np.linalg.LinAlgError:
@@ -227,7 +231,7 @@ def laplace_reparametrize(h, mode_guess, *, scale: str, tau: float = 1.5,
             f"in {max_iter} iterations", trace,
         )
 
-    curvature = -_num_hessian(h, x, fd_step)
+    curvature = -_num_hessian(h, x)
     try:
         if scale == "inv-hessian":
             scale_matrix = np.linalg.cholesky(np.linalg.inv(curvature))

@@ -50,14 +50,14 @@ def test_offset_moment_values():
 
 def test_shift_coefficients_r1():
     c = shift_coefficients(1)
-    assert c.shifts == (1,) and c.weights == (1.0,) and vanishing_margin(1) == 1
+    assert c.shifts == (1,) and c.weights == (1.0,) and vanishing_margin(1) == 0
 
 
 def test_shift_coefficients_r2():
     c = shift_coefficients(2)
     assert c.shifts == (1, -1)
     assert c.weights == (0.5, 0.5)
-    assert vanishing_margin(2) == 1
+    assert vanishing_margin(2) == 0
 
 
 def test_shift_coefficients_r4():
@@ -65,7 +65,7 @@ def test_shift_coefficients_r4():
     c = shift_coefficients(4)
     assert c.shifts == (1, -1, 3, -3)
     assert c.weights == (9 / 16, 9 / 16, -1 / 16, -1 / 16)
-    assert vanishing_margin(4) == 3
+    assert vanishing_margin(4) == 1
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6, 8])
@@ -82,7 +82,8 @@ def test_shift_coefficient_identities(r):
         assert sum(w * lam ** i for w, lam in zip(exact, c.shifts)) == 0
     assert all(lam % 2 for lam in c.shifts)
     assert len(set(c.shifts)) == r
-    assert vanishing_margin(r) == (r if r % 2 else r - 1)
+    # the margin is the reach of the widest dilation, (max |shift| - 1) // 2
+    assert vanishing_margin(r) == (max(map(abs, c.shifts)) - 1) // 2 == (r - 1) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +274,24 @@ def test_vanishing_equals_haber_rules():
 
 
 def test_vanishing_margin_mismatch():
-    with pytest.raises(ValueError):
-        estimate_vanishing(F1.fn, 3, GridSpec(1, 8, 1), Stream(0, 0))
+    # dilation 3 reaches one cell beyond the cube, so m = 0 is too small
+    with pytest.raises(ValueError, match="need at least 1"):
+        estimate_vanishing(F1.fn, 3, GridSpec(1, 8, 0), Stream(0, 0))
+
+
+def test_margin_message_shared_by_every_guarded_estimator():
+    # one grid rule: the dilated mean and the vanishing estimator (alone or
+    # at every order) reject a short margin with the same message
+    grid = GridSpec(2, 4, 0)
+    messages = set()
+    for call in (lambda: shifted_stratum_mean(F1_2D.fn, -3, grid, Stream(0, 0)),
+                 lambda: estimate_vanishing(F1_2D.fn, 4, grid, Stream(0, 0)),
+                 lambda: estimators.vanishing_orders(F1_2D.fn, 3, grid, [Stream(0, 0)])):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert type(err.value) is ValueError
+        messages.add(str(err.value))
+    assert messages == {"margin 0 is below the reach 1 of the dilations; need at least 1"}
 
 
 def test_vanishing_unbiased_indicator():
@@ -495,6 +512,25 @@ def test_guarded_nonfinite_names_the_stratum():
         estimate_vanishing(f, 2, grid, stream)
     with pytest.raises(IntegrandError, match=message):
         shifted_stratum_mean(f, 1, grid, stream)
+
+    # the same on 3 axes with a margin wider than the dilations reach: the
+    # bad point lies in the top corner cell, row 2 + m of each axis
+    grid = GridSpec(3, 3, 2)
+    stream = Stream(8, 1)
+
+    def g(pts):
+        out = np.prod(pts * (1.0 - pts), axis=1)
+        out[np.flatnonzero(np.all(pts > 2.0 / 3.0, axis=1))[:1]] = np.inf
+        return out
+
+    pts = centre_array(grid) + stream.offsets(grid)
+    inside = np.all((pts >= 0.0) & (pts <= 1.0), axis=1)
+    row = np.flatnonzero(inside & np.all(pts > 2.0 / 3.0, axis=1))[0]
+    assert row == np.ravel_multi_index((4, 4, 4), (7, 7, 7))
+    message = rf"returned inf at point {row} \[.*\] in stratum \(2, 2, 2\)"
+    for r in (1, 3):
+        with pytest.raises(IntegrandError, match=message):
+            estimate_vanishing(g, r, grid, stream)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from stratmc.estimators import (  # noqa: E402
     haber2,
     shifted_stratum_mean,
     vanishing_margin,
+    vanishing_orders,
 )
 from stratmc.lattice import GridSpec, Stream, centre_array, index_array  # noqa: E402
 from stratmc.stencil import (  # noqa: E402
@@ -117,6 +118,28 @@ def test_dilated_mean_margin_invariant_bit_for_bit(s, k, shift, extra, seed):
     stream = Stream(seed, 0)
     assert (shifted_stratum_mean(f, shift, GridSpec(s, k, m), stream)
             == shifted_stratum_mean(f, shift, GridSpec(s, k, m + extra), stream))
+
+
+@SETTINGS
+@given(st.integers(1, 3), st.integers(2, 6), st.integers(1, 6), st.integers(0, 3),
+       st.integers(0, 2 ** 32 - 1))
+def test_vanishing_margin_invariant_bit_for_bit(s, k, r, extra, seed):
+    # vanishing_margin(r) is the smallest margin; every larger one gives the
+    # same value, shift averages and in-domain count, alone and at every
+    # order.  extra <= 3 reaches r or r - 1 layers, the margin of older releases
+    f = product_family(s).fn
+    streams = [Stream(seed, 0), Stream(seed, 1)]
+    small = GridSpec(s, k, vanishing_margin(r))
+    large = GridSpec(s, k, vanishing_margin(r) + extra)
+
+    def key(rep):
+        return rep.value, rep.shift_averages, rep.n_in_domain
+
+    assert ([key(rep) for rep in estimate_vanishing(f, r, small, streams)]
+            == [key(rep) for rep in estimate_vanishing(f, r, large, streams)])
+    on_small, on_large = vanishing_orders(f, r, small, streams), vanishing_orders(f, r, large, streams)
+    for r_prime in range(1, r + 1):
+        assert [key(rep) for rep in on_small[r_prime]] == [key(rep) for rep in on_large[r_prime]]
 
 
 @SETTINGS

@@ -239,3 +239,22 @@ def test_laplace_nonconvergent_trace():
     with pytest.raises(OptimizationError) as err:
         laplace_reparametrize(lin, np.zeros(1), scale="inv-hessian", max_iter=5)
     assert len(err.value.trace) >= 1
+
+
+def test_laplace_rejects_a_nonfinite_log_density():
+    # the difference derivatives are held to the integrand contract, so a
+    # broken h fails at once instead of yielding a NaN curvature
+    nan = lambda b: np.full(len(np.atleast_2d(b)), np.nan)
+    with pytest.raises(IntegrandError, match=r"log-density returned nan at point 0 \[1e-05, 0\.0\]"):
+        laplace_reparametrize(nan, np.zeros(2), scale="inv-hessian")
+    # finite at the guess, -inf on one side of it
+    h = _mvn_logpdf(np.zeros(2), np.eye(2))
+    half = lambda b: np.where(np.atleast_2d(b)[:, 1] < 0.0, -np.inf, h(b))
+    with pytest.raises(IntegrandError, match=r"log-density returned -inf at point 3 \[0\.0, -1e-05\]"):
+        laplace_reparametrize(half, np.zeros(2), scale="hessian")
+
+
+def test_laplace_rejects_a_column_log_density():
+    h = _mvn_logpdf(np.zeros(2), np.eye(2))
+    with pytest.raises(IntegrandError, match=r"log-density returned shape \(4, 1\) for 4 points"):
+        laplace_reparametrize(lambda b: h(b)[:, None], np.ones(2), scale="inv-hessian")
