@@ -8,6 +8,14 @@ vanishes on the cube boundary with all derivatives up to the matching order.
 Such integrands are exactly what the dilation-combination estimator in
 :mod:`stratmc.estimators` wants.
 
+``wrap`` returns a ``VanishingIntegrand``, whose values are bit for bit
+``g(psi(u)) * jacobian_factor(u)`` on the open cube where g is nonzero and
++0.0 elsewhere.  One call computes ``(u(1-u))^tau`` once for the map and the
+Jacobian, and copies points only when some lie outside the open cube or g
+returns zeros.  Points of another width than ``s``, or with a NaN
+coordinate, raise ``DomainError``, as do NaN entries given to ``psi`` and
+``jacobian_factor``.
+
 ``laplace_reparametrize`` applies the recipe to log-densities: centre at the
 mode, scale by a Cholesky factor of the curvature there, then wrap with the
 tail map.  Two scale conventions are exposed (see the function docstring)
@@ -34,16 +42,39 @@ __all__ = [
 ]
 
 
+def _in_open_cube(u: np.ndarray) -> bool:
+    # a NaN makes min() and max() NaN, and every comparison with it False
+    return u.size == 0 or bool(u.min() > 0.0 and u.max() < 1.0)
+
+
 def _interior(u: np.ndarray) -> None:
-    if np.any(u <= 0.0) or np.any(u >= 1.0):
+    if not _in_open_cube(u):
         raise DomainError("the tail map is defined on the open unit cube only")
+
+
+def _scale(u: np.ndarray, tau: float):
+    """(u(1-u))^tau, the denominator of psi and of the Jacobian's first term."""
+    return (u * (1.0 - u)) ** tau
+
+
+def _slope(u: np.ndarray, scale, tau: float):
+    """psi'(u) per axis, given ``scale = _scale(u, tau)``."""
+    return 2.0 / scale + tau * (2.0 * u - 1.0) ** 2 / (u * (1.0 - u)) ** (tau + 1.0)
+
+
+def _axis_product(per_axis: np.ndarray) -> np.ndarray:
+    # one column at a time in axis order, the order numpy's prod takes over a short axis
+    out = per_axis[..., 0].copy()
+    for axis in range(1, per_axis.shape[-1]):
+        out *= per_axis[..., axis]
+    return out
 
 
 def psi(u, tau: float):
     """Componentwise (2u - 1) / (u^tau (1-u)^tau); open cube to R^s."""
     u = np.asarray(u, dtype=float)
     _interior(u)
-    return (2.0 * u - 1.0) / (u * (1.0 - u)) ** tau
+    return (2.0 * u - 1.0) / _scale(u, tau)
 
 
 def jacobian_factor(u, tau: float):
@@ -58,14 +89,10 @@ def jacobian_factor(u, tau: float):
     """
     u = np.asarray(u, dtype=float)
     _interior(u)
-    base = u * (1.0 - u)
-    per_axis = 2.0 / base ** tau + tau * (2.0 * u - 1.0) ** 2 / base ** (tau + 1.0)
+    per_axis = _slope(u, _scale(u, tau), tau)
     if u.ndim == 0:
         return float(per_axis)
-    out = per_axis[..., 0].copy()
-    for axis in range(1, u.shape[-1]):
-        out *= per_axis[..., axis]
-    return out[()]
+    return _axis_product(per_axis)[()]
 
 
 @dataclass
@@ -73,8 +100,11 @@ class VanishingIntegrand:
     """g pushed through the tail map; zero on the cube boundary.
 
     Calling convention matches the estimators: (n, s) points in, (n,) values
-    out.  When g underflows to zero the Jacobian factor is not evaluated, so
-    no 0 * inf appears near the faces.  A non-finite value of g raises
+    out, bit for bit ``g(psi(u)) * jacobian_factor(u)`` on points of the open
+    cube where g is nonzero and +0.0 on every other point.  When g is zero
+    the Jacobian factor is not evaluated, so no 0 * inf appears near the
+    faces.  Points of another width than ``s``, and a point with a NaN
+    coordinate, raise ``DomainError``.  A non-finite value of g raises
     ``IntegrandError`` naming the first such cube point and its image under
     ``psi``.
     """
@@ -85,15 +115,23 @@ class VanishingIntegrand:
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        out = np.zeros(len(pts))
-        interior = np.ones(len(pts), dtype=bool)
-        for col in pts.T:
-            interior &= col > 0.0
-            interior &= col < 1.0
-        if not interior.any():
-            return out
-        inner = pts[interior]
-        image = psi(inner, self.tau)
+        if pts.ndim != 2 or pts.shape[1] != self.s:
+            raise DomainError(f"the wrapped integrand takes (n, {self.s}) points, "
+                              f"got shape {pts.shape}")
+        inner, interior = pts, None
+        if len(pts) == 0 or not _in_open_cube(pts):
+            interior = np.all((pts > 0.0) & (pts < 1.0), axis=1)
+            outside = np.flatnonzero(~interior)
+            nan = np.isnan(pts[outside]).any(axis=1)
+            if nan.any():
+                i = outside[nan.argmax()]
+                raise DomainError(f"the wrapped integrand got NaN at point {i} {pts[i].tolist()}")
+            if not interior.any():
+                return np.zeros(len(pts))
+            inner = pts[interior]
+        tau = self.tau
+        scale = _scale(inner, tau)
+        image = (2.0 * inner - 1.0) / scale
         gvals = np.asarray(self.g(image), dtype=float)
         if not np.all(np.isfinite(gvals)):
             i = np.flatnonzero(~np.isfinite(gvals))[0]
@@ -101,11 +139,19 @@ class VanishingIntegrand:
                 f"wrapped integrand returned {gvals[i]} at cube point {inner[i].tolist()} "
                 f"(psi image {image[i].tolist()})"
             )
+        del image  # the Jacobian's temporaries can take its memory
         nz = gvals != 0.0
-        if nz.any():
+        if nz.all():
+            vals = _axis_product(_slope(inner, scale, tau))
+            vals *= gvals
+        else:
             vals = np.zeros(len(inner))
-            vals[nz] = gvals[nz] * jacobian_factor(inner[nz], self.tau)
-            out[interior] = vals
+            if nz.any():
+                vals[nz] = gvals[nz] * _axis_product(_slope(inner[nz], scale[nz], tau))
+        if interior is None:
+            return vals
+        out = np.zeros(len(pts))
+        out[interior] = vals
         return out
 
 

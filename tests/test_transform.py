@@ -33,6 +33,15 @@ def test_psi_boundary_rejected():
         jacobian_factor(np.array([1.0]), 1.5)
 
 
+def test_psi_and_jacobian_reject_nan():
+    # NaN is not a point of the open cube
+    for fn in (psi, jacobian_factor):
+        with pytest.raises(DomainError):
+            fn(np.array([[0.5, np.nan]]), 1.5)
+        with pytest.raises(DomainError):
+            fn(np.nan, 1.5)
+
+
 def test_jacobian_midpoint():
     assert jacobian_factor(np.array([[0.5]]), 1.5)[0] == pytest.approx(2 * 4 ** 1.5, rel=1e-12)
 
@@ -112,6 +121,68 @@ def test_tail_map_mask_is_open_cube(s):
     assert np.array_equal(seen[0], want)
 
 
+def _composition(g, pts, tau):
+    # the wrapped integrand written out: g(psi(u)) * jacobian_factor(u) on the
+    # open-cube rows where g is nonzero, +0.0 on every other row
+    inside = np.flatnonzero(np.all((pts > 0.0) & (pts < 1.0), axis=1))
+    want = np.zeros(len(pts))
+    if len(inside):
+        inner = pts[inside]
+        gvals = np.asarray(g(psi(inner, tau)), dtype=float)
+        nz = gvals != 0.0
+        if nz.any():
+            want[inside[nz]] = gvals[nz] * jacobian_factor(inner[nz], tau)
+    return want
+
+
+def _gauss_s(y):
+    return np.exp(-0.5 * np.sum(y * y, axis=1))
+
+
+_G_VARIANTS = {
+    "nonzero": _gauss_s,
+    "zero on some rows": lambda y: np.where(y[:, 0] > 0.0, _gauss_s(y), 0.0),
+    "zero on all rows": lambda y: np.zeros(len(y)),
+    "negative zero": lambda y: np.where(y[:, -1] < 0.0, -0.0, _gauss_s(y)),
+    "float32": lambda y: _gauss_s(y).astype(np.float32),
+    "int": lambda y: (y[:, 0] > 0.0).astype(int) * 3,
+    "int nonzero": lambda y: np.full(len(y), 2),
+}
+
+
+@pytest.mark.parametrize("tau", [0.5, 1.5])
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+def test_wrap_bitwise_matches_composition(s, tau):
+    rng = np.random.default_rng(10 * s + int(2 * tau))
+    interior = rng.uniform(size=(64, s))
+    outside = rng.uniform(size=(2 * s, s))
+    for axis in range(s):
+        outside[2 * axis, axis] = -0.25
+        outside[2 * axis + 1, axis] = 1.5
+    mixed = np.concatenate([interior, _edge_points(s), outside])
+    mixed = mixed[rng.permutation(len(mixed))]
+    for name, g in _G_VARIANTS.items():
+        for pts in (interior, mixed, outside):
+            seen = []
+
+            def recorded(y):
+                seen.append(y.copy())
+                return g(y)
+
+            # psi and its Jacobian overflow at the subnormal 5e-324, legitimately
+            with np.errstate(divide="ignore", over="ignore"):
+                got = wrap(recorded, s, tau)(pts)
+                want = _composition(g, pts, tau)
+                inner = pts[np.all((pts > 0.0) & (pts < 1.0), axis=1)]
+                image = psi(inner, tau)
+            assert got.dtype == np.float64 and got.shape == (len(pts),)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), name
+            # g runs once, on the psi image of the open-cube rows, or not at all
+            assert len(seen) == (1 if len(inner) else 0), name
+            if seen:
+                assert np.array_equal(seen[0], image), name
+
+
 # ---------------------------------------------------------------------------
 # wrapping
 
@@ -142,12 +213,32 @@ def test_wrap_boundary_decay():
 
 def test_wrap_gaussian_unbiased():
     f = wrap(_gauss_1d, 1, 1.5)
-    vals = np.array([
-        estimate_vanishing(f, 3, GridSpec(1, 16, 3), Stream(0, rep)).value
-        for rep in range(400)
-    ])
+    reports = estimate_vanishing(f, 3, GridSpec(1, 16, 3), [Stream(0, rep) for rep in range(400)])
+    vals = np.array([rep.value for rep in reports])
     se = vals.std(ddof=1) / math.sqrt(len(vals))
     assert abs(vals.mean() - 1.0) <= 4 * se
+
+
+def test_wrap_rejects_points_of_another_width():
+    seen = []
+    f = wrap(lambda y: seen.append(y) or np.ones(len(y)), 2, 1.5)
+    with pytest.raises(DomainError, match=r"takes \(n, 2\) points, got shape \(1, 3\)"):
+        f(np.array([[0.3, 0.4, 0.5]]))
+    with pytest.raises(DomainError, match=r"takes \(n, 2\) points, got shape \(4, 1\)"):
+        f(np.full((4, 1), 0.5))
+    assert not seen
+
+
+def test_wrap_rejects_nan_points():
+    # the first row holding a NaN is named, whatever its other coordinates
+    seen = []
+    f = wrap(lambda y: seen.append(y) or np.ones(len(y)), 2, 1.5)
+    pts = np.array([[0.3, 0.4], [1.5, 0.2], [0.2, np.nan], [np.nan, 1.0]])
+    with pytest.raises(DomainError, match=r"got NaN at point 2 \[0\.2, nan\]"):
+        f(pts)
+    with pytest.raises(DomainError, match=r"got NaN at point 0 \[nan, 1\.0\]"):
+        f(pts[3:])
+    assert not seen
 
 
 def test_wrap_nonfinite_raises():
