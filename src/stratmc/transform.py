@@ -14,7 +14,8 @@ Such integrands are exactly what the dilation-combination estimator in
 Jacobian, and copies points only when some lie outside the open cube or g
 returns zeros.  Points of another width than ``s``, or with a NaN
 coordinate, raise ``DomainError``, as do NaN entries given to ``psi`` and
-``jacobian_factor``.
+``jacobian_factor``; a g that does not return one value per point raises
+``IntegrandError``.
 
 ``laplace_reparametrize`` applies the recipe to log-densities: centre at the
 mode, scale by a Cholesky factor of the curvature there, then wrap with the
@@ -104,9 +105,10 @@ class VanishingIntegrand:
     cube where g is nonzero and +0.0 on every other point.  When g is zero
     the Jacobian factor is not evaluated, so no 0 * inf appears near the
     faces.  Points of another width than ``s``, and a point with a NaN
-    coordinate, raise ``DomainError``.  A non-finite value of g raises
-    ``IntegrandError`` naming the first such cube point and its image under
-    ``psi``.
+    coordinate, raise ``DomainError``.  A g that does not return one value
+    per point raises ``IntegrandError`` naming the shape, and a non-finite
+    value of g raises ``IntegrandError`` naming the first such cube point
+    and its image under ``psi``.
     """
 
     g: Callable[[np.ndarray], np.ndarray]
@@ -133,6 +135,9 @@ class VanishingIntegrand:
         scale = _scale(inner, tau)
         image = (2.0 * inner - 1.0) / scale
         gvals = np.asarray(self.g(image), dtype=float)
+        if gvals.shape != (len(inner),):
+            raise IntegrandError(f"wrapped integrand returned shape {gvals.shape} "
+                                 f"for {len(inner)} points; expected ({len(inner)},)")
         if not np.all(np.isfinite(gvals)):
             i = np.flatnonzero(~np.isfinite(gvals))[0]
             raise IntegrandError(

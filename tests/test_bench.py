@@ -273,7 +273,7 @@ def test_logistic_agrees_with_prior_sampling_oracle(tmp_path):
     integ = logistic_marginal_likelihood(path, 2)
     from stratmc.lattice import GridSpec, Stream
     from stratmc.estimators import estimate_vanishing
-    reports = estimate_vanishing(integ.fn, 3, GridSpec(2, 24, 1),
+    reports = estimate_vanishing(integ.fn, 2, GridSpec(2, 24, 1),
                                  [Stream(5, rep) for rep in range(50)])
     vals = np.array([rep.value for rep in reports])
     est, est_se = vals.mean(), vals.std(ddof=1) / math.sqrt(len(vals))
