@@ -212,12 +212,6 @@ def logistic_marginal_likelihood(dataset, s: int, tau: float = 1.5) -> Integrand
 # ---------------------------------------------------------------------------
 # the experiment loop
 
-def _run_star(f: Integrand, r: int, k: int, stream):
-    if f.derivative is None:
-        raise StratError(f"{f.name} has no derivative oracle for 'star'")
-    return estimate_analytic_cv(f.fn, f.derivative, r, GridSpec(f.s, k, 0), stream)
-
-
 # variant -> (fixed order, or None to take config.r_values; runner(integrand, r, k, stream)),
 # where stream is one Stream or a sequence of them, as the estimators take it.
 # The runners look the estimators up in this module at call time, so wrappers
@@ -226,7 +220,8 @@ _REGISTRY = {
     "crude": (1, lambda f, r, k, st: crude_mc(f.fn, f.s, k ** f.s, st)),
     "haber1": (1, lambda f, r, k, st: haber1(f.fn, GridSpec(f.s, k, 0), st)),
     "haber2": (2, lambda f, r, k, st: haber2(f.fn, GridSpec(f.s, k, 0), st)),
-    "star": (None, _run_star),
+    "star": (None, lambda f, r, k, st: estimate_analytic_cv(
+        f.fn, f.derivative, r, GridSpec(f.s, k, 0), st)),
     "hat": (None, lambda f, r, k, st: estimate_paired_cv(f.fn, r, GridSpec(f.s, k, 0), st)),
     "tilde": (None, lambda f, r, k, st: estimate_single_cv(f.fn, r, GridSpec(f.s, k, 0), st)),
     "vanishing": (None, lambda f, r, k, st: estimate_vanishing(
@@ -254,6 +249,8 @@ class ExperimentConfig:
         for v in self.variants:
             if v not in VARIANTS:
                 raise ValueError(f"unknown variant {v!r}; choose from {VARIANTS}")
+        if "star" in self.variants and self.integrand.derivative is None:
+            raise StratError(f"{self.integrand.name} has no derivative oracle for 'star'")
         if self.rel_mode not in ("squared", "literal"):
             raise ValueError(f"rel_mode must be 'squared' or 'literal', got {self.rel_mode!r}")
         if self.integrand.exact == 0:

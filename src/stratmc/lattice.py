@@ -11,18 +11,18 @@ Per-stratum offsets are uniform on ``[-1/2k, 1/2k]^s`` and are produced by a
 counter-based generator (in the sense of Salmon et al., "Parallel random
 numbers: as easy as 1, 2, 3", SC'11): a hash chain of SplitMix64 finalisers
 (Steele, Lea & Flood, OOPSLA'14) on ``uint64``, vectorised over index rows.
-A whole-grid draw absorbs each distinct index prefix once, read from the
-lexicographic rows of ``index_array``.  The chain fans out lane-major, one
-lane per axis, in ``(s, rows)`` blocks of a fixed element budget, so every
-step runs along the long cell axis in cache; each lane's top 53 bits are
-centred exactly in integers and divided once by ``k * 2^53`` into the
-output.  Neither changes a draw.  The draw for a centre is a
-pure function of ``(seed, replicate, index vector)``, so results do not
-depend on evaluation order, on the margin of the enclosing grid, or on any
-shared generator state.  Two grids that contain the same index receive
-bit-identical offsets for it, which is what makes the estimator-equivalence
-identities in :mod:`stratmc.estimators` exact rather than merely
-distributional.
+A draw is always a whole grid: it absorbs each distinct index prefix once,
+read from the lexicographic rows of ``index_array``.  The chain fans out
+lane-major, one lane per axis, in ``(s, rows)`` blocks of a fixed element
+budget, so every step runs along the long cell axis in cache; each lane's
+top 53 bits are centred exactly in integers and divided once by
+``k * 2^53`` into the output.  Neither changes a draw.  The draw for a
+centre is a pure function of ``(seed, replicate, index vector)``, so
+results do not depend on evaluation order, on the margin of the enclosing
+grid, or on any shared generator state.  Two grids that contain the same
+index receive bit-identical offsets for it, which is what makes the
+estimator-equivalence identities in :mod:`stratmc.estimators` exact rather
+than merely distributional.
 """
 
 from __future__ import annotations
@@ -33,8 +33,6 @@ from functools import lru_cache
 from numbers import Integral
 
 import numpy as np
-
-from .errors import DomainError
 
 __all__ = [
     "GridSpec",
@@ -112,11 +110,11 @@ class Stream:
     ``(seed, replicate)`` plus the request (centre index or bulk tag), so
     replicates with distinct ids are independent and any single draw is
     reproducible in isolation.  Stratum offsets come from the SplitMix64
-    hash chain of ``_hashed_offsets``, keyed by ``(seed, replicate)``: a
-    whole grid absorbs each index prefix once, read from the rows of
-    ``index_array``; the chain fans out lane-major into one lane per axis,
-    in blocks, and centres each lane's top 53 bits in integers before one
-    division by ``k * 2^53``.  Draws are the same on either path.
+    hash chain of ``_hashed_offsets``, keyed by ``(seed, replicate)``, and
+    are always drawn for a whole grid: each index prefix is absorbed once,
+    read from the rows of ``index_array``; the chain fans out lane-major
+    into one lane per axis, in blocks, and centres each lane's top 53 bits
+    in integers before one division by ``k * 2^53``.
     ``bulk_uniform`` uses numpy's ``SeedSequence`` and default generator.
 
     ``seed`` and ``replicate`` must be integers (anything else raises
@@ -136,41 +134,17 @@ class Stream:
             # Python ints, where ``seed + _GOLDEN`` must not overflow int64
             object.__setattr__(self, name, int(value))
 
-    def offsets(self, grid: GridSpec, indices: np.ndarray | None = None) -> np.ndarray:
-        """Stratum offsets for every listed centre index (default: whole grid).
+    def offsets(self, grid: GridSpec) -> np.ndarray:
+        """Stratum offsets for every centre of ``grid``.
 
-        ``indices`` is an (n, s) integer array of index vectors of ``grid``.
-        Returns an (n, s) array, row order matching ``indices``.  A wrong
-        shape or dtype raises ValueError, an index outside the grid
-        DomainError.
+        Returns an (n_centres, s) array, row order matching ``index_array``.
         """
-        if indices is None:
-            return _hashed_offsets(self.seed, self.replicate, index_array(grid), grid.k, grid.side)
-        return _hashed_offsets(self.seed, self.replicate, _checked_indices(grid, indices), grid.k)
+        return _hashed_offsets(self.seed, self.replicate, index_array(grid), grid.k, grid.side)
 
     def bulk_uniform(self, tag: int, shape) -> np.ndarray:
         """Vectorized iid uniforms for non-stratified use (e.g. crude MC)."""
         ss = np.random.SeedSequence(entropy=(self.seed & _MASK64, self.replicate & _MASK64, tag & _MASK64))
         return np.random.default_rng(ss).random(shape)
-
-
-def _checked_indices(grid: GridSpec, indices) -> np.ndarray:
-    """``indices`` as an (n, s) integer array of index vectors of ``grid``.
-
-    Raises ValueError unless it is a 2-D integer array with ``grid.s``
-    columns, and DomainError naming the first row outside the grid.
-    """
-    idx = np.asarray(indices)
-    if idx.ndim != 2 or idx.shape[1] != grid.s or not np.issubdtype(idx.dtype, np.integer):
-        raise ValueError(f"indices must be an (n, {grid.s}) integer array, "
-                         f"got shape {idx.shape} of dtype {idx.dtype}")
-    lo, hi = -grid.m, grid.k + grid.m - 1
-    bad = np.flatnonzero(((idx < lo) | (idx > hi)).any(axis=1))
-    if bad.size:
-        i = int(bad[0])
-        raise DomainError(f"index row {i} {idx[i].tolist()} is outside {grid}: "
-                          f"entries must lie in [{lo}, {hi}]")
-    return idx
 
 
 _MASK64 = (1 << 64) - 1
@@ -220,28 +194,27 @@ def _lanes(s: int) -> np.ndarray:
 
 
 def _hashed_offsets(seed: int, replicate: int, indices: np.ndarray, k: int,
-                    side: int | None = None) -> np.ndarray:
+                    side: int) -> np.ndarray:
     """Offsets in [-1/2k, 1/2k)^s per index row from one SplitMix64 hash chain.
 
     The chain starts from a key mixed from ``(seed, replicate)`` in Python
     ints and absorbs the index components one at a time (wrapping add, then
-    the finaliser).  Caller rows are absorbed row by row.  With ``side``,
-    ``indices`` is a whole grid's ``index_array``, whose rows are
-    lexicographic with ``side`` values per axis: the distinct prefixes over
-    axes ``0..a`` are every ``side^(s-1-a)``-th row, so each prefix is
-    absorbed once, and the next level is the outer sum of its states with
-    the next axis's ``side`` values read from those rows; that is about
-    ``n (1 + 1/side + ...)`` finalisers instead of ``s n``.  The chain
-    state then fans out lane-major, one lane per axis, in ``(s, rows)``
-    blocks of at most ``_BLOCK`` elements, finalised in place with one
-    reused scratch buffer, which no call keeps.  Each lane's top 53 bits
-    ``m`` are centred in integers, ``m - 2^52``, and divided once by
-    ``k * 2^53`` straight into the output: the same real number as
-    ``(m * 2^-53 - 1/2) / k``, whose steps before the division are exact,
-    so it rounds to the same double.  Every step is a function of one row's
-    index vector alone, so a draw depends on nothing but
-    ``(seed, replicate, index vector)``, whichever path or block computed
-    it.  Returns a C-contiguous (n, s) float64 array.
+    the finaliser).  A draw is always a whole grid: ``indices`` is its
+    ``index_array``, whose rows are lexicographic with ``side`` values per
+    axis.  The distinct prefixes over axes ``0..a`` are every
+    ``side^(s-1-a)``-th row, so each prefix is absorbed once, and the next
+    level is the outer sum of its states with the next axis's ``side``
+    values read from those rows; that is about ``n (1 + 1/side + ...)``
+    finalisers instead of ``s n``.  The chain state then fans out
+    lane-major, one lane per axis, in ``(s, rows)`` blocks of at most
+    ``_BLOCK`` elements, finalised in place with one reused scratch buffer,
+    which no call keeps.  Each lane's top 53 bits ``m`` are centred in
+    integers, ``m - 2^52``, and divided once by ``k * 2^53`` straight into
+    the output: the same real number as ``(m * 2^-53 - 1/2) / k``, whose
+    steps before the division are exact, so it rounds to the same double.
+    Every step is a function of one row's index vector alone, so a draw
+    depends on nothing but ``(seed, replicate, index vector)``, whichever
+    block computed it.  Returns a C-contiguous (n, s) float64 array.
     """
     idx = np.asarray(indices, dtype=np.int64).view(np.uint64)
     n, s = idx.shape
@@ -254,20 +227,13 @@ def _hashed_offsets(seed: int, replicate: int, indices: np.ndarray, k: int,
     # state per row for the absorption
     scratch = np.empty((s, max(rows, -(-n // s))), dtype=np.uint64)
     flat = scratch.reshape(-1)
-    if side is None:
-        h = idx[:, 0] + key
-        _mix(h, flat[:n])
-        for axis in range(1, s):
-            h += idx[:, axis]
-            _mix(h, flat[:n])
-    else:
-        step = n // side
-        h = idx[::step, 0] + key
-        _mix(h, flat[:side])
-        for axis in range(1, s):
-            step //= side
-            h = np.add.outer(h, idx[:step * side:step, axis]).ravel()
-            _mix(h, flat[:len(h)])
+    step = n // side
+    h = idx[::step, 0] + key
+    _mix(h, flat[:side])
+    for axis in range(1, s):
+        step //= side
+        h = np.add.outer(h, idx[:step * side:step, axis]).ravel()
+        _mix(h, flat[:len(h)])
     z = np.empty((s, rows), dtype=np.uint64)
     divisor = float(k) * 2.0 ** 53
     for lo in range(0, n, rows):

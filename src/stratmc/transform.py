@@ -14,8 +14,8 @@ Such integrands are exactly what the dilation-combination estimator in
 Jacobian, and copies points only when some lie outside the open cube or g
 returns zeros.  Points of another width than ``s``, or with a NaN
 coordinate, raise ``DomainError``, as do NaN entries given to ``psi`` and
-``jacobian_factor``; a g that does not return one value per point raises
-``IntegrandError``.
+``jacobian_factor``; a g that does not return one real value per point
+raises ``IntegrandError``.
 
 ``laplace_reparametrize`` applies the recipe to log-densities: centre at the
 mode, scale by a Cholesky factor of the curvature there, then wrap with the
@@ -105,10 +105,11 @@ class VanishingIntegrand:
     cube where g is nonzero and +0.0 on every other point.  When g is zero
     the Jacobian factor is not evaluated, so no 0 * inf appears near the
     faces.  Points of another width than ``s``, and a point with a NaN
-    coordinate, raise ``DomainError``.  A g that does not return one value
-    per point raises ``IntegrandError`` naming the shape, and a non-finite
-    value of g raises ``IntegrandError`` naming the first such cube point
-    and its image under ``psi``.
+    coordinate, raise ``DomainError``.  A g that returns anything but
+    boolean, integer or float values raises ``IntegrandError`` naming the
+    dtype, one that does not return one value per point raises it naming
+    the shape, and a non-finite value of g raises it naming the first such
+    cube point and its image under ``psi``.
     """
 
     g: Callable[[np.ndarray], np.ndarray]
@@ -134,7 +135,11 @@ class VanishingIntegrand:
         tau = self.tau
         scale = _scale(inner, tau)
         image = (2.0 * inner - 1.0) / scale
-        gvals = np.asarray(self.g(image), dtype=float)
+        gvals = np.asarray(self.g(image))
+        if gvals.dtype.kind not in "biuf":
+            raise IntegrandError(f"wrapped integrand returned values of dtype {gvals.dtype}; "
+                                 f"expected real numbers")
+        gvals = gvals.astype(float, copy=False)
         if gvals.shape != (len(inner),):
             raise IntegrandError(f"wrapped integrand returned shape {gvals.shape} "
                                  f"for {len(inner)} points; expected ({len(inner)},)")
@@ -186,7 +191,8 @@ def _num_gradient(h, x: np.ndarray) -> np.ndarray:
     return (vals[0::2] - vals[1::2]) / (2.0 * step)
 
 
-def _num_hessian(h, x: np.ndarray) -> np.ndarray:
+def _num_hessian(h, x: np.ndarray) -> tuple[np.ndarray, float]:
+    """The central-difference Hessian of h at x, and h(x), which it reads."""
     s, step = len(x), _FD_STEP
     hess = np.empty((s, s))
     h0 = float(_checked(h(x[None, :]), x[None, :], "log-density")[0])
@@ -208,7 +214,7 @@ def _num_hessian(h, x: np.ndarray) -> np.ndarray:
                 pts[3, [i, j]] -= step
                 vpp, vpm, vmp, vmm = _checked(h(pts), pts, "log-density")
                 hess[i, j] = hess[j, i] = (vpp - vpm - vmp + vmm) / (4.0 * step ** 2)
-    return hess
+    return hess, h0
 
 
 @dataclass
@@ -255,14 +261,13 @@ def laplace_reparametrize(h, mode_guess, *, scale: str, tau: float = 1.5,
         grad = _num_gradient(h, x)
         if np.max(np.abs(grad)) <= grad_tol:
             break
-        hess = _num_hessian(h, x)
+        hess, h_now = _num_hessian(h, x)
         try:
             step_dir = np.linalg.solve(-hess, grad)
         except np.linalg.LinAlgError:
             step_dir = grad
         if float(grad @ step_dir) <= 0.0:
             step_dir = grad  # curvature not usable here; fall back to ascent
-        h_now = float(np.asarray(h(x[None, :]))[0])
         t = 1.0
         while t > 1e-12:
             cand = x + t * step_dir
@@ -282,7 +287,7 @@ def laplace_reparametrize(h, mode_guess, *, scale: str, tau: float = 1.5,
             f"in {max_iter} iterations", trace,
         )
 
-    curvature = -_num_hessian(h, x)
+    curvature = -_num_hessian(h, x)[0]
     try:
         if scale == "inv-hessian":
             scale_matrix = np.linalg.cholesky(np.linalg.inv(curvature))

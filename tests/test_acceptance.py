@@ -126,26 +126,30 @@ def test_criterion_04_unbiasedness():
         pts = np.atleast_2d(pts)
         return np.prod((pts * (1.0 - pts)) ** 4, axis=1)
 
+    def values(reports):
+        return [report.value for report in reports]
+
+    # each case takes its n_rep streams as one sequence; shifted_stratum_mean
+    # takes one Stream at a time
     cases = {
-        "crude": (1.0, lambda st: crude_mc(F1.fn, 1, 16, st).value),
-        "haber1": (1.0, lambda st: haber1(F1.fn, GridSpec(1, 4, 0), st).value),
-        "haber2": (1.0, lambda st: haber2(F1.fn, GridSpec(1, 4, 0), st).value),
-        "analytic_cv r=4": (1.0, lambda st: estimate_analytic_cv(
-            F1.fn, _f1_oracle, 4, GridSpec(1, 4, 0), st).value),
-        "paired r=3": (1.0, lambda st: estimate_paired_cv(
-            F1.fn, 3, GridSpec(1, 4, 0), st).value),
-        "single r=3": (1.0, lambda st: estimate_single_cv(
-            F1.fn, 3, GridSpec(1, 4, 0), st).value),
-        "vanishing r=3": (bump_exact, lambda st: estimate_vanishing(
-            bump, 3, GridSpec(1, 4, 3), st).value),
-        "dilated mean shift=3": (1.0, lambda st: shifted_stratum_mean(
-            lambda p: np.ones(len(p)), 3, GridSpec(1, 4, 1), st)),
+        "crude": (1.0, lambda sts: values(crude_mc(F1.fn, 1, 16, sts))),
+        "haber1": (1.0, lambda sts: values(haber1(F1.fn, GridSpec(1, 4, 0), sts))),
+        "haber2": (1.0, lambda sts: values(haber2(F1.fn, GridSpec(1, 4, 0), sts))),
+        "analytic_cv r=4": (1.0, lambda sts: values(estimate_analytic_cv(
+            F1.fn, _f1_oracle, 4, GridSpec(1, 4, 0), sts))),
+        "paired r=3": (1.0, lambda sts: values(estimate_paired_cv(
+            F1.fn, 3, GridSpec(1, 4, 0), sts))),
+        "single r=3": (1.0, lambda sts: values(estimate_single_cv(
+            F1.fn, 3, GridSpec(1, 4, 0), sts))),
+        "vanishing r=3": (bump_exact, lambda sts: values(estimate_vanishing(
+            bump, 3, GridSpec(1, 4, 3), sts))),
+        "dilated mean shift=3": (1.0, lambda sts: [shifted_stratum_mean(
+            lambda p: np.ones(len(p)), 3, GridSpec(1, 4, 1), st) for st in sts]),
     }
     details = []
     ok = True
     for name, (exact, fn) in cases.items():
-        vals = np.array([fn(Stream(41, substream_id("c4", name, rep)))
-                         for rep in range(n_rep)])
+        vals = np.array(fn([Stream(41, substream_id("c4", name, rep)) for rep in range(n_rep)]))
         se = vals.std(ddof=1) / math.sqrt(n_rep)
         dev = abs(vals.mean() - exact)
         details.append(f"{name}: |bias|={dev:.1e} <= 4se={4 * se:.1e}")

@@ -127,6 +127,21 @@ def test_run_validates_config():
         _config(replicates=1)
 
 
+def test_run_rejects_star_without_derivative_oracle():
+    # 'star' needs the integrand's derivative oracle: the config fails before
+    # any variant runs, so the integrand is never called
+    calls = []
+    f = Integrand(name="fs(1)", s=1, fn=lambda p: calls.append(len(p)) or p[:, 0])
+    with pytest.raises(StratError, match=r"fs\(1\) has no derivative oracle for 'star'"):
+        _config(integrand=f, variants=("haber1", "star"))
+    assert not calls
+    # with the oracle, 'star' runs: every derivative of exp(u) is exp(u)
+    exp = Integrand(name="exp", s=1, fn=lambda p: np.exp(p[:, 0]), exact=math.e - 1,
+                    derivative=lambda alpha, p: np.exp(p[:, 0]))
+    rows = run(_config(integrand=exp, variants=("star",), r_values=(2,)))
+    assert [row.variant for row in rows] == ["star"] * 3
+
+
 def test_run_rejects_zero_exact():
     zero = Integrand(name="zero", s=1, fn=lambda p: p[:, 0] - 0.5, exact=0.0)
     with pytest.raises(StratError, match="nonzero exact"):

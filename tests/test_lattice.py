@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from stratmc.errors import DomainError
 from stratmc.lattice import (
     _BLOCK,
     GridSpec,
@@ -79,47 +78,6 @@ def test_offsets_keyed_by_index_not_position():
     assert np.array_equal(u_small, u_big[2:-2])
 
 
-def test_offsets_order_invariant():
-    grid = GridSpec(2, 4, 0)
-    st = Stream(3, 2)
-    idx = index_array(grid)
-    perm = np.random.default_rng(0).permutation(len(idx))
-    shuffled = st.offsets(grid, idx[perm])
-    straight = st.offsets(grid)
-    assert np.array_equal(shuffled, straight[perm])
-
-
-def test_offsets_reject_wrong_shape():
-    grid = GridSpec(2, 4, 0)
-    with pytest.raises(ValueError, match=r"\(n, 2\) integer array.*\(3, 3\)"):
-        Stream(11, 0).offsets(grid, np.zeros((3, 3), dtype=np.int64))
-
-
-def test_offsets_reject_one_dimensional_indices():
-    grid = GridSpec(2, 4, 0)
-    with pytest.raises(ValueError, match=r"\(n, 2\) integer array.*\(2,\)"):
-        Stream(11, 0).offsets(grid, np.array([1, 2]))
-
-
-def test_offsets_reject_float_indices():
-    grid = GridSpec(2, 4, 0)
-    with pytest.raises(ValueError, match="integer array.*float64"):
-        Stream(11, 0).offsets(grid, np.array([[0.7, 1.2]]))
-
-
-def test_offsets_reject_index_outside_grid():
-    grid = GridSpec(2, 4, 1)
-    st = Stream(11, 0)
-    with pytest.raises(DomainError, match=r"row 1 \[9, 9\].*\[-1, 4\]"):
-        st.offsets(grid, np.array([[0, 0], [9, 9], [-2, 0]]))
-    with pytest.raises(DomainError, match=r"row 0 \[-2, 0\]"):
-        st.offsets(grid, np.array([[-2, 0]]))
-    # the margin rows are indices of this grid; listed rows match the full draw
-    edge = np.array([[-1, 4], [4, -1]])
-    pos = [np.flatnonzero((index_array(grid) == row).all(axis=1))[0] for row in edge]
-    assert np.array_equal(st.offsets(grid, edge), st.offsets(grid)[pos])
-
-
 def test_offset_empirical_mean():
     # CLT check: per-component mean of 1e5 draws within 4 standard errors
     grid = GridSpec(1, 1, 0)
@@ -181,31 +139,23 @@ def _reference_offsets(seed, replicate, rows, k):
     return (np.array([_reference_uniforms(seed, replicate, row) for row in rows.tolist()]) - 0.5) / k
 
 
-@pytest.mark.parametrize("s", [1, 2, 3, 4, 9])
+# whole grids per dimension: margins 0-3 up to s = 4, where GridSpec(1, 37, 3)
+# covers indices -3..39; at s = 9 the smallest grids without and with margin
+_REFERENCE_GRIDS = {s: [GridSpec(s, k, m) for m in range(4)] for s, k in [(1, 37), (2, 5), (3, 3), (4, 2)]}
+_REFERENCE_GRIDS[9] = [GridSpec(9, 2, 0), GridSpec(9, 1, 1)]
+
+
+@pytest.mark.parametrize("s", sorted(_REFERENCE_GRIDS))
 def test_offsets_match_python_reference(s):
     # the numpy chain wraps exactly like Python ints masked to 64 bits,
-    # including negative margin indices and keys past 2^63; the grid's
-    # index range -3..39 covers every drawn row.  Whole grids (s <= 4,
-    # margins 0-3) take the same kernel; the result is a C-contiguous
-    # (n, s) float64 array, and int32 indices draw what int64 indices do
-    rng = np.random.default_rng(s)
-    idx = rng.integers(-3, 40, size=(50, s))
-    whole_k = {1: 37, 2: 5, 3: 3, 4: 2}.get(s)
+    # including negative margin indices and keys past 2^63; the result is a
+    # C-contiguous (n, s) float64 array
     for seed, rep in [(0, 0), (7, 3), (2 ** 63 + 5, 2 ** 62 - 1), (-1, 11)]:
         st = Stream(seed, rep)
-        grid = GridSpec(s, 37, 3)
-        got = st.offsets(grid, idx)
-        assert np.array_equal(got, _reference_offsets(seed, rep, idx, 37))
-        assert np.array_equal(st.offsets(grid, idx.astype(np.int32)), got)
-        draws = [got]
-        if whole_k is not None:
-            for m in range(4):
-                grid = GridSpec(s, whole_k, m)
-                whole = st.offsets(grid)
-                assert np.array_equal(whole, _reference_offsets(seed, rep, index_array(grid), whole_k))
-                draws.append(whole)
-        for u in draws:
-            assert u.dtype == np.float64 and u.flags.c_contiguous and u.shape[1] == s
+        for grid in _REFERENCE_GRIDS[s]:
+            u = st.offsets(grid)
+            assert np.array_equal(u, _reference_offsets(seed, rep, index_array(grid), grid.k))
+            assert u.dtype == np.float64 and u.flags.c_contiguous and u.shape == (grid.n_centres, s)
 
 
 @pytest.mark.parametrize("grid", [GridSpec(2, 200), GridSpec(3, 33, 2), GridSpec(4, 12),
@@ -213,20 +163,20 @@ def test_offsets_match_python_reference(s):
 def test_whole_grid_prefixes_and_blocks_match_row_chain(grid):
     # a whole grid absorbs each index prefix once and fans out in blocks of
     # _BLOCK // s rows; all but GridSpec(6, 4) span several blocks, the last
-    # one partial.  The draw equals the row-by-row chain on the same rows
-    # and the Python reference on a sample of them
+    # one partial.  The draw equals the Python row chain on a sample of rows
+    # that holds the first and last row of every block, so the seams are seen
     idx = index_array(grid)
-    assert (grid.n_centres > _BLOCK // grid.s) == (grid.s < 6)
-    assert grid.n_centres % (_BLOCK // grid.s) != 0
-    rows = np.random.default_rng(grid.s).choice(len(idx), size=200, replace=False)
+    rows = _BLOCK // grid.s
+    assert (grid.n_centres > rows) == (grid.s < 6)
+    assert grid.n_centres % rows != 0
+    starts = np.arange(0, len(idx), rows)
+    seams = np.concatenate([starts, np.minimum(starts + rows, len(idx)) - 1])
+    sample = np.random.default_rng(grid.s).choice(len(idx), size=200, replace=False)
+    sample = np.union1d(sample, seams)
     for seed, rep in [(0, 0), (7, 3), (2 ** 63 + 5, 2 ** 62 - 1), (-1, 11)]:
-        st = Stream(seed, rep)
-        whole = st.offsets(grid)
-        by_row = st.offsets(grid, idx)
-        assert np.array_equal(whole, by_row)
-        assert np.array_equal(whole[rows], _reference_offsets(seed, rep, idx[rows], grid.k))
-        for u in (whole, by_row):
-            assert u.dtype == np.float64 and u.flags.c_contiguous and u.shape == idx.shape
+        u = Stream(seed, rep).offsets(grid)
+        assert np.array_equal(u[sample], _reference_offsets(seed, rep, idx[sample], grid.k))
+        assert u.dtype == np.float64 and u.flags.c_contiguous and u.shape == idx.shape
 
 
 def test_stream_rejects_non_integer_fields():
@@ -249,22 +199,28 @@ def test_stream_stores_numpy_integers_as_ints():
 
 @pytest.mark.parametrize("s", [9, 12])
 def test_wide_rows_keyed_by_index(s):
-    # rows wider than 8 axes: the same index gets the same draw on a grid
-    # with margin, every draw stays in the stratum, and no two axes coincide
-    st = Stream(21, 4)
+    # rows wider than 8 axes: whole grids match the Python reference, every
+    # draw stays in its stratum and no two axes coincide; at s = 9 the same
+    # index gets the same draw on a grid with margin (which the reference
+    # test checks whole).  Three streams on the 2^s grid, so s = 12 checks
+    # 12 288 rows (GridSpec(12, 2, 1) would have 16.7M rows)
     small = GridSpec(s, 2, 0)
-    big = GridSpec(s, 2, 1)
-    u_small = st.offsets(small)
-    extra = np.random.default_rng(s).integers(-1, 3, size=(1000, s))
-    rows = np.concatenate([index_array(small), extra])
-    perm = np.random.default_rng(s + 1).permutation(len(rows))
-    u_big = st.offsets(big, rows[perm])
-    assert np.array_equal(u_big[np.argsort(perm)][: len(u_small)], u_small)
-    for u in (u_small, u_big):
-        assert np.max(np.abs(u)) <= 0.5 / 2
+    uniforms = []  # each draw times its k: centred uniforms in [-1/2, 1/2)
+    for rep in (4, 5, 6):
+        u = Stream(21, rep).offsets(small)
+        assert np.array_equal(u, _reference_offsets(21, rep, index_array(small), small.k))
+        uniforms.append(u * small.k)
+    if s == 9:
+        big = GridSpec(s, 1, 1)
+        u = Stream(21, 4).offsets(big)
+        inner = ((index_array(big) >= 0) & (index_array(big) <= 1)).all(axis=1)
+        assert np.array_equal(u[inner] * big.k, uniforms[0])
+        uniforms.append(u * big.k)
+    for z in uniforms:
+        assert np.max(np.abs(z)) <= 0.5
         for a in range(s):
             for b in range(a + 1, s):
-                assert not np.any(u[:, a] == u[:, b]), (a, b)
+                assert not np.any(z[:, a] == z[:, b]), (a, b)
 
 
 def _chi2_z(counts):

@@ -224,6 +224,23 @@ def test_wrap_rejects_g_of_another_shape():
             wrap(g, 2, 1.5)(pts)
 
 
+def test_wrap_rejects_g_of_another_dtype():
+    # g owes real numbers: a complex value is not cut to its real part, a
+    # string is not parsed and an object array does not pass; booleans and
+    # integers are real and convert to float
+    pts = np.full((3, 2), 0.5)
+    for g, dtype in ((lambda y: np.exp(-0.5 * (y * y).sum(1)) + 1j, "complex128"),
+                     (lambda y: np.array(["1.5"] * len(y)), "<U3"),
+                     (lambda y: np.array([1.0] * len(y), dtype=object), "object")):
+        with pytest.raises(IntegrandError, match=f"returned values of dtype {dtype}; expected real"):
+            wrap(g, 2, 1.5)(pts)
+    jac = jacobian_factor(pts, 1.5)
+    for g, value in ((lambda y: np.ones(len(y), dtype=bool), 1.0),
+                     (lambda y: np.full(len(y), 3), 3.0)):
+        out = wrap(g, 2, 1.5)(pts)
+        assert out.dtype == np.float64 and np.array_equal(out, value * jac)
+
+
 def test_wrap_rejects_nan_points():
     # the first row holding a NaN is named, whatever its other coordinates
     seen = []
