@@ -269,9 +269,15 @@ class ResultRow:
 
 
 def run(config: ExperimentConfig) -> list[ResultRow]:
-    """One row per (variant, r, k); writes the CSV when config.out is set."""
-    rows = []
+    """One row per (variant, r, k); writes the CSV when config.out is set.
+
+    Every cell's estimator runs first; each statistic is then one reduction
+    over the (cells, replicates) array, row by row as a per-cell reduction
+    would sum.  With no exact value, a cell whose estimates average 0 raises
+    ``StratError`` after all cells have run, naming the first such cell.
+    """
     f = config.integrand
+    cells, values, n_evals = [], [], []
     for variant in config.variants:
         order, runner = _REGISTRY[variant]
         for r in config.r_values if order is None else (order,):
@@ -279,28 +285,28 @@ def run(config: ExperimentConfig) -> list[ResultRow]:
                 streams = [Stream(config.seed, substream_id(variant, r, k, rep))
                            for rep in range(config.replicates)]
                 reports = runner(f, r, k, streams)
-                values = np.array([report.value for report in reports])
-                n_evals = np.array([report.n_in_domain for report in reports], dtype=float)
-                if f.exact is not None:
-                    stat = float(np.mean((values - f.exact) ** 2))
-                    denom = f.exact ** 2 if config.rel_mode == "squared" else abs(f.exact)
-                else:
-                    stat = float(np.var(values, ddof=1))
-                    denom = float(np.mean(values)) ** 2
-                    if denom == 0.0:
-                        raise StratError(
-                            f"{f.name}: {variant} at r={r}, k={k}: the estimates average 0, "
-                            f"so the relative error is undefined; supply the exact value"
-                        )
-                rows.append(ResultRow(
-                    variant=variant,
-                    r=r,
-                    k=k,
-                    n_evals=float(np.mean(n_evals)),
-                    rel_error=stat / denom,
-                    discarded=stat <= DISCARD_THRESHOLD,
-                    slope_group=f"{variant}-r{r}",
-                ))
+                cells.append((variant, r, k))
+                values.append([report.value for report in reports])
+                n_evals.append([report.n_in_domain for report in reports])
+    shape = (len(cells), config.replicates)
+    values = np.array(values).reshape(shape)
+    if f.exact is not None:
+        stats = np.mean((values - f.exact) ** 2, axis=1).tolist()
+        denom = f.exact ** 2 if config.rel_mode == "squared" else abs(f.exact)
+        denoms = [denom] * len(cells)
+    else:
+        stats = np.var(values, axis=1, ddof=1).tolist()
+        denoms = [mean ** 2 for mean in np.mean(values, axis=1).tolist()]
+        for (variant, r, k), denom in zip(cells, denoms):
+            if denom == 0.0:
+                raise StratError(
+                    f"{f.name}: {variant} at r={r}, k={k}: the estimates average 0, "
+                    f"so the relative error is undefined; supply the exact value"
+                )
+    n_means = np.mean(np.array(n_evals, dtype=float).reshape(shape), axis=1).tolist()
+    rows = [ResultRow(variant=variant, r=r, k=k, n_evals=n_mean, rel_error=stat / denom,
+                      discarded=stat <= DISCARD_THRESHOLD, slope_group=f"{variant}-r{r}")
+            for (variant, r, k), n_mean, stat, denom in zip(cells, n_means, stats, denoms)]
     if config.out is not None:
         write_rows(config.out, rows)
     return rows

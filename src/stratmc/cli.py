@@ -9,6 +9,11 @@ Subcommands:
 Every flag can also be given in a config file (``--config PATH``) with one
 ``key = value`` pair per line, ``#`` comments, and comma-separated lists;
 flags on the command line override file values.
+
+A library error (``StratError`` or ``ValueError``) raised while ``run`` or
+``orders`` builds its integrand and configuration, or while it runs, ends the
+command with one ``stratmc: error: <message>`` line on stderr and exit
+status 2, as argparse does for a bad flag.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from .bench import (
     read_rows,
     run,
 )
+from .errors import StratError
 from .estimators import vanishing_margin
 from .lattice import GridSpec, Stream
 from .replicate import select_order
@@ -113,6 +119,15 @@ def main(argv=None) -> int:
                 print(f"{group}: {exc}")
         return 0
 
+    try:
+        return _execute(args)
+    except (StratError, ValueError) as exc:
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _execute(args: argparse.Namespace) -> int:
+    """Build the integrand and the configuration of ``run`` or ``orders``, and run it."""
     fn_id = _merged(args, "fn", "fs", str)
     dim = _merged(args, "dim", 1, int)
     seed = _merged(args, "seed", 0, int)
@@ -124,10 +139,10 @@ def main(argv=None) -> int:
         r_max = int(_merged(args, "r", 4, int))
         k = int(_merged(args, "k", 16, int))
         reps = _merged(args, "reps", 10, int)
+        grid = GridSpec(integrand.s, k, vanishing_margin(r_max))
         if not integrand.vanishing:
             print(f"note: {integrand.name} is not declared boundary-vanishing",
                   file=sys.stderr)
-        grid = GridSpec(integrand.s, k, vanishing_margin(r_max))
         best, summaries = select_order(integrand.fn, r_max, grid, reps, Stream(seed))
         print(f"integrand {integrand.name}, k={k}, {reps} replicates")
         print(f"{'order':>5} {'mean':>18} {'V_hat':>14}")

@@ -5,8 +5,10 @@ core draws each stratum's uniform offset U_c once, forms the per-stratum term
 ``sum_j w_j f(c + lambda_j U_c)`` over the plan's dilations lambda_j, and, when
 the plan has control variates, subtracts ``sum_alpha D^alpha f(c) (U_c^alpha -
 E U^alpha) / alpha!`` with derivatives from an exact oracle or from grid
-stencils on the centre values.  The public functions build the plan, and
-the core checks the plan's grid rule once per call (``_check_grid``):
+stencils on the centre values.  The public functions build the plan (the
+oracle-free ones once per order, dimension, resolution and mode, from a
+cache), and the core checks the plan's grid rule once per call
+(``_check_grid``):
 
 * ``crude_mc`` - plain iid Monte Carlo, for reference (not stratified).
 * ``haber1`` - dilations (1,): one evaluation per stratum, f(c + U).
@@ -48,6 +50,7 @@ hold bit for bit on a common stream, not just in distribution.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -247,6 +250,23 @@ def _checked(raw, pts: np.ndarray, source: str, grid: GridSpec | None = None,
     )
 
 
+def _evaluate_sum(f, pts: np.ndarray, grid: GridSpec, mask=None) -> tuple[np.ndarray, float]:
+    """``_evaluate(f, pts, grid, mask)`` and the float sum of its values.
+
+    The sum is the contract check of a plain float64 ``(n,)`` ndarray: a
+    finite sum holds no NaN or inf.  Every other batch, and one whose sum is
+    not finite (a NaN, an inf, or finite values that overflow), goes through
+    ``_checked``, so the values, the sum and every error are ``_evaluate``'s.
+    """
+    raw = f(pts)
+    if type(raw) is np.ndarray and raw.dtype == _FLOAT64 and raw.shape == (len(pts),):
+        total = float(np.sum(raw))
+        if math.isfinite(total):
+            return raw, total
+    vals = _checked(raw, pts, "integrand", grid, mask)
+    return vals, float(np.sum(vals))
+
+
 def _shift_parts(f, grid: GridSpec, shifts, u: np.ndarray, guard: bool):
     """Per-shift stratum means A_j = k^-s sum_c fbar(c + shift_j U_c).
 
@@ -275,13 +295,11 @@ def _shift_parts(f, grid: GridSpec, shifts, u: np.ndarray, guard: bool):
             vals = np.zeros(len(pts))
             total = 0.0
             if mask.any():
-                inside = _evaluate(f, pts[mask], grid, mask)
+                inside, total = _evaluate_sum(f, pts[mask], grid, mask)
                 vals[mask] = inside
-                total = float(np.sum(inside))
             counts.append(int(mask.sum()))
         else:
-            vals = _evaluate(f, pts, grid)
-            total = float(np.sum(vals))
+            vals, total = _evaluate_sum(f, pts, grid)
             counts.append(len(pts))
         means.append(total / scale)
         rows.append(vals)
@@ -342,6 +360,16 @@ def _check_grid(plan: _Plan, grid: GridSpec):
         raise ResolutionError(f"need k >= 2, got {grid.k}")
     if plan.mode not in ("free", "block"):
         raise ValueError(f"unknown stencil mode {plan.mode!r}")
+
+
+def _cached_plan(build, *key) -> _Plan:
+    """``build(*key)`` from its ``lru_cache``, keyed by type too, so a plan is
+    what a fresh build would give; a key that cannot be hashed (a mode that
+    ``_check_grid`` rejects) builds uncached, so it fails as a fresh build does."""
+    try:
+        return build(*key)
+    except TypeError:
+        return build.__wrapped__(*key)
 
 
 def _per_stream(stream, one):
@@ -546,6 +574,7 @@ def estimate_analytic_cv(f, derivative_oracle, r: int, grid: GridSpec,
     polynomials of total degree < r on every single run.  A sequence of
     streams consults the oracle once for all of them.
     """
+    # built per call: a cached plan would keep the caller's oracle alive
     plan = _Plan("analytic_cv", r, _HABER2.shifts, _HABER2.weights,
                  alphas=_even_alphas(grid.s, r), oracle=derivative_oracle)
     return _estimate(plan, f, grid, stream, keep_terms)
@@ -561,12 +590,17 @@ def estimate_paired_cv(f, r: int, grid: GridSpec, stream: Stream | Sequence[Stre
     streams shares one centre pass and its stencils; each report still
     counts the k^s centre evaluations.
     """
+    return _estimate(_cached_plan(_paired_plan, r, grid.s, grid.k, mode),
+                     f, grid, stream, keep_terms)
+
+
+@lru_cache(maxsize=256, typed=True)
+def _paired_plan(r: int, s: int, k: int, mode: str) -> _Plan:
     # block-local stencils must fit in side-r blocks, so the widened window
     # of the odd-order identity is a free-mode refinement only
-    r_build = r if mode == "block" else _paired_stencil_order(r, grid.k)
-    plan = _Plan("paired_cv", r, _HABER2.shifts, _HABER2.weights,
-                 alphas=_even_alphas(grid.s, r), r_build=r_build, mode=mode)
-    return _estimate(plan, f, grid, stream, keep_terms)
+    r_build = r if mode == "block" else _paired_stencil_order(r, k)
+    return _Plan("paired_cv", r, _HABER2.shifts, _HABER2.weights,
+                 alphas=_even_alphas(s, r), r_build=r_build, mode=mode)
 
 
 def estimate_single_cv(f, r: int, grid: GridSpec, stream: Stream | Sequence[Stream],
@@ -577,11 +611,16 @@ def estimate_single_cv(f, r: int, grid: GridSpec, stream: Stream | Sequence[Stre
     r = 1 the control-variate sum is empty and this is exactly haber1.  A
     sequence of streams shares one centre pass, as in ``estimate_paired_cv``.
     """
-    plan = _Plan("single_cv", r, _HABER1.shifts, _HABER1.weights,
-                 alphas=_all_alphas(grid.s, r), r_build=r, mode=mode)
-    return _estimate(plan, f, grid, stream, keep_terms)
+    return _estimate(_cached_plan(_single_plan, r, grid.s, mode), f, grid, stream, keep_terms)
 
 
+@lru_cache(maxsize=256, typed=True)
+def _single_plan(r: int, s: int, mode: str) -> _Plan:
+    return _Plan("single_cv", r, _HABER1.shifts, _HABER1.weights,
+                 alphas=_all_alphas(s, r), r_build=r, mode=mode)
+
+
+@lru_cache(maxsize=64, typed=True)
 def _vanishing_plan(r: int) -> _Plan:
     coeff = shift_coefficients(r)
     return _Plan("vanishing", r, coeff.shifts, coeff.weights, guard=True)

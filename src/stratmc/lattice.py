@@ -58,8 +58,10 @@ class GridSpec:
 
     def __post_init__(self):
         for name in ("s", "k", "m"):
-            if not isinstance(getattr(self, name), Integral):
-                raise TypeError(f"GridSpec.{name} must be an integer, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            # the exact-type test first: the ABC check costs ten times more
+            if type(value) is not int and not isinstance(value, Integral):
+                raise TypeError(f"GridSpec.{name} must be an integer, got {value!r}")
         if self.s < 1:
             raise ValueError(f"dimension must be >= 1, got {self.s}")
         if self.k < 1:
@@ -128,6 +130,8 @@ class Stream:
     def __post_init__(self):
         for name in ("seed", "replicate"):
             value = getattr(self, name)
+            if type(value) is int:
+                continue
             if not isinstance(value, Integral):
                 raise TypeError(f"Stream.{name} must be an integer, got {value!r}")
             # a numpy integer is stored as a Python int: the key is mixed in
@@ -250,5 +254,5 @@ def _hashed_offsets(seed: int, replicate: int, indices: np.ndarray, k: int,
 
 def substream_id(*parts) -> int:
     """Stable 63-bit id for deriving replicate keys from labels and ints."""
-    msg = "\x1f".join(str(p) for p in parts).encode()
+    msg = "\x1f".join(map(str, parts)).encode()
     return int.from_bytes(hashlib.blake2b(msg, digest_size=8).digest(), "little") >> 1

@@ -398,9 +398,13 @@ def derivative_grid(fvals: np.ndarray, alpha, grid: GridSpec, r: int,
     plan is not cached, so a bad argument raises on every call, and the
     values are the same whether or not the tree came from the cache.
     """
-    alpha = list(alpha)
-    single = bool(alpha) and all(np.ndim(a) == 0 for a in alpha)
-    alphas = tuple(tuple(map(int, a)) for a in ([alpha] if single else alpha))
+    if (type(alpha) is tuple and all([type(a) is tuple for a in alpha])
+            and all([type(v) is int for a in alpha for v in a])):
+        single, alphas = False, alpha   # already normalised, as a plan passes them
+    else:
+        alpha = list(alpha)
+        single = bool(alpha) and all(np.ndim(a) == 0 for a in alpha)
+        alphas = tuple(tuple(map(int, a)) for a in ([alpha] if single else alpha))
     root = _grid_tree(alphas, grid, r, blocks)
     t = np.asarray(fvals, dtype=float)
     if t.size != grid.n_centres:

@@ -327,10 +327,11 @@ def test_criterion_11_asymptotic_variance():
 
     sigma2 = asymptotic_variance_estimate(_f1_oracle, 1, 2, budget=20_000, seed=111)
     k = 64
+    # one call for all replicates: each report is its single-stream report
+    streams = [Stream(113, rep) for rep in range(10_000)]
     vals = np.array([
-        estimate_paired_cv(F1.fn, 2, GridSpec(1, k, 0),
-                           Stream(113, rep), mode="block").value
-        for rep in range(10_000)
+        report.value
+        for report in estimate_paired_cv(F1.fn, 2, GridSpec(1, k, 0), streams, mode="block")
     ])
     empirical = float(np.var(vals, ddof=1)) * float(k) ** 5  # k^(s + 2r)
     rel = abs(empirical - sigma2) / sigma2

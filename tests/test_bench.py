@@ -156,6 +156,67 @@ def test_run_zero_mean_without_exact_value():
         run(_config(integrand=zero, variants=("haber2",)))
 
 
+def _scaled_gaussian(exact: bool) -> Integrand:
+    # 3 x the wrapped Gaussian: its exact value 3 tells the rel_modes apart,
+    # and the vanishing variant's in-domain counts vary between replicates
+    g = wrapped_gaussian(1)
+    return Integrand(name="3 gauss(1)", s=1, fn=lambda p: 3.0 * g.fn(p),
+                     exact=3.0 if exact else None, vanishing=True)
+
+
+@pytest.mark.parametrize("replicates", [2, 7, 8, 9, 129])
+@pytest.mark.parametrize("exact, rel_mode", [(True, "squared"), (True, "literal"),
+                                             (False, "squared")])
+def test_run_statistics_equal_per_cell_reference(replicates, exact, rel_mode):
+    # the (cells, replicates) reductions against one cell at a time, summed
+    # as numpy sums a 1-D array; 7, 8, 9 and 129 replicates cross the
+    # 8-element and 128-element blocks of its pairwise summation
+    from stratmc.bench import _REGISTRY
+    from stratmc.lattice import Stream, substream_id
+
+    f = _scaled_gaussian(exact)
+    config = _config(integrand=f, variants=("haber1", "vanishing"), r_values=(3,),
+                     k_values=(4, 8), replicates=replicates, rel_mode=rel_mode)
+    want = []
+    for variant in config.variants:
+        order, runner = _REGISTRY[variant]
+        r = order or 3
+        for k in config.k_values:
+            streams = [Stream(config.seed, substream_id(variant, r, k, rep))
+                       for rep in range(replicates)]
+            reports = runner(f, r, k, streams)
+            values = np.array([report.value for report in reports])
+            n_evals = np.array([report.n_in_domain for report in reports], dtype=float)
+            if exact:
+                stat = float(np.mean((values - f.exact) ** 2))
+                denom = f.exact ** 2 if rel_mode == "squared" else abs(f.exact)
+            else:
+                stat = float(np.var(values, ddof=1))
+                denom = float(np.mean(values)) ** 2
+            want.append((variant, r, k, float(np.mean(n_evals)).hex(), (stat / denom).hex(),
+                         stat <= DISCARD_THRESHOLD, f"{variant}-r{r}"))
+    got = [(row.variant, row.r, row.k, row.n_evals.hex(), row.rel_error.hex(), row.discarded,
+            row.slope_group) for row in run(config)]
+    assert got == want
+    assert len({row[3] for row in got if row[0] == "vanishing"}) == 2
+
+
+def test_run_zero_mean_cell_raises_after_every_cell():
+    # f averages 0 on the 16-point batches of k = 4 only: both k = 4 cells are
+    # undefined, every cell still runs, and the error names the first in row order
+    calls = []
+
+    def fn(p):
+        calls.append(len(p))
+        return np.zeros(len(p)) if len(p) == 16 else np.ones(len(p))
+
+    f = Integrand(name="step", s=2, fn=fn)
+    with pytest.raises(StratError, match=r"^step: haber1 at r=1, k=4: the estimates average 0"):
+        run(_config(integrand=f, variants=("haber1", "haber2"), k_values=(2, 4), replicates=3))
+    # haber1 calls f once per replicate, haber2 twice
+    assert calls == [4] * 3 + [16] * 3 + [4] * 6 + [16] * 6
+
+
 def test_run_literal_mode_negative_exact():
     # literal mode divides by |I|: the statistic stays a positive error, and
     # the slope fit keeps every row
@@ -377,6 +438,27 @@ def test_cli_entrypoint_subprocess(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--fn", "fs", "--variant", "star"], "fs(1) has no derivative oracle for 'star'"),
+    (["run", "--k", "8,4"], "k values must be strictly increasing"),
+    (["run", "--fn", "logistic"], "the logistic integrand needs --dataset"),
+    (["orders", "--r", "0"], "order must be >= 1, got 0"),
+], ids=["star-without-oracle", "k-decreasing", "logistic-without-dataset", "order-0"])
+def test_cli_library_errors_are_usage_errors(argv, message, capsys):
+    # one line on stderr and argparse's usage status, not a traceback
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"stratmc: error: {message}\n"
+    assert captured.out == ""
+
+
+def test_cli_error_exit_status_subprocess():
+    proc = subprocess.run([sys.executable, "-m", "stratmc.cli", "run", "--fn", "fs",
+                           "--variant", "star"], capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr == "stratmc: error: fs(1) has no derivative oracle for 'star'\n"
 
 
 def test_logistic_relvar_ordering(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -248,8 +249,11 @@ def test_cv_block_mode_runs():
 
 
 def test_unknown_mode_rejected():
-    with pytest.raises(ValueError):
-        estimate_paired_cv(F1.fn, 3, GridSpec(1, 8, 0), Stream(0, 0), mode="diagonal")
+    # an unhashable mode cannot key the plan cache; it fails as any unknown mode
+    for estimator in (estimate_paired_cv, estimate_single_cv):
+        for mode in ("diagonal", ["free"]):
+            with pytest.raises(ValueError, match=re.escape(f"unknown stencil mode {mode!r}")):
+                estimator(F1.fn, 3, GridSpec(1, 8, 0), Stream(0, 0), mode=mode)
 
 
 # ---------------------------------------------------------------------------
@@ -303,9 +307,10 @@ def test_vanishing_unbiased_indicator():
         return np.where(inside, 2.0, 0.0)
 
     exact = 2.0 * 0.5  # s = 1
+    # one call for all replicates: each report is its single-stream report
     vals = np.array([
-        estimate_vanishing(f, 3, GridSpec(1, 4, 3), st).value
-        for st in _streams(12, 10_000)
+        report.value
+        for report in estimate_vanishing(f, 3, GridSpec(1, 4, 3), _streams(12, 10_000))
     ])
     se = vals.std(ddof=1) / math.sqrt(len(vals))
     assert abs(vals.mean() - exact) <= 4 * se
@@ -531,6 +536,72 @@ def test_guarded_nonfinite_names_the_stratum():
     for r in (1, 3):
         with pytest.raises(IntegrandError, match=message):
             estimate_vanishing(g, r, grid, stream)
+
+
+# the check folded into the batch sum: a plain float64 (n,) batch with a
+# finite sum is accepted from its sum; both branches of the shifted sums
+
+def _branch(guarded):
+    """The grid and estimator of one branch; the first dilation is +1 on both."""
+    if guarded:
+        grid = GridSpec(2, 4, 1)
+        return grid, lambda f, st: estimate_vanishing(f, 1, grid, st)
+    grid = GridSpec(2, 4, 0)
+    return grid, lambda f, st: haber1(f, grid, st)
+
+
+@pytest.mark.parametrize("guarded", [False, True], ids=["unguarded", "guarded"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_folded_check_nonfinite_names_the_stratum(guarded, bad):
+    grid, estimate = _branch(guarded)
+    stream = Stream(3, 7)
+    pts = centre_array(grid) + stream.offsets(grid)
+    inside = np.all((pts >= 0.0) & (pts <= 1.0), axis=1)
+    hot = inside & (pts[:, 0] > 0.5) & (pts[:, 1] > 0.5)
+    row = np.flatnonzero(hot)[0]
+    stratum = tuple(index_array(grid)[row].tolist())
+
+    def f(p):
+        return np.where((p[:, 0] > 0.5) & (p[:, 1] > 0.5), bad, 1.0)
+
+    message = (rf"^integrand returned {bad} at point {row} \[.*\] in stratum "
+               rf"\({stratum[0]}, {stratum[1]}\) \({hot.sum()} non-finite values in total\)$")
+    with pytest.raises(IntegrandError, match=message):
+        estimate(f, stream)
+
+
+@pytest.mark.parametrize("guarded", [False, True], ids=["unguarded", "guarded"])
+def test_folded_check_converts_bool_and_int(guarded):
+    _grid, estimate = _branch(guarded)
+    stream = Stream(3, 8)
+    step = lambda p: p[:, 0] > 0.5
+    want = estimate(lambda p: step(p).astype(np.float64), stream)
+    for f in (step, lambda p: step(p).astype(np.int64)):
+        got = estimate(f, stream)
+        assert got.value == want.value and got.shift_averages == want.shift_averages
+
+
+@pytest.mark.parametrize("guarded", [False, True], ids=["unguarded", "guarded"])
+def test_folded_check_masked_array_is_checked_by_its_data(guarded):
+    # a masked array's sum skips its masked entries, so its NaN data must
+    # still be found by the element check
+    _grid, estimate = _branch(guarded)
+
+    def f(p):
+        high = p[:, 0] > 0.5
+        return np.ma.masked_array(np.where(high, np.nan, 1.0), mask=high)
+
+    with pytest.raises(IntegrandError, match=r"^integrand returned nan at point \d+ "):
+        estimate(f, Stream(3, 9))
+
+
+@pytest.mark.parametrize("guarded", [False, True], ids=["unguarded", "guarded"])
+def test_folded_check_accepts_finite_values_whose_sum_overflows(guarded):
+    # the values are finite, so the batch is valid; only its sum overflows
+    _grid, estimate = _branch(guarded)
+    with np.errstate(over="ignore"):
+        report = estimate(lambda p: np.full(len(p), 1e308), Stream(3, 10))
+    assert report.value == math.inf
 
 
 # ---------------------------------------------------------------------------
