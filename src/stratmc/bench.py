@@ -333,6 +333,9 @@ def read_rows(path) -> list[ResultRow]:
     rows = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
+        missing = [name for name in CSV_COLUMNS if name not in (reader.fieldnames or ())]
+        if missing:
+            raise StratError(f"{path}: missing column {missing[0]!r}")
         for rec in reader:
             rows.append(ResultRow(
                 variant=rec["variant"],

@@ -10,10 +10,11 @@ Every flag can also be given in a config file (``--config PATH``) with one
 ``key = value`` pair per line, ``#`` comments, and comma-separated lists;
 flags on the command line override file values.
 
-A library error (``StratError`` or ``ValueError``) raised while ``run`` or
-``orders`` builds its integrand and configuration, or while it runs, ends the
-command with one ``stratmc: error: <message>`` line on stderr and exit
-status 2, as argparse does for a bad flag.
+A library error (``StratError`` or ``ValueError``) or a file error
+(``OSError``) raised while any subcommand reads its files, builds its
+integrand and configuration, or runs, ends the command with one
+``stratmc: error: <message>`` line on stderr and exit status 2, as argparse
+does for a bad flag.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ def _parse_config_file(path: str) -> dict[str, str]:
             if not line:
                 continue
             if "=" not in line:
-                raise SystemExit(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+                raise StratError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
             key, value = line.split("=", 1)
             values[key.strip().replace("-", "_")] = value.strip()
     return values
@@ -59,10 +60,8 @@ def _merged(args: argparse.Namespace, key: str, default=None, cast=None):
     return cast(raw) if cast is not None else raw
 
 
-def _int_list(text) -> tuple[int, ...]:
-    if isinstance(text, (tuple, list)):
-        return tuple(int(v) for v in text)
-    return tuple(int(v) for v in str(text).split(",") if v.strip())
+def _int_list(text: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in text.split(",") if v.strip())
 
 
 def _str_list(text) -> tuple[str, ...]:
@@ -106,28 +105,26 @@ def main(argv=None) -> int:
     p_ord.add_argument("--reps", type=int, help="replicates (default 10)")
 
     args = parser.parse_args(argv)
-    args.config_values = _parse_config_file(args.config) if getattr(args, "config", None) else {}
+    try:
+        return _execute(args)
+    except (StratError, ValueError, OSError) as exc:
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
 
+
+def _execute(args: argparse.Namespace) -> int:
+    """Fit the slopes of ``slope``; or build the integrand and the
+    configuration of ``run`` or ``orders``, and run it."""
     if args.command == "slope":
         rows = read_rows(args.input)
-        groups = sorted({row.slope_group for row in rows})
-        for group in groups:
+        for group in sorted({row.slope_group for row in rows}):
             members = [row for row in rows if row.slope_group == group]
             try:
                 print(f"{group}: slope = {fit_slope(members):+.3f}")
             except Exception as exc:
                 print(f"{group}: {exc}")
         return 0
-
-    try:
-        return _execute(args)
-    except (StratError, ValueError) as exc:
-        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
-        return 2
-
-
-def _execute(args: argparse.Namespace) -> int:
-    """Build the integrand and the configuration of ``run`` or ``orders``, and run it."""
+    args.config_values = _parse_config_file(args.config) if args.config else {}
     fn_id = _merged(args, "fn", "fs", str)
     dim = _merged(args, "dim", 1, int)
     seed = _merged(args, "seed", 0, int)

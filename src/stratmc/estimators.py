@@ -35,12 +35,10 @@ a list of reports in input order, each bit for bit the single-stream report.
 The centre values and derivatives are then computed once per call; each stream
 still draws its own offsets and calls f as a single-stream call would.
 
-The control variate's stream-independent parts are planned once: the
-stencil passes by ``derivative_grid``, and each multi-index's active axes,
-mean E[U^alpha] and alpha! by ``_taylor_terms``, per (multi-indices, k).  Per
-stream, ``_control_variate`` forms every Taylor term in place in two reused
-buffers, with the products and roundings of a term-by-term evaluation, so the
-values are unchanged.
+Every user-supplied function (the integrand, a derivative oracle, and in
+:mod:`stratmc.transform` a wrapped ``g`` and a log-density ``h``) is called
+through ``_evaluate``, which holds it to one contract: ``(n, s)`` points in,
+``n`` finite real values out, else ``IntegrandError``.
 
 Estimators that admit exact identities (vanishing at orders 1/2 vs. the two
 Haber rules, the single-point rule at r=1 vs. haber1, paired rules at 2q vs.
@@ -54,7 +52,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -209,23 +207,27 @@ class EstimateReport:
 # ---------------------------------------------------------------------------
 # the estimator core
 
-def _evaluate(f, pts: np.ndarray, grid: GridSpec | None = None, mask=None) -> np.ndarray:
-    """f at ``pts``, checked against the integrand contract; see ``_checked``."""
-    return _checked(f(pts), pts, "integrand", grid, mask)
+def _evaluate(fn, pts: np.ndarray, source: str = "integrand", grid: GridSpec | None = None,
+              mask=None) -> tuple[np.ndarray, float]:
+    """``fn(pts)`` as finite float (n,) values for the n rows of ``pts``, and their float sum.
 
-
-def _checked(raw, pts: np.ndarray, source: str, grid: GridSpec | None = None,
-             mask=None) -> np.ndarray:
-    """``raw`` as finite float (n,) values for the n rows of ``pts``, else IntegrandError.
-
-    Boolean, integer and float values are converted to float64; any other
-    dtype (complex, string, object, ...) is an error naming ``source`` and
-    the dtype.  A non-finite value is an error naming ``source`` and the
-    first offending point.  With ``grid`` it also names that point's
-    stratum: row i of ``pts`` lies in stratum i, or in stratum
-    ``flatnonzero(mask)[i]`` when ``pts`` is the subset that ``mask``
-    selects from the grid's rows.
+    This is the one call of every user-supplied function (the integrand, a
+    derivative oracle, a wrapped ``g``, a log-density ``h``) and the one
+    statement of its contract.  A plain float64 ``(n,)`` ndarray with a
+    finite sum holds no NaN or inf, so it is accepted from its sum.  Any
+    other batch is converted: boolean, integer and float values become
+    float64; any other dtype (complex, string, object, ...) is an error
+    naming ``source`` and the dtype, as is any shape but ``(n,)``.  A
+    non-finite value is an error naming ``source``, the first offending
+    point and the count.  With ``grid`` it also names that point's stratum.
+    Row i of ``pts`` is point i, or point ``flatnonzero(mask)[i]`` when
+    ``pts`` is the subset that ``mask`` selects from the caller's rows.
     """
+    raw = fn(pts)
+    if type(raw) is np.ndarray and raw.dtype == _FLOAT64 and raw.shape == (len(pts),):
+        total = float(np.sum(raw))
+        if math.isfinite(total):
+            return raw, total
     vals = np.asarray(raw)
     if vals.dtype != _FLOAT64:
         if vals.dtype.kind not in "biuf":
@@ -238,7 +240,7 @@ def _checked(raw, pts: np.ndarray, source: str, grid: GridSpec | None = None,
             f"{source} returned shape {vals.shape} for {len(pts)} points; expected ({len(pts)},)"
         )
     if np.isfinite(vals).all():
-        return vals
+        return vals, float(np.sum(vals))
     bad = np.flatnonzero(~np.isfinite(vals))
     i = bad[0]
     row = i if mask is None else int(np.flatnonzero(mask)[i])
@@ -248,23 +250,6 @@ def _checked(raw, pts: np.ndarray, source: str, grid: GridSpec | None = None,
         f"{source} returned {vals[i]} at point {row} {pts[i].tolist()}{where} "
         f"({len(bad)} non-finite values in total)"
     )
-
-
-def _evaluate_sum(f, pts: np.ndarray, grid: GridSpec, mask=None) -> tuple[np.ndarray, float]:
-    """``_evaluate(f, pts, grid, mask)`` and the float sum of its values.
-
-    The sum is the contract check of a plain float64 ``(n,)`` ndarray: a
-    finite sum holds no NaN or inf.  Every other batch, and one whose sum is
-    not finite (a NaN, an inf, or finite values that overflow), goes through
-    ``_checked``, so the values, the sum and every error are ``_evaluate``'s.
-    """
-    raw = f(pts)
-    if type(raw) is np.ndarray and raw.dtype == _FLOAT64 and raw.shape == (len(pts),):
-        total = float(np.sum(raw))
-        if math.isfinite(total):
-            return raw, total
-    vals = _checked(raw, pts, "integrand", grid, mask)
-    return vals, float(np.sum(vals))
 
 
 def _shift_parts(f, grid: GridSpec, shifts, u: np.ndarray, guard: bool):
@@ -295,11 +280,11 @@ def _shift_parts(f, grid: GridSpec, shifts, u: np.ndarray, guard: bool):
             vals = np.zeros(len(pts))
             total = 0.0
             if mask.any():
-                inside, total = _evaluate_sum(f, pts[mask], grid, mask)
+                inside, total = _evaluate(f, pts[mask], grid=grid, mask=mask)
                 vals[mask] = inside
             counts.append(int(mask.sum()))
         else:
-            vals, total = _evaluate_sum(f, pts, grid)
+            vals, total = _evaluate(f, pts, grid=grid)
             counts.append(len(pts))
         means.append(total / scale)
         rows.append(vals)
@@ -488,9 +473,9 @@ def _derivatives(plan: _Plan, f, grid: GridSpec) -> list[np.ndarray]:
     """D^alpha f at the centres for every alpha of the plan: oracle or stencils."""
     ctr = centre_array(grid)
     if plan.oracle is not None:
-        return [_checked(plan.oracle(a, ctr), ctr, f"derivative oracle at alpha={a}", grid)
+        return [_evaluate(partial(plan.oracle, a), ctr, f"derivative oracle at alpha={a}", grid)[0]
                 for a in plan.alphas]
-    fvals = _evaluate(f, ctr, grid)
+    fvals = _evaluate(f, ctr, grid=grid)[0]
     blocks = block_partition(grid, plan.r) if plan.mode == "block" else None
     return derivative_grid(fvals, plan.alphas, grid, plan.r_build, blocks)
 
@@ -517,9 +502,9 @@ def crude_mc(f, s: int, n: int, stream: Stream | Sequence[Stream], keep_terms: b
         raise ValueError(f"need n >= 1, got {n}")
 
     def one(st: Stream) -> EstimateReport:
-        vals = _evaluate(f, st.bulk_uniform(_CRUDE_TAG, (n, s)))
+        vals, total = _evaluate(f, st.bulk_uniform(_CRUDE_TAG, (n, s)))
         return EstimateReport(
-            value=float(np.sum(vals)) / n,
+            value=total / n,
             config=EstimatorConfig("crude", 1, GridSpec(s, 1, 0)),
             n_deterministic=0,
             n_random=n,
@@ -688,7 +673,7 @@ def asymptotic_variance_estimate(derivative_oracle, s: int, r: int, budget: int,
     axis = (np.arange(quad_per_axis) + 0.5) / quad_per_axis
     mesh = np.meshgrid(*([axis] * s), indexing="ij")
     qpts = np.stack([m.ravel() for m in mesh], axis=1)
-    dvals = [_checked(derivative_oracle(a, qpts), qpts, f"derivative oracle at alpha={a}")
+    dvals = [_evaluate(partial(derivative_oracle, a), qpts, f"derivative oracle at alpha={a}")[0]
              for a in alphas]
     weight = 1.0 / len(qpts)
 

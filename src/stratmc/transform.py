@@ -10,12 +10,11 @@ Such integrands are exactly what the dilation-combination estimator in
 
 ``wrap`` returns a ``VanishingIntegrand``, whose values are bit for bit
 ``g(psi(u)) * jacobian_factor(u)`` on the open cube where g is nonzero and
-+0.0 elsewhere.  One call computes ``(u(1-u))^tau`` once for the map and the
-Jacobian, and copies points only when some lie outside the open cube or g
-returns zeros.  Points of another width than ``s``, or with a NaN
++0.0 elsewhere.  Points of another width than ``s``, or with a NaN
 coordinate, raise ``DomainError``, as do NaN entries given to ``psi`` and
-``jacobian_factor``; a g that does not return one real value per point
-raises ``IntegrandError``.
+``jacobian_factor``.  ``g`` and the log-density ``h`` are held to the
+integrand contract of :mod:`stratmc.estimators`.  Every entry point rejects
+a tail exponent ``tau`` that is not a finite number > 0 with ``ValueError``.
 
 ``laplace_reparametrize`` applies the recipe to log-densities: centre at the
 mode, scale by a Cholesky factor of the curvature there, then wrap with the
@@ -25,13 +24,14 @@ because they lead to very differently conditioned integrands.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, IntegrandError, OptimizationError, StratError
-from .estimators import _checked
+from .errors import DomainError, OptimizationError, StratError
+from .estimators import _evaluate
 
 __all__ = [
     "psi",
@@ -46,6 +46,12 @@ __all__ = [
 def _in_open_cube(u: np.ndarray) -> bool:
     # a NaN makes min() and max() NaN, and every comparison with it False
     return u.size == 0 or bool(u.min() > 0.0 and u.max() < 1.0)
+
+
+def _check_tau(tau) -> None:
+    # psi maps (0, 1) onto the real line only for tau > 0
+    if not (tau > 0.0 and math.isfinite(tau)):
+        raise ValueError(f"tau must be a finite number > 0, got {tau}")
 
 
 def _interior(u: np.ndarray) -> None:
@@ -73,6 +79,7 @@ def _axis_product(per_axis: np.ndarray) -> np.ndarray:
 
 def psi(u, tau: float):
     """Componentwise (2u - 1) / (u^tau (1-u)^tau); open cube to R^s."""
+    _check_tau(tau)
     u = np.asarray(u, dtype=float)
     _interior(u)
     return (2.0 * u - 1.0) / _scale(u, tau)
@@ -88,6 +95,7 @@ def jacobian_factor(u, tau: float):
     short axis); one point of shape (s,) gives a numpy scalar and a 0-d
     input a float.
     """
+    _check_tau(tau)
     u = np.asarray(u, dtype=float)
     _interior(u)
     per_axis = _slope(u, _scale(u, tau), tau)
@@ -104,17 +112,20 @@ class VanishingIntegrand:
     out, bit for bit ``g(psi(u)) * jacobian_factor(u)`` on points of the open
     cube where g is nonzero and +0.0 on every other point.  When g is zero
     the Jacobian factor is not evaluated, so no 0 * inf appears near the
-    faces.  Points of another width than ``s``, and a point with a NaN
-    coordinate, raise ``DomainError``.  A g that returns anything but
-    boolean, integer or float values raises ``IntegrandError`` naming the
-    dtype, one that does not return one value per point raises it naming
-    the shape, and a non-finite value of g raises it naming the first such
-    cube point and its image under ``psi``.
+    faces.  One call computes ``(u(1-u))^tau`` once for the map and the
+    Jacobian, and copies points only when some lie outside the open cube or
+    g returns zeros.  Points of another width than ``s``, and a point with a
+    NaN coordinate, raise ``DomainError``.  ``g`` is held to the integrand
+    contract as the "wrapped integrand", at the caller's row and the ``psi``
+    image it was given.  ``tau`` is checked once, here.
     """
 
     g: Callable[[np.ndarray], np.ndarray]
     s: int
     tau: float
+
+    def __post_init__(self):
+        _check_tau(self.tau)
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -135,20 +146,7 @@ class VanishingIntegrand:
         tau = self.tau
         scale = _scale(inner, tau)
         image = (2.0 * inner - 1.0) / scale
-        gvals = np.asarray(self.g(image))
-        if gvals.dtype.kind not in "biuf":
-            raise IntegrandError(f"wrapped integrand returned values of dtype {gvals.dtype}; "
-                                 f"expected real numbers")
-        gvals = gvals.astype(float, copy=False)
-        if gvals.shape != (len(inner),):
-            raise IntegrandError(f"wrapped integrand returned shape {gvals.shape} "
-                                 f"for {len(inner)} points; expected ({len(inner)},)")
-        if not np.all(np.isfinite(gvals)):
-            i = np.flatnonzero(~np.isfinite(gvals))[0]
-            raise IntegrandError(
-                f"wrapped integrand returned {gvals[i]} at cube point {inner[i].tolist()} "
-                f"(psi image {image[i].tolist()})"
-            )
+        gvals = _evaluate(self.g, image, "wrapped integrand", mask=interior)[0]
         del image  # the Jacobian's temporaries can take its memory
         nz = gvals != 0.0
         if nz.all():
@@ -187,7 +185,7 @@ def _num_gradient(h, x: np.ndarray) -> np.ndarray:
     for i in range(s):
         pts[2 * i, i] += step
         pts[2 * i + 1, i] -= step
-    vals = _checked(h(pts), pts, "log-density")
+    vals = _evaluate(h, pts, "log-density")[0]
     return (vals[0::2] - vals[1::2]) / (2.0 * step)
 
 
@@ -195,14 +193,14 @@ def _num_hessian(h, x: np.ndarray) -> tuple[np.ndarray, float]:
     """The central-difference Hessian of h at x, and h(x), which it reads."""
     s, step = len(x), _FD_STEP
     hess = np.empty((s, s))
-    h0 = float(_checked(h(x[None, :]), x[None, :], "log-density")[0])
+    h0 = float(_evaluate(h, x[None, :], "log-density")[0][0])
     for i in range(s):
         for j in range(i, s):
             if i == j:
                 pts = np.repeat(x[None, :], 2, axis=0)
                 pts[0, i] += step
                 pts[1, i] -= step
-                vp, vm = _checked(h(pts), pts, "log-density")
+                vp, vm = _evaluate(h, pts, "log-density")[0]
                 hess[i, i] = (vp - 2.0 * h0 + vm) / step ** 2
             else:
                 pts = np.repeat(x[None, :], 4, axis=0)
@@ -212,7 +210,7 @@ def _num_hessian(h, x: np.ndarray) -> tuple[np.ndarray, float]:
                 pts[2, i] -= step
                 pts[2, j] += step
                 pts[3, [i, j]] -= step
-                vpp, vpm, vmp, vmm = _checked(h(pts), pts, "log-density")
+                vpp, vpm, vmp, vmm = _evaluate(h, pts, "log-density")[0]
                 hess[i, j] = hess[j, i] = (vpp - vpm - vmp + vmm) / (4.0 * step ** 2)
     return hess, h0
 
@@ -238,7 +236,10 @@ def laplace_reparametrize(h, mode_guess, *, scale: str, tau: float = 1.5,
     the gradient max-norm drops below ``grad_tol``, or when no step improves
     h while the predicted Newton gain ``grad . step / 2`` is at the rounding
     level of ``|h|`` (the difference gradient then only measures noise).
-    A non-finite or misshapen h value there raises ``IntegrandError``.
+    The batches of the difference gradient and Hessian, h(x) among them,
+    are held to the integrand contract as the "log-density"; a line-search
+    candidate is compared as returned, since a non-finite value there only
+    means no ascent.  ``tau`` is checked before h is first called.
 
     ``scale`` selects the linear change of variables, with H the curvature
     (Hessian of -h) at the mode:
@@ -254,6 +255,7 @@ def laplace_reparametrize(h, mode_guess, *, scale: str, tau: float = 1.5,
     """
     if scale not in ("inv-hessian", "hessian"):
         raise ValueError(f"scale must be 'inv-hessian' or 'hessian', got {scale!r}")
+    _check_tau(tau)
     x = np.asarray(mode_guess, dtype=float).copy()
     s = len(x)
     trace = [x.copy()]

@@ -7,6 +7,7 @@ import pytest
 
 from stratmc.errors import StratError
 from stratmc.bench import (
+    CSV_COLUMNS,
     DISCARD_THRESHOLD,
     ExperimentConfig,
     Integrand,
@@ -440,17 +441,35 @@ def test_cli_entrypoint_subprocess(tmp_path):
     assert out.exists()
 
 
+_NO_FILE = "[Errno 2] No such file or directory: '{tmp}/"
+
+
 @pytest.mark.parametrize("argv, message", [
     (["run", "--fn", "fs", "--variant", "star"], "fs(1) has no derivative oracle for 'star'"),
     (["run", "--k", "8,4"], "k values must be strictly increasing"),
     (["run", "--fn", "logistic"], "the logistic integrand needs --dataset"),
     (["orders", "--r", "0"], "order must be >= 1, got 0"),
-], ids=["star-without-oracle", "k-decreasing", "logistic-without-dataset", "order-0"])
-def test_cli_library_errors_are_usage_errors(argv, message, capsys):
-    # one line on stderr and argparse's usage status, not a traceback
-    assert cli.main(argv) == 2
+    (["slope", "--input", "{tmp}/missing.csv"], _NO_FILE + "missing.csv'"),
+    (["run", "--config", "{tmp}/missing.cfg"], _NO_FILE + "missing.cfg'"),
+    (["slope", "--input", "{tmp}/no-k.csv"], "{tmp}/no-k.csv: missing column 'k'"),
+    (["slope", "--input", "{tmp}/abc.csv"], "could not convert string to float: 'abc'"),
+    (["run", "--fn", "logistic", "--dataset", "{tmp}/missing.csv"], _NO_FILE + "missing.csv'"),
+    (["run", "--k", "4,8", "--reps", "2", "--out", "{tmp}/missing/x.csv"],
+     _NO_FILE + "missing/x.csv'"),
+    (["run", "--config", "{tmp}/bad.cfg"], "{tmp}/bad.cfg:2: expected 'key = value', got 'k 4\\n'"),
+    (["run", "--fn", "gauss", "--tau", "0"], "tau must be a finite number > 0, got 0.0"),
+], ids=["star-without-oracle", "k-decreasing", "logistic-without-dataset", "order-0",
+        "slope-missing-input", "missing-config", "slope-missing-column", "slope-bad-cell",
+        "logistic-missing-dataset", "out-in-missing-dir", "config-line-without-equals", "tau-0"])
+def test_cli_library_errors_are_usage_errors(argv, message, tmp_path, capsys):
+    # one line on stderr and argparse's usage status, not a traceback; a
+    # file that cannot be read or written is a usage error too
+    (tmp_path / "no-k.csv").write_text("variant,r,n_evals,rel_error,discarded,slope_group\n")
+    (tmp_path / "abc.csv").write_text(",".join(CSV_COLUMNS) + "\nhat,2,4,abc,0.1,0,hat-r2\n")
+    (tmp_path / "bad.cfg").write_text("fn = gauss\nk 4\n")
+    assert cli.main([arg.format(tmp=tmp_path) for arg in argv]) == 2
     captured = capsys.readouterr()
-    assert captured.err == f"stratmc: error: {message}\n"
+    assert captured.err == f"stratmc: error: {message.format(tmp=tmp_path)}\n"
     assert captured.out == ""
 
 

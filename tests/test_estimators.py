@@ -24,6 +24,7 @@ from stratmc.estimators import (
     vanishing_margin,
 )
 from stratmc.bench import test_function as product_family
+from stratmc.transform import laplace_reparametrize, wrap
 
 from polyutils import random_poly
 
@@ -602,6 +603,78 @@ def test_folded_check_accepts_finite_values_whose_sum_overflows(guarded):
     with np.errstate(over="ignore"):
         report = estimate(lambda p: np.full(len(p), 1e308), Stream(3, 10))
     assert report.value == math.inf
+
+
+# one contract for every source: the integrand on each path to f, the
+# derivative oracles, the wrapped g and the log-density h
+
+def _after(calls, out):
+    """f that answers exp(x_0) to its first ``calls`` calls and ``out(n)`` after."""
+    seen = []
+
+    def f(p):
+        seen.append(None)
+        return np.exp(p[:, 0]) if len(seen) <= calls else out(len(p))
+    return f
+
+
+_WRAP_POINTS = np.array([[0.3, 0.4], [0.0, 0.5], [0.6, 0.7]])  # row 1 never reaches g
+_SOURCES = {
+    "haber1": ("integrand", lambda out: haber1(_after(0, out), GridSpec(2, 4), Stream(1)).value),
+    "vanishing-guarded": ("integrand", lambda out: estimate_vanishing(
+        _after(0, out), 2, GridSpec(2, 4, 1), Stream(1)).value),
+    "crude_mc": ("integrand", lambda out: crude_mc(_after(0, out), 2, 16, Stream(1)).value),
+    # the pair's two dilations first, then the centre pass
+    "paired-centres": ("integrand", lambda out: estimate_paired_cv(
+        _after(2, out), 4, GridSpec(1, 8, 0), Stream(1)).value),
+    "analytic-oracle": ("derivative oracle at alpha=(2,)", lambda out: estimate_analytic_cv(
+        lambda p: np.exp(p[:, 0]), lambda a, p: out(len(p)), 4, GridSpec(1, 8, 0),
+        Stream(1)).value),
+    "variance-oracle": ("derivative oracle at alpha=(2,)", lambda out: asymptotic_variance_estimate(
+        lambda a, p: out(len(p)), 1, 2, 4)),
+    "wrap-g": ("wrapped integrand", lambda out: wrap(lambda y: out(len(y)), 2, 1.5)(
+        _WRAP_POINTS).tolist()),
+    "laplace-h": ("log-density", lambda out: laplace_reparametrize(
+        lambda b: out(len(b)), np.zeros(2), scale="hessian").mode.tolist()),
+}
+_DTYPE = r"returned values of dtype {}; expected real numbers$"
+_NONFINITE = (r"returned {} at point \d+ \[.*\]( in stratum \(.*\))? "
+              r"\(\d+ non-finite values in total\)$")
+_BAD = {
+    "complex": (lambda n: np.ones(n) + 1j, _DTYPE.format("complex128")),
+    "string": (lambda n: np.array(["0.5"] * n), _DTYPE.format("<U3")),
+    "object": (lambda n: np.array([0.5] * n, dtype=object), _DTYPE.format("object")),
+    "column": (lambda n: np.ones((n, 1)),
+               r"returned shape \((\d+), 1\) for \1 points; expected \(\1,\)$"),
+    "scalar": (lambda n: 1.0, r"returned shape \(\) for (\d+) points; expected \(\1,\)$"),
+    "nan": (lambda n: np.where(np.arange(n) % 2, np.nan, 1.0), _NONFINITE.format("nan")),
+    "inf": (lambda n: np.where(np.arange(n) % 2, np.inf, 1.0), _NONFINITE.format("inf")),
+}
+
+
+@pytest.mark.parametrize("bad", list(_BAD))
+@pytest.mark.parametrize("source", list(_SOURCES))
+def test_every_source_is_held_to_the_contract(source, bad):
+    name, run = _SOURCES[source]
+    out, tail = _BAD[bad]
+    with pytest.raises(IntegrandError, match="^" + re.escape(name) + " " + tail):
+        run(out)
+
+
+def _outcome(run, out):
+    try:
+        return run(out)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("source", list(_SOURCES))
+def test_every_source_takes_bool_and_int_as_float64(source):
+    _name, run = _SOURCES[source]
+    step = lambda n: np.arange(n) % 3 == 0
+    want = _outcome(run, lambda n: step(n).astype(np.float64))
+    assert _outcome(run, step) == want
+    assert _outcome(run, lambda n: step(n).astype(np.int64)) == want
 
 
 # ---------------------------------------------------------------------------

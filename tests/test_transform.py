@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -254,14 +255,50 @@ def test_wrap_rejects_nan_points():
 
 
 def test_wrap_nonfinite_raises():
-    # the error names the first non-finite cube point and its psi image; it
-    # stays a StratError for existing handlers
+    # the error names the caller's row of the first non-finite value, the
+    # psi image g was given there and the count; it stays a StratError for
+    # existing handlers
     bad = wrap(lambda x: np.where(x[:, 0] > 0.5, np.inf, 1.0), 1, 1.5)
-    with pytest.raises(IntegrandError,
-                       match=r"returned inf at cube point \[0\.75\] \(psi image \[\d\.\d+"):
+    image = re.escape(str(psi(np.array([0.75]), 1.5).tolist()))
+    with pytest.raises(IntegrandError, match=rf"^wrapped integrand returned inf at point 1 "
+                                             rf"{image} \(2 non-finite values in total\)$"):
         bad(np.array([[0.25], [0.75], [0.9]]))
     assert issubclass(IntegrandError, StratError)
 
+
+def test_wrap_nonfinite_names_the_callers_row():
+    # points on the boundary never reach g, so the row g saw is mapped back
+    # to the caller's row
+    bad = wrap(lambda x: np.where(x[:, 0] > 0.5, np.nan, 1.0), 1, 1.5)
+    image = re.escape(str(psi(np.array([0.75]), 1.5).tolist()))
+    with pytest.raises(IntegrandError, match=rf"^wrapped integrand returned nan at point 3 "
+                                             rf"{image} \(1 non-finite values in total\)$"):
+        bad(np.array([[0.0], [0.25], [1.0], [0.75]]))
+
+
+
+@pytest.mark.parametrize("tau", [0.0, -0.5, math.nan, math.inf],
+                         ids=["zero", "negative", "nan", "inf"])
+@pytest.mark.parametrize("entry", ["psi", "jacobian_factor", "wrap", "laplace_reparametrize"])
+def test_tau_must_be_a_finite_positive_number(entry, tau):
+    # psi maps (0, 1) onto R only for tau > 0: at tau = 0 a wrapped density
+    # integrated to its mass on (-1, 1), and below 0 to a negative number
+    seen = []
+
+    def h(b):
+        seen.append(b)
+        return -0.5 * np.sum(b * b, axis=1)
+
+    run = {
+        "psi": lambda: psi(np.full(2, 0.3), tau),
+        "jacobian_factor": lambda: jacobian_factor(np.full(2, 0.3), tau),
+        "wrap": lambda: wrap(lambda y: np.ones(len(y)), 1, tau),
+        "laplace_reparametrize": lambda: laplace_reparametrize(h, np.zeros(1), scale="hessian",
+                                                               tau=tau),
+    }[entry]
+    with pytest.raises(ValueError, match=rf"^tau must be a finite number > 0, got {tau}$"):
+        run()
+    assert not seen  # laplace_reparametrize checks before it calls h
 
 def test_roundtrip_by_bisection():
     # solve psi(u) = x on (0,1), then map back: recovers x to 1e-10
