@@ -18,7 +18,9 @@ once; each report equals its single-stream run, so the rows do too.
 from __future__ import annotations
 
 import csv
+import errno
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -255,6 +257,13 @@ class ExperimentConfig:
             raise ValueError(f"rel_mode must be 'squared' or 'literal', got {self.rel_mode!r}")
         if self.integrand.exact == 0:
             raise StratError(f"{self.integrand.name}: relative errors need a nonzero exact value")
+        if self.out is not None:
+            # ``run`` writes the file after the last cell: a folder that is not
+            # there fails now, with the error that opening the file would raise
+            folder = os.path.dirname(self.out) or os.curdir
+            if not os.path.isdir(folder):
+                code = errno.ENOTDIR if os.path.exists(folder) else errno.ENOENT
+                raise OSError(code, os.strerror(code), os.fspath(self.out))
 
 
 @dataclass

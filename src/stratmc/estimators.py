@@ -208,7 +208,7 @@ class EstimateReport:
 # the estimator core
 
 def _evaluate(fn, pts: np.ndarray, source: str = "integrand", grid: GridSpec | None = None,
-              mask=None) -> tuple[np.ndarray, float]:
+              rows: np.ndarray | None = None) -> tuple[np.ndarray, float]:
     """``fn(pts)`` as finite float (n,) values for the n rows of ``pts``, and their float sum.
 
     This is the one call of every user-supplied function (the integrand, a
@@ -220,8 +220,8 @@ def _evaluate(fn, pts: np.ndarray, source: str = "integrand", grid: GridSpec | N
     naming ``source`` and the dtype, as is any shape but ``(n,)``.  A
     non-finite value is an error naming ``source``, the first offending
     point and the count.  With ``grid`` it also names that point's stratum.
-    Row i of ``pts`` is point i, or point ``flatnonzero(mask)[i]`` when
-    ``pts`` is the subset that ``mask`` selects from the caller's rows.
+    Row i of ``pts`` is the caller's point i, or point ``rows[i]`` when
+    ``pts`` is a subset of the caller's points.
     """
     raw = fn(pts)
     if type(raw) is np.ndarray and raw.dtype == _FLOAT64 and raw.shape == (len(pts),):
@@ -243,7 +243,7 @@ def _evaluate(fn, pts: np.ndarray, source: str = "integrand", grid: GridSpec | N
         return vals, float(np.sum(vals))
     bad = np.flatnonzero(~np.isfinite(vals))
     i = bad[0]
-    row = i if mask is None else int(np.flatnonzero(mask)[i])
+    row = i if rows is None else int(rows[i])
     where = "" if grid is None else " in stratum {}".format(
         tuple(int(j) - grid.m for j in np.unravel_index(row, (grid.side,) * grid.s)))
     raise IntegrandError(
@@ -252,42 +252,110 @@ def _evaluate(fn, pts: np.ndarray, source: str = "integrand", grid: GridSpec | N
     )
 
 
-def _shift_parts(f, grid: GridSpec, shifts, u: np.ndarray, guard: bool):
+def _dilated(ctr: np.ndarray, u: np.ndarray, lam: int) -> np.ndarray:
+    # c + U and c - U are exactly c + 1*U and c + (-1)*U, one temporary less
+    return ctr + u if lam == 1 else ctr - u if lam == -1 else ctr + lam * u
+
+
+def _in_cube(col: np.ndarray) -> np.ndarray:
+    ok = col >= 0.0
+    ok &= col <= 1.0
+    return ok
+
+
+@lru_cache(maxsize=64)
+def _box_rows(grid: GridSpec, reach: int) -> np.ndarray:
+    """Grid rows of the cells within ``reach`` layers of the unit cube, in grid-row order."""
+    lo = grid.m - reach
+    axis = np.arange(lo, lo + grid.k + 2 * reach)
+    rows = np.zeros(1, dtype=np.intp)
+    for _ in range(grid.s):
+        rows = np.add.outer(rows * grid.side, axis).ravel()
+    rows.setflags(write=False)
+    return rows
+
+
+def _guarded_points(grid: GridSpec, lam: int, ctr: np.ndarray, u: np.ndarray):
+    """The points c + lam U_c in the closed unit cube, in grid-row order, and their rows.
+
+    Only the cells within the dilation's reach ``(|lam| - 1) // 2`` of the
+    cube are visited; at a reach equal to the margin they are the rows as
+    given.  The mask is built axis by axis.  Where most visited points land
+    in the cube, all of them are formed in one contiguous pass, and when
+    one min/max shows them all in the cube the batch is used as it is.
+    Where most miss it, axis 0 is tested on every visited cell and each
+    later axis only on the cells still in the running, gathered by flat
+    index.  Each coordinate is the same ``c + lam U`` that a full-grid pass
+    forms, so the points are those of masking the whole grid, bit for bit.
+    ``rows`` holds the caller's row of each point, or is None when point i
+    is row i.
+    """
+    s, reach = grid.s, (abs(lam) - 1) // 2
+    if reach == grid.m:
+        c, v, rows = ctr, u, None
+    else:
+        box = (slice(grid.m - reach, grid.m + grid.k + reach),) * s
+        shape = (grid.side,) * s + (s,)
+        c, v, rows = ctr.reshape(shape)[box], u.reshape(shape)[box], _box_rows(grid, reach)
+    # an axis keeps about k of its k + 2 reach cells; the survivors' index
+    # gathers cost about twice a contiguous pass per coordinate, so they pay
+    # when they form fewer than half the coordinates of every point
+    keeps = grid.k / (grid.k + 2 * reach)
+    if sum(keeps ** axis for axis in range(s)) < s / 2:
+        keep = np.flatnonzero(_in_cube(_dilated(c[..., 0], v[..., 0], lam).reshape(-1)))
+        if rows is not None:
+            keep = rows.take(keep)
+        flat_c, flat_u = ctr.ravel(), u.ravel()
+        for axis in range(1, s):
+            at = keep * s + axis
+            coord = _dilated(flat_c.take(at), flat_u.take(at), lam)
+            keep = keep.take(np.flatnonzero(_in_cube(coord)))
+        return _dilated(ctr.take(keep, axis=0), u.take(keep, axis=0), lam), keep
+    pts = _dilated(c, v, lam).reshape(-1, s)
+    if pts.min() >= 0.0 and pts.max() <= 1.0:
+        return pts, rows
+    ok = _in_cube(pts[:, 0])
+    for axis in range(1, s):
+        ok &= _in_cube(pts[:, axis])
+    keep = np.flatnonzero(ok)
+    return pts.take(keep, axis=0), keep if rows is None else rows.take(keep)
+
+
+def _shift_parts(f, grid: GridSpec, shifts, u: np.ndarray, guard: bool,
+                 keep_terms: bool = True):
     """Per-shift stratum means A_j = k^-s sum_c fbar(c + shift_j U_c).
 
     ``u`` holds the drawn offsets, row-aligned with the centres.  With
     ``guard`` the zero extension fbar is applied: points outside the closed
-    unit cube contribute 0 without calling f.  Returns the means, the
-    per-centre value rows (guarded entries zero), and the per-shift
-    in-domain counts.
+    unit cube contribute 0 without calling f, and f gets the in-cube points
+    of ``_guarded_points`` in grid-row order, so the sum (and the
+    floating-point sum) is identical across grids that differ only in
+    margin layers.  Returns the means, the per-centre value rows (guarded
+    entries zero; built under the guard only with ``keep_terms``, else
+    None), and the per-shift in-domain counts.
     """
     ctr = centre_array(grid)
     scale = float(grid.k) ** grid.s
     means = []
-    rows = []
+    rows = [] if keep_terms or not guard else None
     counts = []
     for lam in shifts:
-        # c + U and c - U are exactly c + 1*U and c + (-1)*U, one temporary less
-        pts = ctr + u if lam == 1 else ctr - u if lam == -1 else ctr + lam * u
         if guard:
-            # sum the in-domain values only: the compressed sequence (and
-            # with it the floating-point sum) is then identical across grids
-            # that differ only in margin layers
-            mask = np.ones(len(pts), dtype=bool)
-            for col in pts.T:
-                mask &= col >= 0.0
-                mask &= col <= 1.0
-            vals = np.zeros(len(pts))
+            pts, where = _guarded_points(grid, lam, ctr, u)
             total = 0.0
-            if mask.any():
-                inside, total = _evaluate(f, pts[mask], grid=grid, mask=mask)
-                vals[mask] = inside
-            counts.append(int(mask.sum()))
-        else:
-            vals, total = _evaluate(f, pts, grid=grid)
+            if rows is not None:
+                vals = np.zeros(len(u))
+                rows.append(vals)
+            if len(pts):
+                inside, total = _evaluate(f, pts, grid=grid, rows=where)
+                if rows is not None:
+                    vals[slice(None) if where is None else where] = inside
             counts.append(len(pts))
+        else:
+            vals, total = _evaluate(f, _dilated(ctr, u, lam), grid=grid)
+            rows.append(vals)
+            counts.append(len(u))
         means.append(total / scale)
-        rows.append(vals)
     return means, rows, counts
 
 
@@ -391,7 +459,7 @@ def _estimate(plans: _Plan | tuple[_Plan, ...], f, grid: GridSpec, stream, keep_
 
     def one(st: Stream):
         u = st.offsets(grid)
-        means, rows, counts = _shift_parts(f, grid, top.shifts, u, top.guard)
+        means, rows, counts = _shift_parts(f, grid, top.shifts, u, top.guard, keep_terms)
         reports = []
         for i, plan in enumerate(plans):
             n_shifts = len(plan.shifts)

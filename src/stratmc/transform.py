@@ -59,14 +59,25 @@ def _interior(u: np.ndarray) -> None:
         raise DomainError("the tail map is defined on the open unit cube only")
 
 
-def _scale(u: np.ndarray, tau: float):
-    """(u(1-u))^tau, the denominator of psi and of the Jacobian's first term."""
-    return (u * (1.0 - u)) ** tau
+def _parts(u: np.ndarray, tau: float):
+    """u(1-u), 2u-1 and (u(1-u))^tau: psi is the second over the third."""
+    base = 1.0 - u
+    base *= u
+    centred = 2.0 * u
+    centred -= 1.0
+    return base, centred, base ** tau
 
 
-def _slope(u: np.ndarray, scale, tau: float):
-    """psi'(u) per axis, given ``scale = _scale(u, tau)``."""
-    return 2.0 / scale + tau * (2.0 * u - 1.0) ** 2 / (u * (1.0 - u)) ** (tau + 1.0)
+def _slope(base, centred, scale, tau: float) -> np.ndarray:
+    """psi'(u) per axis, 2 / (u(1-u))^tau + tau (2u-1)^2 / (u(1-u))^(tau+1),
+    formed in place of the arrays of ``_parts(u, tau)`` and returned in ``scale``."""
+    base **= tau + 1.0
+    centred *= centred
+    centred *= tau
+    centred /= base
+    np.divide(2.0, scale, out=scale)
+    scale += centred
+    return scale
 
 
 def _axis_product(per_axis: np.ndarray) -> np.ndarray:
@@ -82,7 +93,8 @@ def psi(u, tau: float):
     _check_tau(tau)
     u = np.asarray(u, dtype=float)
     _interior(u)
-    return (2.0 * u - 1.0) / _scale(u, tau)
+    _base, centred, scale = _parts(u, tau)
+    return centred / scale
 
 
 def jacobian_factor(u, tau: float):
@@ -98,9 +110,9 @@ def jacobian_factor(u, tau: float):
     _check_tau(tau)
     u = np.asarray(u, dtype=float)
     _interior(u)
-    per_axis = _slope(u, _scale(u, tau), tau)
+    per_axis = _slope(*_parts(np.atleast_1d(u), tau), tau)
     if u.ndim == 0:
-        return float(per_axis)
+        return float(per_axis[0])
     return _axis_product(per_axis)[()]
 
 
@@ -110,14 +122,17 @@ class VanishingIntegrand:
 
     Calling convention matches the estimators: (n, s) points in, (n,) values
     out, bit for bit ``g(psi(u)) * jacobian_factor(u)`` on points of the open
-    cube where g is nonzero and +0.0 on every other point.  When g is zero
-    the Jacobian factor is not evaluated, so no 0 * inf appears near the
-    faces.  One call computes ``(u(1-u))^tau`` once for the map and the
-    Jacobian, and copies points only when some lie outside the open cube or
-    g returns zeros.  Points of another width than ``s``, and a point with a
-    NaN coordinate, raise ``DomainError``.  ``g`` is held to the integrand
-    contract as the "wrapped integrand", at the caller's row and the ``psi``
-    image it was given.  ``tau`` is checked once, here.
+    cube where g is nonzero and +0.0 on every other point.  One call forms
+    ``u(1-u)``, ``2u-1`` and ``(u(1-u))^tau`` once each for the map and the
+    Jacobian, and copies points only when some lie outside the open cube.
+    Unless g is zero on every point, the Jacobian factor is built in place
+    for every interior point and used only where g is nonzero: where g is 0
+    it may overflow near the faces, with its floating-point warnings
+    silenced, and the value is +0.0 all the same.  Points of another width
+    than ``s``, and a point with a NaN coordinate, raise ``DomainError``.
+    ``g`` is held to the integrand contract as the "wrapped integrand", at
+    the caller's row and the ``psi`` image it was given.  ``tau`` is checked
+    once, here.
     """
 
     g: Callable[[np.ndarray], np.ndarray]
@@ -143,19 +158,19 @@ class VanishingIntegrand:
             if not interior.any():
                 return np.zeros(len(pts))
             inner = pts[interior]
-        tau = self.tau
-        scale = _scale(inner, tau)
-        image = (2.0 * inner - 1.0) / scale
-        gvals = _evaluate(self.g, image, "wrapped integrand", mask=interior)[0]
-        del image  # the Jacobian's temporaries can take its memory
-        nz = gvals != 0.0
-        if nz.all():
-            vals = _axis_product(_slope(inner, scale, tau))
-            vals *= gvals
-        else:
+        base, centred, scale = _parts(inner, self.tau)
+        gvals = _evaluate(self.g, centred / scale, "wrapped integrand",
+                          rows=None if interior is None else np.flatnonzero(interior))[0]
+        zero = gvals == 0.0
+        if zero.all():
             vals = np.zeros(len(inner))
-            if nz.any():
-                vals[nz] = gvals[nz] * _axis_product(_slope(inner[nz], scale[nz], tau))
+        else:
+            # psi' for every row: a row where g is 0 may overflow to inf or
+            # NaN here, and gets +0.0 below
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                vals = _axis_product(_slope(base, centred, scale, self.tau))
+                vals *= gvals
+            vals[zero] = 0.0
         if interior is None:
             return vals
         out = np.zeros(len(pts))
@@ -303,7 +318,10 @@ def laplace_reparametrize(h, mode_guess, *, scale: str, tau: float = 1.5,
 
     def g(y: np.ndarray) -> np.ndarray:
         beta = mode[None, :] + y @ scale_matrix.T
-        return np.exp(np.asarray(h(beta), dtype=float) + log_det)
+        # promoted to float64, not cast: complex values stay complex, for the
+        # wrapped integrand's check to reject, and -inf is a zero density
+        logp = np.asarray(h(beta))
+        return np.exp(logp.astype(np.promote_types(logp.dtype, np.float64), copy=False) + log_det)
 
     return LaplaceFit(
         mode=mode,

@@ -143,6 +143,29 @@ def test_run_rejects_star_without_derivative_oracle():
     assert [row.variant for row in rows] == ["star"] * 3
 
 
+def test_run_rejects_an_output_folder_that_is_not_there(tmp_path, monkeypatch):
+    # the CSV is written after the last cell: a missing folder (or a file in
+    # its place) fails when the config is built, with the error opening the
+    # file would raise, so no cell runs; the CLI makes it a usage error
+    calls = []
+    f = Integrand(name="fs(1)", s=1, fn=lambda p: calls.append(len(p)) or p[:, 0])
+    (tmp_path / "file").write_text("")
+    for folder, error in (("missing", FileNotFoundError), ("file", NotADirectoryError)):
+        path = tmp_path / folder / "x.csv"
+        with pytest.raises(error) as exc:
+            _config(integrand=f, out=str(path))
+        with pytest.raises(error) as opened:
+            open(path, "w")
+        assert str(exc.value) == str(opened.value)
+    assert not calls
+    _config(integrand=f, out=str(tmp_path / "x.csv"))
+    monkeypatch.chdir(tmp_path)
+    _config(integrand=f, out="x.csv")
+    monkeypatch.setattr(cli, "run", lambda config: pytest.fail("a cell ran"))
+    out = tmp_path / "missing" / "x.csv"
+    assert cli.main(["run", "--k", "4,8", "--reps", "2", "--out", str(out)]) == 2
+
+
 def test_run_rejects_zero_exact():
     zero = Integrand(name="zero", s=1, fn=lambda p: p[:, 0] - 0.5, exact=0.0)
     with pytest.raises(StratError, match="nonzero exact"):

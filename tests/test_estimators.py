@@ -778,3 +778,109 @@ def test_guard_mask_is_closed_cube(s, monkeypatch):
     assert np.array_equal(rows[0] != 0.0, inside)
     assert np.array_equal(seen[0], u[inside])
     assert np.array_equal(np.signbit(seen[0]), np.signbit(u[inside]))
+
+
+# the guarded pass visits only each dilation's reach box; an oracle of the
+# full-grid column mask pins its batches and results bit for bit
+
+def _full_grid_pass(f, grid, shifts, stream):
+    """Per dilation: the batch of every in-cube point of the whole grid, the
+    grid rows it came from, its mean, its value row and its count."""
+    ctr, u = centre_array(grid), stream.offsets(grid)
+    out = []
+    for lam in shifts:
+        pts = ctr + u if lam == 1 else ctr - u if lam == -1 else ctr + lam * u
+        mask = np.ones(len(pts), dtype=bool)
+        for col in pts.T:
+            mask &= col >= 0.0
+            mask &= col <= 1.0
+        batch, vals, total = pts[mask], np.zeros(len(pts)), 0.0
+        if len(batch):
+            inside = np.asarray(f(batch), dtype=float)
+            total = float(np.sum(inside))
+            vals[mask] = inside
+        out.append((batch, np.flatnonzero(mask), total / float(grid.k) ** grid.s, vals,
+                    int(mask.sum())))
+    return out
+
+
+def _assert_oracle_report(rep, parts, weights):
+    """value, shift_averages, n_in_domain and per_stratum_terms at these weights."""
+    parts = parts[:len(weights)]
+    value, terms = 0.0, np.zeros_like(parts[0][3])
+    for w, (_batch, _rows, mean, vals, _count) in zip(weights, parts):
+        value += w * mean
+        terms += w * vals
+    assert rep.value == value
+    assert rep.shift_averages == tuple(p[2] for p in parts)
+    assert rep.n_in_domain == sum(p[4] for p in parts)
+    if rep.per_stratum_terms is not None:
+        assert rep.per_stratum_terms.tobytes() == terms.tobytes()
+
+
+def _signed(y):
+    # values of both signs, and -0.0 on part of the cube
+    return np.where(y[:, 0] < 0.25, -0.0, np.prod(np.sin(3.0 * y) + 0.5, axis=1))
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+def test_guarded_pass_matches_the_full_grid_mask(s):
+    k = {1: 3, 2: 3, 3: 2, 4: 2}[s]
+    for r in range(1, 7):
+        coeff = shift_coefficients(r)
+        for m in (vanishing_margin(r), vanishing_margin(r) + 2):
+            grid = GridSpec(s, k, m)
+            streams = [Stream(s, 10 * r + m + j) for j in range(3)]
+            oracle = [_full_grid_pass(_signed, grid, coeff.shifts, st) for st in streams]
+            seen = []
+
+            def f(y):
+                seen.append(y)
+                return _signed(y)
+
+            # f gets the full grid's batches: rows, order, values, signs of
+            # zero, C-contiguous
+            estimate_vanishing(f, r, grid, streams[0])
+            want = [p[0] for p in oracle[0] if len(p[0])]
+            assert len(seen) == len(want)
+            for got, batch in zip(seen, want):
+                assert got.flags.c_contiguous and got.tobytes() == batch.tobytes()
+            for keep, batched in ((False, streams[:1]), (True, streams[:1]), (False, streams),
+                                  (True, streams)):
+                reports = estimate_vanishing(_signed, r, grid, batched, keep_terms=keep)
+                for rep, parts in zip(reports, oracle):
+                    assert (rep.per_stratum_terms is not None) == keep
+                    _assert_oracle_report(rep, parts, coeff.weights)
+            for r_prime, reports in estimators.vanishing_orders(_signed, r, grid, streams).items():
+                for rep, parts in zip(reports, oracle):
+                    assert rep.per_stratum_terms is not None
+                    _assert_oracle_report(rep, parts, shift_coefficients(r_prime).weights)
+            for lam in (1, -1, 3, -3, 5, -5):
+                if (abs(lam) - 1) // 2 <= m:
+                    want = _full_grid_pass(_signed, grid, (lam,), streams[1])[0][2]
+                    assert shifted_stratum_mean(_signed, lam, grid, streams[1]) == want
+
+
+@pytest.mark.parametrize("s", [2, 3, 4])
+def test_guarded_nonfinite_names_the_full_grid_row_under_every_dilation(s):
+    # a NaN in the batch of dilation j names the caller's full-grid row and
+    # its stratum, whichever way the dilation's points were found
+    grid = GridSpec(s, 2, vanishing_margin(6) + 1)
+    stream = Stream(4, s)
+    oracle = _full_grid_pass(_signed, grid, shift_coefficients(6).shifts, stream)
+    for j, (batch, rows, _mean, _vals, _n) in enumerate(oracle):
+        i = len(batch) // 2
+        calls = []
+
+        def f(y):
+            calls.append(len(y))
+            out = _signed(y)
+            if len(calls) == j + 1:
+                out[i] = np.nan
+            return out
+
+        stratum = re.escape(str(tuple(int(v) for v in index_array(grid)[rows[i]])))
+        message = (rf"^integrand returned nan at point {rows[i]} \[.*\] in stratum {stratum} "
+                   r"\(1 non-finite")
+        with pytest.raises(IntegrandError, match=message):
+            estimate_vanishing(f, 6, grid, stream)

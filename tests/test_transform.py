@@ -168,6 +168,26 @@ def test_tail_map_mask_is_open_cube(s):
             assert np.array_equal(seen[0], image), name
 
 
+def test_tail_map_zero_g_where_the_jacobian_overflows():
+    # at u = 1e-200 the psi image is finite (-1e300 at tau = 1.5) but
+    # (u(1-u))^(tau+1) underflows, so psi' is inf there; g is 0 on that row
+    # and nonzero on the others.  The row gets +0.0, the others the
+    # composition bit for bit, and no RuntimeWarning escapes (pyproject
+    # turns one into an error, and no errstate is set here)
+    pts = np.array([[1e-200, 0.5], [0.3, 0.6], [0.5, 0.5], [0.7, 1e-3]])
+
+    def g(y):
+        # comparisons and cos only: g itself raises no warning on -1e300
+        return (np.abs(y[:, 0]) < 10.0) * (2.0 + np.cos(y[:, 1]))
+
+    u = pts[0, 0]
+    assert (u * (1.0 - u)) ** 2.5 == 0.0 and np.isfinite(psi(pts, 1.5)).all()
+    got = wrap(g, 2, 1.5)(pts)
+    want = _composition(g, pts, 1.5)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert got[0] == 0.0 and not np.signbit(got[0]) and (got[1:] > 0.0).all()
+
+
 # ---------------------------------------------------------------------------
 # wrapping
 
@@ -392,6 +412,37 @@ def test_laplace_rejects_a_nonfinite_log_density():
     half = lambda b: np.where(np.atleast_2d(b)[:, 1] < 0.0, -np.inf, h(b))
     with pytest.raises(IntegrandError, match=r"log-density returned -inf at point 3 \[0\.0, -1e-05\]"):
         laplace_reparametrize(half, np.zeros(2), scale="hessian")
+
+
+def _tails(h, value):
+    # h, with ``value`` added wherever a point has |beta_0| > 3; the mode
+    # search stays near 0 and never sees it
+    def out(beta):
+        beta = np.atleast_2d(beta)
+        tail = np.abs(beta[:, 0]) > 3.0
+        return np.where(tail, h(beta) + value, h(beta)) if tail.any() else h(beta)
+    return out
+
+
+def test_laplace_complex_log_density_reaches_the_check():
+    # a complex value in the tails is not cut to its real part: it reaches
+    # the wrapped integrand's check
+    h = _mvn_logpdf(np.zeros(2), np.eye(2))
+    fit = laplace_reparametrize(_tails(h, 0.5j), np.zeros(2), scale="inv-hessian")
+    pts = np.array([[0.5, 0.5], [0.99, 0.5]])
+    with pytest.raises(IntegrandError, match=r"^wrapped integrand returned values of dtype complex128"):
+        fit.integrand(pts)
+
+
+def test_laplace_minus_inf_log_density_is_a_zero_density():
+    # h = -inf is a zero density, valid in the tails: the point gets +0.0
+    # and every other point the value of the plain log-density
+    h = _mvn_logpdf(np.zeros(2), np.eye(2))
+    pts = np.array([[0.5, 0.5], [0.8, 0.5], [0.45, 0.8]])
+    plain = laplace_reparametrize(h, np.zeros(2), scale="inv-hessian").integrand(pts)
+    got = laplace_reparametrize(_tails(h, -np.inf), np.zeros(2), scale="inv-hessian").integrand(pts)
+    assert got[1] == 0.0 and not np.signbit(got[1]) and plain[1] > 0.0
+    assert got[0] == plain[0] and got[2] == plain[2]
 
 
 def test_laplace_rejects_a_column_log_density():
