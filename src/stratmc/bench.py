@@ -18,9 +18,7 @@ once; each report equals its single-stream run, so the rows do too.
 from __future__ import annotations
 
 import csv
-import errno
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -257,13 +255,6 @@ class ExperimentConfig:
             raise ValueError(f"rel_mode must be 'squared' or 'literal', got {self.rel_mode!r}")
         if self.integrand.exact == 0:
             raise StratError(f"{self.integrand.name}: relative errors need a nonzero exact value")
-        if self.out is not None:
-            # ``run`` writes the file after the last cell: a folder that is not
-            # there fails now, with the error that opening the file would raise
-            folder = os.path.dirname(self.out) or os.curdir
-            if not os.path.isdir(folder):
-                code = errno.ENOTDIR if os.path.exists(folder) else errno.ENOENT
-                raise OSError(code, os.strerror(code), os.fspath(self.out))
 
 
 @dataclass
@@ -284,7 +275,12 @@ def run(config: ExperimentConfig) -> list[ResultRow]:
     over the (cells, replicates) array, row by row as a per-cell reduction
     would sum.  With no exact value, a cell whose estimates average 0 raises
     ``StratError`` after all cells have run, naming the first such cell.
+    The CSV is opened before the first cell, so a path that cannot be
+    written fails before any work; a file that was not there is created
+    empty, and one that was keeps its content until the rows are written.
     """
+    if config.out is not None:
+        open(config.out, "a").close()
     f = config.integrand
     cells, values, n_evals = [], [], []
     for variant in config.variants:

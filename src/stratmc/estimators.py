@@ -280,15 +280,12 @@ def _guarded_points(grid: GridSpec, lam: int, ctr: np.ndarray, u: np.ndarray):
 
     Only the cells within the dilation's reach ``(|lam| - 1) // 2`` of the
     cube are visited; at a reach equal to the margin they are the rows as
-    given.  The mask is built axis by axis.  Where most visited points land
-    in the cube, all of them are formed in one contiguous pass, and when
-    one min/max shows them all in the cube the batch is used as it is.
-    Where most miss it, axis 0 is tested on every visited cell and each
-    later axis only on the cells still in the running, gathered by flat
-    index.  Each coordinate is the same ``c + lam U`` that a full-grid pass
-    forms, so the points are those of masking the whole grid, bit for bit.
-    ``rows`` holds the caller's row of each point, or is None when point i
-    is row i.
+    given.  The mask is built axis by axis: axis 0 is tested on every
+    visited cell, each later axis only on the cells still in the running,
+    gathered by flat index, and the survivors' points are formed last.
+    Each coordinate is the same ``c + lam U`` that a full-grid pass forms,
+    so the points are those of masking the whole grid, bit for bit.  The
+    rows are the caller's row of each point.
     """
     s, reach = grid.s, (abs(lam) - 1) // 2
     if reach == grid.m:
@@ -297,28 +294,15 @@ def _guarded_points(grid: GridSpec, lam: int, ctr: np.ndarray, u: np.ndarray):
         box = (slice(grid.m - reach, grid.m + grid.k + reach),) * s
         shape = (grid.side,) * s + (s,)
         c, v, rows = ctr.reshape(shape)[box], u.reshape(shape)[box], _box_rows(grid, reach)
-    # an axis keeps about k of its k + 2 reach cells; the survivors' index
-    # gathers cost about twice a contiguous pass per coordinate, so they pay
-    # when they form fewer than half the coordinates of every point
-    keeps = grid.k / (grid.k + 2 * reach)
-    if sum(keeps ** axis for axis in range(s)) < s / 2:
-        keep = np.flatnonzero(_in_cube(_dilated(c[..., 0], v[..., 0], lam).reshape(-1)))
-        if rows is not None:
-            keep = rows.take(keep)
-        flat_c, flat_u = ctr.ravel(), u.ravel()
-        for axis in range(1, s):
-            at = keep * s + axis
-            coord = _dilated(flat_c.take(at), flat_u.take(at), lam)
-            keep = keep.take(np.flatnonzero(_in_cube(coord)))
-        return _dilated(ctr.take(keep, axis=0), u.take(keep, axis=0), lam), keep
-    pts = _dilated(c, v, lam).reshape(-1, s)
-    if pts.min() >= 0.0 and pts.max() <= 1.0:
-        return pts, rows
-    ok = _in_cube(pts[:, 0])
+    keep = np.flatnonzero(_in_cube(_dilated(c[..., 0], v[..., 0], lam).reshape(-1)))
+    if rows is not None:
+        keep = rows.take(keep)
+    flat_c, flat_u = ctr.ravel(), u.ravel()
     for axis in range(1, s):
-        ok &= _in_cube(pts[:, axis])
-    keep = np.flatnonzero(ok)
-    return pts.take(keep, axis=0), keep if rows is None else rows.take(keep)
+        at = keep * s + axis
+        coord = _dilated(flat_c.take(at), flat_u.take(at), lam)
+        keep = keep.take(np.flatnonzero(_in_cube(coord)))
+    return _dilated(ctr.take(keep, axis=0), u.take(keep, axis=0), lam), keep
 
 
 def _shift_parts(f, grid: GridSpec, shifts, u: np.ndarray, guard: bool,
@@ -349,7 +333,7 @@ def _shift_parts(f, grid: GridSpec, shifts, u: np.ndarray, guard: bool,
             if len(pts):
                 inside, total = _evaluate(f, pts, grid=grid, rows=where)
                 if rows is not None:
-                    vals[slice(None) if where is None else where] = inside
+                    vals[where] = inside
             counts.append(len(pts))
         else:
             vals, total = _evaluate(f, _dilated(ctr, u, lam), grid=grid)

@@ -128,7 +128,8 @@ class VanishingIntegrand:
     Unless g is zero on every point, the Jacobian factor is built in place
     for every interior point and used only where g is nonzero: where g is 0
     it may overflow near the faces, with its floating-point warnings
-    silenced, and the value is +0.0 all the same.  Points of another width
+    silenced, and the value is +0.0 all the same.  Where g is nonzero an
+    overflow warns as ``jacobian_factor`` does.  Points of another width
     than ``s``, and a point with a NaN coordinate, raise ``DomainError``.
     ``g`` is held to the integrand contract as the "wrapped integrand", at
     the caller's row and the ``psi`` image it was given.  ``tau`` is checked
@@ -171,6 +172,11 @@ class VanishingIntegrand:
                 vals = _axis_product(_slope(base, centred, scale, self.tau))
                 vals *= gvals
             vals[zero] = 0.0
+            bad = ~np.isfinite(vals)
+            if bad.any():
+                # an overflow where g is nonzero: form those rows again with
+                # the floating-point warnings on
+                vals[bad] = gvals[bad] * jacobian_factor(inner[bad], self.tau)
         if interior is None:
             return vals
         out = np.zeros(len(pts))
@@ -313,15 +319,15 @@ def laplace_reparametrize(h, mode_guess, *, scale: str, tau: float = 1.5,
     except np.linalg.LinAlgError as exc:
         raise StratError(f"curvature at the mode is not positive definite: {exc}") from exc
 
-    log_det = float(np.log(np.abs(np.linalg.det(scale_matrix))))
+    # a float64 scalar, so h's values are promoted to at least float64, not
+    # cast: complex stays complex, for the wrapped integrand's check to
+    # reject, and -inf is a zero density
+    log_det = np.log(np.abs(np.linalg.det(scale_matrix)))
     mode = x.copy()
 
     def g(y: np.ndarray) -> np.ndarray:
         beta = mode[None, :] + y @ scale_matrix.T
-        # promoted to float64, not cast: complex values stay complex, for the
-        # wrapped integrand's check to reject, and -inf is a zero density
-        logp = np.asarray(h(beta))
-        return np.exp(logp.astype(np.promote_types(logp.dtype, np.float64), copy=False) + log_det)
+        return np.exp(np.asarray(h(beta)) + log_det)
 
     return LaplaceFit(
         mode=mode,

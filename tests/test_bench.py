@@ -143,27 +143,36 @@ def test_run_rejects_star_without_derivative_oracle():
     assert [row.variant for row in rows] == ["star"] * 3
 
 
-def test_run_rejects_an_output_folder_that_is_not_there(tmp_path, monkeypatch):
-    # the CSV is written after the last cell: a missing folder (or a file in
-    # its place) fails when the config is built, with the error opening the
-    # file would raise, so no cell runs; the CLI makes it a usage error
+def test_run_opens_the_output_file_before_the_first_cell(tmp_path, capsys):
+    # the CSV is written after the last cell but opened before the first:
+    # a missing folder, a file in its place or a folder as the file fails
+    # with the error opening the file raises, and no cell runs; the CLI
+    # makes it one usage-error line
     calls = []
     f = Integrand(name="fs(1)", s=1, fn=lambda p: calls.append(len(p)) or p[:, 0])
     (tmp_path / "file").write_text("")
-    for folder, error in (("missing", FileNotFoundError), ("file", NotADirectoryError)):
-        path = tmp_path / folder / "x.csv"
+    (tmp_path / "dir").mkdir()
+    for path, error in ((tmp_path / "missing" / "x.csv", FileNotFoundError),
+                        (tmp_path / "file" / "x.csv", NotADirectoryError),
+                        (tmp_path / "dir", IsADirectoryError)):
         with pytest.raises(error) as exc:
-            _config(integrand=f, out=str(path))
+            run(_config(integrand=f, out=str(path)))
         with pytest.raises(error) as opened:
             open(path, "w")
         assert str(exc.value) == str(opened.value)
     assert not calls
-    _config(integrand=f, out=str(tmp_path / "x.csv"))
-    monkeypatch.chdir(tmp_path)
-    _config(integrand=f, out="x.csv")
-    monkeypatch.setattr(cli, "run", lambda config: pytest.fail("a cell ran"))
     out = tmp_path / "missing" / "x.csv"
     assert cli.main(["run", "--k", "4,8", "--reps", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("stratmc: error:") and err.count("\n") == 1
+    assert not out.parent.exists()
+    # a file that is there keeps its content while the cells run
+    kept = tmp_path / "kept.csv"
+    kept.write_text("old\n")
+    zero_mean = Integrand(name="odd", s=1, fn=lambda p: p[:, 0] - 0.5, exact=None)
+    with pytest.raises(StratError, match="average 0"):
+        run(_config(integrand=zero_mean, variants=("haber2",), r_values=(2,), out=str(kept)))
+    assert kept.read_text() == "old\n"
 
 
 def test_run_rejects_zero_exact():

@@ -864,7 +864,7 @@ def test_guarded_pass_matches_the_full_grid_mask(s):
 @pytest.mark.parametrize("s", [2, 3, 4])
 def test_guarded_nonfinite_names_the_full_grid_row_under_every_dilation(s):
     # a NaN in the batch of dilation j names the caller's full-grid row and
-    # its stratum, whichever way the dilation's points were found
+    # its stratum, from the batch of its reach box
     grid = GridSpec(s, 2, vanishing_margin(6) + 1)
     stream = Stream(4, s)
     oracle = _full_grid_pass(_signed, grid, shift_coefficients(6).shifts, stream)

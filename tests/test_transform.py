@@ -188,6 +188,23 @@ def test_tail_map_zero_g_where_the_jacobian_overflows():
     assert got[0] == 0.0 and not np.signbit(got[0]) and (got[1:] > 0.0).all()
 
 
+def test_tail_map_overflow_where_g_is_nonzero_warns():
+    # the Jacobian's warnings are silenced only on the rows where g is 0: a
+    # nonzero g at u = 1e-200 meets an overflowing psi' and warns, as
+    # jacobian_factor does, and the row is inf, as the composition is
+    pts = np.array([[1e-200, 0.5], [0.3, 0.6], [1e-200, 0.4]])
+
+    def g(y):
+        return (y[:, 1] > 0.0) + 0.5
+
+    with pytest.warns(RuntimeWarning):
+        got = wrap(g, 2, 1.5)(pts)
+    with pytest.warns(RuntimeWarning):
+        want = _composition(g, pts, 1.5)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert got[0] == np.inf and np.isfinite(got[1]) and got[2] == np.inf
+
+
 # ---------------------------------------------------------------------------
 # wrapping
 
