@@ -6,9 +6,10 @@ Subcommands:
 * ``slope``  - fit log-log error slopes on a CSV produced by ``run``.
 * ``orders`` - order-selection demo for the vanishing estimator.
 
-Every flag can also be given in a config file (``--config PATH``) with one
-``key = value`` pair per line, ``#`` comments, and comma-separated lists;
-flags on the command line override file values.
+Every flag but ``--config`` can also be given in a config file (``--config
+PATH``) with one ``key = value`` pair per line, ``#`` comments, and
+comma-separated lists; flags on the command line override file values, and a
+key that is not a flag of the subcommand is an error.
 
 A library error (``StratError`` or ``ValueError``) or a file error
 (``OSError``) raised while any subcommand reads its files, builds its
@@ -37,17 +38,23 @@ from .lattice import GridSpec, Stream
 from .replicate import select_order
 
 
-def _parse_config_file(path: str) -> dict[str, str]:
+def _parse_config_file(args: argparse.Namespace) -> dict[str, str]:
+    """The ``key = value`` pairs of ``args.config``; each key must be a flag of
+    the subcommand (the parsed namespace holds them all) other than ``config``."""
     values: dict[str, str] = {}
-    with open(path) as fh:
+    with open(args.config) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
-                raise StratError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-            key, value = line.split("=", 1)
-            values[key.strip().replace("-", "_")] = value.strip()
+                raise StratError(f"{args.config}:{lineno}: expected 'key = value', got {raw!r}")
+            key, value = (part.strip() for part in line.split("=", 1))
+            name = key.replace("-", "_")
+            if name in ("command", "config") or name not in vars(args):
+                raise StratError(f"{args.config}:{lineno}: unknown key {key!r}, "
+                                 f"not a flag of 'stratmc {args.command}'")
+            values[name] = value
     return values
 
 
@@ -121,10 +128,10 @@ def _execute(args: argparse.Namespace) -> int:
             members = [row for row in rows if row.slope_group == group]
             try:
                 print(f"{group}: slope = {fit_slope(members):+.3f}")
-            except Exception as exc:
+            except (StratError, ValueError) as exc:
                 print(f"{group}: {exc}")
         return 0
-    args.config_values = _parse_config_file(args.config) if args.config else {}
+    args.config_values = _parse_config_file(args) if args.config else {}
     fn_id = _merged(args, "fn", "fs", str)
     dim = _merged(args, "dim", 1, int)
     seed = _merged(args, "seed", 0, int)

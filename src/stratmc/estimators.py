@@ -59,6 +59,7 @@ import numpy as np
 from .errors import IntegrandError, OrderError, ResolutionError
 from .lattice import GridSpec, Stream, centre_array
 from .stencil import (
+    _family_stencils,
     _lagrange_coeff_exact,
     block_partition,
     derivative_grid,
@@ -579,29 +580,6 @@ def haber2(f, grid: GridSpec, stream: Stream | Sequence[Stream], keep_terms: boo
     return _estimate(_HABER2, f, grid, stream, keep_terms)
 
 
-@lru_cache(maxsize=64)
-def _even_alphas(s: int, r: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(a for total in range(2, r, 2) for a in multi_indices(s, total))
-
-
-@lru_cache(maxsize=64)
-def _all_alphas(s: int, r: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(a for total in range(1, r) for a in multi_indices(s, total))
-
-
-def _paired_stencil_order(r: int, k: int) -> int:
-    """Stencil order for the paired estimator.
-
-    Odd r is rounded up to the next even order whenever the grid allows it:
-    the pair term only exposes even derivative orders, so orders 2q-1 and 2q
-    define the same estimator, and the wider windows are what make that
-    identity exact.  At k = r (odd) the wider window does not fit and the
-    odd-order construction is used.
-    """
-    r_even = r + (r % 2)
-    return r_even if k >= r_even else r
-
-
 def estimate_analytic_cv(f, derivative_oracle, r: int, grid: GridSpec,
                          stream: Stream | Sequence[Stream], keep_terms: bool = False):
     """Antithetic pairs plus an exact-derivative Taylor control variate.
@@ -613,7 +591,7 @@ def estimate_analytic_cv(f, derivative_oracle, r: int, grid: GridSpec,
     """
     # built per call: a cached plan would keep the caller's oracle alive
     plan = _Plan("analytic_cv", r, _HABER2.shifts, _HABER2.weights,
-                 alphas=_even_alphas(grid.s, r), oracle=derivative_oracle)
+                 alphas=_family_stencils("paired", grid.s, r)[0], oracle=derivative_oracle)
     return _estimate(plan, f, grid, stream, keep_terms)
 
 
@@ -633,11 +611,10 @@ def estimate_paired_cv(f, r: int, grid: GridSpec, stream: Stream | Sequence[Stre
 
 @lru_cache(maxsize=256, typed=True)
 def _paired_plan(r: int, s: int, k: int, mode: str) -> _Plan:
-    # block-local stencils must fit in side-r blocks, so the widened window
-    # of the odd-order identity is a free-mode refinement only
-    r_build = r if mode == "block" else _paired_stencil_order(r, k)
+    # a block-local window must fit in its side-r block
+    alphas, r_build = _family_stencils("paired", s, r, r if mode == "block" else k)
     return _Plan("paired_cv", r, _HABER2.shifts, _HABER2.weights,
-                 alphas=_even_alphas(s, r), r_build=r_build, mode=mode)
+                 alphas=alphas, r_build=r_build, mode=mode)
 
 
 def estimate_single_cv(f, r: int, grid: GridSpec, stream: Stream | Sequence[Stream],
@@ -653,8 +630,9 @@ def estimate_single_cv(f, r: int, grid: GridSpec, stream: Stream | Sequence[Stre
 
 @lru_cache(maxsize=256, typed=True)
 def _single_plan(r: int, s: int, mode: str) -> _Plan:
+    alphas, r_build = _family_stencils("single", s, r)
     return _Plan("single_cv", r, _HABER1.shifts, _HABER1.weights,
-                 alphas=_all_alphas(s, r), r_build=r, mode=mode)
+                 alphas=alphas, r_build=r_build, mode=mode)
 
 
 @lru_cache(maxsize=64, typed=True)

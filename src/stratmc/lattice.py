@@ -206,10 +206,10 @@ def _hashed_offsets(seed: int, replicate: int, indices: np.ndarray, k: int,
     the finaliser).  A draw is always a whole grid: ``indices`` is its
     ``index_array``, whose rows are lexicographic with ``side`` values per
     axis.  The distinct prefixes over axes ``0..a`` are every
-    ``side^(s-1-a)``-th row, so each prefix is absorbed once, and the next
-    level is the outer sum of its states with the next axis's ``side``
-    values read from those rows; that is about ``n (1 + 1/side + ...)``
-    finalisers instead of ``s n``.  The chain state then fans out
+    ``side^(s-1-a)``-th row, so each prefix is absorbed once: from the key
+    alone, each level is the outer sum of the last level's states with the
+    next axis's ``side`` values read from those rows; that is about
+    ``n (1 + 1/side + ...)`` finalisers instead of ``s n``.  The chain state then fans out
     lane-major, one lane per axis, in ``(s, rows)`` blocks of at most
     ``_BLOCK`` elements, finalised in place with one reused scratch buffer,
     which no call keeps.  Each lane's top 53 bits ``m`` are centred in
@@ -231,10 +231,8 @@ def _hashed_offsets(seed: int, replicate: int, indices: np.ndarray, k: int,
     # state per row for the absorption
     scratch = np.empty((s, max(rows, -(-n // s))), dtype=np.uint64)
     flat = scratch.reshape(-1)
-    step = n // side
-    h = idx[::step, 0] + key
-    _mix(h, flat[:side])
-    for axis in range(1, s):
+    h, step = np.array([key]), n
+    for axis in range(s):
         step //= side
         h = np.add.outer(h, idx[:step * side:step, axis]).ravel()
         _mix(h, flat[:len(h)])

@@ -429,47 +429,57 @@ def derivative_grid(fvals: np.ndarray, alpha, grid: GridSpec, r: int,
 
 
 # ---------------------------------------------------------------------------
+# control-variate families
+
+@lru_cache(maxsize=256, typed=True)
+def _family_stencils(family: str, s: int, r: int, room: int | None = None):
+    """A family's control-variate multi-indices, by total order, and their stencil order.
+
+    ``"single"``: every order 1..r-1, at order r.  ``"paired"``: the even
+    orders 2..r-1 (the pair term cancels odd ones), at ``r + r % 2`` when a
+    window that wide fits in ``room`` cells (k in free mode, r in block mode,
+    None for no bound), else at r; the widening makes orders 2q-1 and 2q the
+    same estimator.  So the multi-indices of r' <= r lead those of r.
+    """
+    if family == "single":
+        totals, r_build = range(1, r), r
+    elif family == "paired":
+        widened = r + r % 2
+        totals, r_build = range(2, r, 2), widened if room is None or room >= widened else r
+    else:
+        raise ValueError(f"unknown stencil family {family!r}")
+    return tuple(a for total in totals for a in multi_indices(s, total)), r_build
+
+
+# ---------------------------------------------------------------------------
 # worst-case error constant
-
-def _step_constant(window: int, a: int, exponent: int) -> float:
-    """Worst weighted moment over every boundary shift of the window on a large grid."""
-    best = 0.0
-    for start in range(-(window - 1), 1):
-        pat = tuple(range(start, start + window))
-        w = univariate_weights(pat, a)
-        best = max(best, float(np.sum(np.abs(w * np.array(pat, dtype=float) ** exponent))))
-    return best
-
 
 def error_constant(s: int, r: int, family: str = "single") -> float:
     """Computable constant C with |estimate - integral| <= C * ||f||_r * n^(-r/s).
 
     Assembled from the worst absolute weighted-moment sums of the univariate
-    stencils the chosen estimator family actually generates (boundary shifts
-    included), folded through the per-axis composition, then combined with
-    the Taylor-remainder term.  ``family`` is "single" (control variates on
-    every order below r) or "paired" (even orders only, windows widened to
-    the next even smoothness).
+    stencils the chosen estimator family generates in free mode (boundary
+    shifts included), folded through the per-axis composition, then
+    combined with the Taylor-remainder term.  ``family`` is "single"
+    (control variates on every order below r) or "paired" (even orders
+    only, windows widened to the next even order); the paired estimator's
+    unwidened windows (block mode, or k = r with r odd) have a smaller
+    constant, so this one is conservative there.
     """
     if r < 2:
         raise OrderError(f"error constant defined for r >= 2, got {r}")
-    if family == "single":
-        totals = range(1, r)
-        r_build = r
-    elif family == "paired":
-        totals = range(2, r, 2)
-        r_build = r + (r % 2)
-    else:
-        raise ValueError(f"unknown stencil family {family!r}")
-
+    alphas, r_build = _family_stencils(family, s, r)
     c_bar = 0.0
-    for total in totals:
-        for alpha in multi_indices(s, total):
-            c_alpha = 0.0
-            for _axis, a, window in _axis_steps(alpha, r_build):
-                # the Taylor budget is r minus the order consumed before this axis
-                c_alpha = _step_constant(window, a, window - (r_build - r)) * (1.0 + c_alpha)
-            c_bar = max(c_bar, c_alpha)
+    for alpha in alphas:
+        c_alpha = 0.0
+        for _axis, a, window in _axis_steps(alpha, r_build):
+            # columns at every boundary shift of the window; the Taylor budget
+            # is r minus the order consumed before this axis
+            starts, _nodes, weights = _axis_table(window, 0, 2 * window - 2, None)
+            powers = (starts + np.arange(window)[:, None]).astype(float) ** (window - (r_build - r))
+            step = max(float(np.sum(np.abs(w * x))) for w, x in zip(weights[a].T, powers.T))
+            c_alpha = step * (1.0 + c_alpha)
+        c_bar = max(c_bar, c_alpha)
 
     cv_sum = sum(1.0 / multi_factorial(alpha)
                  for total in range(1, r)

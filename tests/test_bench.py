@@ -444,6 +444,7 @@ def test_cli_config_file_with_flag_override(tmp_path):
         "k = 4,8\n"
         "reps = 10\n"
         "seed = 7\n"
+        "rel-mode = squared\n"
     )
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
@@ -460,6 +461,37 @@ def test_cli_orders(capsys):
     assert rc == 0
     printed = capsys.readouterr().out
     assert "selected" in printed
+
+
+def test_cli_orders_notes_an_integrand_not_declared_vanishing(capsys):
+    assert cli.main(["orders", "--fn", "fs", "--r", "2", "--k", "8", "--reps", "2"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "note: fs(1) is not declared boundary-vanishing\n"
+    assert "selected" in captured.out
+
+
+def test_cli_slope_prints_a_group_it_cannot_fit(tmp_path, capsys):
+    out = tmp_path / "rows.csv"
+    assert cli.main(["run", "--fn", "fs", "--variant", "hat", "--k", "4,8", "--reps", "3",
+                     "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert cli.main(["slope", "--input", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "hat-r2: need >= 3 non-discarded rows to fit a slope, got 2\n"
+    assert captured.err == ""
+
+
+def test_cli_slope_does_not_swallow_a_bug(tmp_path, monkeypatch):
+    # a per-group line is for a library error; any other exception is a bug
+    out = tmp_path / "rows.csv"
+    assert cli.main(["run", "--fn", "fs", "--k", "4,8", "--reps", "3", "--out", str(out)]) == 0
+
+    def broken(rows):
+        raise TypeError("bug in the fit")
+
+    monkeypatch.setattr(cli, "fit_slope", broken)
+    with pytest.raises(TypeError, match="bug in the fit"):
+        cli.main(["slope", "--input", str(out)])
 
 
 def test_cli_entrypoint_subprocess(tmp_path):
@@ -490,15 +522,26 @@ _NO_FILE = "[Errno 2] No such file or directory: '{tmp}/"
      _NO_FILE + "missing/x.csv'"),
     (["run", "--config", "{tmp}/bad.cfg"], "{tmp}/bad.cfg:2: expected 'key = value', got 'k 4\\n'"),
     (["run", "--fn", "gauss", "--tau", "0"], "tau must be a finite number > 0, got 0.0"),
+    (["run", "--config", "{tmp}/typo.cfg"],
+     "{tmp}/typo.cfg:2: unknown key 'rep', not a flag of 'stratmc run'"),
+    (["orders", "--config", "{tmp}/out.cfg"],
+     "{tmp}/out.cfg:3: unknown key 'out', not a flag of 'stratmc orders'"),
+    (["run", "--config", "{tmp}/nested.cfg"],
+     "{tmp}/nested.cfg:1: unknown key 'config', not a flag of 'stratmc run'"),
 ], ids=["star-without-oracle", "k-decreasing", "logistic-without-dataset", "order-0",
         "slope-missing-input", "missing-config", "slope-missing-column", "slope-bad-cell",
-        "logistic-missing-dataset", "out-in-missing-dir", "config-line-without-equals", "tau-0"])
+        "logistic-missing-dataset", "out-in-missing-dir", "config-line-without-equals", "tau-0",
+        "config-misspelt-key", "config-key-of-another-command", "config-names-a-config"])
 def test_cli_library_errors_are_usage_errors(argv, message, tmp_path, capsys):
     # one line on stderr and argparse's usage status, not a traceback; a
     # file that cannot be read or written is a usage error too
     (tmp_path / "no-k.csv").write_text("variant,r,n_evals,rel_error,discarded,slope_group\n")
     (tmp_path / "abc.csv").write_text(",".join(CSV_COLUMNS) + "\nhat,2,4,abc,0.1,0,hat-r2\n")
     (tmp_path / "bad.cfg").write_text("fn = gauss\nk 4\n")
+    # a misspelt key would otherwise run with the default it meant to replace
+    (tmp_path / "typo.cfg").write_text("fn = gauss\nrep = 3\nsed = 9\n")
+    (tmp_path / "out.cfg").write_text("# orders writes no CSV\ndim = 1\nout = x.csv\n")
+    (tmp_path / "nested.cfg").write_text(f"config = {tmp_path / 'bad.cfg'}\n")
     assert cli.main([arg.format(tmp=tmp_path) for arg in argv]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"stratmc: error: {message.format(tmp=tmp_path)}\n"

@@ -2,7 +2,15 @@ import re
 import types
 from pathlib import Path
 
+import pytest
+
 import stratmc
+from stratmc.bench import ExperimentConfig, load_labelled_csv, test_function as product_family
+from stratmc.errors import StratError
+from stratmc.estimators import asymptotic_variance_estimate, crude_mc, offset_moment
+from stratmc.lattice import GridSpec, Stream
+from stratmc.stencil import block_partition, error_constant
+from stratmc.transform import laplace_reparametrize
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 README_NAMES = (
@@ -41,3 +49,48 @@ def test_exports_are_documented_or_oracles():
                     if name not in ORACLES and not re.search(rf"`{name}[`(]", text)]
     assert undocumented == []
     assert set(ORACLES) <= set(stratmc.__all__)
+
+
+def _saddle(b):
+    return b[:, 0] ** 2 - b[:, 1] ** 2
+
+
+# the text after the colon is numpy's LinAlgError
+_NOT_PD = "curvature at the mode is not positive definite: Matrix is not positive definite"
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda tmp: laplace_reparametrize(_saddle, [0.0, 0.0], scale="inv-hessian"),
+     StratError, _NOT_PD),
+    (lambda tmp: laplace_reparametrize(_saddle, [0.0, 0.0], scale="hessian"),
+     StratError, _NOT_PD),
+    (lambda tmp: load_labelled_csv(tmp / "empty.csv"),
+     StratError, "{tmp}/empty.csv: empty file, expected a header row"),
+    (lambda tmp: load_labelled_csv(tmp / "no-header.csv"),
+     StratError, "{tmp}/no-header.csv: header row is empty"),
+    (lambda tmp: crude_mc(lambda x: x[:, 0], 1, 0, Stream(0)),
+     ValueError, "need n >= 1, got 0"),
+    (lambda tmp: asymptotic_variance_estimate(lambda a, x: x[:, 0], 1, 2, 1),
+     ValueError, "need budget >= 2, got 1"),
+    (lambda tmp: offset_moment(-1, 2), ValueError, "moment order must be >= 0, got -1"),
+    (lambda tmp: offset_moment(2, 0), ValueError, "resolution must be >= 1, got 0"),
+    (lambda tmp: error_constant(2, 3, family="bogus"),
+     ValueError, "unknown stencil family 'bogus'"),
+    (lambda tmp: block_partition(GridSpec(2, 4, 1), 2),
+     ValueError, "block partition is defined for margin-free grids"),
+    (lambda tmp: product_family(0), ValueError, "dimension must be >= 1, got 0"),
+    (lambda tmp: ExperimentConfig(integrand=product_family(1), variants=("haber1",),
+                                  r_values=(1,), k_values=(4, 8), rel_mode="x"),
+     ValueError, "rel_mode must be 'squared' or 'literal', got 'x'"),
+], ids=["laplace-saddle-inv-hessian", "laplace-saddle-hessian", "csv-empty-file",
+        "csv-empty-header", "crude-n-0", "asymptotic-budget-1", "moment-order-negative",
+        "moment-resolution-0", "error-constant-family", "block-partition-margin",
+        "product-family-dimension-0", "config-rel-mode"])
+def test_typed_errors(call, error, message, tmp_path):
+    # each raise is reachable, with its exact type and message
+    (tmp_path / "empty.csv").write_text("")
+    (tmp_path / "no-header.csv").write_text("\n1,2\n")
+    with pytest.raises(Exception) as info:
+        call(tmp_path)
+    assert type(info.value) is error
+    assert str(info.value) == message.format(tmp=tmp_path)

@@ -13,6 +13,7 @@ from stratmc.errors import (
 )
 from stratmc.lattice import GridSpec, centre_array, index_array
 from stratmc.stencil import (
+    _family_stencils,
     abs_order,
     apply_stencil,
     block_partition,
@@ -490,3 +491,57 @@ def test_error_constant_rejects_dimension_zero():
 def test_error_constant_r_too_small():
     with pytest.raises(OrderError):
         error_constant(1, 1)
+
+
+# repr(error_constant(s, r, family)) for r = 2..8, pinned when the family
+# table and the boundary-shift moments moved into ``_family_stencils`` and
+# ``_axis_table``: the constant is the same double as before
+_ERROR_CONSTANTS = {
+    ("single", 1): ("2.25", "30.041666666666668", "500.0052083333333", "12402.500520833335",
+                    "327814.66671006946", "11474164.600003101", "451437644.02116424"),
+    ("single", 2): ("5.0", "80.33333333333333", "5866.75", "1225800.016666667",
+                    "500501496.00277793", "263840512046.22275", "216334257361275.53"),
+    ("single", 3): ("8.25", "151.125", "13200.421875", "11308312.626562497",
+                    "39049154820.03163", "319659504327924.5", "3.971649802397511e+18"),
+    ("single", 4): ("12.0", "242.66666666666666", "24934.666666666668", "24516667.20000001",
+                    "338246472933.511", "2.319902154038228e+16", "4.4776152581375593e+21"),
+    ("paired", 1): ("0.25", "192.04166666666666", "500.0052083333333", "82656.00052083333",
+                    "327814.66671006946", "72524925.15555866", "395620553.33333355"),
+    ("paired", 2): ("1.0", "800.3333333333334", "3520.083333333334", "39826944.01666668",
+                    "500501496.00277793", "7039314686976.004", "180326488365173.4"),
+    ("paired", 3): ("2.25", "1501.125", "7920.421875", "1270038960.126562",
+                    "39049154820.03163", "3.966204248249299e+16", "3.971649802397511e+18"),
+    ("paired", 4): ("4.0", "2402.6666666666665", "14961.333333333334", "4130208267.2000012",
+                    "202947883760.17767", "1.4048720365699518e+19", "4.4776152581375593e+21"),
+}
+
+
+@pytest.mark.parametrize("family, s", sorted(_ERROR_CONSTANTS))
+def test_error_constant_golden(family, s):
+    got = tuple(repr(error_constant(s, r, family)) for r in range(2, 9))
+    assert got == _ERROR_CONSTANTS[family, s]
+
+
+def test_family_stencils_table():
+    # single: every order below r at order r; paired: even orders below r,
+    # widened to r + r % 2 when that many cells fit in the room given
+    assert _family_stencils("single", 2, 3) == (((0, 1), (1, 0), (0, 2), (1, 1), (2, 0)), 3)
+    assert _family_stencils("paired", 2, 3) == (((0, 2), (1, 1), (2, 0)), 4)
+    assert _family_stencils("paired", 2, 3, 4) == (((0, 2), (1, 1), (2, 0)), 4)
+    assert _family_stencils("paired", 2, 3, 3) == (((0, 2), (1, 1), (2, 0)), 3)
+    assert _family_stencils("paired", 1, 4, 4) == (((2,),), 4)
+    assert _family_stencils("paired", 1, 2) == ((), 2)
+    with pytest.raises(ValueError, match="unknown stencil family 'bogus'"):
+        _family_stencils("bogus", 2, 3)
+
+
+@pytest.mark.parametrize("family", ["single", "paired"])
+def test_family_stencils_lower_orders_lead(family):
+    # one pass at order r can serve every order r' <= r: the multi-indices
+    # of r' are the leading entries of those of r
+    for s in range(1, 5):
+        for r in range(1, 8):
+            top = _family_stencils(family, s, r)[0]
+            for r_low in range(1, r + 1):
+                low = _family_stencils(family, s, r_low)[0]
+                assert top[:len(low)] == low, (s, r_low, r)
