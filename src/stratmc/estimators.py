@@ -5,10 +5,10 @@ core draws each stratum's uniform offset U_c once, forms the per-stratum term
 ``sum_j w_j f(c + lambda_j U_c)`` over the plan's dilations lambda_j, and, when
 the plan has control variates, subtracts ``sum_alpha D^alpha f(c) (U_c^alpha -
 E U^alpha) / alpha!`` with derivatives from an exact oracle or from grid
-stencils on the centre values.  The public functions build the plan (the
-oracle-free ones once per order, dimension, resolution and mode, from a
-cache), and the core checks the plan's grid rule once per call
-(``_check_grid``):
+stencils on the centre values.  The public functions take their plan from
+``_plan``, which builds it and checks its grid rule (``_check_grid``) once per
+variant, order, grid and stencil mode and caches it; a derivative oracle goes
+to the core per call and is never kept in a plan:
 
 * ``crude_mc`` - plain iid Monte Carlo, for reference (not stratified).
 * ``haber1`` - dilations (1,): one evaluation per stratum, f(c + U).
@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache, partial
 
@@ -59,6 +59,7 @@ import numpy as np
 from .errors import IntegrandError, OrderError, ResolutionError
 from .lattice import GridSpec, Stream, centre_array
 from .stencil import (
+    BlockAssignment,
     _family_stencils,
     _lagrange_coeff_exact,
     block_partition,
@@ -360,54 +361,81 @@ def _combine_rows(weights, rows) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Plan:
-    """One estimator: dilations and weights, the zero-extension guard, and the
-    control-variate multi-indices with their derivative source (``oracle``
-    if set, else stencils of order ``r_build``, block-local in ``"block"``
-    mode)."""
+    """One estimator on one grid, from ``_plan``: dilations and weights, the
+    zero-extension guard, and the control-variate multi-indices with their
+    Taylor terms, stencil order (0: from an oracle) and blocks in block mode."""
 
-    variant: str
-    r: int
+    config: EstimatorConfig
     shifts: tuple[int, ...]
     weights: tuple[float, ...]
     guard: bool = False
     alphas: tuple[tuple[int, ...], ...] = ()
-    oracle: object = None
+    taylor: tuple = ()
     r_build: int = 0
-    mode: str = "free"
+    blocks: BlockAssignment | None = None
 
 
-_HABER1 = _Plan("haber1", 1, (1,), (1.0,))
-_HABER2 = _Plan("haber2", 2, (1, -1), (0.5, 0.5))
+# the unguarded variants: dilations, weights and control-variate family
+_RULES = {
+    "haber1": ((1,), (1.0,), None),
+    "haber2": ((1, -1), (0.5, 0.5), None),
+    "single_cv": ((1,), (1.0,), "single"),
+    "paired_cv": ((1, -1), (0.5, 0.5), "paired"),
+    "analytic_cv": ((1, -1), (0.5, 0.5), "paired"),
+}
 
 
-def _check_grid(plan: _Plan, grid: GridSpec):
-    """The grid rule of a plan, checked once per call: no margin without the
-    guard, with it a margin covering the dilations' reach (every stratum whose
-    points can land in the cube); k >= r for stencils, k >= 2 for vanishing."""
+def _plan(variant: str, r, grid: GridSpec, mode="free") -> _Plan:
+    """The plan of ``variant`` at order ``r`` (for ``"dilated_mean"``, its
+    dilation) on ``grid``, built and checked once; a bad mode fails uncached."""
+    if not isinstance(mode, str) or mode not in ("free", "block"):
+        raise ValueError(f"unknown stencil mode {mode!r}")
+    return _built_plan(variant, r, grid, mode)
+
+
+@lru_cache(maxsize=256, typed=True)
+def _built_plan(variant: str, r: int, grid: GridSpec, mode: str) -> _Plan:
+    family, guard = None, variant in ("vanishing", "dilated_mean")
+    if variant == "vanishing":
+        coeff = shift_coefficients(r)
+        shifts, weights = coeff.shifts, coeff.weights
+    elif variant == "dilated_mean":
+        if r % 2 == 0:
+            raise ValueError(f"dilation must be odd, got {r}")
+        shifts, weights = (r,), (1.0,)
+    else:
+        shifts, weights, family = _RULES[variant]
+    alphas, r_build = (), 0
+    if family:
+        # a block-local window must fit in its side-r block
+        alphas, r_build = _family_stencils(family, grid.s, r, r if mode == "block" else grid.k)
+    if variant == "analytic_cv":
+        r_build = 0     # the caller's oracle gives the derivatives
+    plan = _Plan(EstimatorConfig(variant, r, grid, mode), shifts, weights, guard, alphas,
+                 _taylor_terms(alphas, grid.k), r_build)
+    _check_grid(plan)
+    # built after the grid rule, so that its messages come first
+    return replace(plan, blocks=block_partition(grid, r)) if mode == "block" else plan
+
+
+def _check_grid(plan: _Plan):
+    """The grid rule of a plan, checked once when it is built: no margin
+    without the guard, with it a margin covering the dilations' reach (every
+    stratum whose points can land in the cube); r >= 1 (a guarded plan's
+    dilations checked theirs); k >= r for stencils, k >= 2 for vanishing."""
+    variant, r, grid = plan.config.variant, plan.config.r, plan.config.grid
     if not plan.guard and grid.m != 0:
         raise ValueError("this estimator runs on margin-free grids (m = 0)")
     reach = _reach(plan.shifts) if plan.guard else 0
     if grid.m < reach:
         raise ValueError(f"margin {grid.m} is below the reach {reach} of the dilations; "
                          f"need at least {reach}")
-    if plan.r < 1:
-        raise OrderError(f"order must be >= 1, got {plan.r}")
-    if plan.r_build and grid.k < plan.r:
-        raise ResolutionError(f"need k >= r, got k={grid.k}, r={plan.r}")
-    if plan.variant == "vanishing" and grid.k < 2:
+    if not plan.guard and r < 1:
+        raise OrderError(f"order must be >= 1, got {r}")
+    if plan.r_build and grid.k < r:
+        raise ResolutionError(f"need k >= r, got k={grid.k}, r={r}")
+    if variant == "vanishing" and grid.k < 2:
         raise ResolutionError(f"need k >= 2, got {grid.k}")
-    if plan.mode not in ("free", "block"):
-        raise ValueError(f"unknown stencil mode {plan.mode!r}")
-
-
-def _cached_plan(build, *key) -> _Plan:
-    """``build(*key)`` from its ``lru_cache``, keyed by type too, so a plan is
-    what a fresh build would give; a key that cannot be hashed (a mode that
-    ``_check_grid`` rejects) builds uncached, so it fails as a fresh build does."""
-    try:
-        return build(*key)
-    except TypeError:
-        return build.__wrapped__(*key)
 
 
 def _per_stream(stream, one):
@@ -423,23 +451,21 @@ def _per_stream(stream, one):
     return [one(st) for st in streams]
 
 
-def _estimate(plans: _Plan | tuple[_Plan, ...], f, grid: GridSpec, stream, keep_terms: bool):
+def _estimate(plans: _Plan | tuple[_Plan, ...], f, stream, keep_terms: bool, oracle=None):
     """Per stream: offset draw, shifted sums, control variate, report.
 
-    ``plans`` is one plan (one report per stream) or a tuple of plans whose
-    dilations are prefixes of the first plan's (a tuple of reports per
-    stream): one offset draw and one shifted-sum pass over the first plan's
-    dilations serve them all.  Each plan's derivatives are built once, after
-    the first stream's shifted sums.
+    ``plans`` is one plan (one report per stream) or a tuple of plans on one
+    grid whose dilations are prefixes of the first plan's (a tuple of reports
+    per stream): one offset draw and one shifted-sum pass over the first
+    plan's dilations serve them all.  Each plan's derivatives, from
+    ``oracle(alpha, points)`` if given, are built once per call.
     """
     single = isinstance(plans, _Plan)
     if single:
         plans = (plans,)
     top = plans[0]
-    _check_grid(top, grid)
+    grid = top.config.grid
     derivs = [None] * len(plans)
-    taylor = [_taylor_terms(plan.alphas, grid.k) for plan in plans]
-    configs = [EstimatorConfig(plan.variant, plan.r, grid, plan.mode) for plan in plans]
     scale = float(grid.k) ** grid.s
 
     def one(st: Stream):
@@ -452,15 +478,15 @@ def _estimate(plans: _Plan | tuple[_Plan, ...], f, grid: GridSpec, stream, keep_
             terms = _combine_rows(plan.weights, rows) if keep_terms else None
             if plan.alphas:
                 if derivs[i] is None:
-                    derivs[i] = _derivatives(plan, f, grid)
-                cv = _control_variate(taylor[i], derivs[i], u)
+                    derivs[i] = _derivatives(plan, f, oracle)
+                cv = _control_variate(plan.taylor, derivs[i], u)
                 value -= float(np.sum(cv)) / scale
                 if terms is not None:
                     terms = terms - cv
-            n_det = grid.n_centres if plan.alphas and plan.oracle is None else 0
+            n_det = grid.n_centres if plan.alphas and oracle is None else 0
             reports.append(EstimateReport(
                 value=value,
-                config=configs[i],
+                config=plan.config,
                 n_deterministic=n_det,
                 n_random=n_shifts * grid.n_centres,
                 n_in_domain=n_det + sum(counts[:n_shifts]),
@@ -474,9 +500,7 @@ def _estimate(plans: _Plan | tuple[_Plan, ...], f, grid: GridSpec, stream, keep_
     return _per_stream(stream, one)
 
 
-@lru_cache(maxsize=64)
-def _taylor_terms(alphas: tuple[tuple[int, ...], ...],
-                  k: int) -> tuple[tuple[tuple[tuple[int, int], ...], float, float], ...]:
+def _taylor_terms(alphas: tuple[tuple[int, ...], ...], k: int) -> tuple:
     """Per multi-index: its active (axis, power) steps, E[U^alpha] and alpha!.
 
     The mean is the product of the per-axis moments in axis order; it is 0.0
@@ -522,28 +546,25 @@ def _control_variate(taylor, derivs, u: np.ndarray) -> np.ndarray:
     return cv
 
 
-def _derivatives(plan: _Plan, f, grid: GridSpec) -> list[np.ndarray]:
+def _derivatives(plan: _Plan, f, oracle) -> list[np.ndarray]:
     """D^alpha f at the centres for every alpha of the plan: oracle or stencils."""
+    grid = plan.config.grid
     ctr = centre_array(grid)
-    if plan.oracle is not None:
-        return [_evaluate(partial(plan.oracle, a), ctr, f"derivative oracle at alpha={a}", grid)[0]
+    if oracle is not None:
+        return [_evaluate(partial(oracle, a), ctr, f"derivative oracle at alpha={a}", grid)[0]
                 for a in plan.alphas]
     fvals = _evaluate(f, ctr, grid=grid)[0]
-    blocks = block_partition(grid, plan.r) if plan.mode == "block" else None
-    return derivative_grid(fvals, plan.alphas, grid, plan.r_build, blocks)
+    return derivative_grid(fvals, plan.alphas, grid, plan.r_build, plan.blocks)
 
 
 def shifted_stratum_mean(g, shift: int, grid: GridSpec, stream: Stream) -> float:
     """k^-s sum over centres of gbar(c + shift * U_c); unbiased for the integral.
 
-    ``shift`` must be odd and the grid margin at least its reach
+    ``shift`` must be an odd integer and the grid margin at least its reach
     (|shift| - 1) / 2, otherwise strata near the boundary would be over- or
     under-visited.
     """
-    if shift % 2 == 0:
-        raise ValueError(f"dilation must be odd, got {shift}")
-    plan = _Plan("dilated_mean", 1, (shift,), (1.0,), guard=True)
-    return _estimate(plan, g, grid, stream, keep_terms=False).shift_averages[0]
+    return _estimate(_plan("dilated_mean", shift, grid), g, stream, False).shift_averages[0]
 
 
 # ---------------------------------------------------------------------------
@@ -572,12 +593,12 @@ def crude_mc(f, s: int, n: int, stream: Stream | Sequence[Stream], keep_terms: b
 
 def haber1(f, grid: GridSpec, stream: Stream | Sequence[Stream], keep_terms: bool = False):
     """One random evaluation per stratum; optimal for once-differentiable f."""
-    return _estimate(_HABER1, f, grid, stream, keep_terms)
+    return _estimate(_plan("haber1", 1, grid), f, stream, keep_terms)
 
 
 def haber2(f, grid: GridSpec, stream: Stream | Sequence[Stream], keep_terms: bool = False):
     """Antithetic pair per stratum; optimal for twice-differentiable f."""
-    return _estimate(_HABER2, f, grid, stream, keep_terms)
+    return _estimate(_plan("haber2", 2, grid), f, stream, keep_terms)
 
 
 def estimate_analytic_cv(f, derivative_oracle, r: int, grid: GridSpec,
@@ -589,10 +610,8 @@ def estimate_analytic_cv(f, derivative_oracle, r: int, grid: GridSpec,
     polynomials of total degree < r on every single run.  A sequence of
     streams consults the oracle once for all of them.
     """
-    # built per call: a cached plan would keep the caller's oracle alive
-    plan = _Plan("analytic_cv", r, _HABER2.shifts, _HABER2.weights,
-                 alphas=_family_stencils("paired", grid.s, r)[0], oracle=derivative_oracle)
-    return _estimate(plan, f, grid, stream, keep_terms)
+    # the oracle goes to the call, not the cached plan, which would keep it alive
+    return _estimate(_plan("analytic_cv", r, grid), f, stream, keep_terms, derivative_oracle)
 
 
 def estimate_paired_cv(f, r: int, grid: GridSpec, stream: Stream | Sequence[Stream],
@@ -605,16 +624,7 @@ def estimate_paired_cv(f, r: int, grid: GridSpec, stream: Stream | Sequence[Stre
     streams shares one centre pass and its stencils; each report still
     counts the k^s centre evaluations.
     """
-    return _estimate(_cached_plan(_paired_plan, r, grid.s, grid.k, mode),
-                     f, grid, stream, keep_terms)
-
-
-@lru_cache(maxsize=256, typed=True)
-def _paired_plan(r: int, s: int, k: int, mode: str) -> _Plan:
-    # a block-local window must fit in its side-r block
-    alphas, r_build = _family_stencils("paired", s, r, r if mode == "block" else k)
-    return _Plan("paired_cv", r, _HABER2.shifts, _HABER2.weights,
-                 alphas=alphas, r_build=r_build, mode=mode)
+    return _estimate(_plan("paired_cv", r, grid, mode), f, stream, keep_terms)
 
 
 def estimate_single_cv(f, r: int, grid: GridSpec, stream: Stream | Sequence[Stream],
@@ -625,20 +635,7 @@ def estimate_single_cv(f, r: int, grid: GridSpec, stream: Stream | Sequence[Stre
     r = 1 the control-variate sum is empty and this is exactly haber1.  A
     sequence of streams shares one centre pass, as in ``estimate_paired_cv``.
     """
-    return _estimate(_cached_plan(_single_plan, r, grid.s, mode), f, grid, stream, keep_terms)
-
-
-@lru_cache(maxsize=256, typed=True)
-def _single_plan(r: int, s: int, mode: str) -> _Plan:
-    alphas, r_build = _family_stencils("single", s, r)
-    return _Plan("single_cv", r, _HABER1.shifts, _HABER1.weights,
-                 alphas=alphas, r_build=r_build, mode=mode)
-
-
-@lru_cache(maxsize=64, typed=True)
-def _vanishing_plan(r: int) -> _Plan:
-    coeff = shift_coefficients(r)
-    return _Plan("vanishing", r, coeff.shifts, coeff.weights, guard=True)
+    return _estimate(_plan("single_cv", r, grid, mode), f, stream, keep_terms)
 
 
 def estimate_vanishing(f, r: int, grid: GridSpec, stream: Stream | Sequence[Stream],
@@ -653,7 +650,7 @@ def estimate_vanishing(f, r: int, grid: GridSpec, stream: Stream | Sequence[Stre
     ``shift_averages`` and ``n_in_domain``, while ``n_random`` and the
     per-stratum terms follow the grid's cells.
     """
-    return _estimate(_vanishing_plan(r), f, grid, stream, keep_terms)
+    return _estimate(_plan("vanishing", r, grid), f, stream, keep_terms)
 
 
 def vanishing_orders(f, r_max: int, grid: GridSpec,
@@ -668,8 +665,8 @@ def vanishing_orders(f, r_max: int, grid: GridSpec,
     """
     # top order first, as its dilations and grid rule cover every lower order;
     # built even for r_max < 1, so that it raises OrderError
-    plans = tuple(_vanishing_plan(r_max - i) for i in range(max(r_max, 1)))
-    per_stream = _estimate(plans, f, grid, list(streams), keep_terms=True)
+    plans = tuple(_plan("vanishing", r_max - i, grid) for i in range(max(r_max, 1)))
+    per_stream = _estimate(plans, f, list(streams), keep_terms=True)
     return {r: [reports[r_max - r] for reports in per_stream] for r in range(1, r_max + 1)}
 
 

@@ -431,7 +431,6 @@ def derivative_grid(fvals: np.ndarray, alpha, grid: GridSpec, r: int,
 # ---------------------------------------------------------------------------
 # control-variate families
 
-@lru_cache(maxsize=256, typed=True)
 def _family_stencils(family: str, s: int, r: int, room: int | None = None):
     """A family's control-variate multi-indices, by total order, and their stencil order.
 
