@@ -9,7 +9,7 @@ Subcommands:
 Every flag but ``--config`` can also be given in a config file (``--config
 PATH``) with one ``key = value`` pair per line, ``#`` comments, and
 comma-separated lists; flags on the command line override file values, and a
-key that is not a flag of the subcommand is an error.
+key that is not a flag of the subcommand, or that is given twice, is an error.
 
 A library error (``StratError`` or ``ValueError``) or a file error
 (``OSError``) raised while any subcommand reads its files, builds its
@@ -40,8 +40,10 @@ from .replicate import select_order
 
 def _parse_config_file(args: argparse.Namespace) -> dict[str, str]:
     """The ``key = value`` pairs of ``args.config``; each key must be a flag of
-    the subcommand (the parsed namespace holds them all) other than ``config``."""
+    the subcommand (the parsed namespace holds them all) other than ``config``,
+    given on one line only."""
     values: dict[str, str] = {}
+    lines: dict[str, int] = {}
     with open(args.config) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -54,7 +56,10 @@ def _parse_config_file(args: argparse.Namespace) -> dict[str, str]:
             if name in ("command", "config") or name not in vars(args):
                 raise StratError(f"{args.config}:{lineno}: unknown key {key!r}, "
                                  f"not a flag of 'stratmc {args.command}'")
-            values[name] = value
+            if name in lines:
+                raise StratError(f"{args.config}:{lineno}: key {key!r} repeats line "
+                                 f"{lines[name]}; give each key once")
+            values[name], lines[name] = value, lineno
     return values
 
 

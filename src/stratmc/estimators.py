@@ -53,6 +53,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache, partial
+from numbers import Integral
 
 import numpy as np
 
@@ -115,8 +116,20 @@ def offset_moment(i: int, k: int) -> float:
 # ---------------------------------------------------------------------------
 # dilation coefficients for the vanishing estimator
 
-def _shifts(r: int) -> tuple[int, ...]:
-    """The first r odd dilations 1, -1, 3, -3, 5, -5, ..."""
+def _order(r, what: str = "order") -> int:
+    """``r`` as a Python int: the one check that an order (or dilation) is an integer."""
+    if type(r) is int:
+        return r
+    if not isinstance(r, Integral):
+        raise TypeError(f"{what} must be an integer, got {r!r}")
+    return int(r)
+
+
+def _shifts(r) -> tuple[int, ...]:
+    """The first r odd dilations 1, -1, 3, -3, 5, -5, ...; r an integer >= 1."""
+    r = _order(r)
+    if r < 1:
+        raise OrderError(f"order must be >= 1, got {r}")
     out = []
     v = 1
     while len(out) < r:
@@ -137,8 +150,6 @@ def vanishing_margin(r: int) -> int:
 
     Larger margins give the same values; their points fall outside the cube.
     """
-    if r < 1:
-        raise OrderError(f"order must be >= 1, got {r}")
     return _reach(_shifts(r))
 
 
@@ -155,10 +166,8 @@ class ShiftCoefficients:
     weights: tuple[float, ...]
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64, typed=True)
 def shift_coefficients(r: int) -> ShiftCoefficients:
-    if r < 1:
-        raise OrderError(f"order must be >= 1, got {r}")
     shifts = _shifts(r)
     exact = _lagrange_coeff_exact(shifts, 0)
     return ShiftCoefficients(shifts=shifts, weights=tuple(float(w) for w in exact))
@@ -387,7 +396,9 @@ _RULES = {
 
 def _plan(variant: str, r, grid: GridSpec, mode="free") -> _Plan:
     """The plan of ``variant`` at order ``r`` (for ``"dilated_mean"``, its
-    dilation) on ``grid``, built and checked once; a bad mode fails uncached."""
+    dilation) on ``grid``, built and checked once; a bad mode fails uncached.
+    ``r`` passes ``_order`` first, so a numpy integer shares its int's plan."""
+    r = _order(r, "dilation" if variant == "dilated_mean" else "order")
     if not isinstance(mode, str) or mode not in ("free", "block"):
         raise ValueError(f"unknown stencil mode {mode!r}")
     return _built_plan(variant, r, grid, mode)
@@ -663,9 +674,10 @@ def vanishing_orders(f, r_max: int, grid: GridSpec,
     bit for bit that of ``estimate_vanishing`` at order r' on the same
     stream, on any grid that ``estimate_vanishing`` accepts at r_max.
     """
-    # top order first, as its dilations and grid rule cover every lower order;
-    # built even for r_max < 1, so that it raises OrderError
-    plans = tuple(_plan("vanishing", r_max - i, grid) for i in range(max(r_max, 1)))
+    # top order first, as its dilations and grid rule cover every lower order
+    top = _plan("vanishing", r_max, grid)
+    r_max = top.config.r
+    plans = (top,) + tuple(_plan("vanishing", r, grid) for r in range(r_max - 1, 0, -1))
     per_stream = _estimate(plans, f, list(streams), keep_terms=True)
     return {r: [reports[r_max - r] for reports in per_stream] for r in range(1, r_max + 1)}
 

@@ -46,7 +46,8 @@ __all__ = [
 class GridSpec:
     """Cubic stratification of ``[-m/k, 1+m/k]^s`` into cells of side 1/k.
 
-    Attributes (integers; anything else raises ``TypeError``):
+    Attributes (integers; anything else raises ``TypeError``; numpy
+    integers are stored as Python ints, as in ``Stream``):
         s: dimension, >= 1.
         k: strata per axis inside the unit cube, >= 1.
         m: margin layers outside the unit cube on each side, >= 0.
@@ -60,8 +61,12 @@ class GridSpec:
         for name in ("s", "k", "m"):
             value = getattr(self, name)
             # the exact-type test first: the ABC check costs ten times more
-            if type(value) is not int and not isinstance(value, Integral):
+            if type(value) is int:
+                continue
+            if not isinstance(value, Integral):
                 raise TypeError(f"GridSpec.{name} must be an integer, got {value!r}")
+            # equal grids are then alike as cache keys and in reports
+            object.__setattr__(self, name, int(value))
         if self.s < 1:
             raise ValueError(f"dimension must be >= 1, got {self.s}")
         if self.k < 1:

@@ -528,10 +528,15 @@ _NO_FILE = "[Errno 2] No such file or directory: '{tmp}/"
      "{tmp}/out.cfg:3: unknown key 'out', not a flag of 'stratmc orders'"),
     (["run", "--config", "{tmp}/nested.cfg"],
      "{tmp}/nested.cfg:1: unknown key 'config', not a flag of 'stratmc run'"),
+    (["run", "--config", "{tmp}/twice.cfg"],
+     "{tmp}/twice.cfg:4: key 'reps' repeats line 2; give each key once"),
+    (["run", "--config", "{tmp}/spelt.cfg"],
+     "{tmp}/spelt.cfg:2: key 'rel_mode' repeats line 1; give each key once"),
 ], ids=["star-without-oracle", "k-decreasing", "logistic-without-dataset", "order-0",
         "slope-missing-input", "missing-config", "slope-missing-column", "slope-bad-cell",
         "logistic-missing-dataset", "out-in-missing-dir", "config-line-without-equals", "tau-0",
-        "config-misspelt-key", "config-key-of-another-command", "config-names-a-config"])
+        "config-misspelt-key", "config-key-of-another-command", "config-names-a-config",
+        "config-repeated-key", "config-repeated-key-spelt-two-ways"])
 def test_cli_library_errors_are_usage_errors(argv, message, tmp_path, capsys):
     # one line on stderr and argparse's usage status, not a traceback; a
     # file that cannot be read or written is a usage error too
@@ -542,6 +547,9 @@ def test_cli_library_errors_are_usage_errors(argv, message, tmp_path, capsys):
     (tmp_path / "typo.cfg").write_text("fn = gauss\nrep = 3\nsed = 9\n")
     (tmp_path / "out.cfg").write_text("# orders writes no CSV\ndim = 1\nout = x.csv\n")
     (tmp_path / "nested.cfg").write_text(f"config = {tmp_path / 'bad.cfg'}\n")
+    # a repeated key would otherwise run on its last line without notice
+    (tmp_path / "twice.cfg").write_text("fn = gauss\nreps = 2\n# again\nreps = 3\n")
+    (tmp_path / "spelt.cfg").write_text("rel-mode = squared\nrel_mode = literal\n")
     assert cli.main([arg.format(tmp=tmp_path) for arg in argv]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"stratmc: error: {message.format(tmp=tmp_path)}\n"

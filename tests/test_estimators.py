@@ -1,5 +1,6 @@
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -411,6 +412,66 @@ def test_order_validation():
         estimate_paired_cv(F1.fn, 0, GridSpec(1, 4, 0), Stream(0, 0))
     with pytest.raises(OrderError):
         shift_coefficients(0)
+
+
+def test_non_integer_order_is_a_type_error_naming_it():
+    # 2.5 used to run the vanishing estimator at order 3 while reporting r = 2.5,
+    # vanishing_margin(2.5) gave 1, and 4.0 died in range() without naming r
+    st, f2 = Stream(0, 0), product_family(2).fn
+    calls = {
+        "vanishing": lambda r: estimate_vanishing(f2, r, GridSpec(2, 8, 1), st),
+        "vanishing_margin": vanishing_margin,
+        "shift_coefficients": shift_coefficients,
+        "orders": lambda r: estimators.vanishing_orders(f2, r, GridSpec(2, 8, 1), [st]),
+        "paired": lambda r: estimate_paired_cv(F1.fn, r, GridSpec(1, 8, 0), st),
+        "single": lambda r: estimate_single_cv(F1.fn, r, GridSpec(1, 8, 0), st, mode="block"),
+        "analytic": lambda r: estimate_analytic_cv(F1.fn, _f1_oracle, r, GridSpec(1, 8, 0), st),
+    }
+    for name, call in calls.items():
+        for r in (2.5, 4.0, np.float64(3.0), "3", None):
+            with pytest.raises(TypeError, match=re.escape(f"order must be an integer, got {r!r}")):
+                call(r)
+    with pytest.raises(TypeError, match=r"^dilation must be an integer, got 3\.0$"):
+        shifted_stratum_mean(F1.fn, 3.0, GridSpec(1, 8, 1), st)
+
+
+def test_numpy_integer_order_shares_the_int_plan():
+    grid = GridSpec(1, 8, 0)
+    for variant, mode, m in (("paired_cv", "free", 0), ("single_cv", "block", 0),
+                             ("vanishing", "free", 1)):
+        assert estimators._plan(variant, np.int64(3), GridSpec(1, 8, m), mode) is \
+            estimators._plan(variant, 3, GridSpec(1, 8, m), mode)
+    rep = estimate_paired_cv(F1.fn, np.int64(3), grid, Stream(0, 0))
+    assert type(rep.config.r) is int
+    assert rep == estimate_paired_cv(F1.fn, 3, grid, Stream(0, 0))
+    assert vanishing_margin(np.int64(5)) == 2
+    assert list(estimators.vanishing_orders(F1.fn, np.int64(2), GridSpec(1, 8, 0),
+                                            [Stream(0, 0)])) == [1, 2]
+
+
+def test_numpy_integer_grid_gives_the_int_grid_report():
+    # a report's config holds the grid of the cached plan, which equal grids
+    # share: a numpy-integer grid must not show up in the report of an int one
+    f, st = product_family(2).fn, Stream(4, 1)
+    first = estimate_single_cv(f, 3, GridSpec(np.int64(2), np.int64(8)), st)
+    second = estimate_single_cv(f, 3, GridSpec(2, 8), st)
+    for rep in (first, second):
+        assert repr(rep.config.grid) == "GridSpec(s=2, k=8, m=0)"
+        assert type(rep.normalizer) is int
+    assert first.value == second.value
+
+
+def test_plan_cache_does_not_keep_the_derivative_oracle_alive():
+    class Oracle:
+        def __call__(self, alpha, pts):
+            return _exp_oracle(alpha, pts)
+
+    oracle = Oracle()
+    ref = weakref.ref(oracle)
+    f = lambda p: np.exp(0.5 * np.sum(p, axis=1))
+    estimate_analytic_cv(f, oracle, 4, GridSpec(2, 4, 0), [Stream(0, 0), Stream(0, 1)])
+    del oracle
+    assert ref() is None
 
 
 def test_single_cv_rate():

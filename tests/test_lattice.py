@@ -106,6 +106,13 @@ def test_grid_rejects_non_integer_fields():
     assert hash(GridSpec(1, np.int64(4))) == hash(GridSpec(1, 4))
 
 
+def test_grid_stores_numpy_integers_as_int():
+    grid = GridSpec(np.int64(2), np.int32(8), np.uint8(1))
+    assert [type(v) for v in (grid.s, grid.k, grid.m)] == [int, int, int]
+    assert repr(grid) == "GridSpec(s=2, k=8, m=1)"
+    assert type(grid.side) is int and type(grid.n_centres) is int
+
+
 def test_substream_id_stable():
     a = substream_id("hat", 3, 16, 0)
     b = substream_id("hat", 3, 16, 0)
