@@ -250,6 +250,18 @@ def test_cv_block_mode_runs():
     assert abs(rep.value - 1.0) < 0.01
 
 
+@pytest.mark.parametrize("estimator", [estimate_paired_cv, estimate_single_cv])
+def test_block_mode_fails_on_the_grid_rule_first(estimator):
+    # the block assignment is built after the grid rule, so a grid that
+    # block_partition would also reject fails with the rule's own message
+    for r, grid, error, message in (
+            (3, GridSpec(1, 8, 1), ValueError, "this estimator runs on margin-free grids (m = 0)"),
+            (5, GridSpec(1, 4, 0), ResolutionError, "need k >= r, got k=4, r=5"),
+            (0, GridSpec(1, 4, 0), OrderError, "order must be >= 1, got 0")):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            estimator(F1.fn, r, grid, Stream(0, 0), mode="block")
+
+
 def test_unknown_mode_rejected():
     # an unhashable mode cannot key the plan cache; it fails as any unknown mode
     for estimator in (estimate_paired_cv, estimate_single_cv):
@@ -427,7 +439,7 @@ def test_non_integer_order_is_a_type_error_naming_it():
         "single": lambda r: estimate_single_cv(F1.fn, r, GridSpec(1, 8, 0), st, mode="block"),
         "analytic": lambda r: estimate_analytic_cv(F1.fn, _f1_oracle, r, GridSpec(1, 8, 0), st),
     }
-    for name, call in calls.items():
+    for call in calls.values():
         for r in (2.5, 4.0, np.float64(3.0), "3", None):
             with pytest.raises(TypeError, match=re.escape(f"order must be an integer, got {r!r}")):
                 call(r)
