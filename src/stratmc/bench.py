@@ -335,6 +335,12 @@ def _write_csv(fh, rows: list[ResultRow], lineterminator: str = "\r\n") -> None:
 
 
 def read_rows(path) -> list[ResultRow]:
+    def cell(rec, name, kind):
+        try:
+            return kind(rec[name])
+        except ValueError as exc:
+            raise StratError(f"{path}:{reader.line_num}: column {name!r}: {exc}") from exc
+
     rows = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -342,13 +348,20 @@ def read_rows(path) -> list[ResultRow]:
         if missing:
             raise StratError(f"{path}: missing column {missing[0]!r}")
         for rec in reader:
+            # DictReader fills a short row's missing cells with None and
+            # keeps a long row's extra cells under the key None
+            if None in rec or None in rec.values():
+                width = len(reader.fieldnames)
+                n = width - list(rec.values()).count(None) + len(rec.get(None, ()))
+                raise StratError(f"{path}:{reader.line_num}: ragged row: {n} cells "
+                                 f"under a {width}-column header")
             rows.append(ResultRow(
                 variant=rec["variant"],
-                r=int(rec["r"]),
-                k=int(rec["k"]),
-                n_evals=float(rec["n_evals"]),
-                rel_error=float(rec["rel_error"]),
-                discarded=bool(int(rec["discarded"])),
+                r=cell(rec, "r", int),
+                k=cell(rec, "k", int),
+                n_evals=cell(rec, "n_evals", float),
+                rel_error=cell(rec, "rel_error", float),
+                discarded=bool(cell(rec, "discarded", int)),
                 slope_group=rec["slope_group"],
             ))
     return rows

@@ -103,7 +103,11 @@ def _centred_monomial(alpha):
 
 
 def offset_moment(i: int, k: int) -> float:
-    """E[V^i] for V uniform on [-1/2k, 1/2k]: zero for odd i, else 1/((i+1)(2k)^i)."""
+    """E[V^i] for V uniform on [-1/2k, 1/2k]: zero for odd i, else 1/((i+1)(2k)^i).
+
+    ``i`` and ``k`` are integers (``TypeError`` otherwise), ``i >= 0`` and ``k >= 1``.
+    """
+    i, k = _order(i, "moment order"), _order(k, "resolution")
     if i < 0:
         raise ValueError(f"moment order must be >= 0, got {i}")
     if k < 1:

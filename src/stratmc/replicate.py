@@ -103,6 +103,8 @@ def tail_bound(delta: float, c_hat: float, norm_r: float, n: int, r: int, s: int
         raise DomainError(f"delta must be in (0, 1), got {delta}")
     if n < 1 or s < 1:
         raise DomainError(f"need n >= 1 evaluations and dimension s >= 1, got n={n}, s={s}")
+    if not (c_hat >= 0.0 and norm_r >= 0.0):
+        raise DomainError(f"need c_hat >= 0 and norm_r >= 0, got c_hat={c_hat}, norm_r={norm_r}")
     return float(n) ** (-0.5 - r / s) * c_hat * norm_r * math.sqrt(2.0 * math.log(2.0 / delta))
 
 

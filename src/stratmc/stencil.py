@@ -70,9 +70,11 @@ def multi_factorial(alpha) -> int:
     return out
 
 def multi_indices(s: int, total: int) -> Iterator[tuple[int, ...]]:
-    """All multi-indices of length s with |alpha| = total, lexicographic."""
+    """All multi-indices of length s with |alpha| = total, lexicographic; total >= 0."""
     if s < 1:
         raise ValueError(f"dimension must be >= 1, got {s}")
+    if total < 0:
+        raise OrderError(f"total order must be >= 0, got {total}")
     if s == 1:
         yield (total,)
         return

@@ -200,40 +200,28 @@ def wrap(g, s: int, tau: float = 1.5) -> VanishingIntegrand:
 _FD_STEP = 1e-5  # of the central differences in the mode search and the curvature
 
 
-def _num_gradient(h, x: np.ndarray) -> np.ndarray:
+def _differences(h, x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """h(x), and the central-difference gradient and Hessian of h at x.
+
+    One batch of 1 + 2s + 2s(s-1) rows: x + step e_i and x - step e_i for
+    each axis i, then x, then the corners x +- step e_i +- step e_j (++, +-,
+    -+, --) of each pair i < j.
+    """
     s, step = len(x), _FD_STEP
-    pts = np.repeat(x[None, :], 2 * s, axis=0)
-    for i in range(s):
-        pts[2 * i, i] += step
-        pts[2 * i + 1, i] -= step
+    pairs = np.triu_indices(s, 1)
+    pts = np.repeat(x[None, :], 1 + 2 * s + 4 * len(pairs[0]), axis=0)
+    axes = np.arange(s)
+    pts[2 * axes, axes] += step
+    pts[2 * axes + 1, axes] -= step
+    corners = step * np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
+    for n, pair in enumerate(zip(*pairs)):
+        pts[2 * s + 1 + 4 * n:2 * s + 5 + 4 * n, list(pair)] += corners
     vals = _evaluate(h, pts, "log-density")[0]
-    return (vals[0::2] - vals[1::2]) / (2.0 * step)
-
-
-def _num_hessian(h, x: np.ndarray) -> tuple[np.ndarray, float]:
-    """The central-difference Hessian of h at x, and h(x), which it reads."""
-    s, step = len(x), _FD_STEP
-    hess = np.empty((s, s))
-    h0 = float(_evaluate(h, x[None, :], "log-density")[0][0])
-    for i in range(s):
-        for j in range(i, s):
-            if i == j:
-                pts = np.repeat(x[None, :], 2, axis=0)
-                pts[0, i] += step
-                pts[1, i] -= step
-                vp, vm = _evaluate(h, pts, "log-density")[0]
-                hess[i, i] = (vp - 2.0 * h0 + vm) / step ** 2
-            else:
-                pts = np.repeat(x[None, :], 4, axis=0)
-                pts[0, [i, j]] += step
-                pts[1, i] += step
-                pts[1, j] -= step
-                pts[2, i] -= step
-                pts[2, j] += step
-                pts[3, [i, j]] -= step
-                vpp, vpm, vmp, vmm = _evaluate(h, pts, "log-density")[0]
-                hess[i, j] = hess[j, i] = (vpp - vpm - vmp + vmm) / (4.0 * step ** 2)
-    return hess, h0
+    plus, minus, h0 = vals[0:2 * s:2], vals[1:2 * s:2], float(vals[2 * s])
+    vpp, vpm, vmp, vmm = vals[2 * s + 1:].reshape(-1, 4).T
+    hess = np.diag((plus - 2.0 * h0 + minus) / step ** 2)
+    hess[pairs] = hess[pairs[::-1]] = (vpp - vpm - vmp + vmm) / (4.0 * step ** 2)
+    return h0, (plus - minus) / (2.0 * step), hess
 
 
 @dataclass
@@ -257,13 +245,16 @@ def laplace_reparametrize(h, mode_guess, *, scale: str, tau: float = 1.5,
     the gradient max-norm drops below ``grad_tol``, or when no step improves
     h while the predicted Newton gain ``grad . step / 2`` is at the rounding
     level of ``|h|`` (the difference gradient then only measures noise).
-    The batches of the difference gradient and Hessian, h(x) among them,
-    are held to the integrand contract as the "log-density"; a line-search
-    candidate is compared as returned, since a non-finite value there only
-    means no ascent.  ``tau`` is checked before h is first called.
+    Each iterate x reads h in one batch of 1 + 2s + 2s(s-1) rows: x + step
+    e_i and x - step e_i for each axis i in turn, then x, then the four
+    corners x +- step e_i +- step e_j of each pair i < j.  That batch, which
+    gives h(x), the gradient and the Hessian, is held to the integrand
+    contract as the "log-density"; a line-search candidate is compared as
+    returned, since a non-finite value there only means no ascent.  ``tau``
+    is checked before h is first called.
 
     ``scale`` selects the linear change of variables, with H the curvature
-    (Hessian of -h) at the mode:
+    (Hessian of -h) at the mode, taken from the last iterate's batch:
 
     * ``"inv-hessian"`` - L is the Cholesky factor of H^-1, the standard
       Laplace scaling; the pulled-back density is approximately standard
@@ -281,10 +272,9 @@ def laplace_reparametrize(h, mode_guess, *, scale: str, tau: float = 1.5,
     s = len(x)
     trace = [x.copy()]
     for _ in range(max_iter):
-        grad = _num_gradient(h, x)
+        h_now, grad, hess = _differences(h, x)
         if np.max(np.abs(grad)) <= grad_tol:
             break
-        hess, h_now = _num_hessian(h, x)
         try:
             step_dir = np.linalg.solve(-hess, grad)
         except np.linalg.LinAlgError:
@@ -310,7 +300,7 @@ def laplace_reparametrize(h, mode_guess, *, scale: str, tau: float = 1.5,
             f"in {max_iter} iterations", trace,
         )
 
-    curvature = -_num_hessian(h, x)[0]
+    curvature = -hess  # at the last iterate, the mode
     try:
         if scale == "inv-hessian":
             scale_matrix = np.linalg.cholesky(np.linalg.inv(curvature))

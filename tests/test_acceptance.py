@@ -338,3 +338,21 @@ def test_criterion_11_asymptotic_variance():
     _report(11, "asymptotic variance limit", rel < 0.20,
             f"k^(s+2r) Var = {empirical:.4e} vs estimate {sigma2:.4e} "
             f"(relative gap {rel:.3f} < 0.20)")
+
+
+def _exp_sum(pts):
+    return np.exp(pts[:, 0] + pts[:, 1])
+
+
+def test_criterion_12_rmse_rates_s2():
+    # the paper's MSE rate n^(-1-2r/s) at s=2, where the mixed multi-indices
+    # of the control variates first count; windows are +-15% of the rate
+    ks = (8, 16, 32)
+    exact = (math.e - 1.0) ** 2
+    slope_hat = _mse_ladder(
+        lambda k, st: estimate_paired_cv(_exp_sum, 4, GridSpec(2, k, 0), st), ks, 50, 34, exact)
+    slope_tilde = _mse_ladder(
+        lambda k, st: estimate_single_cv(_exp_sum, 3, GridSpec(2, k, 0), st), ks, 50, 35, exact)
+    ok = abs(slope_hat + 5) <= 0.75 and abs(slope_tilde + 4) <= 0.6
+    _report(12, "RMSE rates at s=2", ok,
+            f"paired r=4 {slope_hat:+.2f} (-5+-0.75), single r=3 {slope_tilde:+.2f} (-4+-0.6)")

@@ -516,7 +516,14 @@ _NO_FILE = "[Errno 2] No such file or directory: '{tmp}/"
     (["slope", "--input", "{tmp}/missing.csv"], _NO_FILE + "missing.csv'"),
     (["run", "--config", "{tmp}/missing.cfg"], _NO_FILE + "missing.cfg'"),
     (["slope", "--input", "{tmp}/no-k.csv"], "{tmp}/no-k.csv: missing column 'k'"),
-    (["slope", "--input", "{tmp}/abc.csv"], "could not convert string to float: 'abc'"),
+    (["slope", "--input", "{tmp}/abc.csv"],
+     "{tmp}/abc.csv:2: column 'n_evals': could not convert string to float: 'abc'"),
+    (["slope", "--input", "{tmp}/int.csv"],
+     "{tmp}/int.csv:3: column 'k': invalid literal for int() with base 10: 'x'"),
+    (["slope", "--input", "{tmp}/short.csv"],
+     "{tmp}/short.csv:3: ragged row: 6 cells under a 7-column header"),
+    (["slope", "--input", "{tmp}/long.csv"],
+     "{tmp}/long.csv:2: ragged row: 8 cells under a 7-column header"),
     (["run", "--fn", "logistic", "--dataset", "{tmp}/missing.csv"], _NO_FILE + "missing.csv'"),
     (["run", "--k", "4,8", "--reps", "2", "--out", "{tmp}/missing/x.csv"],
      _NO_FILE + "missing/x.csv'"),
@@ -534,6 +541,7 @@ _NO_FILE = "[Errno 2] No such file or directory: '{tmp}/"
      "{tmp}/spelt.cfg:2: key 'rel_mode' repeats line 1; give each key once"),
 ], ids=["star-without-oracle", "k-decreasing", "logistic-without-dataset", "order-0",
         "slope-missing-input", "missing-config", "slope-missing-column", "slope-bad-cell",
+        "slope-bad-int-cell", "slope-short-row", "slope-long-row",
         "logistic-missing-dataset", "out-in-missing-dir", "config-line-without-equals", "tau-0",
         "config-misspelt-key", "config-key-of-another-command", "config-names-a-config",
         "config-repeated-key", "config-repeated-key-spelt-two-ways"])
@@ -542,6 +550,12 @@ def test_cli_library_errors_are_usage_errors(argv, message, tmp_path, capsys):
     # file that cannot be read or written is a usage error too
     (tmp_path / "no-k.csv").write_text("variant,r,n_evals,rel_error,discarded,slope_group\n")
     (tmp_path / "abc.csv").write_text(",".join(CSV_COLUMNS) + "\nhat,2,4,abc,0.1,0,hat-r2\n")
+    (tmp_path / "int.csv").write_text(",".join(CSV_COLUMNS)
+                                      + "\nhat,2,4,16,0.1,0,hat-r2\nhat,2,x,64,0.01,0,hat-r2\n")
+    # a row without its slope group would otherwise fail to sort among the groups
+    (tmp_path / "short.csv").write_text(",".join(CSV_COLUMNS)
+                                        + "\nhat,2,4,16,0.1,0,hat-r2\nhat,2,8,64,0.01,0\n")
+    (tmp_path / "long.csv").write_text(",".join(CSV_COLUMNS) + "\nhat,2,4,16,0.1,0,hat-r2,x\n")
     (tmp_path / "bad.cfg").write_text("fn = gauss\nk 4\n")
     # a misspelt key would otherwise run with the default it meant to replace
     (tmp_path / "typo.cfg").write_text("fn = gauss\nrep = 3\nsed = 9\n")

@@ -6,10 +6,11 @@ import pytest
 
 import stratmc
 from stratmc.bench import ExperimentConfig, load_labelled_csv, test_function as product_family
-from stratmc.errors import StratError
+from stratmc.errors import DomainError, OrderError, StratError
 from stratmc.estimators import asymptotic_variance_estimate, crude_mc, offset_moment
 from stratmc.lattice import GridSpec, Stream
-from stratmc.stencil import block_partition, error_constant
+from stratmc.replicate import tail_bound
+from stratmc.stencil import block_partition, error_constant, multi_indices
 from stratmc.transform import laplace_reparametrize
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -74,6 +75,13 @@ _NOT_PD = "curvature at the mode is not positive definite: Matrix is not positiv
      ValueError, "need budget >= 2, got 1"),
     (lambda tmp: offset_moment(-1, 2), ValueError, "moment order must be >= 0, got -1"),
     (lambda tmp: offset_moment(2, 0), ValueError, "resolution must be >= 1, got 0"),
+    (lambda tmp: offset_moment(2.5, 4), TypeError, "moment order must be an integer, got 2.5"),
+    (lambda tmp: offset_moment(2, 4.5), TypeError, "resolution must be an integer, got 4.5"),
+    (lambda tmp: list(multi_indices(2, -1)), OrderError, "total order must be >= 0, got -1"),
+    (lambda tmp: tail_bound(0.1, -1.0, 2.0, 64, 2, 1),
+     DomainError, "need c_hat >= 0 and norm_r >= 0, got c_hat=-1.0, norm_r=2.0"),
+    (lambda tmp: tail_bound(0.1, 1.0, -2.0, 64, 2, 1),
+     DomainError, "need c_hat >= 0 and norm_r >= 0, got c_hat=1.0, norm_r=-2.0"),
     (lambda tmp: error_constant(2, 3, family="bogus"),
      ValueError, "unknown stencil family 'bogus'"),
     (lambda tmp: block_partition(GridSpec(2, 4, 1), 2),
@@ -84,7 +92,9 @@ _NOT_PD = "curvature at the mode is not positive definite: Matrix is not positiv
      ValueError, "rel_mode must be 'squared' or 'literal', got 'x'"),
 ], ids=["laplace-saddle-inv-hessian", "laplace-saddle-hessian", "csv-empty-file",
         "csv-empty-header", "crude-n-0", "asymptotic-budget-1", "moment-order-negative",
-        "moment-resolution-0", "error-constant-family", "block-partition-margin",
+        "moment-resolution-0", "moment-order-float", "moment-resolution-float",
+        "multi-indices-negative-total", "tail-bound-negative-c-hat", "tail-bound-negative-norm",
+        "error-constant-family", "block-partition-margin",
         "product-family-dimension-0", "config-rel-mode"])
 def test_typed_errors(call, error, message, tmp_path):
     # each raise is reachable, with its exact type and message

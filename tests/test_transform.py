@@ -463,6 +463,67 @@ def test_laplace_minus_inf_log_density_is_a_zero_density():
 
 
 def test_laplace_rejects_a_column_log_density():
+    # the first batch is the whole difference batch at s=2: 1 + 4 + 4 rows
     h = _mvn_logpdf(np.zeros(2), np.eye(2))
-    with pytest.raises(IntegrandError, match=r"log-density returned shape \(4, 1\) for 4 points"):
+    with pytest.raises(IntegrandError, match=r"log-density returned shape \(9, 1\) for 9 points"):
         laplace_reparametrize(lambda b: h(b)[:, None], np.ones(2), scale="inv-hessian")
+
+
+def _row_stable(b):
+    # elementwise arithmetic only, so a point's value does not depend on the
+    # batch it comes in
+    b = np.atleast_2d(b)
+    d0, d1, d2 = b[:, 0] - 0.3, b[:, 1] + 0.2, b[:, 2] - 0.1
+    q1 = d1 * d1
+    return -d0 * d0 - 0.5 * q1 * q1 - q1 - d2 * d2 - 0.3 * d0 * d1 + 0.1 * d1 * d2
+
+
+def _difference_batch(x):
+    # x +- step e_i by axis, then x, then the corners ++, +-, -+, -- of each pair i < j
+    s, step = len(x), 1e-5
+    rows = [x + sign * step * np.eye(s)[i] for i in range(s) for sign in (1.0, -1.0)] + [x]
+    for i, j in itertools.combinations(range(s), 2):
+        for si, sj in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)):
+            corner = x.copy()
+            corner[i] += si * step
+            corner[j] += sj * step
+            rows.append(corner)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("h, guess", [
+    (_mvn_logpdf(np.array([0.7]), 2.0 * np.eye(1)), [0.0]),
+    (_mvn_logpdf(np.array([0.4, -0.1]), np.array([[1.0, 0.3], [0.3, 0.5]])), [0.0, 0.0]),
+    (_row_stable, [0.0, 0.0, 0.0]),
+], ids=["s1", "s2", "s3"])
+def test_laplace_reads_h_once_per_iterate(h, guess):
+    # each iterate is one batch of 1 + 2s + 2s(s-1) rows, and the curvature
+    # at the mode is the last iterate's: no batch follows it
+    batches = []
+
+    def recorded(b):
+        batches.append(np.array(b, copy=True))
+        return h(b)
+
+    fit = laplace_reparametrize(recorded, np.array(guess), scale="inv-hessian")
+    s = len(guess)
+    multi = [i for i, b in enumerate(batches) if len(b) > 1]
+    assert len(multi) == len(fit.trace)
+    for i, x in zip(multi, fit.trace):
+        assert len(batches[i]) == 1 + 2 * s + 2 * s * (s - 1)
+        assert np.array_equal(batches[i], _difference_batch(x))
+    assert multi[-1] == len(batches) - 1
+    assert np.array_equal(fit.trace[-1], fit.mode)
+
+
+def test_laplace_golden():
+    # mode and curvature of a row-stable h, bit for bit as formed by separate
+    # gradient and Hessian batches
+    fit = laplace_reparametrize(_row_stable, np.zeros(3), scale="inv-hessian")
+    assert [v.hex() for v in fit.mode] == [
+        "0x1.3333333333332p-2", "-0x1.9999999999992p-3", "0x1.999999999999bp-4"]
+    assert [v.hex() for v in fit.hessian.ravel()] == [
+        "0x1.000000000232fp+1", "0x1.3333333335d6dp-2", "-0x0.0p+0",
+        "0x1.3333333335d6dp-2", "0x1.00000000392cbp+1", "-0x1.999999999aad1p-4",
+        "-0x0.0p+0", "-0x1.999999999aad1p-4", "0x1.fffffffffe4b7p+0"]
+    assert len(fit.trace) == 4
