@@ -53,12 +53,11 @@ from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache, partial
-from numbers import Integral
 
 import numpy as np
 
 from .errors import IntegrandError, OrderError, ResolutionError
-from .lattice import GridSpec, Stream, centre_array
+from .lattice import GridSpec, Stream, _integer, centre_array
 from .stencil import (
     BlockAssignment,
     _family_stencils,
@@ -107,7 +106,7 @@ def offset_moment(i: int, k: int) -> float:
 
     ``i`` and ``k`` are integers (``TypeError`` otherwise), ``i >= 0`` and ``k >= 1``.
     """
-    i, k = _order(i, "moment order"), _order(k, "resolution")
+    i, k = _integer(i, "moment order"), _integer(k, "resolution")
     if i < 0:
         raise ValueError(f"moment order must be >= 0, got {i}")
     if k < 1:
@@ -120,18 +119,9 @@ def offset_moment(i: int, k: int) -> float:
 # ---------------------------------------------------------------------------
 # dilation coefficients for the vanishing estimator
 
-def _order(r, what: str = "order") -> int:
-    """``r`` as a Python int: the one check that an order (or dilation) is an integer."""
-    if type(r) is int:
-        return r
-    if not isinstance(r, Integral):
-        raise TypeError(f"{what} must be an integer, got {r!r}")
-    return int(r)
-
-
 def _shifts(r) -> tuple[int, ...]:
     """The first r odd dilations 1, -1, 3, -3, 5, -5, ...; r an integer >= 1."""
-    r = _order(r)
+    r = _integer(r, "order")
     if r < 1:
         raise OrderError(f"order must be >= 1, got {r}")
     out = []
@@ -170,7 +160,6 @@ class ShiftCoefficients:
     weights: tuple[float, ...]
 
 
-@lru_cache(maxsize=64, typed=True)
 def shift_coefficients(r: int) -> ShiftCoefficients:
     shifts = _shifts(r)
     exact = _lagrange_coeff_exact(shifts, 0)
@@ -358,17 +347,11 @@ def _shift_parts(f, grid: GridSpec, shifts, u: np.ndarray, guard: bool,
     return means, rows, counts
 
 
-def _combine(weights, values) -> float:
+def _combine(weights, values):
+    """sum_j w_j v_j from 0.0: a float for values, an array for value rows."""
     acc = 0.0
     for w, v in zip(weights, values):
         acc += w * v
-    return acc
-
-
-def _combine_rows(weights, rows) -> np.ndarray:
-    acc = np.zeros_like(rows[0])
-    for w, row in zip(weights, rows):
-        acc += w * row
     return acc
 
 
@@ -401,8 +384,8 @@ _RULES = {
 def _plan(variant: str, r, grid: GridSpec, mode="free") -> _Plan:
     """The plan of ``variant`` at order ``r`` (for ``"dilated_mean"``, its
     dilation) on ``grid``, built and checked once; a bad mode fails uncached.
-    ``r`` passes ``_order`` first, so a numpy integer shares its int's plan."""
-    r = _order(r, "dilation" if variant == "dilated_mean" else "order")
+    ``r`` passes ``_integer`` first, so a numpy integer shares its int's plan."""
+    r = _integer(r, "dilation" if variant == "dilated_mean" else "order")
     if not isinstance(mode, str) or mode not in ("free", "block"):
         raise ValueError(f"unknown stencil mode {mode!r}")
     return _built_plan(variant, r, grid, mode)
@@ -490,7 +473,7 @@ def _estimate(plans: _Plan | tuple[_Plan, ...], f, stream, keep_terms: bool, ora
         for i, plan in enumerate(plans):
             n_shifts = len(plan.shifts)
             value = _combine(plan.weights, means)
-            terms = _combine_rows(plan.weights, rows) if keep_terms else None
+            terms = _combine(plan.weights, rows) if keep_terms else None
             if plan.alphas:
                 if derivs[i] is None:
                     derivs[i] = _derivatives(plan, f, oracle)
@@ -713,9 +696,7 @@ def asymptotic_variance_estimate(derivative_oracle, s: int, r: int, budget: int,
     cov = np.cov(samples.T, ddof=1).reshape(len(alphas), len(alphas))
 
     quad_per_axis = {1: 4096, 2: 128}.get(s, max(8, int(round(8192 ** (1 / s)))))
-    axis = (np.arange(quad_per_axis) + 0.5) / quad_per_axis
-    mesh = np.meshgrid(*([axis] * s), indexing="ij")
-    qpts = np.stack([m.ravel() for m in mesh], axis=1)
+    qpts = centre_array(GridSpec(s, quad_per_axis))
     dvals = [_evaluate(partial(derivative_oracle, a), qpts, f"derivative oracle at alpha={a}")[0]
              for a in alphas]
     weight = 1.0 / len(qpts)

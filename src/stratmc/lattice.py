@@ -42,6 +42,18 @@ __all__ = [
     "substream_id",
 ]
 
+
+def _integer(value, what: str) -> int:
+    """``value`` as a Python int, else ``TypeError`` naming ``what``: the one
+    check that an argument is an integer (numpy integers pass, floats do not)."""
+    # the exact-type test first: the ABC check costs ten times more
+    if type(value) is int:
+        return value
+    if not isinstance(value, Integral):
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Cubic stratification of ``[-m/k, 1+m/k]^s`` into cells of side 1/k.
@@ -59,14 +71,8 @@ class GridSpec:
 
     def __post_init__(self):
         for name in ("s", "k", "m"):
-            value = getattr(self, name)
-            # the exact-type test first: the ABC check costs ten times more
-            if type(value) is int:
-                continue
-            if not isinstance(value, Integral):
-                raise TypeError(f"GridSpec.{name} must be an integer, got {value!r}")
             # equal grids are then alike as cache keys and in reports
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _integer(getattr(self, name), f"GridSpec.{name}"))
         if self.s < 1:
             raise ValueError(f"dimension must be >= 1, got {self.s}")
         if self.k < 1:
@@ -134,14 +140,9 @@ class Stream:
 
     def __post_init__(self):
         for name in ("seed", "replicate"):
-            value = getattr(self, name)
-            if type(value) is int:
-                continue
-            if not isinstance(value, Integral):
-                raise TypeError(f"Stream.{name} must be an integer, got {value!r}")
             # a numpy integer is stored as a Python int: the key is mixed in
             # Python ints, where ``seed + _GOLDEN`` must not overflow int64
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _integer(getattr(self, name), f"Stream.{name}"))
 
     def offsets(self, grid: GridSpec) -> np.ndarray:
         """Stratum offsets for every centre of ``grid``.

@@ -482,8 +482,7 @@ def error_constant(s: int, r: int, family: str = "single") -> float:
             c_alpha = step * (1.0 + c_alpha)
         c_bar = max(c_bar, c_alpha)
 
-    cv_sum = sum(1.0 / multi_factorial(alpha)
-                 for total in range(1, r)
-                 for alpha in multi_indices(s, total))
-    tail_sum = sum(1.0 / multi_factorial(alpha) for alpha in multi_indices(s, r))
+    every = _family_stencils("single", s, r + 1)[0]
+    cv_sum = sum(1.0 / multi_factorial(alpha) for alpha in every if abs_order(alpha) < r)
+    tail_sum = sum(1.0 / multi_factorial(alpha) for alpha in every if abs_order(alpha) == r)
     return 2.0 * c_bar * cv_sum + 2.0 ** (1 - r) * tail_sum

@@ -125,10 +125,10 @@ class VanishingIntegrand:
     cube where g is nonzero and +0.0 on every other point.  One call forms
     ``u(1-u)``, ``2u-1`` and ``(u(1-u))^tau`` once each for the map and the
     Jacobian, and copies points only when some lie outside the open cube.
-    Unless g is zero on every point, the Jacobian factor is built in place
-    for every interior point and used only where g is nonzero: where g is 0
-    it may overflow near the faces, with its floating-point warnings
-    silenced, and the value is +0.0 all the same.  Where g is nonzero an
+    The Jacobian factor is built in place for every interior point and used
+    only where g is nonzero: where g is 0 it may overflow near the faces,
+    with its floating-point warnings silenced, and the value is +0.0 all the
+    same.  Where g is nonzero an
     overflow warns as ``jacobian_factor`` does.  Points of another width
     than ``s``, and a point with a NaN coordinate, raise ``DomainError``.
     ``g`` is held to the integrand contract as the "wrapped integrand", at
@@ -162,21 +162,17 @@ class VanishingIntegrand:
         base, centred, scale = _parts(inner, self.tau)
         gvals = _evaluate(self.g, centred / scale, "wrapped integrand",
                           rows=None if interior is None else np.flatnonzero(interior))[0]
-        zero = gvals == 0.0
-        if zero.all():
-            vals = np.zeros(len(inner))
-        else:
-            # psi' for every row: a row where g is 0 may overflow to inf or
-            # NaN here, and gets +0.0 below
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                vals = _axis_product(_slope(base, centred, scale, self.tau))
-                vals *= gvals
-            vals[zero] = 0.0
-            bad = ~np.isfinite(vals)
-            if bad.any():
-                # an overflow where g is nonzero: form those rows again with
-                # the floating-point warnings on
-                vals[bad] = gvals[bad] * jacobian_factor(inner[bad], self.tau)
+        # psi' for every row: a row where g is 0 may overflow to inf or NaN
+        # here, and gets +0.0 below
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            vals = _axis_product(_slope(base, centred, scale, self.tau))
+            vals *= gvals
+        vals[gvals == 0.0] = 0.0
+        bad = ~np.isfinite(vals)
+        if bad.any():
+            # an overflow where g is nonzero: form those rows again with the
+            # floating-point warnings on
+            vals[bad] = gvals[bad] * jacobian_factor(inner[bad], self.tau)
         if interior is None:
             return vals
         out = np.zeros(len(pts))
