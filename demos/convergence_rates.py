@@ -1,54 +1,38 @@
 """Convergence-rate walkthrough on the unit interval.
 
 Runs the estimator ladder on f(u) = u e^u (exact integral 1) over a doubling
-sequence of grid resolutions and prints the mean-squared error per cell plus
-the fitted log-log slope.  For an estimator of smoothness order r in
-dimension s the MSE should fall like n^-(1 + 2r/s):
+sequence of grid resolutions with the benchmark harness, ``stratmc.run``, and
+prints the mean-squared error per cell plus the log-log slope that
+``fit_slope`` fits.  For an estimator of smoothness order r in dimension s
+the MSE should fall like n^-(1 + 2r/s):
 
-    crude MC        -1
-    haber1  (r=1)   -3
-    haber2  (r=2)   -5
-    paired r=4      -9
+    crude-r1    -1    crude Monte Carlo
+    haber1-r1   -3
+    haber2-r2   -5
+    hat-r4      -9    the paired estimator at r = 4
 
 The paired estimator's error hits the exactness floor quickly, which is why
 its large-k cells get discarded in benchmark CSVs.
 """
 
-import numpy as np
+from itertools import groupby
 
-from stratmc import GridSpec, Stream, test_function
-from stratmc.estimators import crude_mc, estimate_paired_cv, haber1, haber2
-from stratmc.lattice import substream_id
+from stratmc import ExperimentConfig, fit_slope, run, test_function
 
 REPS = 50
 KS = (4, 8, 16, 32, 64, 128, 256)
 
 f1 = test_function(1)
 
-ladders = {
-    "crude": lambda k, st: crude_mc(f1.fn, 1, k, st),
-    "haber1": lambda k, st: haber1(f1.fn, GridSpec(1, k, 0), st),
-    "haber2": lambda k, st: haber2(f1.fn, GridSpec(1, k, 0), st),
-    "paired r=4": lambda k, st: estimate_paired_cv(f1.fn, 4, GridSpec(1, k, 0), st),
-}
+rows = run(ExperimentConfig(integrand=f1, variants=("crude", "haber1", "haber2", "hat"),
+                            r_values=(4,), k_values=KS, replicates=REPS))
 
 print(f"integrand {f1.name}, exact integral {f1.exact}, {REPS} replicates per cell\n")
-for name, make in ladders.items():
-    ns, mses = [], []
-    for k in KS:
-        if "r=4" in name and k < 4:
-            continue
-        vals, n_evals = [], []
-        for rep in range(REPS):
-            report = make(k, Stream(0, substream_id(name, k, rep)))
-            vals.append(report.value)
-            n_evals.append(report.n_in_domain)
-        ns.append(np.mean(n_evals))
-        mses.append(np.mean((np.array(vals) - f1.exact) ** 2))
-    slope = np.polyfit(np.log(ns), np.log(mses), 1)[0]
-    cells = "  ".join(f"n={n:>5.0f}:{m:.1e}" for n, m in zip(ns, mses))
-    print(f"{name:<11} slope {slope:+.2f}")
-    print(f"            {cells}\n")
+for group, cells in groupby(rows, key=lambda row: row.slope_group):
+    cells = list(cells)
+    line = "  ".join(f"n={row.n_evals:>5.0f}:{row.rel_error:.1e}" for row in cells)
+    print(f"{group:<11} slope {fit_slope(cells):+.2f}")
+    print(f"            {line}\n")
 
 print("The same ladder is available from the command line:")
 print("  stratmc run --fn fs --dim 1 --variant haber1,hat --r 4 \\")

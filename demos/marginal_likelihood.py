@@ -49,11 +49,8 @@ print(f"\n{'order':>5} {'k':>4} {'estimate':>14} {'rel sd':>9}")
 for r in (1, 2, 3):
     for k in (16, 32):
         grid = GridSpec(2, k, vanishing_margin(r))
-        reports = [
-            estimate_vanishing(integrand.fn, r, grid,
-                               Stream(9, substream_id("ml", r, k, j)), keep_terms=True)
-            for j in range(8)
-        ]
+        streams = [Stream(9, substream_id("ml", r, k, j)) for j in range(8)]
+        reports = estimate_vanishing(integrand.fn, r, grid, streams, keep_terms=True)
         summary = pooled(reports)
         rel_sd = math.sqrt(summary.pooled_variance) / summary.pooled_mean
         print(f"{r:>5} {k:>4} {summary.pooled_mean:>14.6e} {rel_sd:>9.1e}")

@@ -34,10 +34,8 @@ def second_moment(x):
 f = wrap(lambda x: second_moment(x), 1, TAU)
 r = 3
 grid = GridSpec(1, 64, vanishing_margin(r))
-reports = [
-    estimate_vanishing(f, r, grid, Stream(1, substream_id("m2", j)), keep_terms=True)
-    for j in range(6)
-]
+reports = estimate_vanishing(f, r, grid, [Stream(1, substream_id("m2", j)) for j in range(6)],
+                             keep_terms=True)
 summary = pooled(reports)
 print(f"E[X^2] for X ~ N(0,1): {summary.pooled_mean:.8f}"
       f"  (sd {math.sqrt(summary.pooled_variance):.1e}, exact 1)")
@@ -51,10 +49,8 @@ def student_like(x):
     return (2.0 / math.pi) / (1.0 + x * x) ** 2
 
 g = wrap(lambda x: student_like(x), 1, TAU)
-reports = [
-    estimate_vanishing(g, r, grid, Stream(2, substream_id("st", j)), keep_terms=True)
-    for j in range(6)
-]
+reports = estimate_vanishing(g, r, grid, [Stream(2, substream_id("st", j)) for j in range(6)],
+                             keep_terms=True)
 summary = pooled(reports)
 print(f"mass of 2/pi (1+x^2)^-2 : {summary.pooled_mean:.8f}"
       f"  (sd {math.sqrt(summary.pooled_variance):.1e}, exact 1)")

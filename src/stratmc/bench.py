@@ -141,27 +141,39 @@ def _log_sigmoid(z: np.ndarray) -> np.ndarray:
     return -np.logaddexp(0.0, -z)
 
 
+def _read_table(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """A header CSV's header and its non-blank rows with their line numbers.
+
+    ``StratError`` for an empty file, an empty first line, and a row whose
+    width is not the header's (naming its line).
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise StratError(f"{path}: empty file, expected a header row")
+        if not header:
+            raise StratError(f"{path}: header row is empty")
+        rows = []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise StratError(f"{path}:{reader.line_num}: ragged row: {len(row)} cells "
+                                 f"under a {len(header)}-column header")
+            rows.append((reader.line_num, row))
+    return header, rows
+
+
 def load_labelled_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read a header CSV whose first column is the label, rest predictors.
 
     Labels must be in {-1, 1} or {0, 1} (remapped to -1/1).  Returns
     (labels, predictor matrix); the file may contain zero data rows.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise StratError(f"{path}: empty file, expected a header row")
-        rows = [(reader.line_num, row) for row in reader if row]
-    if len(header) < 1:
-        raise StratError(f"{path}: header row is empty")
+    header, rows = _read_table(path)
     if not rows:
-        return np.empty(0), np.empty((0, max(len(header) - 1, 0)))
-    for lineno, row in rows:
-        if len(row) != len(header):
-            raise StratError(f"{path}:{lineno}: ragged row: {len(row)} cells "
-                             f"under a {len(header)}-column header")
+        return np.empty(0), np.empty((0, len(header) - 1))
     try:
         data = np.array([[float(v) for v in row] for _lineno, row in rows])
     except ValueError as exc:
@@ -335,35 +347,29 @@ def _write_csv(fh, rows: list[ResultRow], lineterminator: str = "\r\n") -> None:
 
 
 def read_rows(path) -> list[ResultRow]:
-    def cell(rec, name, kind):
-        try:
-            return kind(rec[name])
-        except ValueError as exc:
-            raise StratError(f"{path}:{reader.line_num}: column {name!r}: {exc}") from exc
-
+    header, table = _read_table(path)
+    missing = [name for name in CSV_COLUMNS if name not in header]
+    if missing:
+        raise StratError(f"{path}: missing column {missing[0]!r}")
     rows = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [name for name in CSV_COLUMNS if name not in (reader.fieldnames or ())]
-        if missing:
-            raise StratError(f"{path}: missing column {missing[0]!r}")
-        for rec in reader:
-            # DictReader fills a short row's missing cells with None and
-            # keeps a long row's extra cells under the key None
-            if None in rec or None in rec.values():
-                width = len(reader.fieldnames)
-                n = width - list(rec.values()).count(None) + len(rec.get(None, ()))
-                raise StratError(f"{path}:{reader.line_num}: ragged row: {n} cells "
-                                 f"under a {width}-column header")
-            rows.append(ResultRow(
-                variant=rec["variant"],
-                r=cell(rec, "r", int),
-                k=cell(rec, "k", int),
-                n_evals=cell(rec, "n_evals", float),
-                rel_error=cell(rec, "rel_error", float),
-                discarded=bool(cell(rec, "discarded", int)),
-                slope_group=rec["slope_group"],
-            ))
+    for lineno, row in table:
+        rec = dict(zip(header, row))
+
+        def cell(name, kind):
+            try:
+                return kind(rec[name])
+            except ValueError as exc:
+                raise StratError(f"{path}:{lineno}: column {name!r}: {exc}") from exc
+
+        rows.append(ResultRow(
+            variant=rec["variant"],
+            r=cell("r", int),
+            k=cell("k", int),
+            n_evals=cell("n_evals", float),
+            rel_error=cell("rel_error", float),
+            discarded=bool(cell("discarded", int)),
+            slope_group=rec["slope_group"],
+        ))
     return rows
 
 

@@ -570,14 +570,15 @@ def shifted_stratum_mean(g, shift: int, grid: GridSpec, stream: Stream) -> float
 
 def crude_mc(f, s: int, n: int, stream: Stream | Sequence[Stream], keep_terms: bool = False):
     """Plain Monte Carlo: mean of f at n iid uniform points."""
-    if n < 1:
+    if _integer(n, "n") < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    config = EstimatorConfig("crude", 1, GridSpec(s, 1, 0))
 
     def one(st: Stream) -> EstimateReport:
-        vals, total = _evaluate(f, st.bulk_uniform(_CRUDE_TAG, (n, s)))
+        vals, total = _evaluate(f, st.bulk_uniform(_CRUDE_TAG, (n, config.grid.s)))
         return EstimateReport(
             value=total / n,
-            config=EstimatorConfig("crude", 1, GridSpec(s, 1, 0)),
+            config=config,
             n_deterministic=0,
             n_random=n,
             n_in_domain=n,
@@ -683,7 +684,7 @@ def asymptotic_variance_estimate(derivative_oracle, s: int, r: int, budget: int,
     estimated from ``budget`` joint Monte Carlo replicates on shared
     streams; the derivative products are integrated with a midpoint rule.
     """
-    if budget < 2:
+    if _integer(budget, "budget") < 2:
         raise ValueError(f"need budget >= 2, got {budget}")
     alphas = list(multi_indices(s, r))
     grid = GridSpec(s, r, 0)

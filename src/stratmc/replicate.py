@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlignmentError, DomainError
-from .lattice import GridSpec, Stream
+from .lattice import GridSpec, Stream, _integer
 from .estimators import EstimateReport, vanishing_orders
 
 __all__ = [
@@ -123,7 +123,7 @@ def select_order(f, r_max: int, grid: GridSpec, l: int, stream: Stream):
     per-order values are bit-identical to standalone runs of the vanishing
     estimator on the same streams, on any accepted margin.
     """
-    if l < 2:
+    if _integer(l, "l") < 2:
         raise ValueError(f"need l >= 2 replicates, got {l}")
     streams = [Stream(stream.seed, stream.replicate + j) for j in range(l)]
     summaries = {r_prime: pooled(reports)

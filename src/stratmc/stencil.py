@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import (DomainError, IncompleteEvaluationError, OrderError, ResolutionError,
                      StencilError)
-from .lattice import GridSpec
+from .lattice import GridSpec, _integer
 
 __all__ = [
     "abs_order",
@@ -71,6 +71,7 @@ def multi_factorial(alpha) -> int:
 
 def multi_indices(s: int, total: int) -> Iterator[tuple[int, ...]]:
     """All multi-indices of length s with |alpha| = total, lexicographic; total >= 0."""
+    s, total = _integer(s, "dimension"), _integer(total, "total order")
     if s < 1:
         raise ValueError(f"dimension must be >= 1, got {s}")
     if total < 0:
@@ -123,7 +124,7 @@ def univariate_weights_exact(kappa, a: int) -> tuple[Fraction, ...]:
     for x in kappa:
         if not isinstance(x, Integral):
             raise StencilError(f"stencil nodes must be integers, got {x!r} in {kappa}")
-    kappa = tuple(int(x) for x in kappa)
+    kappa, a = tuple(int(x) for x in kappa), _integer(a, "derivative order")
     if not 1 <= a <= len(kappa) - 1:
         raise OrderError(f"derivative order must be in [1, {len(kappa) - 1}], got {a}")
     return _lagrange_coeff_exact(kappa, a)
@@ -254,7 +255,7 @@ def derivative_stencil(alpha, centre_index, grid: GridSpec, r: int,
     per-axis windows are rows of the tables :func:`derivative_grid` applies,
     and nodes run over their tensor product, first active axis slowest.
     """
-    alpha, tables = _active_tables(alpha, grid, r, blocks)
+    alpha, tables = _active_tables(alpha, grid, _integer(r, "order"), blocks)
     centre = tuple(int(j) for j in centre_index)
     if len(centre) != grid.s or any(j not in grid.index_range() for j in centre):
         raise DomainError(f"centre {centre} is not an index of {grid}")
@@ -320,6 +321,7 @@ class BlockAssignment:
 
 def block_partition(grid: GridSpec, r: int) -> BlockAssignment:
     """Side-r blocks covering the unit-cube part of the grid (m must be 0)."""
+    r = _integer(r, "block side")
     if r < 1:
         raise OrderError(f"block side must be >= 1, got r={r}")
     if grid.m != 0:
@@ -407,7 +409,7 @@ def derivative_grid(fvals: np.ndarray, alpha, grid: GridSpec, r: int,
         alpha = list(alpha)
         single = bool(alpha) and all(np.ndim(a) == 0 for a in alpha)
         alphas = tuple(tuple(map(int, a)) for a in ([alpha] if single else alpha))
-    root = _grid_tree(alphas, grid, r, blocks)
+    root = _grid_tree(alphas, grid, _integer(r, "order"), blocks)
     t = np.asarray(fvals, dtype=float)
     if t.size != grid.n_centres:
         raise ValueError(f"fvals has {t.size} values, {grid} has {grid.n_centres} centres")
@@ -467,6 +469,7 @@ def error_constant(s: int, r: int, family: str = "single") -> float:
     unwidened windows (block mode, or k = r with r odd) have a smaller
     constant, so this one is conservative there.
     """
+    r = _integer(r, "order")
     if r < 2:
         raise OrderError(f"error constant defined for r >= 2, got {r}")
     alphas, r_build = _family_stencils(family, s, r)

@@ -128,9 +128,9 @@ class VanishingIntegrand:
     The Jacobian factor is built in place for every interior point and used
     only where g is nonzero: where g is 0 it may overflow near the faces,
     with its floating-point warnings silenced, and the value is +0.0 all the
-    same.  Where g is nonzero an
-    overflow warns as ``jacobian_factor`` does.  Points of another width
-    than ``s``, and a point with a NaN coordinate, raise ``DomainError``.
+    same.  Where g is nonzero an overflow warns as ``jacobian_factor`` does.
+    Points of another width than ``s``, and a point with a NaN coordinate,
+    raise ``DomainError``.
     ``g`` is held to the integrand contract as the "wrapped integrand", at
     the caller's row and the ``psi`` image it was given.  ``tau`` is checked
     once, here.

@@ -356,3 +356,23 @@ def test_criterion_12_rmse_rates_s2():
     ok = abs(slope_hat + 5) <= 0.75 and abs(slope_tilde + 4) <= 0.6
     _report(12, "RMSE rates at s=2", ok,
             f"paired r=4 {slope_hat:+.2f} (-5+-0.75), single r=3 {slope_tilde:+.2f} (-4+-0.6)")
+
+
+def _bump6(pts):
+    return np.prod((pts * (1.0 - pts)) ** 6, axis=1)
+
+
+def test_criterion_13_rmse_rates_s2_haber1_vanishing():
+    # the MSE rate n^(-1-2r/s) at s=2 for the one-point rule (r=1) and the
+    # dilation estimator (r=3) on a boundary-vanishing product; windows are
+    # +-15% of the rate
+    slope_h1 = _mse_ladder(
+        lambda k, st: haber1(_exp_sum, GridSpec(2, k, 0), st), (8, 16, 32), 50, 36,
+        (math.e - 1.0) ** 2)
+    m3 = vanishing_margin(3)
+    slope_van = _mse_ladder(
+        lambda k, st: estimate_vanishing(_bump6, 3, GridSpec(2, k, m3), st),
+        (8, 16, 32, 64, 128), 40, 37, (math.factorial(6) ** 2 / math.factorial(13)) ** 2)
+    ok = abs(slope_h1 + 2) <= 0.3 and abs(slope_van + 4) <= 0.6
+    _report(13, "RMSE rates at s=2, haber1 and vanishing", ok,
+            f"haber1 {slope_h1:+.2f} (-2+-0.3), vanishing r=3 {slope_van:+.2f} (-4+-0.6)")

@@ -516,6 +516,8 @@ _NO_FILE = "[Errno 2] No such file or directory: '{tmp}/"
     (["slope", "--input", "{tmp}/missing.csv"], _NO_FILE + "missing.csv'"),
     (["run", "--config", "{tmp}/missing.cfg"], _NO_FILE + "missing.cfg'"),
     (["slope", "--input", "{tmp}/no-k.csv"], "{tmp}/no-k.csv: missing column 'k'"),
+    (["slope", "--input", "{tmp}/empty.csv"],
+     "{tmp}/empty.csv: empty file, expected a header row"),
     (["slope", "--input", "{tmp}/abc.csv"],
      "{tmp}/abc.csv:2: column 'n_evals': could not convert string to float: 'abc'"),
     (["slope", "--input", "{tmp}/int.csv"],
@@ -540,7 +542,8 @@ _NO_FILE = "[Errno 2] No such file or directory: '{tmp}/"
     (["run", "--config", "{tmp}/spelt.cfg"],
      "{tmp}/spelt.cfg:2: key 'rel_mode' repeats line 1; give each key once"),
 ], ids=["star-without-oracle", "k-decreasing", "logistic-without-dataset", "order-0",
-        "slope-missing-input", "missing-config", "slope-missing-column", "slope-bad-cell",
+        "slope-missing-input", "missing-config", "slope-missing-column", "slope-empty-file",
+        "slope-bad-cell",
         "slope-bad-int-cell", "slope-short-row", "slope-long-row",
         "logistic-missing-dataset", "out-in-missing-dir", "config-line-without-equals", "tau-0",
         "config-misspelt-key", "config-key-of-another-command", "config-names-a-config",
@@ -549,6 +552,7 @@ def test_cli_library_errors_are_usage_errors(argv, message, tmp_path, capsys):
     # one line on stderr and argparse's usage status, not a traceback; a
     # file that cannot be read or written is a usage error too
     (tmp_path / "no-k.csv").write_text("variant,r,n_evals,rel_error,discarded,slope_group\n")
+    (tmp_path / "empty.csv").write_text("")
     (tmp_path / "abc.csv").write_text(",".join(CSV_COLUMNS) + "\nhat,2,4,abc,0.1,0,hat-r2\n")
     (tmp_path / "int.csv").write_text(",".join(CSV_COLUMNS)
                                       + "\nhat,2,4,16,0.1,0,hat-r2\nhat,2,x,64,0.01,0,hat-r2\n")

@@ -9,8 +9,9 @@ from stratmc.bench import ExperimentConfig, load_labelled_csv, test_function as 
 from stratmc.errors import DomainError, OrderError, StratError
 from stratmc.estimators import asymptotic_variance_estimate, crude_mc, offset_moment
 from stratmc.lattice import GridSpec, Stream
-from stratmc.replicate import tail_bound
-from stratmc.stencil import block_partition, error_constant, multi_indices
+from stratmc.replicate import select_order, tail_bound
+from stratmc.stencil import (block_partition, derivative_grid, error_constant, multi_indices,
+                             univariate_weights)
 from stratmc.transform import laplace_reparametrize
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -90,12 +91,35 @@ _NOT_PD = "curvature at the mode is not positive definite: Matrix is not positiv
     (lambda tmp: ExperimentConfig(integrand=product_family(1), variants=("haber1",),
                                   r_values=(1,), k_values=(4, 8), rel_mode="x"),
      ValueError, "rel_mode must be 'squared' or 'literal', got 'x'"),
+    # every integer argument passes the one integer check, which names it
+    (lambda tmp: list(multi_indices(2.0, 2)), TypeError, "dimension must be an integer, got 2.0"),
+    (lambda tmp: list(multi_indices(2.5, 2)), TypeError, "dimension must be an integer, got 2.5"),
+    (lambda tmp: list(multi_indices(2, 2.0)), TypeError,
+     "total order must be an integer, got 2.0"),
+    (lambda tmp: error_constant(1.5, 3), TypeError, "dimension must be an integer, got 1.5"),
+    (lambda tmp: error_constant(1, 3.0), TypeError, "order must be an integer, got 3.0"),
+    (lambda tmp: univariate_weights((0, 1, 2), 1.0), TypeError,
+     "derivative order must be an integer, got 1.0"),
+    (lambda tmp: block_partition(GridSpec(1, 4), 2.0), TypeError,
+     "block side must be an integer, got 2.0"),
+    (lambda tmp: crude_mc(lambda x: x[:, 0], 2, 16.0, Stream(0)), TypeError,
+     "n must be an integer, got 16.0"),
+    (lambda tmp: select_order(lambda x: x[:, 0], 2, GridSpec(1, 4), 2.0, Stream(0)), TypeError,
+     "l must be an integer, got 2.0"),
+    (lambda tmp: asymptotic_variance_estimate(lambda a, x: x[:, 0], 1, 2, budget=4.0),
+     TypeError, "budget must be an integer, got 4.0"),
+    (lambda tmp: derivative_grid([1.0] * 4, (1,), GridSpec(1, 4), r=3.0), TypeError,
+     "order must be an integer, got 3.0"),
 ], ids=["laplace-saddle-inv-hessian", "laplace-saddle-hessian", "csv-empty-file",
         "csv-empty-header", "crude-n-0", "asymptotic-budget-1", "moment-order-negative",
         "moment-resolution-0", "moment-order-float", "moment-resolution-float",
         "multi-indices-negative-total", "tail-bound-negative-c-hat", "tail-bound-negative-norm",
         "error-constant-family", "block-partition-margin",
-        "product-family-dimension-0", "config-rel-mode"])
+        "product-family-dimension-0", "config-rel-mode", "multi-indices-dimension-int-float",
+        "multi-indices-dimension-float", "multi-indices-total-float",
+        "error-constant-dimension-float", "error-constant-order-float",
+        "univariate-weights-order-float", "block-partition-side-float", "crude-n-float",
+        "select-order-l-float", "asymptotic-budget-float", "derivative-grid-order-float"])
 def test_typed_errors(call, error, message, tmp_path):
     # each raise is reachable, with its exact type and message
     (tmp_path / "empty.csv").write_text("")
