@@ -6,10 +6,11 @@ Subcommands:
 * ``slope``  - fit log-log error slopes on a CSV produced by ``run``.
 * ``orders`` - order-selection demo for the vanishing estimator.
 
-Every flag but ``--config`` can also be given in a config file (``--config
-PATH``) with one ``key = value`` pair per line, ``#`` comments, and
-comma-separated lists; flags on the command line override file values, and a
-key that is not a flag of the subcommand, or that is given twice, is an error.
+``--help`` shows every default.  Every flag but ``--config`` can also be given
+in a config file (``--config PATH``): one ``key = value`` per line, ``#``
+comments, comma-separated lists.  Each value goes through its flag's type (so
+``dim = x`` fails as ``--dim x`` does), the command line overrides the file,
+and a key that is not a flag of the subcommand, or is given twice, is an error.
 
 A library error (``StratError`` or ``ValueError``) or a file error
 (``OSError``) raised while any subcommand reads its files, builds its
@@ -42,8 +43,7 @@ def _parse_config_file(args: argparse.Namespace) -> dict[str, str]:
     """The ``key = value`` pairs of ``args.config``; each key must be a flag of
     the subcommand (the parsed namespace holds them all) other than ``config``,
     given on one line only."""
-    values: dict[str, str] = {}
-    lines: dict[str, int] = {}
+    lines: dict[str, tuple[int, str]] = {}
     with open(args.config) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -58,37 +58,37 @@ def _parse_config_file(args: argparse.Namespace) -> dict[str, str]:
                                  f"not a flag of 'stratmc {args.command}'")
             if name in lines:
                 raise StratError(f"{args.config}:{lineno}: key {key!r} repeats line "
-                                 f"{lines[name]}; give each key once")
-            values[name], lines[name] = value, lineno
-    return values
+                                 f"{lines[name][0]}; give each key once")
+            lines[name] = lineno, value
+    return {name: value for name, (_lineno, value) in lines.items()}
 
 
-def _merged(args: argparse.Namespace, key: str, default=None, cast=None):
-    raw = getattr(args, key, None)
-    if raw is None and args.config_values:
-        raw = args.config_values.get(key)
-    if raw is None:
-        return default
-    return cast(raw) if cast is not None else raw
+def _str_list(text: str) -> tuple[str, ...]:
+    return tuple(v.strip() for v in text.split(",") if v.strip())
 
 
 def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in text.split(",") if v.strip())
+    return tuple(map(int, _str_list(text)))
 
 
-def _str_list(text) -> tuple[str, ...]:
-    if isinstance(text, (tuple, list)):
-        return tuple(text)
-    return tuple(v.strip() for v in str(text).split(",") if v.strip())
+class _Extend(argparse.Action):
+    """Each use extends the earlier uses' tuple; the first replaces the default."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        earlier = getattr(namespace, self.dest)
+        setattr(namespace, self.dest, values if earlier is self.default else earlier + values)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key = value file mirroring the flags")
-    p.add_argument("--fn", help="integrand id: fs | gauss | poly2 | logistic")
+    p.add_argument("--fn", default="fs",
+                   help="integrand id: fs | gauss | poly2 | logistic (default %(default)s)")
     p.add_argument("--dataset", help="CSV path for the logistic integrand")
-    p.add_argument("--dim", type=int, help="dimension s")
-    p.add_argument("--seed", type=int, help="master seed (default 0)")
-    p.add_argument("--tau", type=float, help="tail exponent for transforms (default 1.5)")
+    p.add_argument("--dim", type=int, default=1, help="dimension s (default %(default)s)")
+    p.add_argument("--seed", type=int, default=ExperimentConfig.seed,
+                   help="master seed (default %(default)s)")
+    p.add_argument("--tau", type=float, default=1.5,
+                   help="tail exponent for transforms (default %(default)s)")
 
 
 def main(argv=None) -> int:
@@ -98,26 +98,34 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="run an estimator ladder, emit CSV")
     _add_common(p_run)
-    p_run.add_argument("--variant", action="append",
-                       help=f"one of {', '.join(VARIANTS)}; repeat or comma-separate")
-    p_run.add_argument("--r", help="comma-separated smoothness orders")
-    p_run.add_argument("--k", help="comma-separated grid resolutions, increasing")
-    p_run.add_argument("--reps", type=int, help="replicates per cell (default 50)")
+    p_run.add_argument("--variant", action=_Extend, type=_str_list, default="hat", help=f"one "
+                       f"of {', '.join(VARIANTS)}; repeat or comma-separate (default %(default)s)")
+    p_run.add_argument("--r", type=_int_list, default="2",
+                       help="comma-separated smoothness orders (default %(default)s)")
+    p_run.add_argument("--k", type=_int_list, default="4,8,16,32",
+                       help="comma-separated grid resolutions, increasing (default %(default)s)")
+    p_run.add_argument("--reps", type=int, default=ExperimentConfig.replicates,
+                       help="replicates per cell (default %(default)s)")
     p_run.add_argument("--out", help="output CSV path (default: stdout)")
-    p_run.add_argument("--rel-mode", dest="rel_mode", choices=["squared", "literal"],
-                       help="normalize MSE by I^2 (default) or by |I|")
+    p_run.add_argument("--rel-mode", choices=["squared", "literal"],
+                       default=ExperimentConfig.rel_mode,
+                       help="normalize MSE by I^2 (squared) or by |I| (default %(default)s)")
 
     p_slope = sub.add_parser("slope", help="fit log-log slopes from a run CSV")
     p_slope.add_argument("--input", required=True, help="CSV produced by 'run'")
 
     p_ord = sub.add_parser("orders", help="vanishing-estimator order selection")
     _add_common(p_ord)
-    p_ord.add_argument("--r", help="largest order to consider")
-    p_ord.add_argument("--k", help="grid resolution")
-    p_ord.add_argument("--reps", type=int, help="replicates (default 10)")
+    p_ord.add_argument("--r", type=int, default=4,
+                       help="largest order to consider (default %(default)s)")
+    p_ord.add_argument("--k", type=int, default=16, help="grid resolution (default %(default)s)")
+    p_ord.add_argument("--reps", type=int, default=10, help="replicates (default %(default)s)")
 
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "config", None):
+            sub.choices[args.command].set_defaults(**_parse_config_file(args))
+            args = parser.parse_args(argv)
         return _execute(args)
     except (StratError, ValueError, OSError) as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
@@ -136,42 +144,24 @@ def _execute(args: argparse.Namespace) -> int:
             except (StratError, ValueError) as exc:
                 print(f"{group}: {exc}")
         return 0
-    args.config_values = _parse_config_file(args) if args.config else {}
-    fn_id = _merged(args, "fn", "fs", str)
-    dim = _merged(args, "dim", 1, int)
-    seed = _merged(args, "seed", 0, int)
-    tau = _merged(args, "tau", 1.5, float)
-    dataset = _merged(args, "dataset")
-    integrand = make_integrand(fn_id, dim, tau=tau, dataset=dataset)
+    integrand = make_integrand(args.fn, args.dim, tau=args.tau, dataset=args.dataset)
 
     if args.command == "orders":
-        r_max = int(_merged(args, "r", 4, int))
-        k = int(_merged(args, "k", 16, int))
-        reps = _merged(args, "reps", 10, int)
-        grid = GridSpec(integrand.s, k, vanishing_margin(r_max))
+        grid = GridSpec(integrand.s, args.k, vanishing_margin(args.r))
         if not integrand.vanishing:
             print(f"note: {integrand.name} is not declared boundary-vanishing",
                   file=sys.stderr)
-        best, summaries = select_order(integrand.fn, r_max, grid, reps, Stream(seed))
-        print(f"integrand {integrand.name}, k={k}, {reps} replicates")
+        best, summaries = select_order(integrand.fn, args.r, grid, args.reps, Stream(args.seed))
+        print(f"integrand {integrand.name}, k={args.k}, {args.reps} replicates")
         print(f"{'order':>5} {'mean':>18} {'V_hat':>14}")
         for r_prime, summary in summaries.items():
             mark = " <- selected" if r_prime == best else ""
             print(f"{r_prime:>5} {summary.pooled_mean:>18.12g} {summary.v_hat:>14.6g}{mark}")
         return 0
 
-    variants = _merged(args, "variant", ("hat",), _str_list)
-    variants = tuple(v for chunk in variants for v in _str_list(chunk))
-    config = ExperimentConfig(
-        integrand=integrand,
-        variants=variants,
-        r_values=_merged(args, "r", (2,), _int_list),
-        k_values=_merged(args, "k", (4, 8, 16, 32), _int_list),
-        replicates=_merged(args, "reps", 50, int),
-        seed=seed,
-        rel_mode=_merged(args, "rel_mode", "squared", str),
-        out=_merged(args, "out"),
-    )
+    config = ExperimentConfig(integrand=integrand, variants=args.variant, r_values=args.r,
+                              k_values=args.k, replicates=args.reps, seed=args.seed,
+                              rel_mode=args.rel_mode, out=args.out)
     rows = run(config)
     if config.out is None:
         _write_csv(sys.stdout, rows, lineterminator="\n")
