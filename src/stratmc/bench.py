@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StratError
-from .lattice import GridSpec, Stream, substream_id
+from .lattice import GridSpec, Stream, _integer, substream_id
 from .estimators import (
     crude_mc,
     estimate_analytic_cv,
@@ -172,10 +172,8 @@ def load_labelled_csv(path) -> tuple[np.ndarray, np.ndarray]:
     (labels, predictor matrix); the file may contain zero data rows.
     """
     header, rows = _read_table(path)
-    if not rows:
-        return np.empty(0), np.empty((0, len(header) - 1))
     try:
-        data = np.array([[float(v) for v in row] for _lineno, row in rows])
+        data = np.reshape([[float(v) for v in row] for _, row in rows], (len(rows), len(header)))
     except ValueError as exc:
         raise StratError(f"{path}: non-numeric cell ({exc})") from exc
     y = data[:, 0]
@@ -203,14 +201,12 @@ def logistic_marginal_likelihood(dataset, s: int, tau: float = 1.5) -> Integrand
         raise StratError(
             f"requested {s - 1} predictors but the file has {preds.shape[1]}"
         )
-    design = np.hstack([np.ones((len(y), 1)), preds[:, : s - 1]]) if len(y) else np.empty((0, s))
+    design = np.hstack([np.ones((len(y), 1)), preds[:, : s - 1]])
 
     def h(beta):
         beta = np.atleast_2d(np.asarray(beta, dtype=float))
         logprior = (-0.5 * np.sum(beta * beta, axis=1) / PRIOR_SD ** 2
                     - s * math.log(PRIOR_SD * math.sqrt(2.0 * math.pi)))
-        if len(y) == 0:
-            return logprior
         z = y[None, :] * (beta @ design.T)
         return logprior + _log_sigmoid(z).sum(axis=1)
 
@@ -254,6 +250,14 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self):
+        _integer(self.replicates, "replicates")
+        _integer(self.seed, "seed")
+        for name in ("k_values", "r_values"):
+            for value in getattr(self, name):
+                _integer(value, f"{name} entry")
+        for name in ("variants", "k_values"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must not be empty")
         if list(self.k_values) != sorted(set(self.k_values)):
             raise ValueError("k values must be strictly increasing")
         if self.replicates < 2:
@@ -261,6 +265,11 @@ class ExperimentConfig:
         for v in self.variants:
             if v not in VARIANTS:
                 raise ValueError(f"unknown variant {v!r}; choose from {VARIANTS}")
+        if not self.r_values and any(_REGISTRY[v][0] is None for v in self.variants):
+            raise ValueError("r_values must not be empty when a variant reads it")
+        for name in ("variants", "r_values"):
+            if len(set(getattr(self, name))) != len(getattr(self, name)):
+                raise ValueError(f"{name} must not repeat a value, got {getattr(self, name)}")
         if "star" in self.variants and self.integrand.derivative is None:
             raise StratError(f"{self.integrand.name} has no derivative oracle for 'star'")
         if self.rel_mode not in ("squared", "literal"):

@@ -159,14 +159,13 @@ def _execute(args: argparse.Namespace) -> int:
             print(f"{r_prime:>5} {summary.pooled_mean:>18.12g} {summary.v_hat:>14.6g}{mark}")
         return 0
 
-    config = ExperimentConfig(integrand=integrand, variants=args.variant, r_values=args.r,
-                              k_values=args.k, replicates=args.reps, seed=args.seed,
-                              rel_mode=args.rel_mode, out=args.out)
-    rows = run(config)
-    if config.out is None:
+    rows = run(ExperimentConfig(integrand=integrand, variants=args.variant, r_values=args.r,
+                                k_values=args.k, replicates=args.reps, seed=args.seed,
+                                rel_mode=args.rel_mode, out=args.out))
+    if args.out is None:
         _write_csv(sys.stdout, rows, lineterminator="\n")
     else:
-        print(f"wrote {len(rows)} rows to {config.out}")
+        print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
 

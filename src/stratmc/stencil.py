@@ -207,12 +207,12 @@ def _axis_steps(alpha, r: int) -> list[tuple[int, int, int]]:
 def _active_tables(alpha, grid: GridSpec, r: int, blocks: "BlockAssignment | None"):
     """Checked ``alpha`` and (axis, order, window, starts, nodes, weights) per active axis.
 
-    The checks both stencil functions share: ``alpha`` has length s and no
-    negative entry, |alpha| < r, a block assignment was built for this k, and
-    k >= r once an axis is active.  Each axis reads its ``_axis_table`` and
-    the weights of its order there.
+    The checks both stencil functions share: ``alpha`` has integer entries,
+    length s and no negative entry, |alpha| < r, a block assignment was built
+    for this k, and k >= r once an axis is active.  Each axis reads its
+    ``_axis_table`` and the weights of its order there.
     """
-    alpha = tuple(int(a) for a in alpha)
+    alpha = tuple(_integer(a, "multi-index entry") for a in alpha)
     if len(alpha) != grid.s or any(a < 0 for a in alpha):
         raise ValueError(f"bad multi-index {alpha} for dimension {grid.s}")
     if abs_order(alpha) >= r:
@@ -256,7 +256,7 @@ def derivative_stencil(alpha, centre_index, grid: GridSpec, r: int,
     and nodes run over their tensor product, first active axis slowest.
     """
     alpha, tables = _active_tables(alpha, grid, _integer(r, "order"), blocks)
-    centre = tuple(int(j) for j in centre_index)
+    centre = tuple(_integer(j, "centre index") for j in centre_index)
     if len(centre) != grid.s or any(j not in grid.index_range() for j in centre):
         raise DomainError(f"centre {centre} is not an index of {grid}")
     if not tables:
@@ -408,7 +408,8 @@ def derivative_grid(fvals: np.ndarray, alpha, grid: GridSpec, r: int,
     else:
         alpha = list(alpha)
         single = bool(alpha) and all(np.ndim(a) == 0 for a in alpha)
-        alphas = tuple(tuple(map(int, a)) for a in ([alpha] if single else alpha))
+        alphas = tuple(tuple(_integer(v, "multi-index entry") for v in a)
+                       for a in ([alpha] if single else alpha))
     root = _grid_tree(alphas, grid, _integer(r, "order"), blocks)
     t = np.asarray(fvals, dtype=float)
     if t.size != grid.n_centres:

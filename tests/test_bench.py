@@ -1,4 +1,5 @@
 import math
+import re
 import subprocess
 import sys
 
@@ -126,6 +127,8 @@ def test_run_validates_config():
         _config(variants=("bogus",))
     with pytest.raises(ValueError):
         _config(replicates=1)
+    # r_values may be empty when no variant reads it
+    assert _config(variants=("haber1", "crude"), r_values=()).r_values == ()
 
 
 def test_run_rejects_star_without_derivative_oracle():
@@ -455,6 +458,92 @@ def test_cli_config_file_with_flag_override(tmp_path):
     assert len(read_rows(out2)) == 3
 
 
+# (subcommand, flag, value): every flag but --config, each at a value other
+# than its default, so a file value that was ignored would show
+_FLAG_VALUES = [
+    ("run", "fn", "gauss"), ("run", "dataset", "{tmp}/d.csv"), ("run", "dim", "2"),
+    ("run", "seed", "5"), ("run", "tau", "2.0"), ("run", "variant", "haber1,tilde"),
+    ("run", "r", "3"), ("run", "k", "4,8,16"), ("run", "reps", "3"),
+    ("run", "out", "{tmp}/rows.csv"), ("run", "rel-mode", "literal"),
+    ("orders", "fn", "poly2"), ("orders", "dataset", "{tmp}/d.csv"), ("orders", "dim", "2"),
+    ("orders", "seed", "5"), ("orders", "tau", "2.0"), ("orders", "r", "2"),
+    ("orders", "k", "8"), ("orders", "reps", "3"),
+]
+# the rest of each command line: small ladders, and the integrand the flag acts on
+_FLAG_BASE = {
+    "run": ["--fn", "fs", "--dim", "2", "--k", "4,8", "--reps", "2"],
+    "orders": ["--fn", "gauss", "--r", "3", "--k", "6", "--reps", "2"],
+}
+_FLAG_FN = {"dataset": "logistic", "tau": "gauss"}
+
+
+def _cli_with_one_flag(command, key, value):
+    """The command line of ``command`` with ``--key value`` last, less the
+    base flags it replaces."""
+    base = dict(zip(_FLAG_BASE[command][::2], _FLAG_BASE[command][1::2]))
+    if key in _FLAG_FN:
+        base["--fn"] = _FLAG_FN[key]
+    base.pop(f"--{key}", None)
+    return [command] + [part for pair in base.items() for part in pair], [f"--{key}", value]
+
+
+@pytest.mark.parametrize("command, key, value", _FLAG_VALUES,
+                         ids=[f"{c}-{k}" for c, k, _v in _FLAG_VALUES])
+def test_cli_config_value_acts_as_its_flag(command, key, value, tmp_path, capsys):
+    # a file's `key = value` gives the flag's stdout byte for byte
+    _write_dataset(tmp_path / "d.csv")
+    value = value.format(tmp=tmp_path)
+    argv, flag = _cli_with_one_flag(command, key, value)
+    assert cli.main(argv + flag) == 0
+    by_flag = capsys.readouterr().out
+    written = (tmp_path / "rows.csv").read_bytes() if key == "out" else None
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    assert cli.main(argv + ["--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == by_flag
+    if key == "out":
+        assert (tmp_path / "rows.csv").read_bytes() == written
+    # the value matters: without it the run differs, or fails for want of a dataset
+    assert cli.main(argv) != 0 or capsys.readouterr().out != by_flag
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("run", "dim", "x"), ("run", "k", "4,x"), ("run", "r", "2.5"), ("run", "reps", "2.0"),
+    ("run", "seed", ""), ("run", "tau", "abc"), ("orders", "r", "x"), ("orders", "k", "8,16"),
+], ids=["run-dim", "run-k", "run-r", "run-reps", "run-seed", "run-tau", "orders-r",
+        "orders-k"])
+def test_cli_config_value_its_flag_rejects_is_a_usage_error(command, key, value, tmp_path,
+                                                             capsys):
+    # the file value goes through the flag's own type: argparse's usage
+    # message naming the flag, status 2, as the bad flag itself gives
+    argv, flag = _cli_with_one_flag(command, key, value)
+    with pytest.raises(SystemExit) as by_flag:
+        cli.main(argv + flag)
+    flag_err = capsys.readouterr().err
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    with pytest.raises(SystemExit) as by_file:
+        cli.main(argv + ["--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert by_flag.value.code == by_file.value.code == 2
+    assert captured.err == flag_err
+    assert f"error: argument --{key}: invalid" in flag_err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command, defaults", [
+    ("run", ["fs", "1", "0", "1.5", "hat", "2", "4,8,16,32", "50", "squared"]),
+    ("orders", ["fs", "1", "0", "1.5", "4", "16", "10"]),
+])
+def test_cli_help_lists_each_default(command, defaults, capsys):
+    # in flag order: fn, dim, seed, tau, then the subcommand's own flags
+    with pytest.raises(SystemExit) as info:
+        cli.main([command, "--help"])
+    assert info.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert re.findall(r"\(default ([^)]*)\)", text) == defaults
+
+
 def test_cli_orders(capsys):
     rc = cli.main(["orders", "--fn", "gauss", "--dim", "1", "--r", "3",
                    "--k", "16", "--reps", "4", "--seed", "1"])
@@ -541,13 +630,18 @@ _NO_FILE = "[Errno 2] No such file or directory: '{tmp}/"
      "{tmp}/twice.cfg:4: key 'reps' repeats line 2; give each key once"),
     (["run", "--config", "{tmp}/spelt.cfg"],
      "{tmp}/spelt.cfg:2: key 'rel_mode' repeats line 1; give each key once"),
+    (["run", "--k", ""], "k_values must not be empty"),
+    (["run", "--r", ""], "r_values must not be empty when a variant reads it"),
+    (["run", "--variant", ""], "variants must not be empty"),
+    (["run", "--variant", "hat,hat"], "variants must not repeat a value, got ('hat', 'hat')"),
 ], ids=["star-without-oracle", "k-decreasing", "logistic-without-dataset", "order-0",
         "slope-missing-input", "missing-config", "slope-missing-column", "slope-empty-file",
         "slope-bad-cell",
         "slope-bad-int-cell", "slope-short-row", "slope-long-row",
         "logistic-missing-dataset", "out-in-missing-dir", "config-line-without-equals", "tau-0",
         "config-misspelt-key", "config-key-of-another-command", "config-names-a-config",
-        "config-repeated-key", "config-repeated-key-spelt-two-ways"])
+        "config-repeated-key", "config-repeated-key-spelt-two-ways", "k-empty", "r-empty",
+        "variant-empty", "variant-repeated"])
 def test_cli_library_errors_are_usage_errors(argv, message, tmp_path, capsys):
     # one line on stderr and argparse's usage status, not a traceback; a
     # file that cannot be read or written is a usage error too

@@ -10,8 +10,8 @@ from stratmc.errors import DomainError, OrderError, StratError
 from stratmc.estimators import asymptotic_variance_estimate, crude_mc, offset_moment
 from stratmc.lattice import GridSpec, Stream
 from stratmc.replicate import select_order, tail_bound
-from stratmc.stencil import (block_partition, derivative_grid, error_constant, multi_indices,
-                             univariate_weights)
+from stratmc.stencil import (block_partition, derivative_grid, derivative_stencil, error_constant,
+                             multi_indices, univariate_weights)
 from stratmc.transform import laplace_reparametrize
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -51,6 +51,11 @@ def test_exports_are_documented_or_oracles():
                     if name not in ORACLES and not re.search(rf"`{name}[`(]", text)]
     assert undocumented == []
     assert set(ORACLES) <= set(stratmc.__all__)
+
+
+def _ladder(**fields):
+    base = dict(integrand=product_family(1), variants=("hat",), r_values=(2,), k_values=(4, 8))
+    return ExperimentConfig(**{**base, **fields})
 
 
 def _saddle(b):
@@ -110,6 +115,28 @@ _NOT_PD = "curvature at the mode is not positive definite: Matrix is not positiv
      TypeError, "budget must be an integer, got 4.0"),
     (lambda tmp: derivative_grid([1.0] * 4, (1,), GridSpec(1, 4), r=3.0), TypeError,
      "order must be an integer, got 3.0"),
+    # a malformed ladder fails when it is configured, naming the field
+    (lambda tmp: _ladder(replicates=3.0), TypeError, "replicates must be an integer, got 3.0"),
+    (lambda tmp: _ladder(seed=0.5), TypeError, "seed must be an integer, got 0.5"),
+    (lambda tmp: _ladder(k_values=(4.0, 8)), TypeError,
+     "k_values entry must be an integer, got 4.0"),
+    (lambda tmp: _ladder(r_values=(2.0,)), TypeError,
+     "r_values entry must be an integer, got 2.0"),
+    (lambda tmp: _ladder(variants=()), ValueError, "variants must not be empty"),
+    (lambda tmp: _ladder(k_values=()), ValueError, "k_values must not be empty"),
+    (lambda tmp: _ladder(variants=("haber1", "hat"), r_values=()), ValueError,
+     "r_values must not be empty when a variant reads it"),
+    (lambda tmp: _ladder(variants=("hat", "tilde", "hat")), ValueError,
+     "variants must not repeat a value, got ('hat', 'tilde', 'hat')"),
+    (lambda tmp: _ladder(r_values=(2, 3, 2)), ValueError,
+     "r_values must not repeat a value, got (2, 3, 2)"),
+    # a multi-index entry or a centre index is checked, not truncated
+    (lambda tmp: derivative_grid([1.0] * 8, (1.5,), GridSpec(1, 8), 3), TypeError,
+     "multi-index entry must be an integer, got 1.5"),
+    (lambda tmp: derivative_stencil((1.9,), (2,), GridSpec(1, 8), 3), TypeError,
+     "multi-index entry must be an integer, got 1.9"),
+    (lambda tmp: derivative_stencil((1,), (2.7,), GridSpec(1, 8), 3), TypeError,
+     "centre index must be an integer, got 2.7"),
 ], ids=["laplace-saddle-inv-hessian", "laplace-saddle-hessian", "csv-empty-file",
         "csv-empty-header", "crude-n-0", "asymptotic-budget-1", "moment-order-negative",
         "moment-resolution-0", "moment-order-float", "moment-resolution-float",
@@ -119,7 +146,11 @@ _NOT_PD = "curvature at the mode is not positive definite: Matrix is not positiv
         "multi-indices-dimension-float", "multi-indices-total-float",
         "error-constant-dimension-float", "error-constant-order-float",
         "univariate-weights-order-float", "block-partition-side-float", "crude-n-float",
-        "select-order-l-float", "asymptotic-budget-float", "derivative-grid-order-float"])
+        "select-order-l-float", "asymptotic-budget-float", "derivative-grid-order-float",
+        "derivative-grid-alpha-float", "derivative-stencil-alpha-float",
+        "derivative-stencil-centre-float", "config-replicates-float", "config-seed-float",
+        "config-k-float", "config-r-float", "config-no-variant", "config-no-k",
+        "config-no-r-for-hat", "config-repeated-variant", "config-repeated-r"])
 def test_typed_errors(call, error, message, tmp_path):
     # each raise is reachable, with its exact type and message
     (tmp_path / "empty.csv").write_text("")
