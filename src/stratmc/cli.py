@@ -98,8 +98,8 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="run an estimator ladder, emit CSV")
     _add_common(p_run)
-    p_run.add_argument("--variant", action=_Extend, type=_str_list, default="hat", help=f"one "
-                       f"of {', '.join(VARIANTS)}; repeat or comma-separate (default %(default)s)")
+    p_run.add_argument("--variant", action=_Extend, type=_str_list, default="hat", help=(
+        f"one of {', '.join(VARIANTS)}; repeat or comma-separate (default %(default)s)"))
     p_run.add_argument("--r", type=_int_list, default="2",
                        help="comma-separated smoothness orders (default %(default)s)")
     p_run.add_argument("--k", type=_int_list, default="4,8,16,32",

@@ -456,45 +456,49 @@ def test_cli_config_file_with_flag_override(tmp_path):
     assert cli.main(["run", "--config", str(cfg), "--k", "4,8,16", "--out", str(out2)]) == 0
     assert len(read_rows(out1)) == 2
     assert len(read_rows(out2)) == 3
+    # command-line variants replace the file's list, and repeated ones add up
+    out3 = tmp_path / "c.csv"
+    assert cli.main(["run", "--config", str(cfg), "--variant", "hat", "--variant", "tilde",
+                     "--out", str(out3)]) == 0
+    assert [row.slope_group for row in read_rows(out3)] == ["hat-r2", "hat-r2", "tilde-r2",
+                                                            "tilde-r2"]
 
 
-# (subcommand, flag, value): every flag but --config, each at a value other
-# than its default, so a file value that was ignored would show
+# (the rest of the command line, flag, value): every flag of run and orders
+# but --config, each at a value other than its default; the rest is a small
+# ladder that leaves the flag to the file and names the integrand it acts on
+_RUN = ["run", "--dim", "2", "--k", "4,8", "--reps", "2"]
+_ORDERS = ["orders", "--fn", "gauss", "--r", "3", "--k", "6", "--reps", "2"]
 _FLAG_VALUES = [
-    ("run", "fn", "gauss"), ("run", "dataset", "{tmp}/d.csv"), ("run", "dim", "2"),
-    ("run", "seed", "5"), ("run", "tau", "2.0"), ("run", "variant", "haber1,tilde"),
-    ("run", "r", "3"), ("run", "k", "4,8,16"), ("run", "reps", "3"),
-    ("run", "out", "{tmp}/rows.csv"), ("run", "rel-mode", "literal"),
-    ("orders", "fn", "poly2"), ("orders", "dataset", "{tmp}/d.csv"), ("orders", "dim", "2"),
-    ("orders", "seed", "5"), ("orders", "tau", "2.0"), ("orders", "r", "2"),
-    ("orders", "k", "8"), ("orders", "reps", "3"),
+    (_RUN, "fn", "gauss"),
+    (_RUN + ["--fn", "logistic"], "dataset", "{tmp}/d.csv"),
+    (["run", "--k", "4,8", "--reps", "2"], "dim", "2"),
+    (_RUN, "seed", "5"),
+    (_RUN + ["--fn", "gauss"], "tau", "2.0"),
+    (_RUN, "variant", "haber1,tilde"),
+    (_RUN, "r", "3"),
+    (["run", "--dim", "2", "--reps", "2"], "k", "4,8,16"),
+    (["run", "--dim", "2", "--k", "4,8"], "reps", "3"),
+    (_RUN, "out", "{tmp}/rows.csv"),
+    (_RUN, "rel-mode", "literal"),
+    (["orders", "--r", "3", "--k", "6", "--reps", "2"], "fn", "poly2"),
+    (_ORDERS + ["--fn", "logistic"], "dataset", "{tmp}/d.csv"),
+    (_ORDERS, "dim", "2"),
+    (_ORDERS, "seed", "5"),
+    (_ORDERS, "tau", "2.0"),
+    (["orders", "--fn", "gauss", "--k", "6", "--reps", "2"], "r", "2"),
+    (["orders", "--fn", "gauss", "--r", "3", "--reps", "2"], "k", "8"),
+    (["orders", "--fn", "gauss", "--r", "3", "--k", "6"], "reps", "3"),
 ]
-# the rest of each command line: small ladders, and the integrand the flag acts on
-_FLAG_BASE = {
-    "run": ["--fn", "fs", "--dim", "2", "--k", "4,8", "--reps", "2"],
-    "orders": ["--fn", "gauss", "--r", "3", "--k", "6", "--reps", "2"],
-}
-_FLAG_FN = {"dataset": "logistic", "tau": "gauss"}
 
 
-def _cli_with_one_flag(command, key, value):
-    """The command line of ``command`` with ``--key value`` last, less the
-    base flags it replaces."""
-    base = dict(zip(_FLAG_BASE[command][::2], _FLAG_BASE[command][1::2]))
-    if key in _FLAG_FN:
-        base["--fn"] = _FLAG_FN[key]
-    base.pop(f"--{key}", None)
-    return [command] + [part for pair in base.items() for part in pair], [f"--{key}", value]
-
-
-@pytest.mark.parametrize("command, key, value", _FLAG_VALUES,
-                         ids=[f"{c}-{k}" for c, k, _v in _FLAG_VALUES])
-def test_cli_config_value_acts_as_its_flag(command, key, value, tmp_path, capsys):
+@pytest.mark.parametrize("argv, key, value", _FLAG_VALUES,
+                         ids=[f"{argv[0]}-{key}" for argv, key, _value in _FLAG_VALUES])
+def test_cli_config_value_acts_as_its_flag(argv, key, value, tmp_path, capsys):
     # a file's `key = value` gives the flag's stdout byte for byte
     _write_dataset(tmp_path / "d.csv")
     value = value.format(tmp=tmp_path)
-    argv, flag = _cli_with_one_flag(command, key, value)
-    assert cli.main(argv + flag) == 0
+    assert cli.main(argv + [f"--{key}", value]) == 0
     by_flag = capsys.readouterr().out
     written = (tmp_path / "rows.csv").read_bytes() if key == "out" else None
     cfg = tmp_path / "one.cfg"
@@ -516,14 +520,13 @@ def test_cli_config_value_its_flag_rejects_is_a_usage_error(command, key, value,
                                                              capsys):
     # the file value goes through the flag's own type: argparse's usage
     # message naming the flag, status 2, as the bad flag itself gives
-    argv, flag = _cli_with_one_flag(command, key, value)
     with pytest.raises(SystemExit) as by_flag:
-        cli.main(argv + flag)
+        cli.main([command, f"--{key}", value])
     flag_err = capsys.readouterr().err
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"{key} = {value}\n")
     with pytest.raises(SystemExit) as by_file:
-        cli.main(argv + ["--config", str(cfg)])
+        cli.main([command, "--config", str(cfg)])
     captured = capsys.readouterr()
     assert by_flag.value.code == by_file.value.code == 2
     assert captured.err == flag_err
