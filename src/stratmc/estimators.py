@@ -279,17 +279,24 @@ def _box_rows(grid: GridSpec, reach: int) -> np.ndarray:
     return rows
 
 
-def _guarded_points(grid: GridSpec, lam: int, ctr: np.ndarray, u: np.ndarray):
+def _dilated_points(grid: GridSpec, lam: int, ctr: np.ndarray, u: np.ndarray):
     """The points c + lam U_c in the closed unit cube, in grid-row order, and their rows.
 
     Only the cells within the dilation's reach ``(|lam| - 1) // 2`` of the
     cube are visited; at a reach equal to the margin they are the rows as
-    given.  The mask is built axis by axis: axis 0 is tested on every
-    visited cell, each later axis only on the cells still in the running,
-    gathered by flat index, and the survivors' points are formed last.
-    Each coordinate is the same ``c + lam U`` that a full-grid pass forms,
-    so the points are those of masking the whole grid, bit for bit.  The
-    rows are the caller's row of each point.
+    given, and the rows returned are None.  At reach 0 (lam = +-1) no point
+    leaves the cube, so none is tested: c is ``(2j+1)/2k`` rounded and U is
+    ``(m - 2^52)/(k 2^53)`` rounded with m in [0, 2^53), and rounding is
+    monotone, so at j = 0 the lowest draw gives exactly 0.0, and at j = k-1,
+    c and the largest lam U, fl(1/2k), are within 2^-53 (relative) of reals
+    summing to 1: the exact sum stays below 1 + 2^-53 and rounds to 1.0 at
+    most.  A wider
+    dilation can cross a face by one ulp of fl(lam U), so its mask is built
+    axis by axis: axis 0 is tested on every visited cell, each later axis
+    only on the cells still in the running, gathered by flat index, and the
+    survivors' points are formed last.  Each coordinate is the same
+    ``c + lam U`` that a full-grid pass forms, so the points are those of
+    masking the whole grid, bit for bit; the rows are the caller's rows.
     """
     s, reach = grid.s, (abs(lam) - 1) // 2
     if reach == grid.m:
@@ -298,6 +305,8 @@ def _guarded_points(grid: GridSpec, lam: int, ctr: np.ndarray, u: np.ndarray):
         box = (slice(grid.m - reach, grid.m + grid.k + reach),) * s
         shape = (grid.side,) * s + (s,)
         c, v, rows = ctr.reshape(shape)[box], u.reshape(shape)[box], _box_rows(grid, reach)
+    if not reach:
+        return _dilated(c, v, lam).reshape(-1, s), rows
     keep = np.flatnonzero(_in_cube(_dilated(c[..., 0], v[..., 0], lam).reshape(-1)))
     if rows is not None:
         keep = rows.take(keep)
@@ -309,41 +318,32 @@ def _guarded_points(grid: GridSpec, lam: int, ctr: np.ndarray, u: np.ndarray):
     return _dilated(ctr.take(keep, axis=0), u.take(keep, axis=0), lam), keep
 
 
-def _shift_parts(f, grid: GridSpec, shifts, u: np.ndarray, guard: bool,
-                 keep_terms: bool = True):
+def _shift_parts(f, grid: GridSpec, shifts, u: np.ndarray, keep_terms: bool):
     """Per-shift stratum means A_j = k^-s sum_c fbar(c + shift_j U_c).
 
-    ``u`` holds the drawn offsets, row-aligned with the centres.  With
-    ``guard`` the zero extension fbar is applied: points outside the closed
-    unit cube contribute 0 without calling f, and f gets the in-cube points
-    of ``_guarded_points`` in grid-row order, so the sum (and the
+    ``u`` holds the drawn offsets, row-aligned with the centres.  fbar is
+    the zero extension of f: points outside the closed unit cube contribute
+    0 without calling f, and f gets the in-cube points of
+    ``_dilated_points`` in grid-row order, so the sum (and the
     floating-point sum) is identical across grids that differ only in
-    margin layers.  Returns the means, the per-centre value rows (guarded
-    entries zero; built under the guard only with ``keep_terms``, else
-    None), and the per-shift in-domain counts.
+    margin layers.  Returns the means, the per-centre value rows (zero
+    where no point reached f; None without ``keep_terms``), and the
+    per-shift in-domain counts.
     """
     ctr = centre_array(grid)
     scale = float(grid.k) ** grid.s
-    means = []
-    rows = [] if keep_terms or not guard else None
-    counts = []
+    means, counts = [], []
+    rows = [] if keep_terms else None
     for lam in shifts:
-        if guard:
-            pts, where = _guarded_points(grid, lam, ctr, u)
-            total = 0.0
-            if rows is not None:
-                vals = np.zeros(len(u))
-                rows.append(vals)
-            if len(pts):
-                inside, total = _evaluate(f, pts, grid=grid, rows=where)
-                if rows is not None:
-                    vals[where] = inside
-            counts.append(len(pts))
-        else:
-            vals, total = _evaluate(f, _dilated(ctr, u, lam), grid=grid)
+        pts, where = _dilated_points(grid, lam, ctr, u)
+        vals, total = _evaluate(f, pts, grid=grid, rows=where) if len(pts) else (np.zeros(0), 0.0)
+        if rows is not None:
+            if where is not None:
+                vals, inside = np.zeros(len(u)), vals
+                vals[where] = inside
             rows.append(vals)
-            counts.append(len(u))
         means.append(total / scale)
+        counts.append(len(pts))
     return means, rows, counts
 
 
@@ -468,7 +468,7 @@ def _estimate(plans: _Plan | tuple[_Plan, ...], f, stream, keep_terms: bool, ora
 
     def one(st: Stream):
         u = st.offsets(grid)
-        means, rows, counts = _shift_parts(f, grid, top.shifts, u, top.guard, keep_terms)
+        means, rows, counts = _shift_parts(f, grid, top.shifts, u, keep_terms)
         reports = []
         for i, plan in enumerate(plans):
             n_shifts = len(plan.shifts)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import weakref
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 import stratmc.estimators as estimators
+import stratmc.lattice as lattice
 
 from stratmc.errors import IntegrandError, OrderError, ResolutionError
 from stratmc.lattice import GridSpec, Stream, centre_array, index_array
@@ -829,37 +831,42 @@ def test_stream_sequence_rejects_non_stream():
 
 @pytest.mark.parametrize("s", [1, 2, 3])
 def test_guard_mask_is_closed_cube(s, monkeypatch):
-    # centres of -0.0 make c + U exactly U (no grid centre is 0, so c + U
-    # alone cannot reach -0.0 or the subnormals next to 0); every edge value
-    # on every axis, other axes at 1/2: the closed cube [0, 1]^s reaches f
+    # offsets of -0.0 make c + 3U exactly c, and at lam = 3 on GridSpec(s, 1, 1)
+    # the reach equals the margin, so the mask runs on the rows as given;
+    # centres at every edge value on every axis (no grid centre is 0, so no
+    # lattice point can reach -0.0 or the subnormals next to 0), other axes
+    # at 1/2: the closed cube [0, 1]^s reaches f
     edges = [0.0, -0.0, 1.0, np.nextafter(0.0, 1.0), np.nextafter(0.0, -1.0),
              np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)]
-    u = np.full((len(edges) * s, s), 0.5)
+    ctr = np.full((len(edges) * s, s), 0.5)
     for axis in range(s):
-        u[axis * len(edges):(axis + 1) * len(edges), axis] = edges
-    monkeypatch.setattr(estimators, "centre_array", lambda grid: np.full(u.shape, -0.0))
+        ctr[axis * len(edges):(axis + 1) * len(edges), axis] = edges
+    monkeypatch.setattr(estimators, "centre_array", lambda grid: ctr)
     seen = []
 
     def f(pts):
         seen.append(pts.copy())
         return np.ones(len(pts))
 
-    inside = np.all((u >= 0.0) & (u <= 1.0), axis=1)
+    inside = np.all((ctr >= 0.0) & (ctr <= 1.0), axis=1)
     assert inside.sum() == 5 * s
-    means, rows, counts = estimators._shift_parts(f, GridSpec(s, 1, 0), (1,), u, guard=True)
+    u = np.full(ctr.shape, -0.0)
+    means, rows, counts = estimators._shift_parts(f, GridSpec(s, 1, 1), (3,), u, True)
     assert counts == [5 * s] and means == [5.0 * s]
     assert np.array_equal(rows[0] != 0.0, inside)
-    assert np.array_equal(seen[0], u[inside])
-    assert np.array_equal(np.signbit(seen[0]), np.signbit(u[inside]))
+    assert np.array_equal(seen[0], ctr[inside])
+    assert np.array_equal(np.signbit(seen[0]), np.signbit(ctr[inside]))
 
 
 # the guarded pass visits only each dilation's reach box; an oracle of the
 # full-grid column mask pins its batches and results bit for bit
 
-def _full_grid_pass(f, grid, shifts, stream):
+def _full_grid_pass(f, grid, shifts, stream, ctr=None):
     """Per dilation: the batch of every in-cube point of the whole grid, the
-    grid rows it came from, its mean, its value row and its count."""
-    ctr, u = centre_array(grid), stream.offsets(grid)
+    grid rows it came from, its mean, its value row and its count.
+    ``stream`` may be the offsets themselves, and ``ctr`` given centres."""
+    ctr = centre_array(grid) if ctr is None else ctr
+    u = stream.offsets(grid) if isinstance(stream, Stream) else stream
     out = []
     for lam in shifts:
         pts = ctr + u if lam == 1 else ctr - u if lam == -1 else ctr + lam * u
@@ -867,7 +874,7 @@ def _full_grid_pass(f, grid, shifts, stream):
         for col in pts.T:
             mask &= col >= 0.0
             mask &= col <= 1.0
-        batch, vals, total = pts[mask], np.zeros(len(pts)), 0.0
+        batch, vals, total = pts.compress(mask, axis=0), np.zeros(len(pts)), 0.0
         if len(batch):
             inside = np.asarray(f(batch), dtype=float)
             total = float(np.sum(inside))
@@ -932,6 +939,61 @@ def test_guarded_pass_matches_the_full_grid_mask(s):
                 if (abs(lam) - 1) // 2 <= m:
                     want = _full_grid_pass(_signed, grid, (lam,), streams[1])[0][2]
                     assert shifted_stratum_mean(_signed, lam, grid, streams[1]) == want
+
+
+def _zeros(y):
+    return np.zeros(len(y))
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _unit_dilations_keep(s, k, ctr, margin=None):
+    """The +-1 dilations of the unit cells' centres ``ctr`` at a lane's
+    lowest and highest draw, (m - 2^52) / (k 2^53) at m = 0 and 2^53 - 1, in
+    every sign pattern: the full-grid mask keeps every point, and
+    ``_dilated_points`` gives its batch untested, on the margin-free grid and
+    on ``margin``, a ``(grid, centres, unit-cell rows)`` with margin.  The
+    mask runs on the unit cells alone: at these draws a margin cell's point
+    can touch a face exactly, and the reach box leaves it out."""
+    div = float(k) * 2.0 ** 53
+    for pattern in itertools.product((-2.0 ** 52 / div, (2.0 ** 52 - 1.0) / div), repeat=s):
+        u = np.tile(pattern, (len(ctr), 1))
+        for lam in (1, -1):
+            batch, kept = _full_grid_pass(_zeros, GridSpec(s, k), (lam,), u, ctr)[0][:2]
+            assert len(kept) == len(ctr)
+            pts, rows = estimators._dilated_points(GridSpec(s, k), lam, ctr, u)
+            assert _same_bits(pts, batch) and rows is None
+            if margin is not None:
+                grid, grid_ctr, unit = margin
+                pts, rows = estimators._dilated_points(
+                    grid, lam, grid_ctr, np.tile(pattern, (len(grid_ctr), 1)))
+                assert _same_bits(pts, batch) and np.array_equal(rows, unit)
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_unit_dilations_keep_every_cell(s):
+    # no +-1 point of a unit cell leaves the closed cube, whatever k, margin
+    # or draw; the lattice's own arrays, built outside its cache
+    grid_arrays = lattice._grid_arrays.__wrapped__
+    try:
+        for k in list(range(1, 65)) + ([2 ** 20, 3 ** 13, 10 ** 6] if s == 1 else []):
+            idx, ctr = grid_arrays(GridSpec(s, k, 2))
+            unit = np.flatnonzero(np.all((idx >= 0) & (idx < k), axis=1))
+            _unit_dilations_keep(s, k, grid_arrays(GridSpec(s, k))[1],
+                                 (GridSpec(s, k, 2), ctr, unit))
+    finally:
+        estimators._box_rows.cache_clear()
+    if s == 1:
+        # 2^31 - 1 cells are too many to build: the two cells at each face,
+        # by the lattice's formula, which its grid at k = 2^20 reproduces
+        for k in (2 ** 20, 2 ** 31 - 1):
+            j = np.array([0, 1, k - 2, k - 1])
+            ctr = ((2.0 * j + 1.0) / (2.0 * k))[:, None]
+            if k == 2 ** 20:
+                assert _same_bits(ctr, grid_arrays(GridSpec(1, k))[1].take(j, axis=0))
+            _unit_dilations_keep(1, k, ctr)
 
 
 @pytest.mark.parametrize("s", [2, 3, 4])
