@@ -35,7 +35,7 @@ from .estimators import (
     haber2,
     vanishing_margin,
 )
-from .transform import laplace_reparametrize, wrap
+from .transform import _check_tau, laplace_reparametrize, wrap
 
 __all__ = [
     "Integrand",
@@ -119,7 +119,11 @@ def _quadratic(s: int) -> Integrand:
 
 def make_integrand(fn_id: str, s: int, tau: float = 1.5,
                    dataset: str | None = None) -> Integrand:
-    """Resolve a CLI integrand id."""
+    """Resolve a CLI integrand id; ``tau`` is checked for every id, and only
+    ``logistic`` takes a ``dataset``."""
+    _check_tau(tau)
+    if dataset is not None and fn_id != "logistic":
+        raise ValueError(f"only the logistic integrand reads --dataset, not {fn_id!r}")
     if fn_id == "fs":
         return test_function(s)
     if fn_id == "gauss":
@@ -254,7 +258,8 @@ class ExperimentConfig:
         _integer(self.seed, "seed")
         for name in ("k_values", "r_values"):
             for value in getattr(self, name):
-                _integer(value, f"{name} entry")
+                if _integer(value, f"{name} entry") < 1:
+                    raise ValueError(f"{name} entry must be >= 1, got {value}")
         for name in ("variants", "k_values"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must not be empty")

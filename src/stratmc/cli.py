@@ -68,7 +68,11 @@ def _str_list(text: str) -> tuple[str, ...]:
 
 
 def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(map(int, _str_list(text)))
+    try:
+        return tuple(map(int, _str_list(text)))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid list: expected comma-separated integers, got {text!r}") from None
 
 
 class _Extend(argparse.Action):

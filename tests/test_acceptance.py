@@ -376,3 +376,28 @@ def test_criterion_13_rmse_rates_s2_haber1_vanishing():
     ok = abs(slope_h1 + 2) <= 0.3 and abs(slope_van + 4) <= 0.6
     _report(13, "RMSE rates at s=2, haber1 and vanishing", ok,
             f"haber1 {slope_h1:+.2f} (-2+-0.3), vanishing r=3 {slope_van:+.2f} (-4+-0.6)")
+
+
+def test_criterion_14_bounds_s2():
+    # the almost-sure bound C ||f||_r n^(-r/s) and the tail bound's coverage
+    # at s=2, on exp(u1 + u2), whose every order-r derivative is at most e^2;
+    # n = 3k^2 for the paired family and 2k^2 for the single one
+    exact, norm = (math.e - 1.0) ** 2, math.e ** 2
+    details = []
+    ok = True
+    for family, estimate, per_cell in (("paired", estimate_paired_cv, 3),
+                                       ("single", estimate_single_cv, 2)):
+        for r in (2, 3):
+            c_hat = error_constant(2, r, family=family)
+            for k in (4, 8):
+                n = per_cell * k * k
+                streams = [Stream(14, substream_id(family, r, k, rep)) for rep in range(1000)]
+                errs = np.array([abs(rep.value - exact) for rep in
+                                 estimate(_exp_sum, r, GridSpec(2, k, 0), streams)])
+                bound = c_hat * norm * float(n) ** (-r / 2.0)
+                cover = [float(np.mean(errs <= tail_bound(delta, c_hat, norm, n, r, 2)))
+                         for delta in (0.1, 0.01)]
+                ok = ok and bool(np.all(errs <= bound)) and cover[0] >= 0.9 and cover[1] >= 0.99
+                details.append(f"{family} r={r} k={k}: max {errs.max():.1e} <= {bound:.1e}, "
+                               f"coverage {cover[0]:.3f}/{cover[1]:.3f}")
+    _report(14, "almost-sure and tail bounds at s=2", ok, "; ".join(details))

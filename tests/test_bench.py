@@ -637,6 +637,13 @@ _NO_FILE = "[Errno 2] No such file or directory: '{tmp}/"
     (["run", "--r", ""], "r_values must not be empty when a variant reads it"),
     (["run", "--variant", ""], "variants must not be empty"),
     (["run", "--variant", "hat,hat"], "variants must not repeat a value, got ('hat', 'hat')"),
+    (["run", "--variant", "haber1,hat", "--r", "0"], "r_values entry must be >= 1, got 0"),
+    (["run", "--k", "0,4"], "k_values entry must be >= 1, got 0"),
+    (["run", "--fn", "fs", "--tau", "0", "--dataset", "{tmp}/missing.csv"],
+     "tau must be a finite number > 0, got 0.0"),
+    (["run", "--fn", "fs", "--dataset", "{tmp}/missing.csv"],
+     "only the logistic integrand reads --dataset, not 'fs'"),
+    (["orders", "--fn", "poly2", "--tau", "inf"], "tau must be a finite number > 0, got inf"),
 ], ids=["star-without-oracle", "k-decreasing", "logistic-without-dataset", "order-0",
         "slope-missing-input", "missing-config", "slope-missing-column", "slope-empty-file",
         "slope-bad-cell",
@@ -644,7 +651,8 @@ _NO_FILE = "[Errno 2] No such file or directory: '{tmp}/"
         "logistic-missing-dataset", "out-in-missing-dir", "config-line-without-equals", "tau-0",
         "config-misspelt-key", "config-key-of-another-command", "config-names-a-config",
         "config-repeated-key", "config-repeated-key-spelt-two-ways", "k-empty", "r-empty",
-        "variant-empty", "variant-repeated"])
+        "variant-empty", "variant-repeated", "r-0", "k-0", "tau-0-for-fs-with-dataset",
+        "dataset-for-fs", "orders-tau-inf"])
 def test_cli_library_errors_are_usage_errors(argv, message, tmp_path, capsys):
     # one line on stderr and argparse's usage status, not a traceback; a
     # file that cannot be read or written is a usage error too
@@ -669,6 +677,16 @@ def test_cli_library_errors_are_usage_errors(argv, message, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == f"stratmc: error: {message.format(tmp=tmp_path)}\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("flag", ["--k", "--r"])
+def test_cli_int_list_error_names_the_flag_not_the_function(flag, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["run", flag, "4,x"])
+    err = capsys.readouterr().err
+    assert info.value.code == 2 and "_int_list" not in err
+    assert err.endswith(f"stratmc run: error: argument {flag}: invalid list: expected "
+                        "comma-separated integers, got '4,x'\n")
 
 
 def test_cli_error_exit_status_subprocess():

@@ -5,7 +5,8 @@ from pathlib import Path
 import pytest
 
 import stratmc
-from stratmc.bench import ExperimentConfig, load_labelled_csv, test_function as product_family
+from stratmc.bench import (ExperimentConfig, load_labelled_csv, make_integrand,
+                           test_function as product_family)
 from stratmc.errors import DomainError, OrderError, StratError
 from stratmc.estimators import asymptotic_variance_estimate, crude_mc, offset_moment
 from stratmc.lattice import GridSpec, Stream
@@ -115,6 +116,13 @@ _NOT_PD = "curvature at the mode is not positive definite: Matrix is not positiv
      TypeError, "budget must be an integer, got 4.0"),
     (lambda tmp: derivative_grid([1.0] * 4, (1,), GridSpec(1, 4), r=3.0), TypeError,
      "order must be an integer, got 3.0"),
+    # a multi-index entry or a centre index is checked, not truncated
+    (lambda tmp: derivative_grid([1.0] * 8, (1.5,), GridSpec(1, 8), 3), TypeError,
+     "multi-index entry must be an integer, got 1.5"),
+    (lambda tmp: derivative_stencil((1.9,), (2,), GridSpec(1, 8), 3), TypeError,
+     "multi-index entry must be an integer, got 1.9"),
+    (lambda tmp: derivative_stencil((1,), (2.7,), GridSpec(1, 8), 3), TypeError,
+     "centre index must be an integer, got 2.7"),
     # a malformed ladder fails when it is configured, naming the field
     (lambda tmp: _ladder(replicates=3.0), TypeError, "replicates must be an integer, got 3.0"),
     (lambda tmp: _ladder(seed=0.5), TypeError, "seed must be an integer, got 0.5"),
@@ -130,13 +138,14 @@ _NOT_PD = "curvature at the mode is not positive definite: Matrix is not positiv
      "variants must not repeat a value, got ('hat', 'tilde', 'hat')"),
     (lambda tmp: _ladder(r_values=(2, 3, 2)), ValueError,
      "r_values must not repeat a value, got (2, 3, 2)"),
-    # a multi-index entry or a centre index is checked, not truncated
-    (lambda tmp: derivative_grid([1.0] * 8, (1.5,), GridSpec(1, 8), 3), TypeError,
-     "multi-index entry must be an integer, got 1.5"),
-    (lambda tmp: derivative_stencil((1.9,), (2,), GridSpec(1, 8), 3), TypeError,
-     "multi-index entry must be an integer, got 1.9"),
-    (lambda tmp: derivative_stencil((1,), (2.7,), GridSpec(1, 8), 3), TypeError,
-     "centre index must be an integer, got 2.7"),
+    (lambda tmp: _ladder(variants=("haber1", "hat"), r_values=(0,)), ValueError,
+     "r_values entry must be >= 1, got 0"),
+    (lambda tmp: _ladder(k_values=(0, 4)), ValueError, "k_values entry must be >= 1, got 0"),
+    # an integrand checks its tail exponent, and takes a dataset only if it reads one
+    (lambda tmp: make_integrand("fs", 1, tau=0.0), ValueError,
+     "tau must be a finite number > 0, got 0.0"),
+    (lambda tmp: make_integrand("poly2", 1, dataset="d.csv"), ValueError,
+     "only the logistic integrand reads --dataset, not 'poly2'"),
 ], ids=["laplace-saddle-inv-hessian", "laplace-saddle-hessian", "csv-empty-file",
         "csv-empty-header", "crude-n-0", "asymptotic-budget-1", "moment-order-negative",
         "moment-resolution-0", "moment-order-float", "moment-resolution-float",
@@ -150,7 +159,8 @@ _NOT_PD = "curvature at the mode is not positive definite: Matrix is not positiv
         "derivative-grid-alpha-float", "derivative-stencil-alpha-float",
         "derivative-stencil-centre-float", "config-replicates-float", "config-seed-float",
         "config-k-float", "config-r-float", "config-no-variant", "config-no-k",
-        "config-no-r-for-hat", "config-repeated-variant", "config-repeated-r"])
+        "config-no-r-for-hat", "config-repeated-variant", "config-repeated-r", "config-r-0",
+        "config-k-0", "integrand-tau-0", "integrand-dataset-not-logistic"])
 def test_typed_errors(call, error, message, tmp_path):
     # each raise is reachable, with its exact type and message
     (tmp_path / "empty.csv").write_text("")
