@@ -833,9 +833,9 @@ def test_stream_sequence_rejects_non_stream():
 def test_guard_mask_is_closed_cube(s, monkeypatch):
     # offsets of -0.0 make c + 3U exactly c, and at lam = 3 on GridSpec(s, 1, 1)
     # the reach equals the margin, so the mask runs on the rows as given;
-    # centres at every edge value on every axis (no grid centre is 0, so no
-    # lattice point can reach -0.0 or the subnormals next to 0), other axes
-    # at 1/2: the closed cube [0, 1]^s reaches f
+    # patched centres put every edge value on every axis (no lattice point
+    # is -0.0 or a subnormal next to 0), other axes at 1/2: the closed cube
+    # [0, 1]^s reaches f
     edges = [0.0, -0.0, 1.0, np.nextafter(0.0, 1.0), np.nextafter(0.0, -1.0),
              np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)]
     ctr = np.full((len(edges) * s, s), 0.5)
