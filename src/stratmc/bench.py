@@ -251,7 +251,6 @@ class ExperimentConfig:
     replicates: int = 50
     seed: int = 0
     rel_mode: str = "squared"    # 'squared': mse / I^2; 'literal': mse / |I|
-    out: str | None = None
 
     def __post_init__(self):
         _integer(self.replicates, "replicates")
@@ -295,18 +294,13 @@ class ResultRow:
 
 
 def run(config: ExperimentConfig) -> list[ResultRow]:
-    """One row per (variant, r, k); writes the CSV when config.out is set.
+    """One row per (variant, r, k); ``write_rows`` writes them as CSV.
 
     Every cell's estimator runs first; each statistic is then one reduction
     over the (cells, replicates) array, row by row as a per-cell reduction
     would sum.  With no exact value, a cell whose estimates average 0 raises
     ``StratError`` after all cells have run, naming the first such cell.
-    The CSV is opened before the first cell, so a path that cannot be
-    written fails before any work; a file that was not there is created
-    empty, and one that was keeps its content until the rows are written.
     """
-    if config.out is not None:
-        open(config.out, "a").close()
     f = config.integrand
     cells, values, n_evals = [], [], []
     for variant in config.variants:
@@ -335,12 +329,9 @@ def run(config: ExperimentConfig) -> list[ResultRow]:
                     f"so the relative error is undefined; supply the exact value"
                 )
     n_means = np.mean(np.array(n_evals, dtype=float).reshape(shape), axis=1).tolist()
-    rows = [ResultRow(variant=variant, r=r, k=k, n_evals=n_mean, rel_error=stat / denom,
+    return [ResultRow(variant=variant, r=r, k=k, n_evals=n_mean, rel_error=stat / denom,
                       discarded=stat <= DISCARD_THRESHOLD, slope_group=f"{variant}-r{r}")
             for (variant, r, k), n_mean, stat, denom in zip(cells, n_means, stats, denoms)]
-    if config.out is not None:
-        write_rows(config.out, rows)
-    return rows
 
 
 def write_rows(path, rows: list[ResultRow]) -> None:

@@ -32,6 +32,7 @@ from .bench import (
     make_integrand,
     read_rows,
     run,
+    write_rows,
 )
 from .errors import StratError
 from .estimators import vanishing_margin
@@ -163,13 +164,16 @@ def _execute(args: argparse.Namespace) -> int:
             print(f"{r_prime:>5} {summary.pooled_mean:>18.12g} {summary.v_hat:>14.6g}{mark}")
         return 0
 
-    rows = run(ExperimentConfig(integrand=integrand, variants=args.variant, r_values=args.r,
-                                k_values=args.k, replicates=args.reps, seed=args.seed,
-                                rel_mode=args.rel_mode, out=args.out))
+    config = ExperimentConfig(integrand=integrand, variants=args.variant, r_values=args.r,
+                              k_values=args.k, replicates=args.reps, seed=args.seed,
+                              rel_mode=args.rel_mode)
     if args.out is None:
-        _write_csv(sys.stdout, rows, lineterminator="\n")
-    else:
-        print(f"wrote {len(rows)} rows to {args.out}")
+        _write_csv(sys.stdout, run(config), lineterminator="\n")
+        return 0
+    open(args.out, "a").close()   # fail before any cell; an old file stays until write_rows
+    rows = run(config)
+    write_rows(args.out, rows)
+    print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
 

@@ -78,7 +78,6 @@ def _config(**kw):
         k_values=(4, 8, 16),
         replicates=20,
         seed=3,
-        out=None,
     )
     base.update(kw)
     return ExperimentConfig(**base)
@@ -102,8 +101,8 @@ def test_run_discards_exact_cells():
 def test_run_deterministic(tmp_path):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
-    run(_config(out=str(out1)))
-    run(_config(out=str(out2)))
+    write_rows(out1, run(_config()))
+    write_rows(out2, run(_config()))
     assert out1.read_bytes() == out2.read_bytes()
 
 
@@ -146,35 +145,37 @@ def test_run_rejects_star_without_derivative_oracle():
     assert [row.variant for row in rows] == ["star"] * 3
 
 
-def test_run_opens_the_output_file_before_the_first_cell(tmp_path, capsys):
-    # the CSV is written after the last cell but opened before the first:
-    # a missing folder, a file in its place or a folder as the file fails
-    # with the error opening the file raises, and no cell runs; the CLI
-    # makes it one usage-error line
+def test_run_opens_the_output_file_before_the_first_cell(tmp_path, capsys, monkeypatch):
+    # `stratmc run` writes the CSV after the last cell but opens it before the
+    # first: a missing folder, a file in its place or a folder as the file
+    # fails with the error opening the file raises, as one usage-error line,
+    # and no cell runs
     calls = []
     f = Integrand(name="fs(1)", s=1, fn=lambda p: calls.append(len(p)) or p[:, 0])
+    monkeypatch.setattr(cli, "make_integrand", lambda *args, **kw: f)
     (tmp_path / "file").write_text("")
     (tmp_path / "dir").mkdir()
     for path, error in ((tmp_path / "missing" / "x.csv", FileNotFoundError),
                         (tmp_path / "file" / "x.csv", NotADirectoryError),
                         (tmp_path / "dir", IsADirectoryError)):
-        with pytest.raises(error) as exc:
-            run(_config(integrand=f, out=str(path)))
+        assert cli.main(["run", "--k", "4,8", "--reps", "2", "--out", str(path)]) == 2
         with pytest.raises(error) as opened:
             open(path, "w")
-        assert str(exc.value) == str(opened.value)
+        assert capsys.readouterr().err == f"stratmc: error: {opened.value}\n"
     assert not calls
-    out = tmp_path / "missing" / "x.csv"
-    assert cli.main(["run", "--k", "4,8", "--reps", "2", "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("stratmc: error:") and err.count("\n") == 1
-    assert not out.parent.exists()
-    # a file that is there keeps its content while the cells run
+    assert not (tmp_path / "missing").exists()
+    # a rejected configuration leaves --out untouched
     kept = tmp_path / "kept.csv"
     kept.write_text("old\n")
+    assert cli.main(["run", "--k", "8,4", "--out", str(kept)]) == 2
+    assert "strictly increasing" in capsys.readouterr().err
+    assert kept.read_text() == "old\n" and not calls
+    # a file that is there keeps its content while the cells run
     zero_mean = Integrand(name="odd", s=1, fn=lambda p: p[:, 0] - 0.5, exact=None)
-    with pytest.raises(StratError, match="average 0"):
-        run(_config(integrand=zero_mean, variants=("haber2",), r_values=(2,), out=str(kept)))
+    monkeypatch.setattr(cli, "make_integrand", lambda *args, **kw: zero_mean)
+    assert cli.main(["run", "--variant", "haber2", "--k", "4,8,16", "--reps", "20",
+                     "--seed", "3", "--out", str(kept)]) == 2
+    assert "average 0" in capsys.readouterr().err
     assert kept.read_text() == "old\n"
 
 
