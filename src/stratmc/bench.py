@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StratError
-from .lattice import GridSpec, Stream, _integer, substream_id
+from .lattice import GridSpec, Stream, _dimension, _integer, substream_id
 from .estimators import (
     crude_mc,
     estimate_analytic_cv,
@@ -35,7 +35,7 @@ from .estimators import (
     haber2,
     vanishing_margin,
 )
-from .transform import _check_tau, laplace_reparametrize, wrap
+from .transform import _positive, laplace_reparametrize, wrap
 
 __all__ = [
     "Integrand",
@@ -77,8 +77,7 @@ def test_function(s: int) -> Integrand:
 
     Exact integral: 1 for s=1 and e - sum_{j<s} 1/j! in general.
     """
-    if s < 1:
-        raise ValueError(f"dimension must be >= 1, got {s}")
+    s = _dimension(s)
     if s == 1:
         def fn1(pts):
             pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -110,6 +109,8 @@ def wrapped_gaussian(s: int, tau: float = 1.5) -> Integrand:
 
 
 def _quadratic(s: int) -> Integrand:
+    s = _dimension(s)
+
     def fn(pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         return np.sum(pts * pts, axis=1)
@@ -121,7 +122,7 @@ def make_integrand(fn_id: str, s: int, tau: float = 1.5,
                    dataset: str | None = None) -> Integrand:
     """Resolve a CLI integrand id; ``tau`` is checked for every id, and only
     ``logistic`` takes a ``dataset``."""
-    _check_tau(tau)
+    _positive(tau, "tau")
     if dataset is not None and fn_id != "logistic":
         raise ValueError(f"only the logistic integrand reads --dataset, not {fn_id!r}")
     if fn_id == "fs":
@@ -198,8 +199,7 @@ def logistic_marginal_likelihood(dataset, s: int, tau: float = 1.5) -> Integrand
     the mode with the inverse-Hessian Laplace scale and tail-mapped, so its
     cube integral is the marginal likelihood itself.
     """
-    if s < 1:
-        raise ValueError(f"need at least the intercept, got s={s}")
+    s = _dimension(s)
     y, preds = load_labelled_csv(dataset)
     if s - 1 > preds.shape[1]:
         raise StratError(

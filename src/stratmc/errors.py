@@ -18,7 +18,8 @@ class OrderError(StratError, ValueError):
 
 
 class ResolutionError(StratError, ValueError):
-    """The grid is too coarse for the requested construction (k too small)."""
+    """The grid does not suit the requested construction: too coarse (k too
+    small), or too fine for its whole-grid arrays to be indexed."""
 
 
 class AlignmentError(StratError, ValueError):

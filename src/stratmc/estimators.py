@@ -267,7 +267,6 @@ def _in_cube(col: np.ndarray) -> np.ndarray:
     return ok
 
 
-@lru_cache(maxsize=64)
 def _box_rows(grid: GridSpec, reach: int) -> np.ndarray:
     """Grid rows of the cells within ``reach`` layers of the unit cube, in grid-row order."""
     lo = grid.m - reach
@@ -275,7 +274,6 @@ def _box_rows(grid: GridSpec, reach: int) -> np.ndarray:
     rows = np.zeros(1, dtype=np.intp)
     for _ in range(grid.s):
         rows = np.add.outer(rows * grid.side, axis).ravel()
-    rows.setflags(write=False)
     return rows
 
 

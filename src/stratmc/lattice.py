@@ -34,6 +34,8 @@ from numbers import Integral
 
 import numpy as np
 
+from .errors import ResolutionError
+
 __all__ = [
     "GridSpec",
     "Stream",
@@ -51,6 +53,14 @@ def _integer(value, what: str) -> int:
         return value
     if not isinstance(value, Integral):
         raise TypeError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _dimension(value, what: str = "dimension") -> int:
+    """``value`` as a Python int >= 1, else ``TypeError`` or ``ValueError``
+    naming ``what``: the one check of an integrand's dimension."""
+    if _integer(value, what) < 1:
+        raise ValueError(f"{what} must be >= 1, got {value}")
     return int(value)
 
 
@@ -96,6 +106,10 @@ class GridSpec:
 
 @lru_cache(maxsize=128)
 def _grid_arrays(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    # checked before any array is built: numpy cannot index more bytes
+    if grid.n_centres * grid.s * 8 > np.iinfo(np.intp).max:
+        raise ResolutionError(f"{grid} is too fine for whole-grid arrays: {grid.n_centres} "
+                              f"cells x {grid.s} axes x 8 bytes exceeds {np.iinfo(np.intp).max}")
     idx_axis = np.array(list(grid.index_range()), dtype=np.int64)
     mesh = np.meshgrid(*([idx_axis] * grid.s), indexing="ij")
     idx = np.stack([m.ravel() for m in mesh], axis=1)

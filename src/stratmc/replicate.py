@@ -97,8 +97,10 @@ def tail_bound(delta: float, c_hat: float, norm_r: float, n: int, r: int, s: int
 
     With ``c_hat`` the computable worst-case constant and ``norm_r`` an upper
     bound on the order-r derivatives, the estimate lies within this radius of
-    the true integral with probability at least 1 - delta.
+    the true integral with probability at least 1 - delta.  ``n``, ``r`` and
+    ``s`` must be integers (``TypeError`` naming the argument).
     """
+    n, r, s = _integer(n, "n"), _integer(r, "order"), _integer(s, "dimension")
     if not 0.0 < delta < 1.0:
         raise DomainError(f"delta must be in (0, 1), got {delta}")
     if n < 1 or s < 1:

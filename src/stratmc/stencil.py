@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import (DomainError, IncompleteEvaluationError, OrderError, ResolutionError,
                      StencilError)
-from .lattice import GridSpec, _integer
+from .lattice import GridSpec, _dimension, _integer
 
 __all__ = [
     "abs_order",
@@ -71,9 +71,7 @@ def multi_factorial(alpha) -> int:
 
 def multi_indices(s: int, total: int) -> Iterator[tuple[int, ...]]:
     """All multi-indices of length s with |alpha| = total, lexicographic; total >= 0."""
-    s, total = _integer(s, "dimension"), _integer(total, "total order")
-    if s < 1:
-        raise ValueError(f"dimension must be >= 1, got {s}")
+    s, total = _dimension(s), _integer(total, "total order")
     if total < 0:
         raise OrderError(f"total order must be >= 0, got {total}")
     if s == 1:

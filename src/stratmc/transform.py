@@ -14,7 +14,8 @@ Such integrands are exactly what the dilation-combination estimator in
 coordinate, raise ``DomainError``, as do NaN entries given to ``psi`` and
 ``jacobian_factor``.  ``g`` and the log-density ``h`` are held to the
 integrand contract of :mod:`stratmc.estimators`.  Every entry point rejects
-a tail exponent ``tau`` that is not a finite number > 0 with ``ValueError``.
+a tail exponent ``tau`` that is not a finite number > 0 with ``ValueError``,
+and ``wrap`` a dimension that is not an integer >= 1 as the lattice does.
 
 ``laplace_reparametrize`` applies the recipe to log-densities: centre at the
 mode, scale by a Cholesky factor of the curvature there, then wrap with the
@@ -32,6 +33,7 @@ import numpy as np
 
 from .errors import DomainError, OptimizationError, StratError
 from .estimators import _evaluate
+from .lattice import _dimension, _integer
 
 __all__ = [
     "psi",
@@ -48,10 +50,10 @@ def _in_open_cube(u: np.ndarray) -> bool:
     return u.size == 0 or bool(u.min() > 0.0 and u.max() < 1.0)
 
 
-def _check_tau(tau) -> None:
-    # psi maps (0, 1) onto the real line only for tau > 0
-    if not (tau > 0.0 and math.isfinite(tau)):
-        raise ValueError(f"tau must be a finite number > 0, got {tau}")
+def _positive(value, what: str) -> None:
+    # tau: psi maps (0, 1) onto the real line only for tau > 0
+    if not (value > 0.0 and math.isfinite(value)):
+        raise ValueError(f"{what} must be a finite number > 0, got {value}")
 
 
 def _interior(u: np.ndarray) -> None:
@@ -90,7 +92,7 @@ def _axis_product(per_axis: np.ndarray) -> np.ndarray:
 
 def psi(u, tau: float):
     """Componentwise (2u - 1) / (u^tau (1-u)^tau); open cube to R^s."""
-    _check_tau(tau)
+    _positive(tau, "tau")
     u = np.asarray(u, dtype=float)
     _interior(u)
     _base, centred, scale = _parts(u, tau)
@@ -107,7 +109,7 @@ def jacobian_factor(u, tau: float):
     short axis); one point of shape (s,) gives a numpy scalar and a 0-d
     input a float.
     """
-    _check_tau(tau)
+    _positive(tau, "tau")
     u = np.asarray(u, dtype=float)
     _interior(u)
     per_axis = _slope(*_parts(np.atleast_1d(u), tau), tau)
@@ -132,8 +134,8 @@ class VanishingIntegrand:
     Points of another width than ``s``, and a point with a NaN coordinate,
     raise ``DomainError``.
     ``g`` is held to the integrand contract as the "wrapped integrand", at
-    the caller's row and the ``psi`` image it was given.  ``tau`` is checked
-    once, here.
+    the caller's row and the ``psi`` image it was given.  ``s`` and ``tau``
+    are checked once, here.
     """
 
     g: Callable[[np.ndarray], np.ndarray]
@@ -141,7 +143,8 @@ class VanishingIntegrand:
     tau: float
 
     def __post_init__(self):
-        _check_tau(self.tau)
+        self.s = _dimension(self.s)
+        _positive(self.tau, "tau")
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -247,7 +250,8 @@ def laplace_reparametrize(h, mode_guess, *, scale: str, tau: float = 1.5,
     gives h(x), the gradient and the Hessian, is held to the integrand
     contract as the "log-density"; a line-search candidate is compared as
     returned, since a non-finite value there only means no ascent.  ``tau``
-    is checked before h is first called.
+    and ``grad_tol`` (finite numbers > 0), ``max_iter`` (an integer) and the
+    length of ``mode_guess`` (at least 1) are checked before h is first called.
 
     ``scale`` selects the linear change of variables, with H the curvature
     (Hessian of -h) at the mode, taken from the last iterate's batch:
@@ -263,9 +267,11 @@ def laplace_reparametrize(h, mode_guess, *, scale: str, tau: float = 1.5,
     """
     if scale not in ("inv-hessian", "hessian"):
         raise ValueError(f"scale must be 'inv-hessian' or 'hessian', got {scale!r}")
-    _check_tau(tau)
+    _positive(tau, "tau")
+    _positive(grad_tol, "grad_tol")
+    _integer(max_iter, "max_iter")
     x = np.asarray(mode_guess, dtype=float).copy()
-    s = len(x)
+    s = _dimension(len(x), "mode_guess length")
     trace = [x.copy()]
     for _ in range(max_iter):
         h_now, grad, hess = _differences(h, x)

@@ -401,3 +401,29 @@ def test_criterion_14_bounds_s2():
                 details.append(f"{family} r={r} k={k}: max {errs.max():.1e} <= {bound:.1e}, "
                                f"coverage {cover[0]:.3f}/{cover[1]:.3f}")
     _report(14, "almost-sure and tail bounds at s=2", ok, "; ".join(details))
+
+
+def _exp_sum3(pts):
+    return np.exp(pts[:, 0] + pts[:, 1] + pts[:, 2])
+
+
+def test_criterion_15_rmse_rates_s3():
+    # the paper's MSE rate k^(-s-2r) at s=3, where the multi-indices mixing
+    # three axes first count: -11 for the paired family at r=4 and -9 for
+    # the single one at r=3, windows +-15%; 50 streams per cell in one call
+    ks = (4, 5, 6, 7, 8)
+    exact = (math.e - 1.0) ** 3
+    details, ok = [], True
+    for label, estimate, r, seed, paper in (("paired", estimate_paired_cv, 4, 151, -11.0),
+                                            ("single", estimate_single_cv, 3, 152, -9.0)):
+        mses = []
+        for k in ks:
+            streams = [Stream(seed, substream_id(label, k, rep)) for rep in range(50)]
+            vals = np.array([rep.value for rep in
+                             estimate(_exp_sum3, r, GridSpec(3, k, 0), streams)])
+            mses.append(np.mean((vals - exact) ** 2))
+        slope = float(np.polyfit(np.log(ks), np.log(mses), 1)[0])
+        ok = ok and abs(slope - paper) <= 0.15 * abs(paper)
+        details.append(f"{label} r={r} {slope:+.2f} vs paper {paper:+.0f} "
+                       f"(+-{0.15 * abs(paper):.2f})")
+    _report(15, "MSE-vs-k rates at s=3", ok, "; ".join(details))

@@ -645,6 +645,7 @@ _NO_FILE = "[Errno 2] No such file or directory: '{tmp}/"
     (["run", "--fn", "fs", "--dataset", "{tmp}/missing.csv"],
      "only the logistic integrand reads --dataset, not 'fs'"),
     (["orders", "--fn", "poly2", "--tau", "inf"], "tau must be a finite number > 0, got inf"),
+    (["run", "--fn", "poly2", "--dim", "0"], "dimension must be >= 1, got 0"),
 ], ids=["star-without-oracle", "k-decreasing", "logistic-without-dataset", "order-0",
         "slope-missing-input", "missing-config", "slope-missing-column", "slope-empty-file",
         "slope-bad-cell",
@@ -653,7 +654,7 @@ _NO_FILE = "[Errno 2] No such file or directory: '{tmp}/"
         "config-misspelt-key", "config-key-of-another-command", "config-names-a-config",
         "config-repeated-key", "config-repeated-key-spelt-two-ways", "k-empty", "r-empty",
         "variant-empty", "variant-repeated", "r-0", "k-0", "tau-0-for-fs-with-dataset",
-        "dataset-for-fs", "orders-tau-inf"])
+        "dataset-for-fs", "orders-tau-inf", "poly2-dim-0"])
 def test_cli_library_errors_are_usage_errors(argv, message, tmp_path, capsys):
     # one line on stderr and argparse's usage status, not a traceback; a
     # file that cannot be read or written is a usage error too

@@ -977,14 +977,11 @@ def test_unit_dilations_keep_every_cell(s):
     # no +-1 point of a unit cell leaves the closed cube, whatever k, margin
     # or draw; the lattice's own arrays, built outside its cache
     grid_arrays = lattice._grid_arrays.__wrapped__
-    try:
-        for k in list(range(1, 65)) + ([2 ** 20, 3 ** 13, 10 ** 6] if s == 1 else []):
-            idx, ctr = grid_arrays(GridSpec(s, k, 2))
-            unit = np.flatnonzero(np.all((idx >= 0) & (idx < k), axis=1))
-            _unit_dilations_keep(s, k, grid_arrays(GridSpec(s, k))[1],
-                                 (GridSpec(s, k, 2), ctr, unit))
-    finally:
-        estimators._box_rows.cache_clear()
+    for k in list(range(1, 65)) + ([2 ** 20, 3 ** 13, 10 ** 6] if s == 1 else []):
+        idx, ctr = grid_arrays(GridSpec(s, k, 2))
+        unit = np.flatnonzero(np.all((idx >= 0) & (idx < k), axis=1))
+        _unit_dilations_keep(s, k, grid_arrays(GridSpec(s, k))[1],
+                             (GridSpec(s, k, 2), ctr, unit))
     if s == 1:
         # 2^31 - 1 cells are too many to build: the two cells at each face,
         # by the lattice's formula, which its grid at k = 2^20 reproduces

@@ -1,8 +1,13 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+from stratmc import lattice
+from stratmc.errors import ResolutionError
+from stratmc.estimators import haber1
+from stratmc.stencil import derivative_stencil
 from stratmc.lattice import (
     _BLOCK,
     GridSpec,
@@ -111,6 +116,39 @@ def test_grid_stores_numpy_integers_as_int():
     assert [type(v) for v in (grid.s, grid.k, grid.m)] == [int, int, int]
     assert repr(grid) == "GridSpec(s=2, k=8, m=1)"
     assert type(grid.side) is int and type(grid.n_centres) is int
+
+
+def test_whole_grid_arrays_must_be_indexable(monkeypatch):
+    # (n_centres, s) float64 arrays of more than np.intp's bytes are refused
+    # before any array is built, naming the grid; numpy itself would fail
+    # with "Unable to allocate 6.94 EiB" at s = 3, k = 10^6
+    class Reached(Exception):
+        pass
+
+    def meshgrid(*args, **kw):
+        raise Reached
+
+    monkeypatch.setattr(np, "meshgrid", meshgrid)
+    limit = np.iinfo(np.intp).max
+    for s, m in ((1, 0), (3, 0), (3, 2), (6, 1)):
+        k = int(round((limit / (8 * s)) ** (1 / s))) - 2 * m + 2
+        while (k - 1 + 2 * m) ** s * s * 8 > limit:
+            k -= 1
+        # k is the first resolution past the limit, k - 1 the last within it
+        assert (k + 2 * m) ** s * s * 8 > limit >= (k - 1 + 2 * m) ** s * s * 8
+        grid = GridSpec(s, k, m)
+        with pytest.raises(ResolutionError, match=re.escape(f"{grid} is too fine")):
+            lattice._grid_arrays.__wrapped__(grid)
+        if s > 1:
+            with pytest.raises(Reached):
+                lattice._grid_arrays.__wrapped__(GridSpec(s, k - 1, m))
+    monkeypatch.undo()
+    calls = []
+    with pytest.raises(ResolutionError, match=r"GridSpec\(s=3, k=1000000, m=0\)"):
+        haber1(lambda p: calls.append(p) or p[:, 0], GridSpec(3, 10 ** 6), Stream(0))
+    assert not calls
+    # a stencil on one centre of such a grid builds no whole-grid array
+    assert derivative_stencil((1, 0, 0), (0, 0, 0), GridSpec(3, 10 ** 6), 3).scale == 1e6
 
 
 def test_substream_id_stable():

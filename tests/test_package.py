@@ -2,18 +2,19 @@ import re
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import stratmc
-from stratmc.bench import (ExperimentConfig, load_labelled_csv, make_integrand,
-                           test_function as product_family)
+from stratmc.bench import (ExperimentConfig, load_labelled_csv, logistic_marginal_likelihood,
+                           make_integrand, test_function as product_family, wrapped_gaussian)
 from stratmc.errors import DomainError, OrderError, StratError
 from stratmc.estimators import asymptotic_variance_estimate, crude_mc, offset_moment
 from stratmc.lattice import GridSpec, Stream
 from stratmc.replicate import select_order, tail_bound
 from stratmc.stencil import (block_partition, derivative_grid, derivative_stencil, error_constant,
                              multi_indices, univariate_weights)
-from stratmc.transform import laplace_reparametrize
+from stratmc.transform import laplace_reparametrize, wrap
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 README_NAMES = (
@@ -61,6 +62,10 @@ def _ladder(**fields):
 
 def _saddle(b):
     return b[:, 0] ** 2 - b[:, 1] ** 2
+
+
+def _bowl(b):
+    return -np.sum(b * b, axis=1)
 
 
 # the text after the colon is numpy's LinAlgError
@@ -146,6 +151,23 @@ _NOT_PD = "curvature at the mode is not positive definite: Matrix is not positiv
      "tau must be a finite number > 0, got 0.0"),
     (lambda tmp: make_integrand("poly2", 1, dataset="d.csv"), ValueError,
      "only the logistic integrand reads --dataset, not 'poly2'"),
+    # every integrand constructor checks its dimension before it builds an array
+    (lambda tmp: product_family(2.0), TypeError, "dimension must be an integer, got 2.0"),
+    (lambda tmp: wrapped_gaussian(0), ValueError, "dimension must be >= 1, got 0"),
+    (lambda tmp: wrap(_bowl, 0), ValueError, "dimension must be >= 1, got 0"),
+    (lambda tmp: wrap(_bowl, 2.0), TypeError, "dimension must be an integer, got 2.0"),
+    (lambda tmp: make_integrand("poly2", 0), ValueError, "dimension must be >= 1, got 0"),
+    (lambda tmp: logistic_marginal_likelihood(tmp / "missing.csv", 0), ValueError,
+     "dimension must be >= 1, got 0"),
+    # the mode search and the tail bound check their arguments before any work
+    (lambda tmp: laplace_reparametrize(_bowl, np.zeros(0), scale="hessian"), ValueError,
+     "mode_guess length must be >= 1, got 0"),
+    (lambda tmp: laplace_reparametrize(_bowl, np.zeros(2), scale="hessian", max_iter=2.5),
+     TypeError, "max_iter must be an integer, got 2.5"),
+    (lambda tmp: laplace_reparametrize(_bowl, np.zeros(2), scale="hessian", grad_tol=np.nan),
+     ValueError, "grad_tol must be a finite number > 0, got nan"),
+    (lambda tmp: tail_bound(0.1, 1.0, 1.0, 10, 2.5, 1), TypeError,
+     "order must be an integer, got 2.5"),
 ], ids=["laplace-saddle-inv-hessian", "laplace-saddle-hessian", "csv-empty-file",
         "csv-empty-header", "crude-n-0", "asymptotic-budget-1", "moment-order-negative",
         "moment-resolution-0", "moment-order-float", "moment-resolution-float",
@@ -160,7 +182,11 @@ _NOT_PD = "curvature at the mode is not positive definite: Matrix is not positiv
         "derivative-stencil-centre-float", "config-replicates-float", "config-seed-float",
         "config-k-float", "config-r-float", "config-no-variant", "config-no-k",
         "config-no-r-for-hat", "config-repeated-variant", "config-repeated-r", "config-r-0",
-        "config-k-0", "integrand-tau-0", "integrand-dataset-not-logistic"])
+        "config-k-0", "integrand-tau-0", "integrand-dataset-not-logistic",
+        "product-family-dimension-float", "gauss-dimension-0", "wrap-dimension-0",
+        "wrap-dimension-float", "poly2-dimension-0", "logistic-dimension-0",
+        "laplace-empty-mode-guess", "laplace-max-iter-float", "laplace-grad-tol-nan",
+        "tail-bound-order-float"])
 def test_typed_errors(call, error, message, tmp_path):
     # each raise is reachable, with its exact type and message
     (tmp_path / "empty.csv").write_text("")
@@ -169,3 +195,5 @@ def test_typed_errors(call, error, message, tmp_path):
         call(tmp_path)
     assert type(info.value) is error
     assert str(info.value) == message.format(tmp=tmp_path)
+    # raised by the package itself, not by numpy or Python on its behalf
+    assert Path(str(info.traceback[-1].path)).parent.name == "stratmc"
