@@ -53,15 +53,14 @@ def _parse_config_file(args: argparse.Namespace) -> dict[str, str]:
             if "=" not in line:
                 raise StratError(f"{args.config}:{lineno}: expected 'key = value', got {raw!r}")
             key, value = (part.strip() for part in line.split("=", 1))
-            name = key.replace("-", "_")
-            if name in ("command", "config") or name not in vars(args):
+            if key in ("command", "config") or key not in vars(args):
                 raise StratError(f"{args.config}:{lineno}: unknown key {key!r}, "
                                  f"not a flag of 'stratmc {args.command}'")
-            if name in lines:
+            if key in lines:
                 raise StratError(f"{args.config}:{lineno}: key {key!r} repeats line "
-                                 f"{lines[name][0]}; give each key once")
-            lines[name] = lineno, value
-    return {name: value for name, (_lineno, value) in lines.items()}
+                                 f"{lines[key][0]}; give each key once")
+            lines[key] = lineno, value
+    return {key: value for key, (_lineno, value) in lines.items()}
 
 
 def _str_list(text: str) -> tuple[str, ...]:
@@ -112,9 +111,6 @@ def main(argv=None) -> int:
     p_run.add_argument("--reps", type=int, default=ExperimentConfig.replicates,
                        help="replicates per cell (default %(default)s)")
     p_run.add_argument("--out", help="output CSV path (default: stdout)")
-    p_run.add_argument("--rel-mode", choices=["squared", "literal"],
-                       default=ExperimentConfig.rel_mode,
-                       help="normalize MSE by I^2 (squared) or by |I| (default %(default)s)")
 
     p_slope = sub.add_parser("slope", help="fit log-log slopes from a run CSV")
     p_slope.add_argument("--input", required=True, help="CSV produced by 'run'")
@@ -137,6 +133,13 @@ def main(argv=None) -> int:
         return 2
 
 
+def _note_if_not_vanishing(integrand) -> None:
+    """The vanishing estimator keeps its rate only on a boundary-vanishing
+    integrand: say on stderr when this one is not declared as one."""
+    if not integrand.vanishing:
+        print(f"note: {integrand.name} is not declared boundary-vanishing", file=sys.stderr)
+
+
 def _execute(args: argparse.Namespace) -> int:
     """Fit the slopes of ``slope``; or build the integrand and the
     configuration of ``run`` or ``orders``, and run it."""
@@ -153,9 +156,7 @@ def _execute(args: argparse.Namespace) -> int:
 
     if args.command == "orders":
         grid = GridSpec(integrand.s, args.k, vanishing_margin(args.r))
-        if not integrand.vanishing:
-            print(f"note: {integrand.name} is not declared boundary-vanishing",
-                  file=sys.stderr)
+        _note_if_not_vanishing(integrand)
         best, summaries = select_order(integrand.fn, args.r, grid, args.reps, Stream(args.seed))
         print(f"integrand {integrand.name}, k={args.k}, {args.reps} replicates")
         print(f"{'order':>5} {'mean':>18} {'V_hat':>14}")
@@ -165,13 +166,15 @@ def _execute(args: argparse.Namespace) -> int:
         return 0
 
     config = ExperimentConfig(integrand=integrand, variants=args.variant, r_values=args.r,
-                              k_values=args.k, replicates=args.reps, seed=args.seed,
-                              rel_mode=args.rel_mode)
-    if args.out is None:
-        _write_csv(sys.stdout, run(config), lineterminator="\n")
-        return 0
-    open(args.out, "a").close()   # fail before any cell; an old file stays until write_rows
+                              k_values=args.k, replicates=args.reps, seed=args.seed)
+    if args.out is not None:
+        open(args.out, "a").close()   # fail before any cell; an old file stays until write_rows
+    if "vanishing" in config.variants:
+        _note_if_not_vanishing(integrand)
     rows = run(config)
+    if args.out is None:
+        _write_csv(sys.stdout, rows, lineterminator="\n")
+        return 0
     write_rows(args.out, rows)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0

@@ -83,8 +83,7 @@ class GridSpec:
         for name in ("s", "k", "m"):
             # equal grids are then alike as cache keys and in reports
             object.__setattr__(self, name, _integer(getattr(self, name), f"GridSpec.{name}"))
-        if self.s < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.s}")
+        _dimension(self.s)
         if self.k < 1:
             raise ValueError(f"resolution must be >= 1, got {self.k}")
         if self.m < 0:

@@ -250,8 +250,9 @@ def laplace_reparametrize(h, mode_guess, *, scale: str, tau: float = 1.5,
     gives h(x), the gradient and the Hessian, is held to the integrand
     contract as the "log-density"; a line-search candidate is compared as
     returned, since a non-finite value there only means no ascent.  ``tau``
-    and ``grad_tol`` (finite numbers > 0), ``max_iter`` (an integer) and the
-    length of ``mode_guess`` (at least 1) are checked before h is first called.
+    and ``grad_tol`` (finite numbers > 0), ``max_iter`` (an integer) and
+    ``mode_guess`` (1-D, of length at least 1) are checked before h is first
+    called.
 
     ``scale`` selects the linear change of variables, with H the curvature
     (Hessian of -h) at the mode, taken from the last iterate's batch:
@@ -271,6 +272,8 @@ def laplace_reparametrize(h, mode_guess, *, scale: str, tau: float = 1.5,
     _positive(grad_tol, "grad_tol")
     _integer(max_iter, "max_iter")
     x = np.asarray(mode_guess, dtype=float).copy()
+    if x.ndim != 1:
+        raise ValueError(f"mode_guess must be 1-D, got shape {x.shape}")
     s = _dimension(len(x), "mode_guess length")
     trace = [x.copy()]
     for _ in range(max_iter):

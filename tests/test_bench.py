@@ -112,37 +112,29 @@ def test_run_vanishing_uses_in_domain_counts():
     assert rows[0].n_evals == pytest.approx(3 * 8, rel=0.25)
 
 
-def test_run_rel_modes():
-    f = product_family(2)   # exact = e - 2 != 1 so the modes differ
-    squared = run(_config(integrand=f, rel_mode="squared"))[0].rel_error
-    literal = run(_config(integrand=f, rel_mode="literal"))[0].rel_error
-    assert squared == pytest.approx(literal / f.exact, rel=1e-12)
-
-
 def test_run_validates_config():
     with pytest.raises(ValueError):
         _config(k_values=(8, 4))
     with pytest.raises(ValueError):
         _config(variants=("bogus",))
+    # estimate_analytic_cv is a library estimator with no variant here
+    with pytest.raises(ValueError, match=r"^unknown variant 'star'"):
+        _config(variants=("haber1", "star"))
     with pytest.raises(ValueError):
         _config(replicates=1)
     # r_values may be empty when no variant reads it
     assert _config(variants=("haber1", "crude"), r_values=()).r_values == ()
 
 
-def test_run_rejects_star_without_derivative_oracle():
-    # 'star' needs the integrand's derivative oracle: the config fails before
-    # any variant runs, so the integrand is never called
-    calls = []
-    f = Integrand(name="fs(1)", s=1, fn=lambda p: calls.append(len(p)) or p[:, 0])
-    with pytest.raises(StratError, match=r"fs\(1\) has no derivative oracle for 'star'"):
-        _config(integrand=f, variants=("haber1", "star"))
-    assert not calls
-    # with the oracle, 'star' runs: every derivative of exp(u) is exp(u)
-    exp = Integrand(name="exp", s=1, fn=lambda p: np.exp(p[:, 0]), exact=math.e - 1,
-                    derivative=lambda alpha, p: np.exp(p[:, 0]))
-    rows = run(_config(integrand=exp, variants=("star",), r_values=(2,)))
-    assert [row.variant for row in rows] == ["star"] * 3
+@pytest.mark.parametrize("build, name", [
+    (lambda: _config(rel_mode="squared"), "rel_mode"),
+    (lambda: Integrand(name="exp", s=1, fn=np.exp, derivative=lambda alpha, p: np.exp(p)),
+     "derivative"),
+], ids=["config-rel-mode", "integrand-derivative"])
+def test_removed_settings_are_unknown_keywords(build, name):
+    # the relative error has one definition and the ladder no oracle variant
+    with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+        build()
 
 
 def test_run_opens_the_output_file_before_the_first_cell(tmp_path, capsys, monkeypatch):
@@ -194,17 +186,17 @@ def test_run_zero_mean_without_exact_value():
 
 
 def _scaled_gaussian(exact: bool) -> Integrand:
-    # 3 x the wrapped Gaussian: its exact value 3 tells the rel_modes apart,
-    # and the vanishing variant's in-domain counts vary between replicates
+    # 3 x the wrapped Gaussian: its exact value 3 makes the division by I^2
+    # show, and the vanishing variant's in-domain counts vary between replicates
     g = wrapped_gaussian(1)
     return Integrand(name="3 gauss(1)", s=1, fn=lambda p: 3.0 * g.fn(p),
                      exact=3.0 if exact else None, vanishing=True)
 
 
 @pytest.mark.parametrize("replicates", [2, 7, 8, 9, 129])
-@pytest.mark.parametrize("exact, rel_mode", [(True, "squared"), (True, "literal"),
-                                             (False, "squared")])
-def test_run_statistics_equal_per_cell_reference(replicates, exact, rel_mode):
+# the statistic is a squared relative error, against I or against the mean
+@pytest.mark.parametrize("exact", [True, False], ids=["True-squared", "False-squared"])
+def test_run_statistics_equal_per_cell_reference(replicates, exact):
     # the (cells, replicates) reductions against one cell at a time, summed
     # as numpy sums a 1-D array; 7, 8, 9 and 129 replicates cross the
     # 8-element and 128-element blocks of its pairwise summation
@@ -213,7 +205,7 @@ def test_run_statistics_equal_per_cell_reference(replicates, exact, rel_mode):
 
     f = _scaled_gaussian(exact)
     config = _config(integrand=f, variants=("haber1", "vanishing"), r_values=(3,),
-                     k_values=(4, 8), replicates=replicates, rel_mode=rel_mode)
+                     k_values=(4, 8), replicates=replicates)
     want = []
     for variant in config.variants:
         order, runner = _REGISTRY[variant]
@@ -226,7 +218,7 @@ def test_run_statistics_equal_per_cell_reference(replicates, exact, rel_mode):
             n_evals = np.array([report.n_in_domain for report in reports], dtype=float)
             if exact:
                 stat = float(np.mean((values - f.exact) ** 2))
-                denom = f.exact ** 2 if rel_mode == "squared" else abs(f.exact)
+                denom = f.exact ** 2
             else:
                 stat = float(np.var(values, ddof=1))
                 denom = float(np.mean(values)) ** 2
@@ -254,13 +246,13 @@ def test_run_zero_mean_cell_raises_after_every_cell():
     assert calls == [4] * 3 + [16] * 3 + [4] * 6 + [16] * 6
 
 
-def test_run_literal_mode_negative_exact():
-    # literal mode divides by |I|: the statistic stays a positive error, and
-    # the slope fit keeps every row
+def test_run_negative_exact():
+    # MSE / I^2 does not see the sign of I: the statistic stays a positive
+    # error, equal to f's own, and the slope fit keeps every row
     base = product_family(1)
     neg = Integrand(name="-fs(1)", s=1, fn=lambda p: -base.fn(p), exact=-base.exact)
-    rows = run(_config(integrand=neg, rel_mode="literal", replicates=30))
-    ref = run(_config(integrand=base, rel_mode="literal", replicates=30))
+    rows = run(_config(integrand=neg, replicates=30))
+    ref = run(_config(integrand=base, replicates=30))
     assert [r.rel_error for r in rows] == [r.rel_error for r in ref]
     assert all(r.rel_error > 0.0 for r in rows)
     assert fit_slope(rows) == fit_slope(ref)
@@ -448,7 +440,6 @@ def test_cli_config_file_with_flag_override(tmp_path):
         "k = 4,8\n"
         "reps = 10\n"
         "seed = 7\n"
-        "rel-mode = squared\n"
     )
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
@@ -481,7 +472,6 @@ _FLAG_VALUES = [
     (["run", "--dim", "2", "--reps", "2"], "k", "4,8,16"),
     (["run", "--dim", "2", "--k", "4,8"], "reps", "3"),
     (_RUN, "out", "{tmp}/rows.csv"),
-    (_RUN, "rel-mode", "literal"),
     (["orders", "--r", "3", "--k", "6", "--reps", "2"], "fn", "poly2"),
     (_ORDERS + ["--fn", "logistic"], "dataset", "{tmp}/d.csv"),
     (_ORDERS, "dim", "2"),
@@ -536,7 +526,7 @@ def test_cli_config_value_its_flag_rejects_is_a_usage_error(command, key, value,
 
 
 @pytest.mark.parametrize("command, defaults", [
-    ("run", ["fs", "1", "0", "1.5", "hat", "2", "4,8,16,32", "50", "squared"]),
+    ("run", ["fs", "1", "0", "1.5", "hat", "2", "4,8,16,32", "50"]),
     ("orders", ["fs", "1", "0", "1.5", "4", "16", "10"]),
 ])
 def test_cli_help_lists_each_default(command, defaults, capsys):
@@ -561,6 +551,25 @@ def test_cli_orders_notes_an_integrand_not_declared_vanishing(capsys):
     captured = capsys.readouterr()
     assert captured.err == "note: fs(1) is not declared boundary-vanishing\n"
     assert "selected" in captured.out
+
+
+def test_cli_run_notes_an_integrand_not_declared_vanishing(tmp_path, capsys):
+    # the note of `orders`, printed once when the vanishing variant runs on
+    # such an integrand; the CSV is the one the run writes without it
+    flags = ["run", "--fn", "fs", "--dim", "2", "--variant", "haber1,vanishing", "--r", "4",
+             "--k", "4,8", "--reps", "2"]
+    assert cli.main(flags) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "note: fs(2) is not declared boundary-vanishing\n"
+    out = tmp_path / "rows.csv"
+    assert cli.main(flags + ["--out", str(out)]) == 0
+    assert capsys.readouterr().err == "note: fs(2) is not declared boundary-vanishing\n"
+    assert captured.out.split("\n") == out.read_bytes().decode().split("\r\n")
+    # no note without the vanishing variant, or for a declared integrand
+    for argv in (["--fn", "fs", "--variant", "haber1"],
+                 ["--fn", "gauss", "--variant", "vanishing"]):
+        assert cli.main(["run", "--dim", "2", "--r", "4", "--k", "4,8", "--reps", "2"] + argv) == 0
+        assert capsys.readouterr().err == ""
 
 
 def test_cli_slope_prints_a_group_it_cannot_fit(tmp_path, capsys):
@@ -599,10 +608,12 @@ def test_cli_entrypoint_subprocess(tmp_path):
 
 
 _NO_FILE = "[Errno 2] No such file or directory: '{tmp}/"
+_NO_STAR = ("unknown variant 'star'; choose from "
+            "('crude', 'haber1', 'haber2', 'hat', 'tilde', 'vanishing')")
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["run", "--fn", "fs", "--variant", "star"], "fs(1) has no derivative oracle for 'star'"),
+    (["run", "--fn", "fs", "--variant", "star"], _NO_STAR),
     (["run", "--k", "8,4"], "k values must be strictly increasing"),
     (["run", "--fn", "logistic"], "the logistic integrand needs --dataset"),
     (["orders", "--r", "0"], "order must be >= 1, got 0"),
@@ -632,8 +643,8 @@ _NO_FILE = "[Errno 2] No such file or directory: '{tmp}/"
      "{tmp}/nested.cfg:1: unknown key 'config', not a flag of 'stratmc run'"),
     (["run", "--config", "{tmp}/twice.cfg"],
      "{tmp}/twice.cfg:4: key 'reps' repeats line 2; give each key once"),
-    (["run", "--config", "{tmp}/spelt.cfg"],
-     "{tmp}/spelt.cfg:2: key 'rel_mode' repeats line 1; give each key once"),
+    (["run", "--config", "{tmp}/rel-mode.cfg"],
+     "{tmp}/rel-mode.cfg:1: unknown key 'rel-mode', not a flag of 'stratmc run'"),
     (["run", "--k", ""], "k_values must not be empty"),
     (["run", "--r", ""], "r_values must not be empty when a variant reads it"),
     (["run", "--variant", ""], "variants must not be empty"),
@@ -646,13 +657,13 @@ _NO_FILE = "[Errno 2] No such file or directory: '{tmp}/"
      "only the logistic integrand reads --dataset, not 'fs'"),
     (["orders", "--fn", "poly2", "--tau", "inf"], "tau must be a finite number > 0, got inf"),
     (["run", "--fn", "poly2", "--dim", "0"], "dimension must be >= 1, got 0"),
-], ids=["star-without-oracle", "k-decreasing", "logistic-without-dataset", "order-0",
+], ids=["variant-star", "k-decreasing", "logistic-without-dataset", "order-0",
         "slope-missing-input", "missing-config", "slope-missing-column", "slope-empty-file",
         "slope-bad-cell",
         "slope-bad-int-cell", "slope-short-row", "slope-long-row",
         "logistic-missing-dataset", "out-in-missing-dir", "config-line-without-equals", "tau-0",
         "config-misspelt-key", "config-key-of-another-command", "config-names-a-config",
-        "config-repeated-key", "config-repeated-key-spelt-two-ways", "k-empty", "r-empty",
+        "config-repeated-key", "config-rel-mode", "k-empty", "r-empty",
         "variant-empty", "variant-repeated", "r-0", "k-0", "tau-0-for-fs-with-dataset",
         "dataset-for-fs", "orders-tau-inf", "poly2-dim-0"])
 def test_cli_library_errors_are_usage_errors(argv, message, tmp_path, capsys):
@@ -674,7 +685,8 @@ def test_cli_library_errors_are_usage_errors(argv, message, tmp_path, capsys):
     (tmp_path / "nested.cfg").write_text(f"config = {tmp_path / 'bad.cfg'}\n")
     # a repeated key would otherwise run on its last line without notice
     (tmp_path / "twice.cfg").write_text("fn = gauss\nreps = 2\n# again\nreps = 3\n")
-    (tmp_path / "spelt.cfg").write_text("rel-mode = squared\nrel_mode = literal\n")
+    # the statistic has one definition, which the file cannot choose
+    (tmp_path / "rel-mode.cfg").write_text("rel-mode = squared\n")
     assert cli.main([arg.format(tmp=tmp_path) for arg in argv]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"stratmc: error: {message.format(tmp=tmp_path)}\n"
@@ -695,7 +707,7 @@ def test_cli_error_exit_status_subprocess():
     proc = subprocess.run([sys.executable, "-m", "stratmc.cli", "run", "--fn", "fs",
                            "--variant", "star"], capture_output=True, text=True)
     assert proc.returncode == 2
-    assert proc.stderr == "stratmc: error: fs(1) has no derivative oracle for 'star'\n"
+    assert proc.stderr == f"stratmc: error: {_NO_STAR}\n"
 
 
 def test_logistic_relvar_ordering(tmp_path):

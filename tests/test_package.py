@@ -99,9 +99,6 @@ _NOT_PD = "curvature at the mode is not positive definite: Matrix is not positiv
     (lambda tmp: block_partition(GridSpec(2, 4, 1), 2),
      ValueError, "block partition is defined for margin-free grids"),
     (lambda tmp: product_family(0), ValueError, "dimension must be >= 1, got 0"),
-    (lambda tmp: ExperimentConfig(integrand=product_family(1), variants=("haber1",),
-                                  r_values=(1,), k_values=(4, 8), rel_mode="x"),
-     ValueError, "rel_mode must be 'squared' or 'literal', got 'x'"),
     # every integer argument passes the one integer check, which names it
     (lambda tmp: list(multi_indices(2.0, 2)), TypeError, "dimension must be an integer, got 2.0"),
     (lambda tmp: list(multi_indices(2.5, 2)), TypeError, "dimension must be an integer, got 2.5"),
@@ -162,6 +159,10 @@ _NOT_PD = "curvature at the mode is not positive definite: Matrix is not positiv
     # the mode search and the tail bound check their arguments before any work
     (lambda tmp: laplace_reparametrize(_bowl, np.zeros(0), scale="hessian"), ValueError,
      "mode_guess length must be >= 1, got 0"),
+    (lambda tmp: laplace_reparametrize(_bowl, np.zeros((1, 2)), scale="hessian"), ValueError,
+     "mode_guess must be 1-D, got shape (1, 2)"),
+    (lambda tmp: laplace_reparametrize(_bowl, 0.0, scale="hessian"), ValueError,
+     "mode_guess must be 1-D, got shape ()"),
     (lambda tmp: laplace_reparametrize(_bowl, np.zeros(2), scale="hessian", max_iter=2.5),
      TypeError, "max_iter must be an integer, got 2.5"),
     (lambda tmp: laplace_reparametrize(_bowl, np.zeros(2), scale="hessian", grad_tol=np.nan),
@@ -173,7 +174,7 @@ _NOT_PD = "curvature at the mode is not positive definite: Matrix is not positiv
         "moment-resolution-0", "moment-order-float", "moment-resolution-float",
         "multi-indices-negative-total", "tail-bound-negative-c-hat", "tail-bound-negative-norm",
         "error-constant-family", "block-partition-margin",
-        "product-family-dimension-0", "config-rel-mode", "multi-indices-dimension-int-float",
+        "product-family-dimension-0", "multi-indices-dimension-int-float",
         "multi-indices-dimension-float", "multi-indices-total-float",
         "error-constant-dimension-float", "error-constant-order-float",
         "univariate-weights-order-float", "block-partition-side-float", "crude-n-float",
@@ -185,7 +186,8 @@ _NOT_PD = "curvature at the mode is not positive definite: Matrix is not positiv
         "config-k-0", "integrand-tau-0", "integrand-dataset-not-logistic",
         "product-family-dimension-float", "gauss-dimension-0", "wrap-dimension-0",
         "wrap-dimension-float", "poly2-dimension-0", "logistic-dimension-0",
-        "laplace-empty-mode-guess", "laplace-max-iter-float", "laplace-grad-tol-nan",
+        "laplace-empty-mode-guess", "laplace-2d-mode-guess", "laplace-scalar-mode-guess",
+        "laplace-max-iter-float", "laplace-grad-tol-nan",
         "tail-bound-order-float"])
 def test_typed_errors(call, error, message, tmp_path):
     # each raise is reachable, with its exact type and message
