@@ -117,13 +117,21 @@ def test_run_validates_config():
         _config(k_values=(8, 4))
     with pytest.raises(ValueError):
         _config(variants=("bogus",))
-    # estimate_analytic_cv is a library estimator with no variant here
-    with pytest.raises(ValueError, match=r"^unknown variant 'star'"):
-        _config(variants=("haber1", "star"))
     with pytest.raises(ValueError):
         _config(replicates=1)
     # r_values may be empty when no variant reads it
     assert _config(variants=("haber1", "crude"), r_values=()).r_values == ()
+
+
+def test_run_rejects_star_without_derivative_oracle():
+    # the ladder has no 'star' variant (estimate_analytic_cv is a library
+    # estimator): the config fails before any variant runs, so the integrand
+    # is never called
+    calls = []
+    f = Integrand(name="fs(1)", s=1, fn=lambda p: calls.append(len(p)) or p[:, 0])
+    with pytest.raises(ValueError, match=r"^unknown variant 'star'"):
+        _config(integrand=f, variants=("haber1", "star"))
+    assert not calls
 
 
 @pytest.mark.parametrize("build, name", [
