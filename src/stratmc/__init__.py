@@ -15,10 +15,8 @@ import types as _types
 
 from .lattice import GridSpec, Stream
 from .stencil import (
-    BlockAssignment,
     DerivativeStencil,
     apply_stencil,
-    block_partition,
     derivative_grid,
     derivative_stencil,
     error_constant,

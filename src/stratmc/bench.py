@@ -37,7 +37,7 @@ from .estimators import (  # noqa: F401
     haber2,
     vanishing_margin,
 )
-from .transform import _positive, laplace_reparametrize, wrap
+from .transform import _TAU, _positive, laplace_reparametrize, wrap
 
 __all__ = [
     "Integrand",
@@ -98,7 +98,7 @@ def test_function(s: int) -> Integrand:
     return Integrand(name=f"fs({s})", s=s, fn=fn, exact=exact)
 
 
-def wrapped_gaussian(s: int, tau: float = 1.5) -> Integrand:
+def wrapped_gaussian(s: int, tau: float = _TAU) -> Integrand:
     """Standard normal density on R^s pushed onto the cube; integrates to 1."""
 
     def g(x):
@@ -119,7 +119,7 @@ def _quadratic(s: int) -> Integrand:
     return Integrand(name=f"poly2({s})", s=s, fn=fn, exact=s / 3.0)
 
 
-def make_integrand(fn_id: str, s: int, tau: float = 1.5,
+def make_integrand(fn_id: str, s: int, tau: float = _TAU,
                    dataset: str | None = None) -> Integrand:
     """Resolve a CLI integrand id; ``tau`` is checked for every id, and only
     ``logistic`` takes a ``dataset``."""
@@ -190,7 +190,7 @@ def load_labelled_csv(path) -> tuple[np.ndarray, np.ndarray]:
     return y, data[:, 1:]
 
 
-def logistic_marginal_likelihood(dataset, s: int, tau: float = 1.5) -> Integrand:
+def logistic_marginal_likelihood(dataset, s: int, tau: float = _TAU) -> Integrand:
     """Marginal likelihood of a logistic regression as a cube integrand.
 
     The coefficient vector has dimension s: an intercept plus the first

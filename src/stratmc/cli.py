@@ -38,6 +38,7 @@ from .errors import StratError
 from .estimators import vanishing_margin
 from .lattice import GridSpec, Stream
 from .replicate import select_order
+from .transform import _TAU
 
 
 def _parse_config_file(args: argparse.Namespace) -> dict[str, str]:
@@ -91,7 +92,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dim", type=int, default=1, help="dimension s (default %(default)s)")
     p.add_argument("--seed", type=int, default=ExperimentConfig.seed,
                    help="master seed (default %(default)s)")
-    p.add_argument("--tau", type=float, default=1.5,
+    p.add_argument("--tau", type=float, default=_TAU,
                    help="tail exponent for transforms (default %(default)s)")
 
 

@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 
@@ -59,10 +59,9 @@ import numpy as np
 from .errors import IntegrandError, OrderError, ResolutionError
 from .lattice import GridSpec, Stream, _integer, centre_array
 from .stencil import (
-    BlockAssignment,
+    _check_mode,
     _family_stencils,
     _lagrange_coeff_exact,
-    block_partition,
     derivative_grid,
     multi_factorial,
     multi_indices,
@@ -357,7 +356,7 @@ def _combine(weights, values):
 class _Plan:
     """One estimator on one grid, from ``_plan``: dilations and weights, the
     zero-extension guard, and the control-variate multi-indices with their
-    Taylor terms, stencil order (0: from an oracle) and blocks in block mode."""
+    Taylor terms and stencil order (0: from an oracle)."""
 
     config: EstimatorConfig
     shifts: tuple[int, ...]
@@ -366,7 +365,6 @@ class _Plan:
     alphas: tuple[tuple[int, ...], ...] = ()
     taylor: tuple = ()
     r_build: int = 0
-    blocks: BlockAssignment | None = None
 
 
 # the unguarded variants: dilations, weights and control-variate family
@@ -384,9 +382,7 @@ def _plan(variant: str, r, grid: GridSpec, mode="free") -> _Plan:
     dilation) on ``grid``, built and checked once; a bad mode fails uncached.
     ``r`` passes ``_integer`` first, so a numpy integer shares its int's plan."""
     r = _integer(r, "dilation" if variant == "dilated_mean" else "order")
-    if not isinstance(mode, str) or mode not in ("free", "block"):
-        raise ValueError(f"unknown stencil mode {mode!r}")
-    return _built_plan(variant, r, grid, mode)
+    return _built_plan(variant, r, grid, _check_mode(mode))
 
 
 @lru_cache(maxsize=256, typed=True)
@@ -410,8 +406,7 @@ def _built_plan(variant: str, r: int, grid: GridSpec, mode: str) -> _Plan:
     plan = _Plan(EstimatorConfig(variant, r, grid, mode), shifts, weights, guard, alphas,
                  _taylor_terms(alphas, grid.k), r_build)
     _check_grid(plan)
-    # built after the grid rule, so that its messages come first
-    return replace(plan, blocks=block_partition(grid, r)) if mode == "block" else plan
+    return plan
 
 
 def _check_grid(plan: _Plan):
@@ -550,7 +545,7 @@ def _derivatives(plan: _Plan, f, oracle) -> list[np.ndarray]:
         return [_evaluate(partial(oracle, a), ctr, f"derivative oracle at alpha={a}", grid)[0]
                 for a in plan.alphas]
     fvals = _evaluate(f, ctr, grid=grid)[0]
-    return derivative_grid(fvals, plan.alphas, grid, plan.r_build, plan.blocks)
+    return derivative_grid(fvals, plan.alphas, grid, plan.r_build, plan.config.mode)
 
 
 def shifted_stratum_mean(g, shift: int, grid: GridSpec, stream: Stream) -> float:

@@ -12,9 +12,11 @@ polynomial of degree < ``w`` exactly, and the composed stencil reproduces
 
 Near the boundary the centred offset window is shifted just enough to stay
 on the grid (ties between two centred windows go to the negative side).  In
-block mode the window must additionally stay inside the block of the centre,
-which keeps the per-stratum contributions of the estimators independent
-across blocks.
+block mode (``mode="block"``) the window must additionally stay inside the
+side-r block of the centre, which keeps the per-stratum contributions of the
+estimators independent across blocks.  Axis indices tile in runs of r, and
+when r does not divide k the last block is anchored at the upper face and
+overlaps its neighbour: the block of index j starts at ``min(j // r * r, k - r)``.
 
 That rule is one clamp over axis positions (``_window_start``), tabulated
 once per axis and window as each position's window start, gather nodes and
@@ -49,8 +51,6 @@ __all__ = [
     "DerivativeStencil",
     "derivative_stencil",
     "apply_stencil",
-    "BlockAssignment",
-    "block_partition",
     "derivative_grid",
     "error_constant",
 ]
@@ -152,18 +152,23 @@ def _window_start(position, window: int, lo, hi):
 
 
 @lru_cache(maxsize=256)
-def _axis_table(window: int, lo: int, hi: int, blocks: "BlockAssignment | None"):
+def _axis_table(window: int, lo: int, hi: int, block: int):
     """Window starts ``(side,)``, gather nodes and weights on the axis [lo, hi].
 
     Entry ``j - lo`` is axis position j: window ``start + (0, ..., window-1)``,
-    confined to the block of j in block mode.  ``nodes[w, j - lo]`` is the
-    0-based position of node w, which is what :func:`derivative_grid`
-    gathers.  ``weights[a]`` is the ``(window, side)`` table for d^a/dx^a,
-    a = 1..window-1, solved once per distinct start and stored window-major,
-    so the contraction runs over a contiguous position axis.
+    confined, when ``block`` is a side > 0 (block mode, lo = 0), to the block
+    of j, which starts at ``min(j // block * block, hi + 1 - block)``; 0 is
+    free mode.  ``nodes[w, j - lo]`` is the 0-based position of node w,
+    which is what :func:`derivative_grid` gathers.  ``weights[a]`` is the
+    ``(window, side)`` table for d^a/dx^a, a = 1..window-1, solved once per
+    distinct start and stored window-major, so the contraction runs over a
+    contiguous position axis.
     """
     pos = np.arange(lo, hi + 1)
-    b_lo, b_hi = (lo, hi) if blocks is None else blocks.axis_bounds(pos)
+    b_lo, b_hi = lo, hi
+    if block:
+        b_lo = np.minimum(pos // block * block, hi + 1 - block)
+        b_hi = b_lo + block - 1
     starts = _window_start(pos, window, b_lo, b_hi)
     nodes = np.arange(window)[:, None] + (np.arange(len(pos)) + starts)
     patterns, row_pattern = np.unique(starts, return_inverse=True)
@@ -202,28 +207,37 @@ def _axis_steps(alpha, r: int) -> list[tuple[int, int, int]]:
     return steps
 
 
-def _active_tables(alpha, grid: GridSpec, r: int, blocks: "BlockAssignment | None"):
+def _check_mode(mode) -> str:
+    """``mode`` if it is a stencil mode, ``"free"`` or ``"block"``; else a ValueError."""
+    if not isinstance(mode, str) or mode not in ("free", "block"):
+        raise ValueError(f"unknown stencil mode {mode!r}")
+    return mode
+
+
+def _active_tables(alpha, grid: GridSpec, r: int, mode: str):
     """Checked ``alpha`` and (axis, order, window, starts, nodes, weights) per active axis.
 
-    The checks both stencil functions share: ``alpha`` has integer entries,
-    length s and no negative entry, |alpha| < r, a block assignment was built
-    for this k, and k >= r once an axis is active.  Each axis reads its
-    ``_axis_table`` and the weights of its order there.
+    The checks both stencil functions share: a known ``mode``, ``alpha``
+    with integer entries, length s and no negative entry, |alpha| < r, and
+    k >= r once an axis is active; block mode (side-r blocks) also needs a
+    margin-free grid and k >= r.  Each axis reads its ``_axis_table`` and
+    the weights of its order there.
     """
+    block = r if _check_mode(mode) == "block" else 0
     alpha = tuple(_integer(a, "multi-index entry") for a in alpha)
     if len(alpha) != grid.s or any(a < 0 for a in alpha):
         raise ValueError(f"bad multi-index {alpha} for dimension {grid.s}")
     if abs_order(alpha) >= r:
         raise OrderError(f"|alpha|={abs_order(alpha)} must be < r={r}")
-    if blocks is not None and blocks.k != grid.k:
-        raise ValueError(f"block assignment for k={blocks.k} used on a grid with k={grid.k}")
+    if block and grid.m != 0:
+        raise ValueError(f"block mode needs a margin-free grid (m = 0), got m={grid.m}")
     steps = _axis_steps(alpha, r)
-    if steps and grid.k < r:
+    if (steps or block) and grid.k < r:
         raise ResolutionError(f"need k >= r, got k={grid.k}, r={r}")
     lo, hi = -grid.m, grid.k + grid.m - 1
     tables = []
     for axis, a, window in steps:
-        starts, nodes, weights = _axis_table(window, lo, hi, blocks)
+        starts, nodes, weights = _axis_table(window, lo, hi, block)
         tables.append((axis, a, window, starts, nodes, weights[a]))
     return alpha, tables
 
@@ -245,15 +259,16 @@ class DerivativeStencil:
 
 
 def derivative_stencil(alpha, centre_index, grid: GridSpec, r: int,
-                       blocks: "BlockAssignment | None" = None) -> DerivativeStencil:
+                       mode: str = "free") -> DerivativeStencil:
     """Build the stencil for D^alpha at one centre.
 
     Requires |alpha| < r, k >= r (so every window fits) and a centre inside
-    the grid; in block mode nodes stay inside the block of the centre.  The
-    per-axis windows are rows of the tables :func:`derivative_grid` applies,
-    and nodes run over their tensor product, first active axis slowest.
+    the grid; with ``mode="block"`` nodes stay inside the side-r block of
+    the centre, on a margin-free grid.  The per-axis windows are rows of the
+    tables :func:`derivative_grid` applies, and nodes run over their tensor
+    product, first active axis slowest.
     """
-    alpha, tables = _active_tables(alpha, grid, _integer(r, "order"), blocks)
+    alpha, tables = _active_tables(alpha, grid, _integer(r, "order"), mode)
     centre = tuple(_integer(j, "centre index") for j in centre_index)
     if len(centre) != grid.s or any(j not in grid.index_range() for j in centre):
         raise DomainError(f"centre {centre} is not an index of {grid}")
@@ -285,52 +300,6 @@ def apply_stencil(stencil: DerivativeStencil, values: Mapping[tuple[int, ...], f
             raise IncompleteEvaluationError(f"no value for stencil node {key}")
         acc += w * values[key]
     return stencil.scale * acc
-
-
-# ---------------------------------------------------------------------------
-# block-local mode
-
-@dataclass(frozen=True)
-class BlockAssignment:
-    """Partition of the k^s unit-cube strata into blocks of r^s cells.
-
-    Axis indices tile in runs of ``r``; when r does not divide k the last
-    block is anchored at the upper boundary and overlaps its neighbour, and
-    overlapped cells belong to the lower-indexed block.
-    """
-
-    k: int
-    r: int
-    starts: tuple[int, ...]
-
-    @property
-    def blocks_per_axis(self) -> int:
-        return len(self.starts)
-
-    def axis_block(self, j):
-        """Block of axis index ``j``; elementwise on an index array."""
-        return np.minimum(j // self.r, self.blocks_per_axis - 1)
-
-    def axis_bounds(self, j):
-        """First and last axis index of the block of ``j``; elementwise."""
-        start = np.asarray(self.starts)[self.axis_block(j)]
-        return start, start + self.r - 1
-
-
-def block_partition(grid: GridSpec, r: int) -> BlockAssignment:
-    """Side-r blocks covering the unit-cube part of the grid (m must be 0)."""
-    r = _integer(r, "block side")
-    if r < 1:
-        raise OrderError(f"block side must be >= 1, got r={r}")
-    if grid.m != 0:
-        raise ValueError("block partition is defined for margin-free grids")
-    if grid.k < r:
-        raise ResolutionError(f"need k >= r for side-r blocks, got k={grid.k}")
-    q, rem = divmod(grid.k, r)
-    starts = [i * r for i in range(q)]
-    if rem:
-        starts.append(grid.k - r)
-    return BlockAssignment(k=grid.k, r=r, starts=tuple(starts))
 
 
 # ---------------------------------------------------------------------------
@@ -368,19 +337,18 @@ def _plan_node(checked, members, depth: int, grid: GridSpec):
 
 
 @lru_cache(maxsize=256)
-def _grid_tree(alphas: tuple[tuple[int, ...], ...], grid: GridSpec, r: int,
-               blocks: BlockAssignment | None):
+def _grid_tree(alphas: tuple[tuple[int, ...], ...], grid: GridSpec, r: int, mode: str):
     """The tree of passes :func:`derivative_grid` runs for ``alphas``.
 
     Its root reads the centre values; multi-indices are walked axis by axis,
     and those that agree on their leading passes share one branch.
     """
-    checked = [_active_tables(a, grid, r, blocks) for a in alphas]
+    checked = [_active_tables(a, grid, r, mode) for a in alphas]
     return _plan_node(checked, range(len(checked)), 0, grid)
 
 
 def derivative_grid(fvals: np.ndarray, alpha, grid: GridSpec, r: int,
-                    blocks: BlockAssignment | None = None) -> np.ndarray | list[np.ndarray]:
+                    mode: str = "free") -> np.ndarray | list[np.ndarray]:
     """D^alpha estimates at every centre from the flat vector of centre values.
 
     ``fvals`` is indexed like :func:`stratmc.lattice.centre_array`.  ``alpha``
@@ -394,7 +362,8 @@ def derivative_grid(fvals: np.ndarray, alpha, grid: GridSpec, r: int,
     there.  Cost is O(n_centres * window) per pass and memory
     O(n_centres * window), never side^2.
 
-    The walk is planned once per ``(alphas, grid, r, blocks)`` and cached as
+    ``mode`` is ``"free"`` or ``"block"``, as for :func:`derivative_stencil`.
+    The walk is planned once per ``(alphas, grid, r, mode)`` and cached as
     a tree of passes; a call runs it from a stack of (partial result, node),
     so each partial is dropped once its children are computed.  A failed
     plan is not cached, so a bad argument raises on every call, and the
@@ -408,7 +377,7 @@ def derivative_grid(fvals: np.ndarray, alpha, grid: GridSpec, r: int,
         single = bool(alpha) and all(np.ndim(a) == 0 for a in alpha)
         alphas = tuple(tuple(_integer(v, "multi-index entry") for v in a)
                        for a in ([alpha] if single else alpha))
-    root = _grid_tree(alphas, grid, _integer(r, "order"), blocks)
+    root = _grid_tree(alphas, grid, _integer(r, "order"), _check_mode(mode))
     t = np.asarray(fvals, dtype=float)
     if t.size != grid.n_centres:
         raise ValueError(f"fvals has {t.size} values, {grid} has {grid.n_centres} centres")
@@ -478,7 +447,7 @@ def error_constant(s: int, r: int, family: str = "single") -> float:
         for _axis, a, window in _axis_steps(alpha, r_build):
             # columns at every boundary shift of the window; the Taylor budget
             # is r minus the order consumed before this axis
-            starts, _nodes, weights = _axis_table(window, 0, 2 * window - 2, None)
+            starts, _nodes, weights = _axis_table(window, 0, 2 * window - 2, 0)
             powers = (starts + np.arange(window)[:, None]).astype(float) ** (window - (r_build - r))
             step = max(float(np.sum(np.abs(w * x))) for w, x in zip(weights[a].T, powers.T))
             c_alpha = step * (1.0 + c_alpha)

@@ -45,6 +45,10 @@ __all__ = [
 ]
 
 
+# the default tail exponent of wrap, laplace_reparametrize and the benchmark integrands
+_TAU = 1.5
+
+
 def _in_open_cube(u: np.ndarray) -> bool:
     # a NaN makes min() and max() NaN, and every comparison with it False
     return u.size == 0 or bool(u.min() > 0.0 and u.max() < 1.0)
@@ -183,7 +187,7 @@ class VanishingIntegrand:
         return out
 
 
-def wrap(g, s: int, tau: float = 1.5) -> VanishingIntegrand:
+def wrap(g, s: int, tau: float = _TAU) -> VanishingIntegrand:
     """Turn an integrand on R^s into a boundary-vanishing one on the cube.
 
     The caller asserts that g and its derivatives up to the order it intends
@@ -234,7 +238,7 @@ class LaplaceFit:
     trace: list = field(default_factory=list)
 
 
-def laplace_reparametrize(h, mode_guess, *, scale: str, tau: float = 1.5,
+def laplace_reparametrize(h, mode_guess, *, scale: str, tau: float = _TAU,
                           grad_tol: float = 1e-8, max_iter: int = 200) -> LaplaceFit:
     """Recentre exp(h) at its mode and wrap it into a cube integrand.
 

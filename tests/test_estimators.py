@@ -11,6 +11,7 @@ import stratmc.lattice as lattice
 
 from stratmc.errors import IntegrandError, OrderError, ResolutionError
 from stratmc.lattice import GridSpec, Stream, centre_array, index_array
+from stratmc.stencil import derivative_grid, multi_indices
 from stratmc.estimators import (
     asymptotic_variance_estimate,
     crude_mc,
@@ -254,14 +255,34 @@ def test_cv_block_mode_runs():
 
 @pytest.mark.parametrize("estimator", [estimate_paired_cv, estimate_single_cv])
 def test_block_mode_fails_on_the_grid_rule_first(estimator):
-    # the block assignment is built after the grid rule, so a grid that
-    # block_partition would also reject fails with the rule's own message
+    # a grid that block mode's stencils would also reject fails with the
+    # plan's grid rule, checked first
     for r, grid, error, message in (
             (3, GridSpec(1, 8, 1), ValueError, "this estimator runs on margin-free grids (m = 0)"),
             (5, GridSpec(1, 4, 0), ResolutionError, "need k >= r, got k=4, r=5"),
             (0, GridSpec(1, 4, 0), OrderError, "order must be >= 1, got 0")):
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             estimator(F1.fn, r, grid, Stream(0, 0), mode="block")
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+def test_block_mode_at_k_equal_r_is_free_mode(r, s):
+    # with one block per axis the block-local windows are the free ones
+    grid = GridSpec(s, r, 0)
+    fvals = np.random.default_rng(10 * r + s).normal(size=grid.n_centres)
+    alphas = [a for total in range(r) for a in multi_indices(s, total)]
+    free = derivative_grid(fvals, alphas, grid, r, mode="free")
+    block = derivative_grid(fvals, alphas, grid, r, mode="block")
+    assert [d.tobytes() for d in block] == [d.tobytes() for d in free]
+
+    def f(x):
+        return np.exp(0.7 * x.sum(axis=1)) + np.cos(3.0 * x[:, 0])
+    for estimator in (estimate_paired_cv, estimate_single_cv):
+        free, block = (estimator(f, r, grid, Stream(7, r), mode=mode, keep_terms=True)
+                       for mode in ("free", "block"))
+        assert block.value == free.value
+        assert block.per_stratum_terms.tobytes() == free.per_stratum_terms.tobytes()
 
 
 def test_unknown_mode_rejected():

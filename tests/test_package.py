@@ -8,12 +8,12 @@ import pytest
 import stratmc
 from stratmc.bench import (ExperimentConfig, load_labelled_csv, logistic_marginal_likelihood,
                            make_integrand, test_function as product_family, wrapped_gaussian)
-from stratmc.errors import DomainError, OrderError, StratError
+from stratmc.errors import DomainError, OrderError, ResolutionError, StratError
 from stratmc.estimators import asymptotic_variance_estimate, crude_mc, offset_moment
 from stratmc.lattice import GridSpec, Stream
 from stratmc.replicate import select_order, tail_bound
-from stratmc.stencil import (block_partition, derivative_grid, derivative_stencil, error_constant,
-                             multi_indices, univariate_weights)
+from stratmc.stencil import (derivative_grid, derivative_stencil, error_constant, multi_indices,
+                             univariate_weights)
 from stratmc.transform import laplace_reparametrize, wrap
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -96,8 +96,15 @@ _NOT_PD = "curvature at the mode is not positive definite: Matrix is not positiv
      DomainError, "need c_hat >= 0 and norm_r >= 0, got c_hat=1.0, norm_r=-2.0"),
     (lambda tmp: error_constant(2, 3, family="bogus"),
      ValueError, "unknown stencil family 'bogus'"),
-    (lambda tmp: block_partition(GridSpec(2, 4, 1), 2),
-     ValueError, "block partition is defined for margin-free grids"),
+    # block mode: a known mode, side-r blocks on a margin-free grid with k >= r
+    (lambda tmp: derivative_stencil((1,), (2,), GridSpec(1, 8), 3, mode="bogus"),
+     ValueError, "unknown stencil mode 'bogus'"),
+    (lambda tmp: derivative_grid([1.0] * 8, (1,), GridSpec(1, 8), 3, mode="bogus"),
+     ValueError, "unknown stencil mode 'bogus'"),
+    (lambda tmp: derivative_grid([1.0] * 36, (1, 0), GridSpec(2, 4, 1), 2, mode="block"),
+     ValueError, "block mode needs a margin-free grid (m = 0), got m=1"),
+    (lambda tmp: derivative_stencil((0,), (0,), GridSpec(1, 2), 3, mode="block"),
+     ResolutionError, "need k >= r, got k=2, r=3"),
     (lambda tmp: product_family(0), ValueError, "dimension must be >= 1, got 0"),
     # every integer argument passes the one integer check, which names it
     (lambda tmp: list(multi_indices(2.0, 2)), TypeError, "dimension must be an integer, got 2.0"),
@@ -108,8 +115,8 @@ _NOT_PD = "curvature at the mode is not positive definite: Matrix is not positiv
     (lambda tmp: error_constant(1, 3.0), TypeError, "order must be an integer, got 3.0"),
     (lambda tmp: univariate_weights((0, 1, 2), 1.0), TypeError,
      "derivative order must be an integer, got 1.0"),
-    (lambda tmp: block_partition(GridSpec(1, 4), 2.0), TypeError,
-     "block side must be an integer, got 2.0"),
+    (lambda tmp: derivative_stencil((1,), (2,), GridSpec(1, 4), 2.0, mode="block"), TypeError,
+     "order must be an integer, got 2.0"),
     (lambda tmp: crude_mc(lambda x: x[:, 0], 2, 16.0, Stream(0)), TypeError,
      "n must be an integer, got 16.0"),
     (lambda tmp: select_order(lambda x: x[:, 0], 2, GridSpec(1, 4), 2.0, Stream(0)), TypeError,
@@ -173,7 +180,8 @@ _NOT_PD = "curvature at the mode is not positive definite: Matrix is not positiv
         "csv-empty-header", "crude-n-0", "asymptotic-budget-1", "moment-order-negative",
         "moment-resolution-0", "moment-order-float", "moment-resolution-float",
         "multi-indices-negative-total", "tail-bound-negative-c-hat", "tail-bound-negative-norm",
-        "error-constant-family", "block-partition-margin",
+        "error-constant-family", "stencil-mode-bogus", "grid-mode-bogus",
+        "block-partition-margin", "block-partition-k-below-r",
         "product-family-dimension-0", "multi-indices-dimension-int-float",
         "multi-indices-dimension-float", "multi-indices-total-float",
         "error-constant-dimension-float", "error-constant-order-float",

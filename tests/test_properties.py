@@ -23,7 +23,6 @@ from stratmc.estimators import (  # noqa: E402
 from stratmc.lattice import GridSpec, Stream, centre_array, index_array  # noqa: E402
 from stratmc.stencil import (  # noqa: E402
     apply_stencil,
-    block_partition,
     derivative_grid,
     derivative_stencil,
     multi_indices,
@@ -36,45 +35,45 @@ SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples
 
 @st.composite
 def stencil_cases(draw):
-    """(grid, r, blocks, fvals, alphas): a free, margin or block grid and some
+    """(grid, r, mode, fvals, alphas): a free, margin or block grid and some
     multi-indices with |alpha| < r, duplicates and |alpha| = 0 allowed."""
     s = draw(st.integers(1, 4))
     r = draw(st.integers(1, 5 if s < 3 else 4))
     # s=4 grids stay small: k <= r + 1
     k = draw(st.integers(max(r, 2), r + 3 if s < 4 else r + 1))
-    mode = draw(st.sampled_from(["free", "margin", "block"]))
-    grid = GridSpec(s, k, draw(st.integers(1, 2)) if mode == "margin" else 0)
-    blocks = block_partition(grid, r) if mode == "block" else None
+    kind = draw(st.sampled_from(["free", "margin", "block"]))
+    grid = GridSpec(s, k, draw(st.integers(1, 2)) if kind == "margin" else 0)
+    mode = "block" if kind == "block" else "free"
     every = [a for total in range(r) for a in multi_indices(s, total)]
     alphas = draw(st.lists(st.sampled_from(every), min_size=1, max_size=12))
     fvals = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).normal(size=grid.n_centres)
-    return grid, r, blocks, fvals, alphas
+    return grid, r, mode, fvals, alphas
 
 
 @SETTINGS
 @given(stencil_cases())
 def test_multi_index_call_matches_single_calls(case):
-    grid, r, blocks, fvals, alphas = case
-    got = derivative_grid(fvals, alphas, grid, r, blocks)
+    grid, r, mode, fvals, alphas = case
+    got = derivative_grid(fvals, alphas, grid, r, mode)
     assert len(got) == len(alphas)
     for alpha, d in zip(alphas, got):
-        assert d.tobytes() == derivative_grid(fvals, alpha, grid, r, blocks).tobytes()
+        assert d.tobytes() == derivative_grid(fvals, alpha, grid, r, mode).tobytes()
     # a one-shot iterator is read once, not probed and then walked
-    from_iter = derivative_grid(fvals, iter(alphas), grid, r, blocks)
+    from_iter = derivative_grid(fvals, iter(alphas), grid, r, mode)
     assert [d.tobytes() for d in from_iter] == [d.tobytes() for d in got]
-    assert derivative_grid(fvals, [], grid, r, blocks) == []
+    assert derivative_grid(fvals, [], grid, r, mode) == []
 
 
 @SETTINGS
 @given(stencil_cases(), st.data())
 def test_multi_index_call_matches_apply_stencil(case, data):
-    grid, r, blocks, fvals, alphas = case
+    grid, r, mode, fvals, alphas = case
     idx = index_array(grid)
     values = {tuple(j): v for j, v in zip(idx.tolist(), fvals)}
     rows = data.draw(st.lists(st.integers(0, grid.n_centres - 1), min_size=1, max_size=6))
-    for alpha, d in zip(alphas, derivative_grid(fvals, alphas, grid, r, blocks)):
+    for alpha, d in zip(alphas, derivative_grid(fvals, alphas, grid, r, mode)):
         for row in rows:
-            stencil = derivative_stencil(alpha, idx[row], grid, r, blocks)
+            stencil = derivative_stencil(alpha, idx[row], grid, r, mode)
             assert d[row] == pytest.approx(apply_stencil(stencil, values), rel=1e-12, abs=1e-12)
 
 
@@ -83,10 +82,10 @@ def test_multi_index_call_matches_apply_stencil(case, data):
 def test_multi_index_call_exact_on_polynomials(case, seed):
     # total degree < r: every D^alpha is reproduced at every centre, margin
     # and boundary-shifted windows included
-    grid, r, blocks, _fvals, alphas = case
+    grid, r, mode, _fvals, alphas = case
     poly = random_poly(grid.s, r - 1, np.random.default_rng(seed))
     ctr = centre_array(grid)
-    for alpha, d in zip(alphas, derivative_grid(poly(ctr), alphas, grid, r, blocks)):
+    for alpha, d in zip(alphas, derivative_grid(poly(ctr), alphas, grid, r, mode)):
         want = poly.derivative(alpha, ctr)
         assert np.max(np.abs(d - want)) <= 1e-9 * max(1.0, np.max(np.abs(want)))
 

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -16,7 +17,6 @@ from stratmc.stencil import (
     _family_stencils,
     abs_order,
     apply_stencil,
-    block_partition,
     derivative_grid,
     derivative_stencil,
     error_constant,
@@ -104,9 +104,10 @@ def test_non_integer_nodes_rejected():
 
 
 def test_block_partition_rejects_side_below_one():
+    # block mode's side is the order r, so a side below one fails as an order
     for r in (0, -1):
         with pytest.raises(OrderError, match=f"r={r}"):
-            block_partition(GridSpec(1, 4), r)
+            derivative_stencil((0,), (0,), GridSpec(1, 4), r, mode="block")
 
 
 # ---------------------------------------------------------------------------
@@ -140,10 +141,9 @@ def test_axis_nodes_resolution_error():
 
 def test_select_axis_nodes_block_mode():
     grid = GridSpec(1, 6, 0)
-    blocks = block_partition(grid, 3)
     # centre at index 2 sits at the top of block {0,1,2}: window must shift
-    assert tuple(derivative_stencil((1,), (2,), grid, 3, blocks).offsets[:, 0]) == (-2, -1, 0)
-    assert tuple(derivative_stencil((1,), (3,), grid, 3, blocks).offsets[:, 0]) == (0, 1, 2)
+    assert tuple(derivative_stencil((1,), (2,), grid, 3, "block").offsets[:, 0]) == (-2, -1, 0)
+    assert tuple(derivative_stencil((1,), (3,), grid, 3, "block").offsets[:, 0]) == (0, 1, 2)
 
 
 @pytest.mark.parametrize("grid,block", [
@@ -154,18 +154,19 @@ def test_select_axis_nodes_block_mode():
 ], ids=["free", "margin", "block-6", "block-7"])
 def test_stencil_windows_match_scalar_rule_and_exact_weights(grid, block):
     r = 3
-    blocks = block_partition(grid, r) if block else None
+    mode = "block" if block else "free"
     for j in grid.index_range():
-        if blocks is None:
-            lo, hi = -grid.m, grid.k + grid.m - 1
+        if block:
+            lo = min(j // r * r, grid.k - r)
+            hi = lo + r - 1
         else:
-            lo, hi = (int(b) for b in blocks.axis_bounds(j))
+            lo, hi = -grid.m, grid.k + grid.m - 1
         # the window rule, written out: centred, an even window leaning
         # negative, shifted minimally to stay inside [lo, hi]
         start = max(lo - j, min(-(r // 2), hi - j - (r - 1)))
         want = tuple(range(start, start + r))
         for a in range(1, r):
-            st = derivative_stencil((a,), (j,), grid, r, blocks)
+            st = derivative_stencil((a,), (j,), grid, r, mode)
             assert tuple(st.offsets[:, 0].tolist()) == want
             assert st.weights.tolist() == [float(w) for w in univariate_weights_exact(want, a)]
 
@@ -174,7 +175,7 @@ def test_stencil_rejects_centre_outside_grid():
     grid = GridSpec(1, 9, 0)
     # a negative index must not wrap round to the last block
     with pytest.raises(DomainError):
-        derivative_stencil((1,), (-1,), grid, 3, block_partition(grid, 3))
+        derivative_stencil((1,), (-1,), grid, 3, mode="block")
     # past the upper edge a free window would extrapolate from (6, 7, 8)
     with pytest.raises(DomainError):
         derivative_stencil((1,), (12,), grid, 3)
@@ -298,14 +299,14 @@ def test_derivative_grid_matches_apply(s, k, m, block):
     r = 3
     rng = np.random.default_rng(2)
     grid = GridSpec(s, k, m)
-    blocks = block_partition(grid, r) if block else None
+    mode = "block" if block else "free"
     fvals = rng.normal(size=grid.n_centres)
     values = {tuple(idx): v for idx, v in zip(index_array(grid).tolist(), fvals)}
     for total in range(r):
         for alpha in multi_indices(s, total):
-            got = derivative_grid(fvals, alpha, grid, r, blocks)
+            got = derivative_grid(fvals, alpha, grid, r, mode)
             for pos, idx in enumerate(index_array(grid).tolist()):
-                st = derivative_stencil(alpha, idx, grid, r, blocks)
+                st = derivative_stencil(alpha, idx, grid, r, mode)
                 assert got[pos] == pytest.approx(apply_stencil(st, values), rel=1e-12, abs=1e-12)
 
 
@@ -322,22 +323,21 @@ def test_derivative_grid_multi_index_form():
     assert got[0] is not got[3] and not np.shares_memory(got[1], fvals)
 
 
-def _per_centre(fvals, alpha, grid, r, blocks=None):
+def _per_centre(fvals, alpha, grid, r, mode="free"):
     values = {tuple(idx): v for idx, v in zip(index_array(grid).tolist(), fvals)}
-    return np.array([apply_stencil(derivative_stencil(alpha, idx, grid, r, blocks), values)
+    return np.array([apply_stencil(derivative_stencil(alpha, idx, grid, r, mode), values)
                      for idx in index_array(grid).tolist()])
 
 
 def test_derivative_grid_cached_programs_stay_apart():
-    # the walk is planned once per (alphas, grid, r, blocks): alternating calls
+    # the walk is planned once per (alphas, grid, r, mode): alternating calls
     # that differ in one of them each match their own per-centre stencils
     alphas = [(1, 0), (0, 2), (1, 1), (0, 0)]
     grid = GridSpec(2, 7, 0)
-    blocks = block_partition(grid, 3)
     fvals = np.random.default_rng(4).normal(size=grid.n_centres)
-    want = {b: [_per_centre(fvals, a, grid, 3, b) for a in alphas] for b in (None, blocks)}
-    assert not np.allclose(want[None][0], want[blocks][0])
-    for b in (None, blocks, None, blocks):
+    want = {b: [_per_centre(fvals, a, grid, 3, b) for a in alphas] for b in ("free", "block")}
+    assert not np.allclose(want["free"][0], want["block"][0])
+    for b in ("free", "block", "free", "block"):
         for d, w in zip(derivative_grid(fvals, alphas, grid, 3, b), want[b]):
             np.testing.assert_allclose(d, w, rtol=1e-12, atol=1e-12)
 
@@ -359,11 +359,11 @@ def test_derivative_grid_cached_programs_stay_apart():
     for d, k in zip(derivative_grid(fvals, alphas, grid, 3), kept):
         assert d.tobytes() == k.tobytes()
 
-    # an exception is not cached: a wrong-k block assignment raises every time
-    wrong = block_partition(GridSpec(2, 6, 0), 3)
+    # an exception is not cached: block mode on a margin grid raises every time
+    margin = GridSpec(2, 5, 1)
     for _ in range(3):
-        with pytest.raises(ValueError, match="k=6.*k=7"):
-            derivative_grid(fvals, alphas, grid, 3, wrong)
+        with pytest.raises(ValueError, match="margin-free grid"):
+            derivative_grid(fvals, alphas, margin, 3, mode="block")
 
 
 @pytest.mark.parametrize("alpha", [(1,), (0, 1, 0), (-1, 1), ((1, 0), (1,))],
@@ -379,22 +379,23 @@ def test_malformed_multi_index_rejected(alpha):
             derivative_stencil(alpha, (2, 2), grid, 3)
 
 
+def test_unknown_mode_rejected():
+    # checked before the plan cache, so an unhashable mode or an empty set
+    # of multi-indices fails like any unknown mode
+    grid = GridSpec(1, 8, 0)
+    for mode in ("diagonal", ["block"]):
+        message = re.escape(f"unknown stencil mode {mode!r}")
+        for alphas in ((1,), []):
+            with pytest.raises(ValueError, match=message):
+                derivative_grid(np.zeros(8), alphas, grid, 3, mode)
+        with pytest.raises(ValueError, match=message):
+            derivative_stencil((1,), (2,), grid, 3, mode)
+
+
 def test_derivative_grid_rejects_wrong_fvals_size():
     grid = GridSpec(2, 5, 0)
     with pytest.raises(ValueError, match="24 values.*25 centres"):
         derivative_grid(np.zeros(24), [(1, 0), (0, 1)], grid, 3)
-
-
-def test_blocks_for_another_k_rejected():
-    # the partition of k=6 on a k=9 grid used to clamp centre 8 into the
-    # window (3, 4, 5): a first-derivative error of 19.2 on exp(3x)
-    grid = GridSpec(1, 9, 0)
-    blocks = block_partition(GridSpec(1, 6, 0), 3)
-    fvals = np.exp(3 * centre_array(grid)[:, 0])
-    with pytest.raises(ValueError, match="k=6.*k=9"):
-        derivative_grid(fvals, (1,), grid, 3, blocks)
-    with pytest.raises(ValueError, match="k=6.*k=9"):
-        derivative_stencil((1,), (8,), grid, 3, blocks)
 
 
 def test_derivative_grid_memory_bounded():
@@ -420,53 +421,70 @@ def test_derivative_grid_memory_bounded():
 # ---------------------------------------------------------------------------
 # blocks
 
+def _block_windows(k, r, alpha=(1,)):
+    """Per axis index j of a 1-d k grid: the set of nodes of j's block-mode stencil."""
+    grid = GridSpec(1, k, 0)
+    return [tuple(derivative_stencil(alpha, (j,), grid, r, "block").nodes[:, 0].tolist())
+            for j in range(k)]
+
+
 def test_block_partition_exact_tiling():
-    blocks = block_partition(GridSpec(1, 6, 0), 3)
-    assert blocks.starts == (0, 3)
-    assert [blocks.axis_block(j) for j in range(6)] == [0, 0, 0, 1, 1, 1]
+    # k=6, r=3: the windows are exactly the two blocks
+    assert set(_block_windows(6, 3)) == {(0, 1, 2), (3, 4, 5)}
 
 
 def test_block_partition_overlap():
-    # k=7, r=3: three blocks, the last anchored at the boundary {4,5,6};
-    # overlapped cells go to the lower block
-    blocks = block_partition(GridSpec(1, 7, 0), 3)
-    assert blocks.starts == (0, 3, 4)
-    assert [blocks.axis_block(j) for j in range(7)] == [0, 0, 0, 1, 1, 1, 2]
-    covered = sorted({j for b in blocks.starts for j in range(b, b + 3)})
-    assert covered == list(range(7))
+    # k=7, r=3: the last block is anchored at the boundary, {4,5,6}, and
+    # overlaps its neighbour; only index 6 reads it
+    windows = _block_windows(7, 3)
+    assert windows[6] == (4, 5, 6)
+    assert set(windows) == {(0, 1, 2), (3, 4, 5), (4, 5, 6)}
 
 
 def test_block_partition_tensor():
-    blocks = block_partition(GridSpec(2, 6, 0), 3)
-    assert blocks.blocks_per_axis == 2  # 4 blocks of 9 cells in 2-d
+    # s=2, k=6, r=3: 4 blocks of 9 cells; a mixed stencil stays in its
+    # centre's block on both axes
+    grid = GridSpec(2, 6, 0)
+    homes = set()
+    for idx in index_array(grid).tolist():
+        nodes = derivative_stencil((1, 1), idx, grid, 3, "block").nodes
+        home = tuple(3 * (j // 3) for j in idx)
+        assert (nodes.min(axis=0) >= home).all() and (nodes.max(axis=0) <= np.add(home, 2)).all()
+        homes.add(home)
+    assert homes == {(0, 0), (0, 3), (3, 0), (3, 3)}
+
+
+def test_block_mode_windows_lie_in_their_block():
+    # the block of j starts at min(j // r * r, k - r), on every grid it tiles
+    for r in range(1, 7):
+        for k in range(r, 4 * r + 2):
+            for j, window in enumerate(_block_windows(k, r, (r - 1,))):
+                lo = min(j // r * r, k - r)
+                assert lo <= min(window) and max(window) <= lo + r - 1, (r, k, j)
 
 
 def test_block_partition_resolution():
     with pytest.raises(ResolutionError):
-        block_partition(GridSpec(1, 2, 0), 3)
+        derivative_stencil((1,), (0,), GridSpec(1, 2, 0), 3, mode="block")
 
 
 def test_block_mode_nodes_stay_in_block():
     grid = GridSpec(2, 7, 0)
-    blocks = block_partition(grid, 3)
     for idx in index_array(grid).tolist():
+        lo = [min(j // 3 * 3, 4) for j in idx]
         for alpha in [(1, 0), (0, 2), (1, 1)]:
-            st = derivative_stencil(alpha, idx, grid, 3, blocks)
-            home = blocks.axis_block(np.array(idx))
+            st = derivative_stencil(alpha, idx, grid, 3, "block")
             for node in st.nodes.tolist():
-                lo0, hi0 = blocks.starts[home[0]], blocks.starts[home[0]] + 2
-                lo1, hi1 = blocks.starts[home[1]], blocks.starts[home[1]] + 2
-                assert lo0 <= node[0] <= hi0 and lo1 <= node[1] <= hi1
+                assert lo[0] <= node[0] <= lo[0] + 2 and lo[1] <= node[1] <= lo[1] + 2
 
 
 def test_block_mode_polynomial_exactness():
     rng = np.random.default_rng(8)
     grid = GridSpec(1, 7, 0)
-    blocks = block_partition(grid, 3)
     poly = random_poly(1, 2, rng)
     fvals = poly(centre_array(grid))
     for alpha in [(1,), (2,)]:
-        got = derivative_grid(fvals, alpha, grid, 3, blocks)
+        got = derivative_grid(fvals, alpha, grid, 3, "block")
         want = poly.derivative(alpha, centre_array(grid))
         assert np.max(np.abs(got - want)) < 1e-9
 
