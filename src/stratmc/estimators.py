@@ -51,7 +51,6 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache, partial
 
 import numpy as np
@@ -86,7 +85,6 @@ __all__ = [
     "asymptotic_variance_estimate",
 ]
 
-_CRUDE_TAG = 0x611B
 _FLOAT64 = np.dtype(np.float64)
 
 
@@ -165,11 +163,6 @@ def shift_coefficients(r: int) -> ShiftCoefficients:
     return ShiftCoefficients(shifts=shifts, weights=tuple(float(w) for w in exact))
 
 
-def shift_coefficients_exact(r: int) -> tuple[Fraction, ...]:
-    """Rational combination weights; oracle counterpart of shift_coefficients."""
-    return _lagrange_coeff_exact(_shifts(r), 0)
-
-
 # ---------------------------------------------------------------------------
 # reports
 
@@ -210,27 +203,14 @@ class EstimateReport:
 # ---------------------------------------------------------------------------
 # the estimator core
 
-def _evaluate(fn, pts: np.ndarray, source: str = "integrand", grid: GridSpec | None = None,
-              rows: np.ndarray | None = None) -> tuple[np.ndarray, float]:
-    """``fn(pts)`` as finite float (n,) values for the n rows of ``pts``, and their float sum.
-
-    This is the one call of every user-supplied function (the integrand, a
-    derivative oracle, a wrapped ``g``, a log-density ``h``) and the one
-    statement of its contract.  A plain float64 ``(n,)`` ndarray with a
-    finite sum holds no NaN or inf, so it is accepted from its sum.  Any
-    other batch is converted: boolean, integer and float values become
-    float64; any other dtype (complex, string, object, ...) is an error
-    naming ``source`` and the dtype, as is any shape but ``(n,)``.  A
-    non-finite value is an error naming ``source``, the first offending
-    point and the count.  With ``grid`` it also names that point's stratum.
-    Row i of ``pts`` is the caller's point i, or point ``rows[i]`` when
-    ``pts`` is a subset of the caller's points.
-    """
+def _values(fn, pts: np.ndarray, source: str = "integrand") -> np.ndarray:
+    """``fn(pts)`` as float64 (n,) values for the n rows of ``pts``, finite or not:
+    boolean, integer and float values are converted, and any other dtype
+    (complex, string, object, ...) or any shape but ``(n,)`` is an error
+    naming ``source``."""
     raw = fn(pts)
     if type(raw) is np.ndarray and raw.dtype == _FLOAT64 and raw.shape == (len(pts),):
-        total = float(np.sum(raw))
-        if math.isfinite(total):
-            return raw, total
+        return raw
     vals = np.asarray(raw)
     if vals.dtype != _FLOAT64:
         if vals.dtype.kind not in "biuf":
@@ -242,8 +222,26 @@ def _evaluate(fn, pts: np.ndarray, source: str = "integrand", grid: GridSpec | N
         raise IntegrandError(
             f"{source} returned shape {vals.shape} for {len(pts)} points; expected ({len(pts)},)"
         )
-    if np.isfinite(vals).all():
-        return vals, float(np.sum(vals))
+    return vals
+
+
+def _evaluate(fn, pts: np.ndarray, source: str = "integrand", grid: GridSpec | None = None,
+              rows: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+    """``_values(fn, pts, source)``, each finite, and their float sum.
+
+    This is the one call of every user-supplied function (the integrand, a
+    derivative oracle, a wrapped ``g``, a log-density ``h``) and the one
+    statement of its contract; only the Newton line search reads ``h``
+    through ``_values`` alone.  Values with a finite sum hold no NaN or inf.
+    A non-finite value is an error naming ``source``, the first offending
+    point and the count.  With ``grid`` it also names that point's stratum.
+    Row i of ``pts`` is the caller's point i, or point ``rows[i]`` when
+    ``pts`` is a subset of the caller's points.
+    """
+    vals = _values(fn, pts, source)
+    total = float(np.sum(vals))
+    if math.isfinite(total) or np.isfinite(vals).all():  # finite values may sum to inf
+        return vals, total
     bad = np.flatnonzero(~np.isfinite(vals))
     i = bad[0]
     row = i if rows is None else int(rows[i])
@@ -568,7 +566,7 @@ def crude_mc(f, s: int, n: int, stream: Stream | Sequence[Stream], keep_terms: b
     config = EstimatorConfig("crude", 1, GridSpec(s, 1, 0))
 
     def one(st: Stream) -> EstimateReport:
-        vals, total = _evaluate(f, st.bulk_uniform(_CRUDE_TAG, (n, config.grid.s)))
+        vals, total = _evaluate(f, st.bulk_uniform((n, config.grid.s)))
         return EstimateReport(
             value=total / n,
             config=config,

@@ -22,7 +22,8 @@ results do not depend on evaluation order, on the margin of the enclosing
 grid, or on any shared generator state.  Two grids that contain the same
 index receive bit-identical offsets for it, which is what makes the
 estimator-equivalence identities in :mod:`stratmc.estimators` exact rather
-than merely distributional.
+than merely distributional.  Crude Monte Carlo takes iid uniforms from
+``Stream.bulk_uniform(shape)``, numpy's generator keyed by the stream.
 """
 
 from __future__ import annotations
@@ -133,15 +134,15 @@ class Stream:
     """Identifies one replicate's randomness; cheap to create and hash.
 
     All draws derived from a Stream are pure functions of
-    ``(seed, replicate)`` plus the request (centre index or bulk tag), so
+    ``(seed, replicate)`` plus the request (a grid or a bulk shape), so
     replicates with distinct ids are independent and any single draw is
     reproducible in isolation.  Stratum offsets come from the SplitMix64
     hash chain of ``_hashed_offsets``, keyed by ``(seed, replicate)``, and
     are always drawn for a whole grid: each index prefix is absorbed once,
     read from the rows of ``index_array``; the chain fans out lane-major
     into one lane per axis, in blocks, and centres each lane's top 53 bits
-    in integers before one division by ``k * 2^53``.
-    ``bulk_uniform`` uses numpy's ``SeedSequence`` and default generator.
+    in integers before one division by ``k * 2^53``.  ``bulk_uniform(shape)``
+    uses numpy's ``SeedSequence`` on ``(seed, replicate)`` and one fixed tag.
 
     ``seed`` and ``replicate`` must be integers (anything else raises
     ``TypeError``); numpy integers are stored as Python ints, so
@@ -162,15 +163,16 @@ class Stream:
 
         Returns an (n_centres, s) array, row order matching ``index_array``.
         """
-        return _hashed_offsets(self.seed, self.replicate, index_array(grid), grid.k, grid.side)
+        return _hashed_offsets(self.seed, self.replicate, grid)
 
-    def bulk_uniform(self, tag: int, shape) -> np.ndarray:
-        """Vectorized iid uniforms for non-stratified use (e.g. crude MC)."""
-        ss = np.random.SeedSequence(entropy=(self.seed & _MASK64, self.replicate & _MASK64, tag & _MASK64))
+    def bulk_uniform(self, shape) -> np.ndarray:
+        """Vectorized iid uniforms for non-stratified use (crude MC)."""
+        ss = np.random.SeedSequence(entropy=(self.seed & _MASK64, self.replicate & _MASK64, _BULK_TAG))
         return np.random.default_rng(ss).random(shape)
 
 
 _MASK64 = (1 << 64) - 1
+_BULK_TAG = 0x611B  # the third entropy word of every bulk_uniform draw
 # SplitMix64 (Steele, Lea & Flood, OOPSLA'14): the Weyl increment and the
 # two multipliers of the finaliser, plus one more odd constant for axis lanes
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -216,19 +218,18 @@ def _lanes(s: int) -> np.ndarray:
     return lanes
 
 
-def _hashed_offsets(seed: int, replicate: int, indices: np.ndarray, k: int,
-                    side: int) -> np.ndarray:
-    """Offsets in [-1/2k, 1/2k)^s per index row from one SplitMix64 hash chain.
+def _hashed_offsets(seed: int, replicate: int, grid: GridSpec) -> np.ndarray:
+    """Offsets in [-1/2k, 1/2k)^s per grid row from one SplitMix64 hash chain.
 
     The chain starts from a key mixed from ``(seed, replicate)`` in Python
     ints and absorbs the index components one at a time (wrapping add, then
-    the finaliser).  A draw is always a whole grid: ``indices`` is its
-    ``index_array``, whose rows are lexicographic with ``side`` values per
-    axis.  The distinct prefixes over axes ``0..a`` are every
-    ``side^(s-1-a)``-th row, so each prefix is absorbed once: from the key
-    alone, each level is the outer sum of the last level's states with the
-    next axis's ``side`` values read from those rows; that is about
-    ``n (1 + 1/side + ...)`` finalisers instead of ``s n``.  The chain state then fans out
+    the finaliser).  A draw is always a whole grid: the rows of its
+    ``index_array``, lexicographic with ``side`` values per axis.  The
+    distinct prefixes over axes ``0..a`` are every ``side^(s-1-a)``-th row,
+    so each prefix is absorbed once: from the key alone, each level is the
+    outer sum of the last level's states with the next axis's ``side``
+    values read from those rows; that is about ``n (1 + 1/side + ...)``
+    finalisers instead of ``s n``.  The chain state then fans out
     lane-major, one lane per axis, in ``(s, rows)`` blocks of at most
     ``_BLOCK`` elements, finalised in place with one reused scratch buffer,
     which no call keeps.  Each lane's top 53 bits ``m`` are centred in
@@ -239,7 +240,7 @@ def _hashed_offsets(seed: int, replicate: int, indices: np.ndarray, k: int,
     depends on nothing but ``(seed, replicate, index vector)``, whichever
     block computed it.  Returns a C-contiguous (n, s) float64 array.
     """
-    idx = np.asarray(indices, dtype=np.int64).view(np.uint64)
+    idx = index_array(grid).view(np.uint64)
     n, s = idx.shape
     key = np.uint64(_mix_int(_mix_int((seed + _GOLDEN) & _MASK64) ^ (replicate & _MASK64)))
     # the output before the temporaries: on the s=4, k=12 block estimate
@@ -252,11 +253,11 @@ def _hashed_offsets(seed: int, replicate: int, indices: np.ndarray, k: int,
     flat = scratch.reshape(-1)
     h, step = np.array([key]), n
     for axis in range(s):
-        step //= side
-        h = np.add.outer(h, idx[:step * side:step, axis]).ravel()
+        step //= grid.side
+        h = np.add.outer(h, idx[:step * grid.side:step, axis]).ravel()
         _mix(h, flat[:len(h)])
     z = np.empty((s, rows), dtype=np.uint64)
-    divisor = float(k) * 2.0 ** 53
+    divisor = float(grid.k) * 2.0 ** 53
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
         zb, tb = z[:, :hi - lo], scratch[:, :hi - lo]

@@ -32,8 +32,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, OptimizationError, StratError
-from .estimators import _evaluate
-from .lattice import _dimension, _integer
+from .estimators import _evaluate, _values
+from .lattice import _dimension
 
 __all__ = [
     "psi",
@@ -201,6 +201,7 @@ def wrap(g, s: int, tau: float = _TAU) -> VanishingIntegrand:
 # Laplace-style reparametrization of log-densities
 
 _FD_STEP = 1e-5  # of the central differences in the mode search and the curvature
+_MAX_ITER = 200  # Newton iterates before the mode search gives up
 
 
 def _differences(h, x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
@@ -239,7 +240,7 @@ class LaplaceFit:
 
 
 def laplace_reparametrize(h, mode_guess, *, scale: str, tau: float = _TAU,
-                          grad_tol: float = 1e-8, max_iter: int = 200) -> LaplaceFit:
+                          grad_tol: float = 1e-8) -> LaplaceFit:
     """Recentre exp(h) at its mode and wrap it into a cube integrand.
 
     ``h`` maps (n, s) arrays of points to (n,) log-density values and must be
@@ -252,11 +253,11 @@ def laplace_reparametrize(h, mode_guess, *, scale: str, tau: float = _TAU,
     e_i and x - step e_i for each axis i in turn, then x, then the four
     corners x +- step e_i +- step e_j of each pair i < j.  That batch, which
     gives h(x), the gradient and the Hessian, is held to the integrand
-    contract as the "log-density"; a line-search candidate is compared as
-    returned, since a non-finite value there only means no ascent.  ``tau``
-    and ``grad_tol`` (finite numbers > 0), ``max_iter`` (an integer) and
-    ``mode_guess`` (1-D, of length at least 1) are checked before h is first
-    called.
+    contract as the "log-density".  A line-search candidate is one row held
+    to the same shape and dtype rules; a NaN or -inf value there means no
+    ascent and halves the step.  The search gives up after 200 iterates.
+    ``tau`` and ``grad_tol`` (finite numbers > 0) and ``mode_guess``
+    (1-D, of length at least 1) are checked before h is first called.
 
     ``scale`` selects the linear change of variables, with H the curvature
     (Hessian of -h) at the mode, taken from the last iterate's batch:
@@ -274,13 +275,12 @@ def laplace_reparametrize(h, mode_guess, *, scale: str, tau: float = _TAU,
         raise ValueError(f"scale must be 'inv-hessian' or 'hessian', got {scale!r}")
     _positive(tau, "tau")
     _positive(grad_tol, "grad_tol")
-    _integer(max_iter, "max_iter")
     x = np.asarray(mode_guess, dtype=float).copy()
     if x.ndim != 1:
         raise ValueError(f"mode_guess must be 1-D, got shape {x.shape}")
     s = _dimension(len(x), "mode_guess length")
     trace = [x.copy()]
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         h_now, grad, hess = _differences(h, x)
         if np.max(np.abs(grad)) <= grad_tol:
             break
@@ -293,7 +293,7 @@ def laplace_reparametrize(h, mode_guess, *, scale: str, tau: float = _TAU,
         t = 1.0
         while t > 1e-12:
             cand = x + t * step_dir
-            if float(np.asarray(h(cand[None, :]))[0]) > h_now:
+            if _values(h, cand[None, :], "log-density")[0] > h_now:
                 break
             t *= 0.5
         else:
@@ -306,7 +306,7 @@ def laplace_reparametrize(h, mode_guess, *, scale: str, tau: float = _TAU,
     else:
         raise OptimizationError(
             f"mode search did not reach gradient tolerance {grad_tol} "
-            f"in {max_iter} iterations", trace,
+            f"in {_MAX_ITER} iterations", trace,
         )
 
     curvature = -hess  # at the last iterate, the mode

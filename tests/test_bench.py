@@ -24,6 +24,7 @@ from stratmc.bench import (
     write_rows,
 )
 from stratmc import cli
+from stratmc.transform import laplace_reparametrize
 
 
 # ---------------------------------------------------------------------------
@@ -138,9 +139,12 @@ def test_run_rejects_star_without_derivative_oracle():
     (lambda: _config(rel_mode="squared"), "rel_mode"),
     (lambda: Integrand(name="exp", s=1, fn=np.exp, derivative=lambda alpha, p: np.exp(p)),
      "derivative"),
-], ids=["config-rel-mode", "integrand-derivative"])
+    (lambda: laplace_reparametrize(lambda b: -np.sum(b * b, axis=1), np.zeros(1),
+                                   scale="hessian", max_iter=200), "max_iter"),
+], ids=["config-rel-mode", "integrand-derivative", "laplace-max-iter"])
 def test_removed_settings_are_unknown_keywords(build, name):
-    # the relative error has one definition and the ladder no oracle variant
+    # the relative error has one definition, the ladder no oracle variant and
+    # the mode search one iteration cap
     with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
         build()
 

@@ -11,7 +11,7 @@ import stratmc.lattice as lattice
 
 from stratmc.errors import IntegrandError, OrderError, ResolutionError
 from stratmc.lattice import GridSpec, Stream, centre_array, index_array
-from stratmc.stencil import derivative_grid, multi_indices
+from stratmc.stencil import _lagrange_coeff_exact, derivative_grid, multi_indices
 from stratmc.estimators import (
     asymptotic_variance_estimate,
     crude_mc,
@@ -23,7 +23,6 @@ from stratmc.estimators import (
     haber2,
     offset_moment,
     shift_coefficients,
-    shift_coefficients_exact,
     shifted_stratum_mean,
     vanishing_margin,
 )
@@ -82,7 +81,7 @@ def test_shift_coefficient_identities(r):
         moment = sum(w * lam ** i for w, lam in zip(c.weights, c.shifts))
         assert abs(moment) <= 1e-12 * max(1.0, sum(abs(w * lam ** i) for w, lam in zip(c.weights, c.shifts)))
     # exact-rational identity
-    exact = shift_coefficients_exact(r)
+    exact = _lagrange_coeff_exact(c.shifts, 0)
     assert sum(exact) == 1
     for i in range(1, r):
         assert sum(w * lam ** i for w, lam in zip(exact, c.shifts)) == 0
@@ -99,6 +98,16 @@ def test_crude_constant_exact():
     rep = crude_mc(lambda p: np.ones(len(p)), 2, 1000, Stream(0, 0))
     assert rep.value == 1.0
     assert rep.n_random == 1000
+
+
+def test_crude_draws_from_the_one_bulk_tag():
+    # bulk_uniform takes a shape only: its tag is a lattice constant, and
+    # these values were those of the tag crude_mc used to pass
+    with pytest.raises(TypeError, match="positional argument"):
+        Stream(0).bulk_uniform(0x611B, (8, 2))
+    got = [crude_mc(lambda p: p[:, 0] + 2.0 * p[:, 1], 2, 8, st).value.hex()
+           for st in (Stream(0), Stream(2 ** 62, 3), Stream(-5, 7))]
+    assert got == ["0x1.4e49b5eea00f2p+0", "0x1.a4a6c4f5c50dbp+0", "0x1.e304c5556228ep+0"]
 
 
 def test_crude_f1_unbiased():

@@ -170,8 +170,6 @@ _NOT_PD = "curvature at the mode is not positive definite: Matrix is not positiv
      "mode_guess must be 1-D, got shape (1, 2)"),
     (lambda tmp: laplace_reparametrize(_bowl, 0.0, scale="hessian"), ValueError,
      "mode_guess must be 1-D, got shape ()"),
-    (lambda tmp: laplace_reparametrize(_bowl, np.zeros(2), scale="hessian", max_iter=2.5),
-     TypeError, "max_iter must be an integer, got 2.5"),
     (lambda tmp: laplace_reparametrize(_bowl, np.zeros(2), scale="hessian", grad_tol=np.nan),
      ValueError, "grad_tol must be a finite number > 0, got nan"),
     (lambda tmp: tail_bound(0.1, 1.0, 1.0, 10, 2.5, 1), TypeError,
@@ -195,7 +193,7 @@ _NOT_PD = "curvature at the mode is not positive definite: Matrix is not positiv
         "product-family-dimension-float", "gauss-dimension-0", "wrap-dimension-0",
         "wrap-dimension-float", "poly2-dimension-0", "logistic-dimension-0",
         "laplace-empty-mode-guess", "laplace-2d-mode-guess", "laplace-scalar-mode-guess",
-        "laplace-max-iter-float", "laplace-grad-tol-nan",
+        "laplace-grad-tol-nan",
         "tail-bound-order-float"])
 def test_typed_errors(call, error, message, tmp_path):
     # each raise is reachable, with its exact type and message

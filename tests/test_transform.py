@@ -411,10 +411,10 @@ def test_laplace_scale_required_choice():
 
 
 def test_laplace_nonconvergent_trace():
-    # a pure linear drift has no mode
+    # a pure linear drift has no mode: the search stops at its fixed cap
     lin = lambda b: np.atleast_2d(b)[:, 0]
-    with pytest.raises(OptimizationError) as err:
-        laplace_reparametrize(lin, np.zeros(1), scale="inv-hessian", max_iter=5)
+    with pytest.raises(OptimizationError, match=r"in 200 iterations$") as err:
+        laplace_reparametrize(lin, np.zeros(1), scale="inv-hessian")
     assert len(err.value.trace) >= 1
 
 
@@ -467,6 +467,35 @@ def test_laplace_rejects_a_column_log_density():
     h = _mvn_logpdf(np.zeros(2), np.eye(2))
     with pytest.raises(IntegrandError, match=r"log-density returned shape \(9, 1\) for 9 points"):
         laplace_reparametrize(lambda b: h(b)[:, None], np.ones(2), scale="inv-hessian")
+
+
+@pytest.mark.parametrize("one_row, message", [
+    (lambda v: v[0], r"log-density returned shape \(\) for 1 points; expected \(1,\)$"),
+    (lambda v: v + 0j, r"log-density returned values of dtype complex128; expected real numbers$"),
+    (lambda v: v[:, None], r"log-density returned shape \(1, 1\) for 1 points; expected \(1,\)$"),
+], ids=["0-d", "complex", "column"])
+def test_laplace_line_search_holds_h_to_the_contract(one_row, message):
+    # a line-search candidate is one row, read through the integrand
+    # contract's shape and dtype rules: a malformed value is not cast
+    h = _mvn_logpdf(np.zeros(2), np.eye(2))
+    bad = lambda b: one_row(h(b)) if len(b) == 1 else h(b)
+    with pytest.raises(IntegrandError, match=message):
+        laplace_reparametrize(bad, np.ones(2), scale="inv-hessian")
+
+
+def test_laplace_line_search_halves_at_minus_inf():
+    # a -inf candidate means no ascent, not an error: the Newton step from 0
+    # lands on 2, where h is -inf, and its half on the mode at 1
+    sizes = []
+
+    def h(b):
+        sizes.append(len(b))
+        v = -np.sqrt(1.0 + (b[:, 0] - 1.0) ** 2)
+        return np.where(b[:, 0] > 1.5, -np.inf, v)
+
+    fit = laplace_reparametrize(h, np.zeros(1), scale="inv-hessian")
+    assert sizes == [3, 1, 1, 3, 1, 3]
+    assert fit.mode[0] == pytest.approx(1.0, abs=1e-9)
 
 
 def _row_stable(b):
