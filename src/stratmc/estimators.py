@@ -49,14 +49,14 @@ hold bit for bit on a common stream, not just in distribution.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
 
 from .errors import IntegrandError, OrderError, ResolutionError
-from .lattice import GridSpec, Stream, _integer, centre_array
+from .lattice import GridSpec, Stream, _grid, _integer, centre_array
 from .stencil import (
     _check_mode,
     _family_stencils,
@@ -380,7 +380,7 @@ def _plan(variant: str, r, grid: GridSpec, mode="free") -> _Plan:
     dilation) on ``grid``, built and checked once; a bad mode fails uncached.
     ``r`` passes ``_integer`` first, so a numpy integer shares its int's plan."""
     r = _integer(r, "dilation" if variant == "dilated_mean" else "order")
-    return _built_plan(variant, r, grid, _check_mode(mode))
+    return _built_plan(variant, r, _grid(grid), _check_mode(mode))
 
 
 @lru_cache(maxsize=256, typed=True)
@@ -431,6 +431,8 @@ def _per_stream(stream, one):
     """``one(stream)`` for a Stream; for a sequence of Streams, ``one`` of each, in order."""
     if isinstance(stream, Stream):
         return one(stream)
+    if not isinstance(stream, Iterable):
+        raise TypeError(f"stream must be a Stream or a sequence of Streams, got {stream!r}")
     streams = list(stream)
     if not streams:
         raise ValueError("need at least one stream, got an empty sequence")

@@ -104,6 +104,13 @@ class GridSpec:
         return range(-self.m, self.k + self.m)
 
 
+def _grid(value) -> GridSpec:
+    """``value`` if it is a ``GridSpec``, else ``TypeError``: the one type check of a grid."""
+    if not isinstance(value, GridSpec):
+        raise TypeError(f"grid must be a GridSpec, got {value!r}")
+    return value
+
+
 @lru_cache(maxsize=128)
 def _grid_arrays(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     # checked before any array is built: numpy cannot index more bytes

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlignmentError, DomainError
+from .errors import AlignmentError, DomainError, OrderError
 from .lattice import GridSpec, Stream, _integer
 from .estimators import EstimateReport, vanishing_orders
 
@@ -98,9 +98,11 @@ def tail_bound(delta: float, c_hat: float, norm_r: float, n: int, r: int, s: int
     With ``c_hat`` the computable worst-case constant and ``norm_r`` an upper
     bound on the order-r derivatives, the estimate lies within this radius of
     the true integral with probability at least 1 - delta.  ``n``, ``r`` and
-    ``s`` must be integers (``TypeError`` naming the argument).
+    ``s`` must be integers (``TypeError`` naming the argument), ``r >= 1``.
     """
     n, r, s = _integer(n, "n"), _integer(r, "order"), _integer(s, "dimension")
+    if r < 1:
+        raise OrderError(f"order must be >= 1, got {r}")
     if not 0.0 < delta < 1.0:
         raise DomainError(f"delta must be in (0, 1), got {delta}")
     if n < 1 or s < 1:
@@ -127,6 +129,8 @@ def select_order(f, r_max: int, grid: GridSpec, l: int, stream: Stream):
     """
     if _integer(l, "l") < 2:
         raise ValueError(f"need l >= 2 replicates, got {l}")
+    if not isinstance(stream, Stream):
+        raise TypeError(f"stream must be a Stream, got {stream!r}")
     streams = [Stream(stream.seed, stream.replicate + j) for j in range(l)]
     summaries = {r_prime: pooled(reports)
                  for r_prime, reports in vanishing_orders(f, r_max, grid, streams).items()}

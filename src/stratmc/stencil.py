@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import (DomainError, IncompleteEvaluationError, OrderError, ResolutionError,
                      StencilError)
-from .lattice import GridSpec, _dimension, _integer
+from .lattice import GridSpec, _dimension, _grid, _integer
 
 __all__ = [
     "abs_order",
@@ -224,6 +224,7 @@ def _active_tables(alpha, grid: GridSpec, r: int, mode: str):
     the weights of its order there.
     """
     block = r if _check_mode(mode) == "block" else 0
+    grid = _grid(grid)
     alpha = tuple(_integer(a, "multi-index entry") for a in alpha)
     if len(alpha) != grid.s or any(a < 0 for a in alpha):
         raise ValueError(f"bad multi-index {alpha} for dimension {grid.s}")
@@ -377,7 +378,7 @@ def derivative_grid(fvals: np.ndarray, alpha, grid: GridSpec, r: int,
         single = bool(alpha) and all(np.ndim(a) == 0 for a in alpha)
         alphas = tuple(tuple(_integer(v, "multi-index entry") for v in a)
                        for a in ([alpha] if single else alpha))
-    root = _grid_tree(alphas, grid, _integer(r, "order"), _check_mode(mode))
+    root = _grid_tree(alphas, _grid(grid), _integer(r, "order"), _check_mode(mode))
     t = np.asarray(fvals, dtype=float)
     if t.size != grid.n_centres:
         raise ValueError(f"fvals has {t.size} values, {grid} has {grid.n_centres} centres")

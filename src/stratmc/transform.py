@@ -14,8 +14,9 @@ Such integrands are exactly what the dilation-combination estimator in
 coordinate, raise ``DomainError``, as do NaN entries given to ``psi`` and
 ``jacobian_factor``.  ``g`` and the log-density ``h`` are held to the
 integrand contract of :mod:`stratmc.estimators`.  Every entry point rejects
-a tail exponent ``tau`` that is not a finite number > 0 with ``ValueError``,
-and ``wrap`` a dimension that is not an integer >= 1 as the lattice does.
+a tail exponent ``tau`` that is not a real number with ``TypeError``, and
+one that is not a finite number > 0 with ``ValueError``; ``wrap`` rejects a
+dimension that is not an integer >= 1 as the lattice does.
 
 ``laplace_reparametrize`` applies the recipe to log-densities: centre at the
 mode, scale by a Cholesky factor of the curvature there, then wrap with the
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import Callable
 
 import numpy as np
@@ -56,6 +58,8 @@ def _in_open_cube(u: np.ndarray) -> bool:
 
 def _positive(value, what: str) -> None:
     # tau: psi maps (0, 1) onto the real line only for tau > 0
+    if not isinstance(value, Real):
+        raise TypeError(f"{what} must be a real number, got {value!r}")
     if not (value > 0.0 and math.isfinite(value)):
         raise ValueError(f"{what} must be a finite number > 0, got {value}")
 
@@ -256,7 +260,7 @@ def laplace_reparametrize(h, mode_guess, *, scale: str, tau: float = _TAU,
     contract as the "log-density".  A line-search candidate is one row held
     to the same shape and dtype rules; a NaN or -inf value there means no
     ascent and halves the step.  The search gives up after 200 iterates.
-    ``tau`` and ``grad_tol`` (finite numbers > 0) and ``mode_guess``
+    ``tau`` and ``grad_tol`` (finite real numbers > 0) and ``mode_guess``
     (1-D, of length at least 1) are checked before h is first called.
 
     ``scale`` selects the linear change of variables, with H the curvature

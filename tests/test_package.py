@@ -9,12 +9,12 @@ import stratmc
 from stratmc.bench import (ExperimentConfig, load_labelled_csv, logistic_marginal_likelihood,
                            make_integrand, test_function as product_family, wrapped_gaussian)
 from stratmc.errors import DomainError, OrderError, ResolutionError, StratError
-from stratmc.estimators import asymptotic_variance_estimate, crude_mc, offset_moment
+from stratmc.estimators import asymptotic_variance_estimate, crude_mc, haber1, offset_moment
 from stratmc.lattice import GridSpec, Stream
 from stratmc.replicate import select_order, tail_bound
 from stratmc.stencil import (derivative_grid, derivative_stencil, error_constant, multi_indices,
                              univariate_weights)
-from stratmc.transform import laplace_reparametrize, wrap
+from stratmc.transform import laplace_reparametrize, psi, wrap
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 README_NAMES = (
@@ -66,6 +66,10 @@ def _saddle(b):
 
 def _bowl(b):
     return -np.sum(b * b, axis=1)
+
+
+def _first(x):
+    return x[:, 0]
 
 
 # the text after the colon is numpy's LinAlgError
@@ -174,6 +178,32 @@ _NOT_PD = "curvature at the mode is not positive definite: Matrix is not positiv
      ValueError, "grad_tol must be a finite number > 0, got nan"),
     (lambda tmp: tail_bound(0.1, 1.0, 1.0, 10, 2.5, 1), TypeError,
      "order must be an integer, got 2.5"),
+    (lambda tmp: tail_bound(0.1, 1.0, 1.0, 10, 0, 1), OrderError, "order must be >= 1, got 0"),
+    (lambda tmp: tail_bound(0.1, 1.0, 1.0, 10, -1, 1), OrderError, "order must be >= 1, got -1"),
+    # a grid or a stream of the wrong type is named where it is first read
+    (lambda tmp: haber1(_first, (2, 4), Stream(0)), TypeError,
+     "grid must be a GridSpec, got (2, 4)"),
+    (lambda tmp: haber1(_first, GridSpec(2, 4), 3), TypeError,
+     "stream must be a Stream or a sequence of Streams, got 3"),
+    (lambda tmp: haber1(_first, Stream(0), GridSpec(2, 4)), TypeError,
+     "grid must be a GridSpec, got Stream(seed=0, replicate=0)"),
+    (lambda tmp: select_order(_first, 2, GridSpec(2, 4, 0), 2, 0), TypeError,
+     "stream must be a Stream, got 0"),
+    (lambda tmp: select_order(_first, 2, (2, 4, 0), 2, Stream(0)), TypeError,
+     "grid must be a GridSpec, got (2, 4, 0)"),
+    (lambda tmp: derivative_stencil((1,), (2,), (1, 8), 3), TypeError,
+     "grid must be a GridSpec, got (1, 8)"),
+    (lambda tmp: derivative_grid([1.0] * 8, (1,), [1, 8], 3), TypeError,
+     "grid must be a GridSpec, got [1, 8]"),
+    (lambda tmp: derivative_grid([1.0] * 8, [], (1, 8), 3), TypeError,
+     "grid must be a GridSpec, got (1, 8)"),
+    # a tail exponent or a tolerance that is not a number is named
+    (lambda tmp: psi(0.5, "a"), TypeError, "tau must be a real number, got 'a'"),
+    (lambda tmp: wrap(_bowl, 2, tau=None), TypeError, "tau must be a real number, got None"),
+    (lambda tmp: laplace_reparametrize(_bowl, np.zeros(2), scale="hessian", tau="x"), TypeError,
+     "tau must be a real number, got 'x'"),
+    (lambda tmp: laplace_reparametrize(_bowl, np.zeros(2), scale="hessian", grad_tol="1e-6"),
+     TypeError, "grad_tol must be a real number, got '1e-6'"),
 ], ids=["laplace-saddle-inv-hessian", "laplace-saddle-hessian", "csv-empty-file",
         "csv-empty-header", "crude-n-0", "asymptotic-budget-1", "moment-order-negative",
         "moment-resolution-0", "moment-order-float", "moment-resolution-float",
@@ -193,8 +223,12 @@ _NOT_PD = "curvature at the mode is not positive definite: Matrix is not positiv
         "product-family-dimension-float", "gauss-dimension-0", "wrap-dimension-0",
         "wrap-dimension-float", "poly2-dimension-0", "logistic-dimension-0",
         "laplace-empty-mode-guess", "laplace-2d-mode-guess", "laplace-scalar-mode-guess",
-        "laplace-grad-tol-nan",
-        "tail-bound-order-float"])
+        "laplace-grad-tol-nan", "tail-bound-order-float",
+        "tail-bound-order-0", "tail-bound-order-negative", "haber1-grid-tuple",
+        "haber1-stream-int", "haber1-swapped-grid-and-stream", "select-order-stream-int",
+        "select-order-grid-tuple", "derivative-stencil-grid-tuple", "derivative-grid-grid-list",
+        "derivative-grid-no-alpha-grid-tuple", "psi-tau-str", "wrap-tau-none",
+        "laplace-tau-str", "laplace-grad-tol-str"])
 def test_typed_errors(call, error, message, tmp_path):
     # each raise is reachable, with its exact type and message
     (tmp_path / "empty.csv").write_text("")
