@@ -383,7 +383,7 @@ def _plan(variant: str, r, grid: GridSpec, mode="free") -> _Plan:
     return _built_plan(variant, r, _grid(grid), _check_mode(mode))
 
 
-@lru_cache(maxsize=256, typed=True)
+@lru_cache(maxsize=256)
 def _built_plan(variant: str, r: int, grid: GridSpec, mode: str) -> _Plan:
     family, guard = None, variant in ("vanishing", "dilated_mean")
     if variant == "vanishing":

@@ -217,14 +217,6 @@ def _mix(z: np.ndarray, t: np.ndarray) -> None:
     z ^= t
 
 
-@lru_cache(maxsize=64)
-def _lanes(s: int) -> np.ndarray:
-    """(s, 1) distinct odd-multiple lane constants, one row per axis."""
-    lanes = np.array([[(a * _LANE) & _MASK64] for a in range(1, s + 1)], dtype=np.uint64)
-    lanes.setflags(write=False)
-    return lanes
-
-
 def _hashed_offsets(seed: int, replicate: int, grid: GridSpec) -> np.ndarray:
     """Offsets in [-1/2k, 1/2k)^s per grid row from one SplitMix64 hash chain.
 
@@ -264,11 +256,13 @@ def _hashed_offsets(seed: int, replicate: int, grid: GridSpec) -> np.ndarray:
         h = np.add.outer(h, idx[:step * grid.side:step, axis]).ravel()
         _mix(h, flat[:len(h)])
     z = np.empty((s, rows), dtype=np.uint64)
+    # (s, 1) distinct odd-multiple lane constants, one row per axis
+    lanes = np.array([[(a * _LANE) & _MASK64] for a in range(1, s + 1)], dtype=np.uint64)
     divisor = float(grid.k) * 2.0 ** 53
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
         zb, tb = z[:, :hi - lo], scratch[:, :hi - lo]
-        np.add(_lanes(s), h[lo:hi], out=zb)
+        np.add(lanes, h[lo:hi], out=zb)
         _mix(zb, tb)
         zb >>= _C_11
         centred = zb.view(np.int64)

@@ -85,34 +85,27 @@ def multi_indices(s: int, total: int) -> Iterator[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 # univariate weights
 
-@lru_cache(maxsize=4096)
 def _lagrange_coeff_exact(kappa: tuple[int, ...], a: int) -> tuple[Fraction, ...]:
     """Exact weights w with sum_j w_j p(kappa_j) = p^(a)(0) for deg(p) < len(kappa).
 
     Equivalently the solution of the Vandermonde moment system
     ``sum_j w_j kappa_j^i = a! * [i == a]`` for ``i < len(kappa)``; extracting
     the x^a coefficient of each Lagrange basis polynomial gives it without
-    ever forming the ill-conditioned matrix.
+    ever forming the ill-conditioned matrix.  Each numerator and denominator
+    is expanded over Python ints, so only the weight itself is a Fraction.
+    Callers check ``0 <= a < len(kappa)``.
     """
-    l = len(kappa)
-    if len(set(kappa)) != l:
+    if len(set(kappa)) != len(kappa):
         raise StencilError(f"stencil nodes must be distinct, got {kappa}")
-    if not 0 <= a <= l - 1:
-        raise OrderError(f"derivative order {a} needs at least {a + 1} nodes, got {l}")
     weights = []
-    for j in range(l):
-        num = [Fraction(1)]
-        den = Fraction(1)
-        for i in range(l):
-            if i == j:
-                continue
-            nxt = [Fraction(0)] * (len(num) + 1)
-            for p, c in enumerate(num):
-                nxt[p] += c * (-kappa[i])
-                nxt[p + 1] += c
-            num = nxt
-            den *= kappa[j] - kappa[i]
-        weights.append(num[a] / den * factorial(a))
+    for j, x in enumerate(kappa):
+        num, den = [1], 1
+        for i, y in enumerate(kappa):
+            if i != j:
+                # num *= (t - y), coefficients in ascending powers of t
+                num = [c - y * d for c, d in zip([0] + num, num + [0])]
+                den *= x - y
+        weights.append(Fraction(factorial(a) * num[a], den))
     return tuple(weights)
 
 
@@ -142,12 +135,8 @@ def _window_start(position, window: int, lo, hi):
 
     Centred when possible; an even window leans one step to the negative
     side; at a boundary the window shifts by the minimal amount that fits.
+    Callers keep ``2 <= window <= hi - lo + 1``.
     """
-    if window < 2:
-        raise StencilError(f"window must have at least 2 nodes, got {window}")
-    width = int(np.min(hi - lo)) + 1
-    if width < window:
-        raise ResolutionError(f"window of {window} nodes does not fit in {width} axis cells")
     return np.maximum(lo - position, np.minimum(-(window // 2), hi - position - (window - 1)))
 
 
@@ -172,10 +161,10 @@ def _axis_table(window: int, lo: int, hi: int, block: int):
     starts = _window_start(pos, window, b_lo, b_hi)
     nodes = np.arange(window)[:, None] + (np.arange(len(pos)) + starts)
     patterns, row_pattern = np.unique(starts, return_inverse=True)
+    kappas = [tuple(range(p, p + window)) for p in patterns.tolist()]
     weights = {}
     for a in range(1, window):
-        pattern_w = np.array([univariate_weights(range(p, p + window), a)
-                              for p in patterns.tolist()])
+        pattern_w = np.array([_lagrange_coeff_exact(kappa, a) for kappa in kappas], dtype=float)
         weights[a] = np.ascontiguousarray(pattern_w[row_pattern.reshape(-1)].T)
         weights[a].setflags(write=False)
     starts.setflags(write=False)
@@ -199,10 +188,7 @@ def _axis_steps(alpha, r: int) -> list[tuple[int, int, int]]:
     for axis, a in enumerate(alpha):
         if a == 0:
             continue
-        window = r - consumed
-        if window < a + 1:
-            raise OrderError(f"order {alpha} not reachable with smoothness {r}")
-        steps.append((axis, a, window))
+        steps.append((axis, a, r - consumed))
         consumed += a
     return steps
 
