@@ -654,11 +654,16 @@ def vanishing_orders(f, r_max: int, grid: GridSpec,
     order, one report per stream with its per-stratum terms; each value is
     bit for bit that of ``estimate_vanishing`` at order r' on the same
     stream, on any grid that ``estimate_vanishing`` accepts at r_max.
+    ``streams`` that is not a sequence (a single ``Stream`` included)
+    raises ``TypeError`` before f is called.
     """
     # top order first, as its dilations and grid rule cover every lower order
     top = _plan("vanishing", r_max, grid)
     r_max = top.config.r
     plans = (top,) + tuple(_plan("vanishing", r, grid) for r in range(r_max - 1, 0, -1))
+    # one report per stream and order, so even one stream comes in a sequence
+    if isinstance(streams, Stream) or not isinstance(streams, Iterable):
+        raise TypeError(f"streams must be a sequence of Streams, got {streams!r}")
     per_stream = _estimate(plans, f, list(streams), keep_terms=True)
     return {r: [reports[r_max - r] for reports in per_stream] for r in range(1, r_max + 1)}
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -55,6 +55,14 @@ def _integer(value, what: str) -> int:
     if not isinstance(value, Integral):
         raise TypeError(f"{what} must be an integer, got {value!r}")
     return int(value)
+
+
+def _real(value, what: str):
+    """``value`` if it is a real number, else ``TypeError`` naming ``what``: the
+    one check that an argument is a real number (numpy floats and integers pass)."""
+    if not isinstance(value, Real):
+        raise TypeError(f"{what} must be a real number, got {value!r}")
+    return value
 
 
 def _dimension(value, what: str = "dimension") -> int:

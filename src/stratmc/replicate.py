@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlignmentError, DomainError, OrderError
-from .lattice import GridSpec, Stream, _integer
+from .lattice import GridSpec, Stream, _integer, _real
 from .estimators import EstimateReport, vanishing_orders
 
 __all__ = [
@@ -98,9 +98,11 @@ def tail_bound(delta: float, c_hat: float, norm_r: float, n: int, r: int, s: int
     With ``c_hat`` the computable worst-case constant and ``norm_r`` an upper
     bound on the order-r derivatives, the estimate lies within this radius of
     the true integral with probability at least 1 - delta.  ``n``, ``r`` and
-    ``s`` must be integers (``TypeError`` naming the argument), ``r >= 1``.
+    ``s`` must be integers and ``delta``, ``c_hat`` and ``norm_r`` real
+    numbers (``TypeError`` naming the argument), ``r >= 1``.
     """
     n, r, s = _integer(n, "n"), _integer(r, "order"), _integer(s, "dimension")
+    delta, c_hat, norm_r = _real(delta, "delta"), _real(c_hat, "c_hat"), _real(norm_r, "norm_r")
     if r < 1:
         raise OrderError(f"order must be >= 1, got {r}")
     if not 0.0 < delta < 1.0:

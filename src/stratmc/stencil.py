@@ -181,7 +181,8 @@ def _axis_steps(alpha, r: int) -> list[tuple[int, int, int]]:
     The first consumed axis gets a window of r nodes; each later axis gets
     r minus the derivative order consumed before it.  The resulting stencil
     keeps the full error order k^-(r-|alpha|) while never sampling further
-    than r-1 steps from the centre.
+    than r-1 steps from the centre.  Callers check ``|alpha| < r``, so every
+    window is wider than its order.
     """
     steps = []
     consumed = 0

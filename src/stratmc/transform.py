@@ -28,14 +28,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from numbers import Real
 from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError, OptimizationError, StratError
 from .estimators import _evaluate, _values
-from .lattice import _dimension
+from .lattice import _dimension, _real
 
 __all__ = [
     "psi",
@@ -58,9 +57,7 @@ def _in_open_cube(u: np.ndarray) -> bool:
 
 def _positive(value, what: str) -> None:
     # tau: psi maps (0, 1) onto the real line only for tau > 0
-    if not isinstance(value, Real):
-        raise TypeError(f"{what} must be a real number, got {value!r}")
-    if not (value > 0.0 and math.isfinite(value)):
+    if not (_real(value, what) > 0.0 and math.isfinite(value)):
         raise ValueError(f"{what} must be a finite number > 0, got {value}")
 
 

@@ -278,6 +278,26 @@ def test_csv_roundtrip(tmp_path):
     assert back == rows
 
 
+def _with_blank_line(path, out):
+    # the file with an empty line after its second line
+    lines = path.read_text().splitlines(keepends=True)
+    out.write_text("".join(lines[:2] + ["\n"] + lines[2:]))
+    return out
+
+
+def test_csv_readers_skip_blank_rows(tmp_path):
+    # both readers read past an empty line as if it were not there
+    path = tmp_path / "rows.csv"
+    write_rows(path, run(_config()))
+    assert read_rows(_with_blank_line(path, tmp_path / "rows-blank.csv")) == read_rows(path)
+    data = tmp_path / "d.csv"
+    _write_dataset(data)
+    y, preds = load_labelled_csv(_with_blank_line(data, tmp_path / "d-blank.csv"))
+    y_ref, preds_ref = load_labelled_csv(data)
+    assert preds.shape == (40, 2)
+    assert np.array_equal(y, y_ref) and np.array_equal(preds, preds_ref)
+
+
 # ---------------------------------------------------------------------------
 # slope fitting
 

@@ -185,9 +185,11 @@ def _reference_offsets(seed, replicate, rows, k):
 
 
 # whole grids per dimension: margins 0-3 up to s = 4, where GridSpec(1, 37, 3)
-# covers indices -3..39; at s = 9 the smallest grids without and with margin
+# covers indices -3..39; at s = 5-9 the smallest grids without and with
+# margin, so the reference pins the lane constants (a * _LANE) mod 2^64 of
+# every s up to 9
 _REFERENCE_GRIDS = {s: [GridSpec(s, k, m) for m in range(4)] for s, k in [(1, 37), (2, 5), (3, 3), (4, 2)]}
-_REFERENCE_GRIDS[9] = [GridSpec(9, 2, 0), GridSpec(9, 1, 1)]
+_REFERENCE_GRIDS.update({s: [GridSpec(s, 2, 0), GridSpec(s, 1, 1)] for s in range(5, 10)})
 
 
 @pytest.mark.parametrize("s", sorted(_REFERENCE_GRIDS))

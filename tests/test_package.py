@@ -9,7 +9,8 @@ import stratmc
 from stratmc.bench import (ExperimentConfig, load_labelled_csv, logistic_marginal_likelihood,
                            make_integrand, test_function as product_family, wrapped_gaussian)
 from stratmc.errors import DomainError, OrderError, ResolutionError, StratError
-from stratmc.estimators import asymptotic_variance_estimate, crude_mc, haber1, offset_moment
+from stratmc.estimators import (asymptotic_variance_estimate, crude_mc, haber1, offset_moment,
+                                vanishing_orders)
 from stratmc.lattice import GridSpec, Stream
 from stratmc.replicate import select_order, tail_bound
 from stratmc.stencil import (derivative_grid, derivative_stencil, error_constant, multi_indices,
@@ -70,6 +71,10 @@ def _bowl(b):
 
 def _first(x):
     return x[:, 0]
+
+
+def _never(x):
+    raise AssertionError("the integrand was called")
 
 
 # the text after the colon is numpy's LinAlgError
@@ -204,6 +209,20 @@ _NOT_PD = "curvature at the mode is not positive definite: Matrix is not positiv
      "tau must be a real number, got 'x'"),
     (lambda tmp: laplace_reparametrize(_bowl, np.zeros(2), scale="hessian", grad_tol="1e-6"),
      TypeError, "grad_tol must be a real number, got '1e-6'"),
+    # vanishing_orders names streams that are not a sequence before f is called
+    (lambda tmp: vanishing_orders(_never, 2, GridSpec(2, 4, 0), 3), TypeError,
+     "streams must be a sequence of Streams, got 3"),
+    (lambda tmp: vanishing_orders(_never, 2, GridSpec(2, 4, 0), Stream(0)), TypeError,
+     "streams must be a sequence of Streams, got Stream(seed=0, replicate=0)"),
+    (lambda tmp: vanishing_orders(_never, 2, GridSpec(2, 4, 0), [Stream(0), 3]), TypeError,
+     "stream 1 of the sequence is not a Stream: 3"),
+    # the tail bound's real arguments pass the one real-number check
+    (lambda tmp: tail_bound(0.1, "1", 1.0, 10, 2, 1), TypeError,
+     "c_hat must be a real number, got '1'"),
+    (lambda tmp: tail_bound("0.1", 1.0, 1.0, 10, 2, 1), TypeError,
+     "delta must be a real number, got '0.1'"),
+    (lambda tmp: tail_bound(0.1, 1.0, None, 10, 2, 1), TypeError,
+     "norm_r must be a real number, got None"),
 ], ids=["laplace-saddle-inv-hessian", "laplace-saddle-hessian", "csv-empty-file",
         "csv-empty-header", "crude-n-0", "asymptotic-budget-1", "moment-order-negative",
         "moment-resolution-0", "moment-order-float", "moment-resolution-float",
@@ -228,7 +247,9 @@ _NOT_PD = "curvature at the mode is not positive definite: Matrix is not positiv
         "haber1-stream-int", "haber1-swapped-grid-and-stream", "select-order-stream-int",
         "select-order-grid-tuple", "derivative-stencil-grid-tuple", "derivative-grid-grid-list",
         "derivative-grid-no-alpha-grid-tuple", "psi-tau-str", "wrap-tau-none",
-        "laplace-tau-str", "laplace-grad-tol-str"])
+        "laplace-tau-str", "laplace-grad-tol-str", "vanishing-orders-streams-int",
+        "vanishing-orders-single-stream", "vanishing-orders-stream-entry-int",
+        "tail-bound-c-hat-str", "tail-bound-delta-str", "tail-bound-norm-none"])
 def test_typed_errors(call, error, message, tmp_path):
     # each raise is reachable, with its exact type and message
     (tmp_path / "empty.csv").write_text("")

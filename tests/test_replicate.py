@@ -83,6 +83,13 @@ def test_pooling_rejects_repeated_stream():
     assert pooled(distinct).v_hat > 1e-12
 
 
+def test_variance_rejects_different_stratum_counts():
+    # one config and normalizer, but terms over 4 and 5 strata
+    reps = [_report([0.0, 1.0, 2.0, 3.0]), _report([0.0, 1.0, 2.0, 3.0, 4.0])]
+    with pytest.raises(AlignmentError, match=r"^replicates have different stratum counts$"):
+        variance_estimate(reps)
+
+
 def test_variance_rejects_single():
     with pytest.raises(AlignmentError):
         variance_estimate([_report([1.0])])

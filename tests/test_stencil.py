@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,9 +13,11 @@ from stratmc.errors import (
     ResolutionError,
     StencilError,
 )
+from stratmc.estimators import shift_coefficients
 from stratmc.lattice import GridSpec, centre_array, index_array
 from stratmc.stencil import (
     _family_stencils,
+    _lagrange_coeff_exact,
     abs_order,
     apply_stencil,
     derivative_grid,
@@ -80,6 +83,37 @@ def test_moment_conditions_exact(l, a):
     for i in range(l):
         moment = sum(w * k ** i for w, k in zip(exact, nodes))
         assert moment == (math.factorial(a) if i == a else 0)
+
+
+def _fraction_lagrange(kappa, a):
+    # the x^a coefficient of each Lagrange basis polynomial, expanded in
+    # Fraction arithmetic throughout: the reference for the integer expansion
+    weights = []
+    for j in range(len(kappa)):
+        num, den = [Fraction(1)], Fraction(1)
+        for i in range(len(kappa)):
+            if i == j:
+                continue
+            nxt = [Fraction(0)] * (len(num) + 1)
+            for p, c in enumerate(num):
+                nxt[p] += c * (-kappa[i])
+                nxt[p + 1] += c
+            num = nxt
+            den *= kappa[j] - kappa[i]
+        weights.append(num[a] / den * math.factorial(a))
+    return tuple(weights)
+
+
+def test_exact_weights_match_fraction_expansion():
+    # every window 2-8 at every start the axis tables use, -(w-1)..0, and
+    # every derivative order; then the dilation sets of r <= 8 at order 0
+    cases = [(tuple(range(p, p + w)), a) for w in range(2, 9) for p in range(-(w - 1), 1)
+             for a in range(1, w)]
+    cases += [(shift_coefficients(r).shifts, 0) for r in range(1, 9)]
+    for kappa, a in cases:
+        got = _lagrange_coeff_exact(kappa, a)
+        assert got == _fraction_lagrange(kappa, a), (kappa, a)
+        assert all(type(w) is Fraction for w in got)
 
 
 def test_duplicate_nodes_rejected():

@@ -418,6 +418,16 @@ def test_laplace_nonconvergent_trace():
     assert len(err.value.trace) >= 1
 
 
+def test_laplace_no_ascent_step():
+    # a kink at the guess: the difference curvature there is huge, so the
+    # Newton step is tiny and leftward, where h falls; no halving of it
+    # ascends, while the predicted gain is well above rounding noise
+    kink = lambda b: np.where(b[:, 0] > 0.0, -1000.0 * b[:, 0], 300.0 * b[:, 0])
+    with pytest.raises(OptimizationError, match=r"^no ascent step found from current iterate$") as err:
+        laplace_reparametrize(kink, np.zeros(1), scale="inv-hessian")
+    assert len(err.value.trace) == 1 and err.value.trace[0].tolist() == [0.0]
+
+
 def test_laplace_rejects_a_nonfinite_log_density():
     # the difference derivatives are held to the integrand contract, so a
     # broken h fails at once instead of yielding a NaN curvature
