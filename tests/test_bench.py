@@ -294,7 +294,6 @@ def test_csv_readers_skip_blank_rows(tmp_path):
     _write_dataset(data)
     y, preds = load_labelled_csv(_with_blank_line(data, tmp_path / "d-blank.csv"))
     y_ref, preds_ref = load_labelled_csv(data)
-    assert preds.shape == (40, 2)
     assert np.array_equal(y, y_ref) and np.array_equal(preds, preds_ref)
 
 
