@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StratError
-from .lattice import GridSpec, Stream, _dimension, _integer, substream_id
+from .lattice import (CALLABLE, DIMENSION, INTEGER, PATH, POSITIVE, GridSpec, Stream, _Arg,
+                      _checked, substream_id)
 # every estimator is bound here, so a tracer can wrap each by its name in this
 # module; estimate_analytic_cv has no variant
 from .estimators import (  # noqa: F401
@@ -37,7 +38,7 @@ from .estimators import (  # noqa: F401
     haber2,
     vanishing_margin,
 )
-from .transform import _TAU, _positive, laplace_reparametrize, wrap
+from .transform import _TAU, laplace_reparametrize, wrap
 
 __all__ = [
     "Integrand",
@@ -60,6 +61,7 @@ PRIOR_SD = 5.0  # the logistic integrand's prior standard deviation per coeffici
 
 
 @dataclass
+@_checked(s=DIMENSION.named("Integrand.s"), fn=CALLABLE.named("Integrand.fn"))
 class Integrand:
     """A test integrand with optional exact value."""
 
@@ -73,12 +75,12 @@ class Integrand:
         return self.fn(pts)
 
 
+@_checked(s=DIMENSION)
 def test_function(s: int) -> Integrand:
     """The smooth product family: u e^u for s=1, else (prod u_j^(j-1)) e^(prod u_j).
 
     Exact integral: 1 for s=1 and e - sum_{j<s} 1/j! in general.
     """
-    s = _dimension(s)
     if s == 1:
         def fn1(pts):
             pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -98,6 +100,7 @@ def test_function(s: int) -> Integrand:
     return Integrand(name=f"fs({s})", s=s, fn=fn, exact=exact)
 
 
+@_checked(s=DIMENSION, tau=POSITIVE)
 def wrapped_gaussian(s: int, tau: float = _TAU) -> Integrand:
     """Standard normal density on R^s pushed onto the cube; integrates to 1."""
 
@@ -110,8 +113,6 @@ def wrapped_gaussian(s: int, tau: float = _TAU) -> Integrand:
 
 
 def _quadratic(s: int) -> Integrand:
-    s = _dimension(s)
-
     def fn(pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         return np.sum(pts * pts, axis=1)
@@ -119,11 +120,14 @@ def _quadratic(s: int) -> Integrand:
     return Integrand(name=f"poly2({s})", s=s, fn=fn, exact=s / 3.0)
 
 
+_INTEGRANDS = ("fs", "gauss", "poly2", "logistic")
+
+
+@_checked(fn_id=_Arg("choice", "integrand id", _INTEGRANDS), s=DIMENSION, tau=POSITIVE)
 def make_integrand(fn_id: str, s: int, tau: float = _TAU,
                    dataset: str | None = None) -> Integrand:
     """Resolve a CLI integrand id; ``tau`` is checked for every id, and only
     ``logistic`` takes a ``dataset``."""
-    _positive(tau, "tau")
     if dataset is not None and fn_id != "logistic":
         raise ValueError(f"only the logistic integrand reads --dataset, not {fn_id!r}")
     if fn_id == "fs":
@@ -132,11 +136,9 @@ def make_integrand(fn_id: str, s: int, tau: float = _TAU,
         return wrapped_gaussian(s, tau)
     if fn_id == "poly2":
         return _quadratic(s)
-    if fn_id == "logistic":
-        if dataset is None:
-            raise ValueError("the logistic integrand needs --dataset")
-        return logistic_marginal_likelihood(dataset, s, tau=tau)
-    raise ValueError(f"unknown integrand id {fn_id!r}")
+    if dataset is None:
+        raise ValueError("the logistic integrand needs --dataset")
+    return logistic_marginal_likelihood(dataset, s, tau=tau)
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +173,7 @@ def _read_table(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
     return header, rows
 
 
+@_checked(path=PATH)
 def load_labelled_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read a header CSV whose first column is the label, rest predictors.
 
@@ -190,6 +193,7 @@ def load_labelled_csv(path) -> tuple[np.ndarray, np.ndarray]:
     return y, data[:, 1:]
 
 
+@_checked(dataset=PATH.named("dataset"), s=DIMENSION, tau=POSITIVE)
 def logistic_marginal_likelihood(dataset, s: int, tau: float = _TAU) -> Integrand:
     """Marginal likelihood of a logistic regression as a cube integrand.
 
@@ -200,7 +204,6 @@ def logistic_marginal_likelihood(dataset, s: int, tau: float = _TAU) -> Integran
     the mode with the inverse-Hessian Laplace scale and tail-mapped, so its
     cube integral is the marginal likelihood itself.
     """
-    s = _dimension(s)
     y, preds = load_labelled_csv(dataset)
     if s - 1 > preds.shape[1]:
         raise StratError(
@@ -242,6 +245,11 @@ VARIANTS = tuple(_REGISTRY)
 
 
 @dataclass
+@_checked(integrand=_Arg("instance", "integrand", Integrand),
+          variants=_Arg("tuple", "variants", _Arg("choice", "variant", VARIANTS), nonempty=True),
+          r_values=_Arg("tuple", "r_values", _Arg("integer", "r_values entry", 1)),
+          k_values=_Arg("tuple", "k_values", _Arg("integer", "k_values entry", 1), nonempty=True),
+          replicates=_Arg("integer", "replicates", 2), seed=INTEGER.named("seed"))
 class ExperimentConfig:
     integrand: Integrand
     variants: tuple[str, ...]
@@ -251,22 +259,8 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _integer(self.replicates, "replicates")
-        _integer(self.seed, "seed")
-        for name in ("k_values", "r_values"):
-            for value in getattr(self, name):
-                if _integer(value, f"{name} entry") < 1:
-                    raise ValueError(f"{name} entry must be >= 1, got {value}")
-        for name in ("variants", "k_values"):
-            if not getattr(self, name):
-                raise ValueError(f"{name} must not be empty")
         if list(self.k_values) != sorted(set(self.k_values)):
             raise ValueError("k values must be strictly increasing")
-        if self.replicates < 2:
-            raise ValueError("need at least 2 replicates for an error statistic")
-        for v in self.variants:
-            if v not in VARIANTS:
-                raise ValueError(f"unknown variant {v!r}; choose from {VARIANTS}")
         if not self.r_values and any(_REGISTRY[v][0] is None for v in self.variants):
             raise ValueError("r_values must not be empty when a variant reads it")
         for name in ("variants", "r_values"):
@@ -277,6 +271,7 @@ class ExperimentConfig:
 
 
 @dataclass
+@_checked()
 class ResultRow:
     variant: str
     r: int
@@ -287,6 +282,7 @@ class ResultRow:
     slope_group: str
 
 
+@_checked(config=_Arg("instance", "config", ExperimentConfig))
 def run(config: ExperimentConfig) -> list[ResultRow]:
     """One row per (variant, r, k); ``write_rows`` writes them as CSV.
 
@@ -327,6 +323,10 @@ def run(config: ExperimentConfig) -> list[ResultRow]:
             for (variant, r, k), n_mean, stat, denom in zip(cells, n_means, stats, denoms)]
 
 
+ROWS = _Arg("sequence", "rows", ResultRow)
+
+
+@_checked(path=PATH, rows=ROWS)
 def write_rows(path, rows: list[ResultRow]) -> None:
     with open(path, "w", newline="") as fh:
         _write_csv(fh, rows)
@@ -344,6 +344,7 @@ def _write_csv(fh, rows: list[ResultRow], lineterminator: str = "\r\n") -> None:
         ])
 
 
+@_checked(path=PATH)
 def read_rows(path) -> list[ResultRow]:
     header, table = _read_table(path)
     missing = [name for name in CSV_COLUMNS if name not in header]
@@ -371,6 +372,7 @@ def read_rows(path) -> list[ResultRow]:
     return rows
 
 
+@_checked(rows=ROWS)
 def fit_slope(rows: list[ResultRow]) -> float:
     """Least-squares slope of log(rel_error) against log(n_evals).
 

@@ -49,16 +49,17 @@ hold bit for bit on a common stream, not just in distribution.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from operator import index
 
 import numpy as np
 
-from .errors import IntegrandError, OrderError, ResolutionError
-from .lattice import GridSpec, Stream, _grid, _integer, centre_array
+from .errors import IntegrandError, ResolutionError
+from .lattice import (CALLABLE, DIMENSION, GRID, INTEGER, MODE, ORDER, STREAM_OR_STREAMS, STREAMS,
+                      GridSpec, Stream, _Arg, _checked, centre_array)
 from .stencil import (
-    _check_mode,
     _family_stencils,
     _lagrange_coeff_exact,
     derivative_grid,
@@ -98,16 +99,9 @@ def _centred_monomial(alpha):
     return g
 
 
+@_checked(i=_Arg("integer", "moment order", 0), k=_Arg("integer", "resolution", 1))
 def offset_moment(i: int, k: int) -> float:
-    """E[V^i] for V uniform on [-1/2k, 1/2k]: zero for odd i, else 1/((i+1)(2k)^i).
-
-    ``i`` and ``k`` are integers (``TypeError`` otherwise), ``i >= 0`` and ``k >= 1``.
-    """
-    i, k = _integer(i, "moment order"), _integer(k, "resolution")
-    if i < 0:
-        raise ValueError(f"moment order must be >= 0, got {i}")
-    if k < 1:
-        raise ValueError(f"resolution must be >= 1, got {k}")
+    """E[V^i] for V uniform on [-1/2k, 1/2k]: zero for odd i, else 1/((i+1)(2k)^i)."""
     if i % 2:
         return 0.0
     return 1.0 / ((i + 1) * (2.0 * k) ** i)
@@ -116,11 +110,8 @@ def offset_moment(i: int, k: int) -> float:
 # ---------------------------------------------------------------------------
 # dilation coefficients for the vanishing estimator
 
-def _shifts(r) -> tuple[int, ...]:
-    """The first r odd dilations 1, -1, 3, -3, 5, -5, ...; r an integer >= 1."""
-    r = _integer(r, "order")
-    if r < 1:
-        raise OrderError(f"order must be >= 1, got {r}")
+def _shifts(r: int) -> tuple[int, ...]:
+    """The first r odd dilations 1, -1, 3, -3, 5, -5, ...; callers check r >= 1."""
     out = []
     v = 1
     while len(out) < r:
@@ -136,6 +127,7 @@ def _reach(shifts) -> int:
     return (max(map(abs, shifts)) - 1) // 2
 
 
+@_checked(r=ORDER)
 def vanishing_margin(r: int) -> int:
     """Smallest margin at order r: the reach (r - 1) // 2 of dilation r or r - 1.
 
@@ -145,6 +137,7 @@ def vanishing_margin(r: int) -> int:
 
 
 @dataclass(frozen=True)
+@_checked()
 class ShiftCoefficients:
     """Dilations and their combination weights at one order.
 
@@ -157,6 +150,7 @@ class ShiftCoefficients:
     weights: tuple[float, ...]
 
 
+@_checked(r=ORDER)
 def shift_coefficients(r: int) -> ShiftCoefficients:
     shifts = _shifts(r)
     exact = _lagrange_coeff_exact(shifts, 0)
@@ -167,6 +161,7 @@ def shift_coefficients(r: int) -> ShiftCoefficients:
 # reports
 
 @dataclass(frozen=True)
+@_checked()
 class EstimatorConfig:
     """Identity of one estimator run, used to align replicates."""
 
@@ -177,6 +172,7 @@ class EstimatorConfig:
 
 
 @dataclass
+@_checked()
 class EstimateReport:
     """One estimate with its evaluation accounting.
 
@@ -376,11 +372,9 @@ _RULES = {
 
 
 def _plan(variant: str, r, grid: GridSpec, mode="free") -> _Plan:
-    """The plan of ``variant`` at order ``r`` (for ``"dilated_mean"``, its
-    dilation) on ``grid``, built and checked once; a bad mode fails uncached.
-    ``r`` passes ``_integer`` first, so a numpy integer shares its int's plan."""
-    r = _integer(r, "dilation" if variant == "dilated_mean" else "order")
-    return _built_plan(variant, r, _grid(grid), _check_mode(mode))
+    """The plan of ``variant`` at order ``r`` (for ``"dilated_mean"``, its dilation) on
+    ``grid``, built once; a failed build is not cached, and a numpy integer shares its int's."""
+    return _built_plan(variant, index(r), grid, mode)
 
 
 @lru_cache(maxsize=256)
@@ -410,8 +404,8 @@ def _built_plan(variant: str, r: int, grid: GridSpec, mode: str) -> _Plan:
 def _check_grid(plan: _Plan):
     """The grid rule of a plan, checked once when it is built: no margin
     without the guard, with it a margin covering the dilations' reach (every
-    stratum whose points can land in the cube); r >= 1 (a guarded plan's
-    dilations checked theirs); k >= r for stencils, k >= 2 for vanishing."""
+    stratum whose points can land in the cube); k >= r for stencils, k >= 2
+    for vanishing."""
     variant, r, grid = plan.config.variant, plan.config.r, plan.config.grid
     if not plan.guard and grid.m != 0:
         raise ValueError("this estimator runs on margin-free grids (m = 0)")
@@ -419,8 +413,6 @@ def _check_grid(plan: _Plan):
     if grid.m < reach:
         raise ValueError(f"margin {grid.m} is below the reach {reach} of the dilations; "
                          f"need at least {reach}")
-    if not plan.guard and r < 1:
-        raise OrderError(f"order must be >= 1, got {r}")
     if plan.r_build and grid.k < r:
         raise ResolutionError(f"need k >= r, got k={grid.k}, r={r}")
     if variant == "vanishing" and grid.k < 2:
@@ -428,18 +420,8 @@ def _check_grid(plan: _Plan):
 
 
 def _per_stream(stream, one):
-    """``one(stream)`` for a Stream; for a sequence of Streams, ``one`` of each, in order."""
-    if isinstance(stream, Stream):
-        return one(stream)
-    if not isinstance(stream, Iterable):
-        raise TypeError(f"stream must be a Stream or a sequence of Streams, got {stream!r}")
-    streams = list(stream)
-    if not streams:
-        raise ValueError("need at least one stream, got an empty sequence")
-    for i, st in enumerate(streams):
-        if not isinstance(st, Stream):
-            raise TypeError(f"stream {i} of the sequence is not a Stream: {st!r}")
-    return [one(st) for st in streams]
+    """``one(stream)`` for a Stream; for a list of Streams, ``one`` of each, in order."""
+    return one(stream) if isinstance(stream, Stream) else [one(st) for st in stream]
 
 
 def _estimate(plans: _Plan | tuple[_Plan, ...], f, stream, keep_terms: bool, oracle=None):
@@ -548,6 +530,8 @@ def _derivatives(plan: _Plan, f, oracle) -> list[np.ndarray]:
     return derivative_grid(fvals, plan.alphas, grid, plan.r_build, plan.config.mode)
 
 
+@_checked(g=CALLABLE.named("g"), shift=INTEGER.named("dilation"), grid=GRID,
+          stream=STREAM_OR_STREAMS)
 def shifted_stratum_mean(g, shift: int, grid: GridSpec, stream: Stream) -> float:
     """k^-s sum over centres of gbar(c + shift * U_c); unbiased for the integral.
 
@@ -561,10 +545,12 @@ def shifted_stratum_mean(g, shift: int, grid: GridSpec, stream: Stream) -> float
 # ---------------------------------------------------------------------------
 # estimators
 
+_ESTIMATOR_ARGS = dict(f=CALLABLE, r=ORDER, grid=GRID, stream=STREAM_OR_STREAMS)
+
+
+@_checked(f=CALLABLE, s=DIMENSION, n=_Arg("integer", "n", 1), stream=STREAM_OR_STREAMS)
 def crude_mc(f, s: int, n: int, stream: Stream | Sequence[Stream], keep_terms: bool = False):
     """Plain Monte Carlo: mean of f at n iid uniform points."""
-    if _integer(n, "n") < 1:
-        raise ValueError(f"need n >= 1, got {n}")
     config = EstimatorConfig("crude", 1, GridSpec(s, 1, 0))
 
     def one(st: Stream) -> EstimateReport:
@@ -583,16 +569,19 @@ def crude_mc(f, s: int, n: int, stream: Stream | Sequence[Stream], keep_terms: b
     return _per_stream(stream, one)
 
 
+@_checked(f=CALLABLE, grid=GRID, stream=STREAM_OR_STREAMS)
 def haber1(f, grid: GridSpec, stream: Stream | Sequence[Stream], keep_terms: bool = False):
     """One random evaluation per stratum; optimal for once-differentiable f."""
     return _estimate(_plan("haber1", 1, grid), f, stream, keep_terms)
 
 
+@_checked(f=CALLABLE, grid=GRID, stream=STREAM_OR_STREAMS)
 def haber2(f, grid: GridSpec, stream: Stream | Sequence[Stream], keep_terms: bool = False):
     """Antithetic pair per stratum; optimal for twice-differentiable f."""
     return _estimate(_plan("haber2", 2, grid), f, stream, keep_terms)
 
 
+@_checked(derivative_oracle=CALLABLE.named("derivative oracle"), **_ESTIMATOR_ARGS)
 def estimate_analytic_cv(f, derivative_oracle, r: int, grid: GridSpec,
                          stream: Stream | Sequence[Stream], keep_terms: bool = False):
     """Antithetic pairs plus an exact-derivative Taylor control variate.
@@ -606,6 +595,7 @@ def estimate_analytic_cv(f, derivative_oracle, r: int, grid: GridSpec,
     return _estimate(_plan("analytic_cv", r, grid), f, stream, keep_terms, derivative_oracle)
 
 
+@_checked(mode=MODE, **_ESTIMATOR_ARGS)
 def estimate_paired_cv(f, r: int, grid: GridSpec, stream: Stream | Sequence[Stream],
                        mode: str = "free", keep_terms: bool = False):
     """Antithetic pairs plus difference-based control variates (even orders).
@@ -619,6 +609,7 @@ def estimate_paired_cv(f, r: int, grid: GridSpec, stream: Stream | Sequence[Stre
     return _estimate(_plan("paired_cv", r, grid, mode), f, stream, keep_terms)
 
 
+@_checked(mode=MODE, **_ESTIMATOR_ARGS)
 def estimate_single_cv(f, r: int, grid: GridSpec, stream: Stream | Sequence[Stream],
                        mode: str = "free", keep_terms: bool = False):
     """Single random evaluation per stratum, control variates on all orders < r.
@@ -630,6 +621,7 @@ def estimate_single_cv(f, r: int, grid: GridSpec, stream: Stream | Sequence[Stre
     return _estimate(_plan("single_cv", r, grid, mode), f, stream, keep_terms)
 
 
+@_checked(**_ESTIMATOR_ARGS)
 def estimate_vanishing(f, r: int, grid: GridSpec, stream: Stream | Sequence[Stream],
                        keep_terms: bool = False):
     """Dilation-combination estimator for boundary-vanishing integrands.
@@ -645,6 +637,7 @@ def estimate_vanishing(f, r: int, grid: GridSpec, stream: Stream | Sequence[Stre
     return _estimate(_plan("vanishing", r, grid), f, stream, keep_terms)
 
 
+@_checked(f=CALLABLE, r_max=ORDER, grid=GRID, streams=STREAMS)
 def vanishing_orders(f, r_max: int, grid: GridSpec,
                      streams: Sequence[Stream]) -> dict[int, list[EstimateReport]]:
     """The vanishing estimator at every order 1..r_max, from the evaluations of r_max.
@@ -654,23 +647,18 @@ def vanishing_orders(f, r_max: int, grid: GridSpec,
     order, one report per stream with its per-stratum terms; each value is
     bit for bit that of ``estimate_vanishing`` at order r' on the same
     stream, on any grid that ``estimate_vanishing`` accepts at r_max.
-    ``streams`` that is not a sequence (a single ``Stream`` included)
-    raises ``TypeError`` before f is called.
     """
     # top order first, as its dilations and grid rule cover every lower order
-    top = _plan("vanishing", r_max, grid)
-    r_max = top.config.r
-    plans = (top,) + tuple(_plan("vanishing", r, grid) for r in range(r_max - 1, 0, -1))
-    # one report per stream and order, so even one stream comes in a sequence
-    if isinstance(streams, Stream) or not isinstance(streams, Iterable):
-        raise TypeError(f"streams must be a sequence of Streams, got {streams!r}")
-    per_stream = _estimate(plans, f, list(streams), keep_terms=True)
+    plans = tuple(_plan("vanishing", r, grid) for r in range(r_max, 0, -1))
+    per_stream = _estimate(plans, f, streams, keep_terms=True)
     return {r: [reports[r_max - r] for reports in per_stream] for r in range(1, r_max + 1)}
 
 
 # ---------------------------------------------------------------------------
 # asymptotic variance diagnostic
 
+@_checked(derivative_oracle=CALLABLE.named("derivative oracle"), s=DIMENSION, r=ORDER,
+          budget=_Arg("integer", "budget", 2), seed=INTEGER.named("seed"))
 def asymptotic_variance_estimate(derivative_oracle, s: int, r: int, budget: int,
                                  seed: int = 0) -> float:
     """Limit of k^(s+2r) Var(paired estimate at resolution k) as k grows.
@@ -682,8 +670,6 @@ def asymptotic_variance_estimate(derivative_oracle, s: int, r: int, budget: int,
     estimated from ``budget`` joint Monte Carlo replicates on shared
     streams; the derivative products are integrated with a midpoint rule.
     """
-    if _integer(budget, "budget") < 2:
-        raise ValueError(f"need budget >= 2, got {budget}")
     alphas = list(multi_indices(s, r))
     grid = GridSpec(s, r, 0)
     monomials = [_centred_monomial(alpha) for alpha in alphas]

@@ -28,14 +28,20 @@ than merely distributional.  Crude Monte Carlo takes iid uniforms from
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import inspect
+import math
+import os
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 from numbers import Integral, Real
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ResolutionError
+from .errors import OrderError, ResolutionError, StencilError
 
 __all__ = [
     "GridSpec",
@@ -57,28 +63,162 @@ def _integer(value, what: str) -> int:
     return int(value)
 
 
-def _real(value, what: str):
-    """``value`` if it is a real number, else ``TypeError`` naming ``what``: the
-    one check that an argument is a real number (numpy floats and integers pass)."""
-    if not isinstance(value, Real):
-        raise TypeError(f"{what} must be a real number, got {value!r}")
-    return value
+# ---------------------------------------------------------------------------
+# argument classes: each rule on a public argument, stated once
+
+def _a(kind: type) -> str:
+    return ("an " if kind.__name__[0] in "AEIOU" else "a ") + kind.__name__
 
 
-def _dimension(value, what: str = "dimension") -> int:
-    """``value`` as a Python int >= 1, else ``TypeError`` or ``ValueError``
-    naming ``what``: the one check of an integrand's dimension."""
-    if _integer(value, what) < 1:
-        raise ValueError(f"{what} must be >= 1, got {value}")
-    return int(value)
+def _items(value, what: str) -> list:
+    if isinstance(value, str) or not isinstance(value, Iterable):
+        raise TypeError(f"{what} must be a sequence, got {value!r}")
+    return list(value)
+
+
+class _Arg(NamedTuple):
+    """An argument class and the label its errors name.
+
+    ``check(value, label)`` returns the value normalised (an int, a tuple or
+    list, a float64 array), or raises ``TypeError`` for the wrong type and
+    ``error`` (a ``ValueError``) for a value out of range, naming ``label``.
+    ``bound`` is an integer's floor, a choice's options, the type of an
+    instance or of a sequence's entries, or a tuple's entry class; ``one``
+    also takes one ``bound``, ``nonempty`` refuses an empty sequence.
+    """
+
+    kind: str
+    label: str
+    bound: object = None
+    error: type = ValueError
+    one: bool = False
+    nonempty: bool = False
+
+    def named(self, label: str) -> _Arg:
+        return self._replace(label=label)
+
+    def check(self, value, what: str):
+        kind, bound = self.kind, self.bound
+        if kind == "instance":
+            if not isinstance(value, bound):
+                raise TypeError(f"{what} must be {_a(bound)}, got {value!r}")
+        elif kind == "integer":
+            value = _integer(value, what)
+            if bound is not None and value < bound:
+                raise self.error(f"{what} must be >= {bound}, got {value}")
+        elif kind == "callable":
+            if not callable(value):
+                raise TypeError(f"{what} must be callable, got {value!r}")
+        elif kind == "sequence":
+            if self.one and isinstance(value, bound):
+                return value
+            if isinstance(value, (bound, str)) or not isinstance(value, Iterable):
+                wanted = f"{_a(bound)} or a sequence" if self.one else "a sequence"
+                raise TypeError(f"{what} must be {wanted} of {bound.__name__}s, got {value!r}")
+            value = list(value)
+            for i, item in enumerate(value):
+                if not isinstance(item, bound):
+                    raise TypeError(f"{what} {i} of the sequence is not {_a(bound)}: {item!r}")
+        elif kind == "choice":
+            if not isinstance(value, str) or value not in bound:
+                raise ValueError(f"unknown {what} {value!r}; choose from {bound}")
+        elif kind in ("real", "positive"):
+            if not isinstance(value, Real):
+                raise TypeError(f"{what} must be a real number, got {value!r}")
+            # tau: psi maps (0, 1) onto the real line only for tau > 0
+            if kind == "positive" and not (value > 0.0 and math.isfinite(value)):
+                raise ValueError(f"{what} must be a finite number > 0, got {value}")
+        elif kind == "tuple":
+            value = tuple(bound.check(item, bound.label) for item in _items(value, what))
+        elif kind == "multi-indices":     # one multi-index, or a sequence of them
+            if (type(value) is tuple and all([type(a) is tuple for a in value])
+                    and all([type(v) is int for a in value for v in a])):
+                return value    # already normalised, as a plan passes them
+            items = _items(value, what)
+            if items and all(np.ndim(a) == 0 for a in items):
+                return MULTI_INDEX.check(items, what)
+            value = tuple(MULTI_INDEX.check(a, what) for a in items)
+        elif kind == "array":
+            try:
+                value = np.asarray(value)
+            except ValueError as exc:   # ragged nesting
+                raise ValueError(f"{what} must be an array of real numbers: {exc}") from None
+            if value.dtype.kind not in "biuf":
+                raise TypeError(f"{what} must be an array of real numbers, "
+                                f"got dtype {value.dtype}")
+            value = value.astype(np.float64, copy=False)
+        elif kind == "nodes":
+            value = tuple(_items(value, what))
+            for x in value:
+                if not isinstance(x, Integral):
+                    raise StencilError(f"{what} must be integers, got {x!r} in {value}")
+            value = tuple(int(x) for x in value)
+        elif kind == "path":     # an int would open that file descriptor
+            if not isinstance(value, (str, os.PathLike)):
+                raise TypeError(f"{what} must be a path, got {value!r}")
+        if self.nonempty and not value:
+            raise ValueError(f"{what} must not be empty")
+        return value
+
+
+INTEGER, DIMENSION = _Arg("integer", "integer"), _Arg("integer", "dimension", 1)
+ORDER = _Arg("integer", "order", 1, OrderError)
+REAL, POSITIVE = _Arg("real", "real"), _Arg("positive", "tau")
+CALLABLE, PATH = _Arg("callable", "integrand"), _Arg("path", "path")
+ARRAY, NODES = _Arg("array", "array"), _Arg("nodes", "stencil nodes")
+MODE = _Arg("choice", "stencil mode", ("free", "block"))
+FAMILY = _Arg("choice", "stencil family", ("single", "paired"))
+MULTI_INDEX = _Arg("tuple", "multi-index", INTEGER.named("multi-index entry"))
+MULTI_INDICES = _Arg("multi-indices", "multi-index")
+
+# public name -> {parameter or field: its argument class}
+_ARGUMENTS: dict[str, dict[str, _Arg]] = {}
+
+
+def _checked(**classes: _Arg):
+    """Declare the class of each named parameter of a public callable in
+    ``_ARGUMENTS`` and check them on entry, in parameter order, through a
+    position map built here once; the callable runs on the checked values.
+    A dataclass checks its fields so before its own ``__post_init__``; a
+    plain record (no classes) is only declared."""
+    def declare(obj):
+        _ARGUMENTS[obj.__qualname__] = classes
+        if not classes:
+            return obj
+        if isinstance(obj, type):
+            post = getattr(obj, "__post_init__", lambda self: None)
+
+            def __post_init__(self):
+                for name, arg in classes.items():
+                    object.__setattr__(self, name, arg.check(getattr(self, name), arg.label))
+                post(self)
+            obj.__post_init__ = __post_init__
+            return obj
+        names = list(inspect.signature(obj).parameters)
+        at = sorted((names.index(name), name, arg.check, arg.label)
+                    for name, arg in classes.items())
+
+        @functools.wraps(obj)
+        def checked(*args, **kwargs):
+            args, n = list(args), len(args)
+            for i, name, check, label in at:
+                if i < n:
+                    args[i] = check(args[i], label)
+                elif name in kwargs:
+                    kwargs[name] = check(kwargs[name], label)
+            return obj(*args, **kwargs)
+        return checked
+    return declare
 
 
 @dataclass(frozen=True)
+@_checked(s=DIMENSION.named("GridSpec.s"), k=_Arg("integer", "GridSpec.k", 1),
+          m=_Arg("integer", "GridSpec.m", 0))
 class GridSpec:
     """Cubic stratification of ``[-m/k, 1+m/k]^s`` into cells of side 1/k.
 
-    Attributes (integers; anything else raises ``TypeError``; numpy
-    integers are stored as Python ints, as in ``Stream``):
+    Attributes (integers, stored as Python ints so that equal grids are
+    alike as cache keys and in reports):
         s: dimension, >= 1.
         k: strata per axis inside the unit cube, >= 1.
         m: margin layers outside the unit cube on each side, >= 0.
@@ -87,16 +227,6 @@ class GridSpec:
     s: int
     k: int
     m: int = 0
-
-    def __post_init__(self):
-        for name in ("s", "k", "m"):
-            # equal grids are then alike as cache keys and in reports
-            object.__setattr__(self, name, _integer(getattr(self, name), f"GridSpec.{name}"))
-        _dimension(self.s)
-        if self.k < 1:
-            raise ValueError(f"resolution must be >= 1, got {self.k}")
-        if self.m < 0:
-            raise ValueError(f"margin must be >= 0, got {self.m}")
 
     @property
     def side(self) -> int:
@@ -112,11 +242,7 @@ class GridSpec:
         return range(-self.m, self.k + self.m)
 
 
-def _grid(value) -> GridSpec:
-    """``value`` if it is a ``GridSpec``, else ``TypeError``: the one type check of a grid."""
-    if not isinstance(value, GridSpec):
-        raise TypeError(f"grid must be a GridSpec, got {value!r}")
-    return value
+GRID = _Arg("instance", "grid", GridSpec)
 
 
 @lru_cache(maxsize=128)
@@ -134,17 +260,20 @@ def _grid_arrays(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     return idx, ctr
 
 
+@_checked(grid=GRID)
 def index_array(grid: GridSpec) -> np.ndarray:
     """(n_centres, s) int64 array of index vectors, lexicographic order."""
     return _grid_arrays(grid)[0]
 
 
+@_checked(grid=GRID)
 def centre_array(grid: GridSpec) -> np.ndarray:
     """(n_centres, s) float array of centres, same order as index_array."""
     return _grid_arrays(grid)[1]
 
 
 @dataclass(frozen=True)
+@_checked(seed=INTEGER.named("Stream.seed"), replicate=INTEGER.named("Stream.replicate"))
 class Stream:
     """Identifies one replicate's randomness; cheap to create and hash.
 
@@ -159,20 +288,15 @@ class Stream:
     in integers before one division by ``k * 2^53``.  ``bulk_uniform(shape)``
     uses numpy's ``SeedSequence`` on ``(seed, replicate)`` and one fixed tag.
 
-    ``seed`` and ``replicate`` must be integers (anything else raises
-    ``TypeError``); numpy integers are stored as Python ints, so
-    ``Stream(np.int64(3)) == Stream(3)`` with the same draws.
+    The fields are stored as Python ints, so ``Stream(np.int64(3)) ==
+    Stream(3)`` with the same draws (the key is mixed in Python ints, where
+    ``seed + _GOLDEN`` must not overflow int64).
     """
 
     seed: int
     replicate: int = 0
 
-    def __post_init__(self):
-        for name in ("seed", "replicate"):
-            # a numpy integer is stored as a Python int: the key is mixed in
-            # Python ints, where ``seed + _GOLDEN`` must not overflow int64
-            object.__setattr__(self, name, _integer(getattr(self, name), f"Stream.{name}"))
-
+    @_checked(grid=GRID)
     def offsets(self, grid: GridSpec) -> np.ndarray:
         """Stratum offsets for every centre of ``grid``.
 
@@ -184,6 +308,12 @@ class Stream:
         """Vectorized iid uniforms for non-stratified use (crude MC)."""
         ss = np.random.SeedSequence(entropy=(self.seed & _MASK64, self.replicate & _MASK64, _BULK_TAG))
         return np.random.default_rng(ss).random(shape)
+
+
+STREAM = _Arg("instance", "stream", Stream)
+STREAMS = _Arg("sequence", "streams", Stream, nonempty=True)
+# an estimator's stream: one Stream, or a sequence of them giving one report each
+STREAM_OR_STREAMS = _Arg("sequence", "stream", Stream, one=True, nonempty=True)
 
 
 _MASK64 = (1 << 64) - 1

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlignmentError, DomainError, OrderError
-from .lattice import GridSpec, Stream, _integer, _real
+from .errors import AlignmentError, DomainError
+from .lattice import CALLABLE, GRID, ORDER, REAL, STREAM, GridSpec, Stream, _Arg, _checked
 from .estimators import EstimateReport, vanishing_orders
 
 __all__ = [
@@ -35,6 +35,7 @@ __all__ = [
 
 
 @dataclass
+@_checked()
 class ReplicateSummary:
     """Pooled result of l independent replicates of one estimator config."""
 
@@ -67,6 +68,10 @@ def _aligned_terms(reports: list[EstimateReport]) -> np.ndarray:
     return np.stack([rep.per_stratum_terms for rep in reports])
 
 
+REPORTS = _Arg("sequence", "reports", EstimateReport)
+
+
+@_checked(reports=REPORTS)
 def variance_estimate(reports: list[EstimateReport]) -> float:
     """Unbiased estimate of Var(single replicate) from aligned per-stratum terms.
 
@@ -79,6 +84,7 @@ def variance_estimate(reports: list[EstimateReport]) -> float:
     return float(per_stratum.sum()) / reports[0].normalizer ** 2
 
 
+@_checked(reports=REPORTS)
 def pooled(reports: list[EstimateReport]) -> ReplicateSummary:
     """Mean of the replicate values plus the variance of that mean."""
     v_hat = variance_estimate(reports)
@@ -92,28 +98,25 @@ def pooled(reports: list[EstimateReport]) -> ReplicateSummary:
     )
 
 
+@_checked(delta=REAL.named("delta"), c_hat=REAL.named("c_hat"), norm_r=REAL.named("norm_r"),
+          n=_Arg("integer", "n", 1, DomainError), r=ORDER,
+          s=_Arg("integer", "dimension", 1, DomainError))
 def tail_bound(delta: float, c_hat: float, norm_r: float, n: int, r: int, s: int) -> float:
     """Radius of the level-(1-delta) concentration interval.
 
     With ``c_hat`` the computable worst-case constant and ``norm_r`` an upper
     bound on the order-r derivatives, the estimate lies within this radius of
-    the true integral with probability at least 1 - delta.  ``n``, ``r`` and
-    ``s`` must be integers and ``delta``, ``c_hat`` and ``norm_r`` real
-    numbers (``TypeError`` naming the argument), ``r >= 1``.
+    the true integral with probability at least 1 - delta: ``n >= 1``,
+    ``r >= 1``, ``s >= 1``, ``0 < delta < 1`` and ``c_hat, norm_r >= 0``.
     """
-    n, r, s = _integer(n, "n"), _integer(r, "order"), _integer(s, "dimension")
-    delta, c_hat, norm_r = _real(delta, "delta"), _real(c_hat, "c_hat"), _real(norm_r, "norm_r")
-    if r < 1:
-        raise OrderError(f"order must be >= 1, got {r}")
     if not 0.0 < delta < 1.0:
         raise DomainError(f"delta must be in (0, 1), got {delta}")
-    if n < 1 or s < 1:
-        raise DomainError(f"need n >= 1 evaluations and dimension s >= 1, got n={n}, s={s}")
     if not (c_hat >= 0.0 and norm_r >= 0.0):
         raise DomainError(f"need c_hat >= 0 and norm_r >= 0, got c_hat={c_hat}, norm_r={norm_r}")
     return float(n) ** (-0.5 - r / s) * c_hat * norm_r * math.sqrt(2.0 * math.log(2.0 / delta))
 
 
+@_checked(f=CALLABLE, r_max=ORDER, grid=GRID, l=_Arg("integer", "l", 2), stream=STREAM)
 def select_order(f, r_max: int, grid: GridSpec, l: int, stream: Stream):
     """Run the vanishing estimator at all orders 1..r_max and pick the best.
 
@@ -129,10 +132,6 @@ def select_order(f, r_max: int, grid: GridSpec, l: int, stream: Stream):
     per-order values are bit-identical to standalone runs of the vanishing
     estimator on the same streams, on any accepted margin.
     """
-    if _integer(l, "l") < 2:
-        raise ValueError(f"need l >= 2 replicates, got {l}")
-    if not isinstance(stream, Stream):
-        raise TypeError(f"stream must be a Stream, got {stream!r}")
     streams = [Stream(stream.seed, stream.replicate + j) for j in range(l)]
     summaries = {r_prime: pooled(reports)
                  for r_prime, reports in vanishing_orders(f, r_max, grid, streams).items()}

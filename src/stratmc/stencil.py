@@ -29,18 +29,18 @@ multi-indices and grid.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import factorial
-from numbers import Integral
-from typing import Iterator, Mapping
 
 import numpy as np
 
 from .errors import (DomainError, IncompleteEvaluationError, OrderError, ResolutionError,
                      StencilError)
-from .lattice import GridSpec, _dimension, _grid, _integer
+from .lattice import (ARRAY, DIMENSION, FAMILY, GRID, INTEGER, MODE, MULTI_INDEX, MULTI_INDICES,
+                      NODES, GridSpec, _Arg, _checked)
 
 __all__ = [
     "abs_order",
@@ -69,11 +69,9 @@ def multi_factorial(alpha) -> int:
         out *= factorial(a)
     return out
 
+@_checked(s=DIMENSION, total=_Arg("integer", "total order", 0, OrderError))
 def multi_indices(s: int, total: int) -> Iterator[tuple[int, ...]]:
     """All multi-indices of length s with |alpha| = total, lexicographic; total >= 0."""
-    s, total = _dimension(s), _integer(total, "total order")
-    if total < 0:
-        raise OrderError(f"total order must be >= 0, got {total}")
     if s == 1:
         yield (total,)
         return
@@ -109,17 +107,18 @@ def _lagrange_coeff_exact(kappa: tuple[int, ...], a: int) -> tuple[Fraction, ...
     return tuple(weights)
 
 
+_WEIGHT_ARGS = dict(kappa=NODES, a=INTEGER.named("derivative order"))
+
+
+@_checked(**_WEIGHT_ARGS)
 def univariate_weights_exact(kappa, a: int) -> tuple[Fraction, ...]:
     """Rational weights; oracle counterpart of univariate_weights."""
-    kappa = tuple(kappa)
-    for x in kappa:
-        if not isinstance(x, Integral):
-            raise StencilError(f"stencil nodes must be integers, got {x!r} in {kappa}")
-    kappa, a = tuple(int(x) for x in kappa), _integer(a, "derivative order")
     if not 1 <= a <= len(kappa) - 1:
         raise OrderError(f"derivative order must be in [1, {len(kappa) - 1}], got {a}")
     return _lagrange_coeff_exact(kappa, a)
 
+
+@_checked(**_WEIGHT_ARGS)
 def univariate_weights(kappa, a: int) -> np.ndarray:
     """Read-only float weights for the a-th derivative on distinct nodes ``kappa``.
 
@@ -194,25 +193,16 @@ def _axis_steps(alpha, r: int) -> list[tuple[int, int, int]]:
     return steps
 
 
-def _check_mode(mode) -> str:
-    """``mode`` if it is a stencil mode, ``"free"`` or ``"block"``; else a ValueError."""
-    if not isinstance(mode, str) or mode not in ("free", "block"):
-        raise ValueError(f"unknown stencil mode {mode!r}")
-    return mode
-
-
 def _active_tables(alpha, grid: GridSpec, r: int, mode: str):
-    """Checked ``alpha`` and (axis, order, window, starts, nodes, weights) per active axis.
+    """(axis, order, window, starts, nodes, weights) per active axis of ``alpha``.
 
-    The checks both stencil functions share: a known ``mode``, ``alpha``
-    with integer entries, length s and no negative entry, |alpha| < r, and
-    k >= r once an axis is active; block mode (side-r blocks) also needs a
+    The rules both stencil functions share, on their checked arguments:
+    ``alpha`` of length s with no negative entry, |alpha| < r, and k >= r
+    once an axis is active; block mode (side-r blocks) also needs a
     margin-free grid and k >= r.  Each axis reads its ``_axis_table`` and
     the weights of its order there.
     """
-    block = r if _check_mode(mode) == "block" else 0
-    grid = _grid(grid)
-    alpha = tuple(_integer(a, "multi-index entry") for a in alpha)
+    block = r if mode == "block" else 0
     if len(alpha) != grid.s or any(a < 0 for a in alpha):
         raise ValueError(f"bad multi-index {alpha} for dimension {grid.s}")
     if abs_order(alpha) >= r:
@@ -227,10 +217,11 @@ def _active_tables(alpha, grid: GridSpec, r: int, mode: str):
     for axis, a, window in steps:
         starts, nodes, weights = _axis_table(window, lo, hi, block)
         tables.append((axis, a, window, starts, nodes, weights[a]))
-    return alpha, tables
+    return tables
 
 
 @dataclass(frozen=True)
+@_checked()
 class DerivativeStencil:
     """Grid stencil approximating D^alpha f at one centre.
 
@@ -246,6 +237,11 @@ class DerivativeStencil:
     scale: float
 
 
+_STENCIL_ARGS = dict(grid=GRID, r=INTEGER.named("order"), mode=MODE)
+
+
+@_checked(alpha=MULTI_INDEX, **_STENCIL_ARGS,
+          centre_index=_Arg("tuple", "centre index", INTEGER.named("centre index")))
 def derivative_stencil(alpha, centre_index, grid: GridSpec, r: int,
                        mode: str = "free") -> DerivativeStencil:
     """Build the stencil for D^alpha at one centre.
@@ -256,17 +252,16 @@ def derivative_stencil(alpha, centre_index, grid: GridSpec, r: int,
     tables :func:`derivative_grid` applies, and nodes run over their tensor
     product, first active axis slowest.
     """
-    alpha, tables = _active_tables(alpha, grid, _integer(r, "order"), mode)
-    centre = tuple(_integer(j, "centre index") for j in centre_index)
-    if len(centre) != grid.s or any(j not in grid.index_range() for j in centre):
-        raise DomainError(f"centre {centre} is not an index of {grid}")
+    tables = _active_tables(alpha, grid, r, mode)
+    if len(centre_index) != grid.s or any(j not in grid.index_range() for j in centre_index):
+        raise DomainError(f"centre {centre_index} is not an index of {grid}")
     if not tables:
         one = np.ones(1)
         z = np.zeros((1, grid.s), dtype=np.int64)
-        return DerivativeStencil(alpha, centre, z, np.array([centre]), one, 1.0)
+        return DerivativeStencil(alpha, centre_index, z, np.array([centre_index]), one, 1.0)
     active, axis_offsets, axis_weights = [], [], []
     for axis, _a, window, starts, _nodes, weights in tables:
-        row = centre[axis] + grid.m
+        row = centre_index[axis] + grid.m
         active.append(axis)
         axis_offsets.append(starts[row] + np.arange(window))
         axis_weights.append(weights[:, row])
@@ -274,11 +269,13 @@ def derivative_stencil(alpha, centre_index, grid: GridSpec, r: int,
     offsets = np.zeros((mesh[0].size, grid.s), dtype=np.int64)
     offsets[:, active] = np.stack([m.reshape(-1) for m in mesh], axis=1)
     weights = reduce(np.multiply.outer, axis_weights).reshape(-1)
-    nodes = np.asarray(centre, dtype=np.int64) + offsets
-    return DerivativeStencil(alpha, centre, offsets, nodes,
+    nodes = np.asarray(centre_index, dtype=np.int64) + offsets
+    return DerivativeStencil(alpha, centre_index, offsets, nodes,
                              weights, float(grid.k) ** abs_order(alpha))
 
 
+@_checked(stencil=_Arg("instance", "stencil", DerivativeStencil),
+          values=_Arg("instance", "values", Mapping))
 def apply_stencil(stencil: DerivativeStencil, values: Mapping[tuple[int, ...], float]) -> float:
     """Evaluate the stencil on a map from centre index to function value."""
     acc = 0.0
@@ -331,10 +328,11 @@ def _grid_tree(alphas: tuple[tuple[int, ...], ...], grid: GridSpec, r: int, mode
     Its root reads the centre values; multi-indices are walked axis by axis,
     and those that agree on their leading passes share one branch.
     """
-    checked = [_active_tables(a, grid, r, mode) for a in alphas]
+    checked = [(a, _active_tables(a, grid, r, mode)) for a in alphas]
     return _plan_node(checked, range(len(checked)), 0, grid)
 
 
+@_checked(fvals=ARRAY.named("fvals"), alpha=MULTI_INDICES, **_STENCIL_ARGS)
 def derivative_grid(fvals: np.ndarray, alpha, grid: GridSpec, r: int,
                     mode: str = "free") -> np.ndarray | list[np.ndarray]:
     """D^alpha estimates at every centre from the flat vector of centre values.
@@ -350,23 +348,16 @@ def derivative_grid(fvals: np.ndarray, alpha, grid: GridSpec, r: int,
     there.  Cost is O(n_centres * window) per pass and memory
     O(n_centres * window), never side^2.
 
-    ``mode`` is ``"free"`` or ``"block"``, as for :func:`derivative_stencil`.
     The walk is planned once per ``(alphas, grid, r, mode)`` and cached as
     a tree of passes; a call runs it from a stack of (partial result, node),
     so each partial is dropped once its children are computed.  A failed
     plan is not cached, so a bad argument raises on every call, and the
     values are the same whether or not the tree came from the cache.
     """
-    if (type(alpha) is tuple and all([type(a) is tuple for a in alpha])
-            and all([type(v) is int for a in alpha for v in a])):
-        single, alphas = False, alpha   # already normalised, as a plan passes them
-    else:
-        alpha = list(alpha)
-        single = bool(alpha) and all(np.ndim(a) == 0 for a in alpha)
-        alphas = tuple(tuple(_integer(v, "multi-index entry") for v in a)
-                       for a in ([alpha] if single else alpha))
-    root = _grid_tree(alphas, _grid(grid), _integer(r, "order"), _check_mode(mode))
-    t = np.asarray(fvals, dtype=float)
+    single = bool(alpha) and type(alpha[0]) is int
+    alphas = (alpha,) if single else alpha
+    root = _grid_tree(alphas, grid, r, mode)
+    t = fvals
     if t.size != grid.n_centres:
         raise ValueError(f"fvals has {t.size} values, {grid} has {grid.n_centres} centres")
     out = [None] * len(alphas)
@@ -402,17 +393,16 @@ def _family_stencils(family: str, s: int, r: int, room: int | None = None):
     """
     if family == "single":
         totals, r_build = range(1, r), r
-    elif family == "paired":
+    else:   # "paired"
         widened = r + r % 2
         totals, r_build = range(2, r, 2), widened if room is None or room >= widened else r
-    else:
-        raise ValueError(f"unknown stencil family {family!r}")
     return tuple(a for total in totals for a in multi_indices(s, total)), r_build
 
 
 # ---------------------------------------------------------------------------
 # worst-case error constant
 
+@_checked(s=DIMENSION, r=_Arg("integer", "order", 2, OrderError), family=FAMILY)
 def error_constant(s: int, r: int, family: str = "single") -> float:
     """Computable constant C with |estimate - integral| <= C * ||f||_r * n^(-r/s).
 
@@ -425,9 +415,6 @@ def error_constant(s: int, r: int, family: str = "single") -> float:
     unwidened windows (block mode, or k = r with r odd) have a smaller
     constant, so this one is conservative there.
     """
-    r = _integer(r, "order")
-    if r < 2:
-        raise OrderError(f"error constant defined for r >= 2, got {r}")
     alphas, r_build = _family_stencils(family, s, r)
     c_bar = 0.0
     for alpha in alphas:

@@ -13,10 +13,8 @@ Such integrands are exactly what the dilation-combination estimator in
 +0.0 elsewhere.  Points of another width than ``s``, or with a NaN
 coordinate, raise ``DomainError``, as do NaN entries given to ``psi`` and
 ``jacobian_factor``.  ``g`` and the log-density ``h`` are held to the
-integrand contract of :mod:`stratmc.estimators`.  Every entry point rejects
-a tail exponent ``tau`` that is not a real number with ``TypeError``, and
-one that is not a finite number > 0 with ``ValueError``; ``wrap`` rejects a
-dimension that is not an integer >= 1 as the lattice does.
+integrand contract of :mod:`stratmc.estimators`.  The arguments are checked
+on entry as README's "Argument checks" says.
 
 ``laplace_reparametrize`` applies the recipe to log-densities: centre at the
 mode, scale by a Cholesky factor of the curvature there, then wrap with the
@@ -26,7 +24,6 @@ because they lead to very differently conditioned integrands.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -34,7 +31,7 @@ import numpy as np
 
 from .errors import DomainError, OptimizationError, StratError
 from .estimators import _evaluate, _values
-from .lattice import _dimension, _real
+from .lattice import ARRAY, CALLABLE, DIMENSION, POSITIVE, _Arg, _checked
 
 __all__ = [
     "psi",
@@ -53,12 +50,6 @@ _TAU = 1.5
 def _in_open_cube(u: np.ndarray) -> bool:
     # a NaN makes min() and max() NaN, and every comparison with it False
     return u.size == 0 or bool(u.min() > 0.0 and u.max() < 1.0)
-
-
-def _positive(value, what: str) -> None:
-    # tau: psi maps (0, 1) onto the real line only for tau > 0
-    if not (_real(value, what) > 0.0 and math.isfinite(value)):
-        raise ValueError(f"{what} must be a finite number > 0, got {value}")
 
 
 def _interior(u: np.ndarray) -> None:
@@ -95,15 +86,18 @@ def _axis_product(per_axis: np.ndarray) -> np.ndarray:
     return out
 
 
+_MAP_ARGS = dict(u=ARRAY.named("u"), tau=POSITIVE)
+
+
+@_checked(**_MAP_ARGS)
 def psi(u, tau: float):
     """Componentwise (2u - 1) / (u^tau (1-u)^tau); open cube to R^s."""
-    _positive(tau, "tau")
-    u = np.asarray(u, dtype=float)
     _interior(u)
     _base, centred, scale = _parts(u, tau)
     return centred / scale
 
 
+@_checked(**_MAP_ARGS)
 def jacobian_factor(u, tau: float):
     """Product over axes of psi'(u_i); the change-of-variables weight.
 
@@ -114,8 +108,6 @@ def jacobian_factor(u, tau: float):
     short axis); one point of shape (s,) gives a numpy scalar and a 0-d
     input a float.
     """
-    _positive(tau, "tau")
-    u = np.asarray(u, dtype=float)
     _interior(u)
     per_axis = _slope(*_parts(np.atleast_1d(u), tau), tau)
     if u.ndim == 0:
@@ -123,7 +115,11 @@ def jacobian_factor(u, tau: float):
     return _axis_product(per_axis)[()]
 
 
+_WRAP_ARGS = dict(g=CALLABLE.named("g"), s=DIMENSION, tau=POSITIVE)
+
+
 @dataclass
+@_checked(**_WRAP_ARGS)
 class VanishingIntegrand:
     """g pushed through the tail map; zero on the cube boundary.
 
@@ -137,19 +133,14 @@ class VanishingIntegrand:
     with its floating-point warnings silenced, and the value is +0.0 all the
     same.  Where g is nonzero an overflow warns as ``jacobian_factor`` does.
     Points of another width than ``s``, and a point with a NaN coordinate,
-    raise ``DomainError``.
-    ``g`` is held to the integrand contract as the "wrapped integrand", at
-    the caller's row and the ``psi`` image it was given.  ``s`` and ``tau``
-    are checked once, here.
+    raise ``DomainError``.  ``g`` is held to the integrand contract of
+    :mod:`stratmc.estimators` as the "wrapped integrand", at the caller's
+    row and the ``psi`` image it was given.
     """
 
     g: Callable[[np.ndarray], np.ndarray]
     s: int
     tau: float
-
-    def __post_init__(self):
-        self.s = _dimension(self.s)
-        _positive(self.tau, "tau")
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -188,6 +179,7 @@ class VanishingIntegrand:
         return out
 
 
+@_checked(**_WRAP_ARGS)
 def wrap(g, s: int, tau: float = _TAU) -> VanishingIntegrand:
     """Turn an integrand on R^s into a boundary-vanishing one on the cube.
 
@@ -230,6 +222,7 @@ def _differences(h, x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
 
 
 @dataclass
+@_checked()
 class LaplaceFit:
     """Mode, curvature and wrapped integrand of exp(h)."""
 
@@ -240,6 +233,9 @@ class LaplaceFit:
     trace: list = field(default_factory=list)
 
 
+@_checked(h=CALLABLE.named("log-density"), mode_guess=ARRAY.named("mode_guess"),
+          scale=_Arg("choice", "scale", ("inv-hessian", "hessian")), tau=POSITIVE,
+          grad_tol=POSITIVE.named("grad_tol"))
 def laplace_reparametrize(h, mode_guess, *, scale: str, tau: float = _TAU,
                           grad_tol: float = 1e-8) -> LaplaceFit:
     """Recentre exp(h) at its mode and wrap it into a cube integrand.
@@ -257,8 +253,7 @@ def laplace_reparametrize(h, mode_guess, *, scale: str, tau: float = _TAU,
     contract as the "log-density".  A line-search candidate is one row held
     to the same shape and dtype rules; a NaN or -inf value there means no
     ascent and halves the step.  The search gives up after 200 iterates.
-    ``tau`` and ``grad_tol`` (finite real numbers > 0) and ``mode_guess``
-    (1-D, of length at least 1) are checked before h is first called.
+    Every argument is checked before h is first called.
 
     ``scale`` selects the linear change of variables, with H the curvature
     (Hessian of -h) at the mode, taken from the last iterate's batch:
@@ -272,14 +267,11 @@ def laplace_reparametrize(h, mode_guess, *, scale: str, tau: float = _TAU,
     (|det L| is folded in); they differ only in conditioning, and no default
     is taken.
     """
-    if scale not in ("inv-hessian", "hessian"):
-        raise ValueError(f"scale must be 'inv-hessian' or 'hessian', got {scale!r}")
-    _positive(tau, "tau")
-    _positive(grad_tol, "grad_tol")
-    x = np.asarray(mode_guess, dtype=float).copy()
+    x, s = mode_guess.copy(), mode_guess.size
     if x.ndim != 1:
         raise ValueError(f"mode_guess must be 1-D, got shape {x.shape}")
-    s = _dimension(len(x), "mode_guess length")
+    if not s:
+        raise ValueError("mode_guess length must be >= 1, got 0")
     trace = [x.copy()]
     for _ in range(_MAX_ITER):
         h_now, grad, hess = _differences(h, x)

@@ -583,8 +583,9 @@ def test_family_stencils_table():
     assert _family_stencils("paired", 2, 3, 3) == (((0, 2), (1, 1), (2, 0)), 3)
     assert _family_stencils("paired", 1, 4, 4) == (((2,),), 4)
     assert _family_stencils("paired", 1, 2) == ((), 2)
+    # the family is checked on entry, by the argument table
     with pytest.raises(ValueError, match="unknown stencil family 'bogus'"):
-        _family_stencils("bogus", 2, 3)
+        error_constant(2, 3, family="bogus")
 
 
 @pytest.mark.parametrize("family", ["single", "paired"])
