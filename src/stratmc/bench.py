@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StratError
-from .lattice import (CALLABLE, DIMENSION, INTEGER, PATH, POSITIVE, GridSpec, Stream, _Arg,
-                      _checked, substream_id)
+from .lattice import (_CALLABLE, _DIMENSION, _INTEGER, _PATH, _POSITIVE, GridSpec, Stream,
+                      _Arg, _checked, substream_id)
 # every estimator is bound here, so a tracer can wrap each by its name in this
 # module; estimate_analytic_cv has no variant
 from .estimators import (  # noqa: F401
@@ -61,7 +61,7 @@ PRIOR_SD = 5.0  # the logistic integrand's prior standard deviation per coeffici
 
 
 @dataclass
-@_checked(s=DIMENSION.named("Integrand.s"), fn=CALLABLE.named("Integrand.fn"))
+@_checked(s=_DIMENSION.named("Integrand.s"), fn=_CALLABLE.named("Integrand.fn"))
 class Integrand:
     """A test integrand with optional exact value."""
 
@@ -75,7 +75,7 @@ class Integrand:
         return self.fn(pts)
 
 
-@_checked(s=DIMENSION)
+@_checked(s=_DIMENSION)
 def test_function(s: int) -> Integrand:
     """The smooth product family: u e^u for s=1, else (prod u_j^(j-1)) e^(prod u_j).
 
@@ -100,7 +100,7 @@ def test_function(s: int) -> Integrand:
     return Integrand(name=f"fs({s})", s=s, fn=fn, exact=exact)
 
 
-@_checked(s=DIMENSION, tau=POSITIVE)
+@_checked(s=_DIMENSION, tau=_POSITIVE)
 def wrapped_gaussian(s: int, tau: float = _TAU) -> Integrand:
     """Standard normal density on R^s pushed onto the cube; integrates to 1."""
 
@@ -123,7 +123,7 @@ def _quadratic(s: int) -> Integrand:
 _INTEGRANDS = ("fs", "gauss", "poly2", "logistic")
 
 
-@_checked(fn_id=_Arg("choice", "integrand id", _INTEGRANDS), s=DIMENSION, tau=POSITIVE)
+@_checked(fn_id=_Arg("choice", "integrand id", _INTEGRANDS), s=_DIMENSION, tau=_POSITIVE)
 def make_integrand(fn_id: str, s: int, tau: float = _TAU,
                    dataset: str | None = None) -> Integrand:
     """Resolve a CLI integrand id; ``tau`` is checked for every id, and only
@@ -173,7 +173,7 @@ def _read_table(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
     return header, rows
 
 
-@_checked(path=PATH)
+@_checked(path=_PATH)
 def load_labelled_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read a header CSV whose first column is the label, rest predictors.
 
@@ -193,7 +193,7 @@ def load_labelled_csv(path) -> tuple[np.ndarray, np.ndarray]:
     return y, data[:, 1:]
 
 
-@_checked(dataset=PATH.named("dataset"), s=DIMENSION, tau=POSITIVE)
+@_checked(dataset=_PATH.named("dataset"), s=_DIMENSION, tau=_POSITIVE)
 def logistic_marginal_likelihood(dataset, s: int, tau: float = _TAU) -> Integrand:
     """Marginal likelihood of a logistic regression as a cube integrand.
 
@@ -249,7 +249,7 @@ VARIANTS = tuple(_REGISTRY)
           variants=_Arg("tuple", "variants", _Arg("choice", "variant", VARIANTS), nonempty=True),
           r_values=_Arg("tuple", "r_values", _Arg("integer", "r_values entry", 1)),
           k_values=_Arg("tuple", "k_values", _Arg("integer", "k_values entry", 1), nonempty=True),
-          replicates=_Arg("integer", "replicates", 2), seed=INTEGER.named("seed"))
+          replicates=_Arg("integer", "replicates", 2), seed=_INTEGER.named("seed"))
 class ExperimentConfig:
     integrand: Integrand
     variants: tuple[str, ...]
@@ -323,10 +323,10 @@ def run(config: ExperimentConfig) -> list[ResultRow]:
             for (variant, r, k), n_mean, stat, denom in zip(cells, n_means, stats, denoms)]
 
 
-ROWS = _Arg("sequence", "rows", ResultRow)
+_ROWS = _Arg("sequence", "rows", ResultRow)
 
 
-@_checked(path=PATH, rows=ROWS)
+@_checked(path=_PATH, rows=_ROWS)
 def write_rows(path, rows: list[ResultRow]) -> None:
     with open(path, "w", newline="") as fh:
         _write_csv(fh, rows)
@@ -344,7 +344,7 @@ def _write_csv(fh, rows: list[ResultRow], lineterminator: str = "\r\n") -> None:
         ])
 
 
-@_checked(path=PATH)
+@_checked(path=_PATH)
 def read_rows(path) -> list[ResultRow]:
     header, table = _read_table(path)
     missing = [name for name in CSV_COLUMNS if name not in header]
@@ -372,7 +372,7 @@ def read_rows(path) -> list[ResultRow]:
     return rows
 
 
-@_checked(rows=ROWS)
+@_checked(rows=_ROWS)
 def fit_slope(rows: list[ResultRow]) -> float:
     """Least-squares slope of log(rel_error) against log(n_evals).
 

@@ -57,8 +57,8 @@ from operator import index
 import numpy as np
 
 from .errors import IntegrandError, ResolutionError
-from .lattice import (CALLABLE, DIMENSION, GRID, INTEGER, MODE, ORDER, STREAM_OR_STREAMS, STREAMS,
-                      GridSpec, Stream, _Arg, _checked, centre_array)
+from .lattice import (_CALLABLE, _DIMENSION, _GRID, _INTEGER, _MODE, _ORDER, _STREAM_OR_STREAMS,
+                      _STREAMS, GridSpec, Stream, _Arg, _checked, centre_array)
 from .stencil import (
     _family_stencils,
     _lagrange_coeff_exact,
@@ -127,7 +127,7 @@ def _reach(shifts) -> int:
     return (max(map(abs, shifts)) - 1) // 2
 
 
-@_checked(r=ORDER)
+@_checked(r=_ORDER)
 def vanishing_margin(r: int) -> int:
     """Smallest margin at order r: the reach (r - 1) // 2 of dilation r or r - 1.
 
@@ -150,7 +150,7 @@ class ShiftCoefficients:
     weights: tuple[float, ...]
 
 
-@_checked(r=ORDER)
+@_checked(r=_ORDER)
 def shift_coefficients(r: int) -> ShiftCoefficients:
     shifts = _shifts(r)
     exact = _lagrange_coeff_exact(shifts, 0)
@@ -530,8 +530,8 @@ def _derivatives(plan: _Plan, f, oracle) -> list[np.ndarray]:
     return derivative_grid(fvals, plan.alphas, grid, plan.r_build, plan.config.mode)
 
 
-@_checked(g=CALLABLE.named("g"), shift=INTEGER.named("dilation"), grid=GRID,
-          stream=STREAM_OR_STREAMS)
+@_checked(g=_CALLABLE.named("g"), shift=_INTEGER.named("dilation"), grid=_GRID,
+          stream=_STREAM_OR_STREAMS)
 def shifted_stratum_mean(g, shift: int, grid: GridSpec, stream: Stream) -> float:
     """k^-s sum over centres of gbar(c + shift * U_c); unbiased for the integral.
 
@@ -545,10 +545,10 @@ def shifted_stratum_mean(g, shift: int, grid: GridSpec, stream: Stream) -> float
 # ---------------------------------------------------------------------------
 # estimators
 
-_ESTIMATOR_ARGS = dict(f=CALLABLE, r=ORDER, grid=GRID, stream=STREAM_OR_STREAMS)
+_ESTIMATOR_ARGS = dict(f=_CALLABLE, r=_ORDER, grid=_GRID, stream=_STREAM_OR_STREAMS)
 
 
-@_checked(f=CALLABLE, s=DIMENSION, n=_Arg("integer", "n", 1), stream=STREAM_OR_STREAMS)
+@_checked(f=_CALLABLE, s=_DIMENSION, n=_Arg("integer", "n", 1), stream=_STREAM_OR_STREAMS)
 def crude_mc(f, s: int, n: int, stream: Stream | Sequence[Stream], keep_terms: bool = False):
     """Plain Monte Carlo: mean of f at n iid uniform points."""
     config = EstimatorConfig("crude", 1, GridSpec(s, 1, 0))
@@ -569,19 +569,19 @@ def crude_mc(f, s: int, n: int, stream: Stream | Sequence[Stream], keep_terms: b
     return _per_stream(stream, one)
 
 
-@_checked(f=CALLABLE, grid=GRID, stream=STREAM_OR_STREAMS)
+@_checked(f=_CALLABLE, grid=_GRID, stream=_STREAM_OR_STREAMS)
 def haber1(f, grid: GridSpec, stream: Stream | Sequence[Stream], keep_terms: bool = False):
     """One random evaluation per stratum; optimal for once-differentiable f."""
     return _estimate(_plan("haber1", 1, grid), f, stream, keep_terms)
 
 
-@_checked(f=CALLABLE, grid=GRID, stream=STREAM_OR_STREAMS)
+@_checked(f=_CALLABLE, grid=_GRID, stream=_STREAM_OR_STREAMS)
 def haber2(f, grid: GridSpec, stream: Stream | Sequence[Stream], keep_terms: bool = False):
     """Antithetic pair per stratum; optimal for twice-differentiable f."""
     return _estimate(_plan("haber2", 2, grid), f, stream, keep_terms)
 
 
-@_checked(derivative_oracle=CALLABLE.named("derivative oracle"), **_ESTIMATOR_ARGS)
+@_checked(derivative_oracle=_CALLABLE.named("derivative oracle"), **_ESTIMATOR_ARGS)
 def estimate_analytic_cv(f, derivative_oracle, r: int, grid: GridSpec,
                          stream: Stream | Sequence[Stream], keep_terms: bool = False):
     """Antithetic pairs plus an exact-derivative Taylor control variate.
@@ -595,7 +595,7 @@ def estimate_analytic_cv(f, derivative_oracle, r: int, grid: GridSpec,
     return _estimate(_plan("analytic_cv", r, grid), f, stream, keep_terms, derivative_oracle)
 
 
-@_checked(mode=MODE, **_ESTIMATOR_ARGS)
+@_checked(mode=_MODE, **_ESTIMATOR_ARGS)
 def estimate_paired_cv(f, r: int, grid: GridSpec, stream: Stream | Sequence[Stream],
                        mode: str = "free", keep_terms: bool = False):
     """Antithetic pairs plus difference-based control variates (even orders).
@@ -609,7 +609,7 @@ def estimate_paired_cv(f, r: int, grid: GridSpec, stream: Stream | Sequence[Stre
     return _estimate(_plan("paired_cv", r, grid, mode), f, stream, keep_terms)
 
 
-@_checked(mode=MODE, **_ESTIMATOR_ARGS)
+@_checked(mode=_MODE, **_ESTIMATOR_ARGS)
 def estimate_single_cv(f, r: int, grid: GridSpec, stream: Stream | Sequence[Stream],
                        mode: str = "free", keep_terms: bool = False):
     """Single random evaluation per stratum, control variates on all orders < r.
@@ -637,7 +637,7 @@ def estimate_vanishing(f, r: int, grid: GridSpec, stream: Stream | Sequence[Stre
     return _estimate(_plan("vanishing", r, grid), f, stream, keep_terms)
 
 
-@_checked(f=CALLABLE, r_max=ORDER, grid=GRID, streams=STREAMS)
+@_checked(f=_CALLABLE, r_max=_ORDER, grid=_GRID, streams=_STREAMS)
 def vanishing_orders(f, r_max: int, grid: GridSpec,
                      streams: Sequence[Stream]) -> dict[int, list[EstimateReport]]:
     """The vanishing estimator at every order 1..r_max, from the evaluations of r_max.
@@ -657,8 +657,8 @@ def vanishing_orders(f, r_max: int, grid: GridSpec,
 # ---------------------------------------------------------------------------
 # asymptotic variance diagnostic
 
-@_checked(derivative_oracle=CALLABLE.named("derivative oracle"), s=DIMENSION, r=ORDER,
-          budget=_Arg("integer", "budget", 2), seed=INTEGER.named("seed"))
+@_checked(derivative_oracle=_CALLABLE.named("derivative oracle"), s=_DIMENSION, r=_ORDER,
+          budget=_Arg("integer", "budget", 2), seed=_INTEGER.named("seed"))
 def asymptotic_variance_estimate(derivative_oracle, s: int, r: int, budget: int,
                                  seed: int = 0) -> float:
     """Limit of k^(s+2r) Var(paired estimate at resolution k) as k grows.

@@ -136,8 +136,8 @@ class _Arg(NamedTuple):
                 return value    # already normalised, as a plan passes them
             items = _items(value, what)
             if items and all(np.ndim(a) == 0 for a in items):
-                return MULTI_INDEX.check(items, what)
-            value = tuple(MULTI_INDEX.check(a, what) for a in items)
+                return _MULTI_INDEX.check(items, what)
+            value = tuple(_MULTI_INDEX.check(a, what) for a in items)
         elif kind == "array":
             try:
                 value = np.asarray(value)
@@ -161,15 +161,15 @@ class _Arg(NamedTuple):
         return value
 
 
-INTEGER, DIMENSION = _Arg("integer", "integer"), _Arg("integer", "dimension", 1)
-ORDER = _Arg("integer", "order", 1, OrderError)
-REAL, POSITIVE = _Arg("real", "real"), _Arg("positive", "tau")
-CALLABLE, PATH = _Arg("callable", "integrand"), _Arg("path", "path")
-ARRAY, NODES = _Arg("array", "array"), _Arg("nodes", "stencil nodes")
-MODE = _Arg("choice", "stencil mode", ("free", "block"))
-FAMILY = _Arg("choice", "stencil family", ("single", "paired"))
-MULTI_INDEX = _Arg("tuple", "multi-index", INTEGER.named("multi-index entry"))
-MULTI_INDICES = _Arg("multi-indices", "multi-index")
+_INTEGER, _DIMENSION = _Arg("integer", "integer"), _Arg("integer", "dimension", 1)
+_ORDER = _Arg("integer", "order", 1, OrderError)
+_REAL, _POSITIVE = _Arg("real", "real"), _Arg("positive", "tau")
+_CALLABLE, _PATH = _Arg("callable", "integrand"), _Arg("path", "path")
+_ARRAY, _NODES = _Arg("array", "array"), _Arg("nodes", "stencil nodes")
+_MODE = _Arg("choice", "stencil mode", ("free", "block"))
+_FAMILY = _Arg("choice", "stencil family", ("single", "paired"))
+_MULTI_INDEX = _Arg("tuple", "multi-index", _INTEGER.named("multi-index entry"))
+_MULTI_INDICES = _Arg("multi-indices", "multi-index")
 
 # public name -> {parameter or field: its argument class}
 _ARGUMENTS: dict[str, dict[str, _Arg]] = {}
@@ -212,7 +212,7 @@ def _checked(**classes: _Arg):
 
 
 @dataclass(frozen=True)
-@_checked(s=DIMENSION.named("GridSpec.s"), k=_Arg("integer", "GridSpec.k", 1),
+@_checked(s=_DIMENSION.named("GridSpec.s"), k=_Arg("integer", "GridSpec.k", 1),
           m=_Arg("integer", "GridSpec.m", 0))
 class GridSpec:
     """Cubic stratification of ``[-m/k, 1+m/k]^s`` into cells of side 1/k.
@@ -242,7 +242,7 @@ class GridSpec:
         return range(-self.m, self.k + self.m)
 
 
-GRID = _Arg("instance", "grid", GridSpec)
+_GRID = _Arg("instance", "grid", GridSpec)
 
 
 @lru_cache(maxsize=128)
@@ -260,20 +260,20 @@ def _grid_arrays(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     return idx, ctr
 
 
-@_checked(grid=GRID)
+@_checked(grid=_GRID)
 def index_array(grid: GridSpec) -> np.ndarray:
     """(n_centres, s) int64 array of index vectors, lexicographic order."""
     return _grid_arrays(grid)[0]
 
 
-@_checked(grid=GRID)
+@_checked(grid=_GRID)
 def centre_array(grid: GridSpec) -> np.ndarray:
     """(n_centres, s) float array of centres, same order as index_array."""
     return _grid_arrays(grid)[1]
 
 
 @dataclass(frozen=True)
-@_checked(seed=INTEGER.named("Stream.seed"), replicate=INTEGER.named("Stream.replicate"))
+@_checked(seed=_INTEGER.named("Stream.seed"), replicate=_INTEGER.named("Stream.replicate"))
 class Stream:
     """Identifies one replicate's randomness; cheap to create and hash.
 
@@ -296,7 +296,7 @@ class Stream:
     seed: int
     replicate: int = 0
 
-    @_checked(grid=GRID)
+    @_checked(grid=_GRID)
     def offsets(self, grid: GridSpec) -> np.ndarray:
         """Stratum offsets for every centre of ``grid``.
 
@@ -310,10 +310,10 @@ class Stream:
         return np.random.default_rng(ss).random(shape)
 
 
-STREAM = _Arg("instance", "stream", Stream)
-STREAMS = _Arg("sequence", "streams", Stream, nonempty=True)
+_STREAM = _Arg("instance", "stream", Stream)
+_STREAMS = _Arg("sequence", "streams", Stream, nonempty=True)
 # an estimator's stream: one Stream, or a sequence of them giving one report each
-STREAM_OR_STREAMS = _Arg("sequence", "stream", Stream, one=True, nonempty=True)
+_STREAM_OR_STREAMS = _Arg("sequence", "stream", Stream, one=True, nonempty=True)
 
 
 _MASK64 = (1 << 64) - 1

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlignmentError, DomainError
-from .lattice import CALLABLE, GRID, ORDER, REAL, STREAM, GridSpec, Stream, _Arg, _checked
+from .lattice import _CALLABLE, _GRID, _ORDER, _REAL, _STREAM, GridSpec, Stream, _Arg, _checked
 from .estimators import EstimateReport, vanishing_orders
 
 __all__ = [
@@ -68,10 +68,10 @@ def _aligned_terms(reports: list[EstimateReport]) -> np.ndarray:
     return np.stack([rep.per_stratum_terms for rep in reports])
 
 
-REPORTS = _Arg("sequence", "reports", EstimateReport)
+_REPORTS = _Arg("sequence", "reports", EstimateReport)
 
 
-@_checked(reports=REPORTS)
+@_checked(reports=_REPORTS)
 def variance_estimate(reports: list[EstimateReport]) -> float:
     """Unbiased estimate of Var(single replicate) from aligned per-stratum terms.
 
@@ -84,7 +84,7 @@ def variance_estimate(reports: list[EstimateReport]) -> float:
     return float(per_stratum.sum()) / reports[0].normalizer ** 2
 
 
-@_checked(reports=REPORTS)
+@_checked(reports=_REPORTS)
 def pooled(reports: list[EstimateReport]) -> ReplicateSummary:
     """Mean of the replicate values plus the variance of that mean."""
     v_hat = variance_estimate(reports)
@@ -98,8 +98,8 @@ def pooled(reports: list[EstimateReport]) -> ReplicateSummary:
     )
 
 
-@_checked(delta=REAL.named("delta"), c_hat=REAL.named("c_hat"), norm_r=REAL.named("norm_r"),
-          n=_Arg("integer", "n", 1, DomainError), r=ORDER,
+@_checked(delta=_REAL.named("delta"), c_hat=_REAL.named("c_hat"), norm_r=_REAL.named("norm_r"),
+          n=_Arg("integer", "n", 1, DomainError), r=_ORDER,
           s=_Arg("integer", "dimension", 1, DomainError))
 def tail_bound(delta: float, c_hat: float, norm_r: float, n: int, r: int, s: int) -> float:
     """Radius of the level-(1-delta) concentration interval.
@@ -116,7 +116,7 @@ def tail_bound(delta: float, c_hat: float, norm_r: float, n: int, r: int, s: int
     return float(n) ** (-0.5 - r / s) * c_hat * norm_r * math.sqrt(2.0 * math.log(2.0 / delta))
 
 
-@_checked(f=CALLABLE, r_max=ORDER, grid=GRID, l=_Arg("integer", "l", 2), stream=STREAM)
+@_checked(f=_CALLABLE, r_max=_ORDER, grid=_GRID, l=_Arg("integer", "l", 2), stream=_STREAM)
 def select_order(f, r_max: int, grid: GridSpec, l: int, stream: Stream):
     """Run the vanishing estimator at all orders 1..r_max and pick the best.
 

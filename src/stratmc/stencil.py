@@ -39,8 +39,8 @@ import numpy as np
 
 from .errors import (DomainError, IncompleteEvaluationError, OrderError, ResolutionError,
                      StencilError)
-from .lattice import (ARRAY, DIMENSION, FAMILY, GRID, INTEGER, MODE, MULTI_INDEX, MULTI_INDICES,
-                      NODES, GridSpec, _Arg, _checked)
+from .lattice import (_ARRAY, _DIMENSION, _FAMILY, _GRID, _INTEGER, _MODE, _MULTI_INDEX,
+                      _MULTI_INDICES, _NODES, GridSpec, _Arg, _checked)
 
 __all__ = [
     "abs_order",
@@ -69,7 +69,7 @@ def multi_factorial(alpha) -> int:
         out *= factorial(a)
     return out
 
-@_checked(s=DIMENSION, total=_Arg("integer", "total order", 0, OrderError))
+@_checked(s=_DIMENSION, total=_Arg("integer", "total order", 0, OrderError))
 def multi_indices(s: int, total: int) -> Iterator[tuple[int, ...]]:
     """All multi-indices of length s with |alpha| = total, lexicographic; total >= 0."""
     if s == 1:
@@ -107,7 +107,7 @@ def _lagrange_coeff_exact(kappa: tuple[int, ...], a: int) -> tuple[Fraction, ...
     return tuple(weights)
 
 
-_WEIGHT_ARGS = dict(kappa=NODES, a=INTEGER.named("derivative order"))
+_WEIGHT_ARGS = dict(kappa=_NODES, a=_INTEGER.named("derivative order"))
 
 
 @_checked(**_WEIGHT_ARGS)
@@ -237,11 +237,11 @@ class DerivativeStencil:
     scale: float
 
 
-_STENCIL_ARGS = dict(grid=GRID, r=INTEGER.named("order"), mode=MODE)
+_STENCIL_ARGS = dict(grid=_GRID, r=_INTEGER.named("order"), mode=_MODE)
 
 
-@_checked(alpha=MULTI_INDEX, **_STENCIL_ARGS,
-          centre_index=_Arg("tuple", "centre index", INTEGER.named("centre index")))
+@_checked(alpha=_MULTI_INDEX, **_STENCIL_ARGS,
+          centre_index=_Arg("tuple", "centre index", _INTEGER.named("centre index")))
 def derivative_stencil(alpha, centre_index, grid: GridSpec, r: int,
                        mode: str = "free") -> DerivativeStencil:
     """Build the stencil for D^alpha at one centre.
@@ -332,7 +332,7 @@ def _grid_tree(alphas: tuple[tuple[int, ...], ...], grid: GridSpec, r: int, mode
     return _plan_node(checked, range(len(checked)), 0, grid)
 
 
-@_checked(fvals=ARRAY.named("fvals"), alpha=MULTI_INDICES, **_STENCIL_ARGS)
+@_checked(fvals=_ARRAY.named("fvals"), alpha=_MULTI_INDICES, **_STENCIL_ARGS)
 def derivative_grid(fvals: np.ndarray, alpha, grid: GridSpec, r: int,
                     mode: str = "free") -> np.ndarray | list[np.ndarray]:
     """D^alpha estimates at every centre from the flat vector of centre values.
@@ -402,7 +402,7 @@ def _family_stencils(family: str, s: int, r: int, room: int | None = None):
 # ---------------------------------------------------------------------------
 # worst-case error constant
 
-@_checked(s=DIMENSION, r=_Arg("integer", "order", 2, OrderError), family=FAMILY)
+@_checked(s=_DIMENSION, r=_Arg("integer", "order", 2, OrderError), family=_FAMILY)
 def error_constant(s: int, r: int, family: str = "single") -> float:
     """Computable constant C with |estimate - integral| <= C * ||f||_r * n^(-r/s).
 

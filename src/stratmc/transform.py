@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DomainError, OptimizationError, StratError
 from .estimators import _evaluate, _values
-from .lattice import ARRAY, CALLABLE, DIMENSION, POSITIVE, _Arg, _checked
+from .lattice import _ARRAY, _CALLABLE, _DIMENSION, _POSITIVE, _Arg, _checked
 
 __all__ = [
     "psi",
@@ -86,7 +86,7 @@ def _axis_product(per_axis: np.ndarray) -> np.ndarray:
     return out
 
 
-_MAP_ARGS = dict(u=ARRAY.named("u"), tau=POSITIVE)
+_MAP_ARGS = dict(u=_ARRAY.named("u"), tau=_POSITIVE)
 
 
 @_checked(**_MAP_ARGS)
@@ -115,7 +115,7 @@ def jacobian_factor(u, tau: float):
     return _axis_product(per_axis)[()]
 
 
-_WRAP_ARGS = dict(g=CALLABLE.named("g"), s=DIMENSION, tau=POSITIVE)
+_WRAP_ARGS = dict(g=_CALLABLE.named("g"), s=_DIMENSION, tau=_POSITIVE)
 
 
 @dataclass
@@ -233,9 +233,9 @@ class LaplaceFit:
     trace: list = field(default_factory=list)
 
 
-@_checked(h=CALLABLE.named("log-density"), mode_guess=ARRAY.named("mode_guess"),
-          scale=_Arg("choice", "scale", ("inv-hessian", "hessian")), tau=POSITIVE,
-          grad_tol=POSITIVE.named("grad_tol"))
+@_checked(h=_CALLABLE.named("log-density"), mode_guess=_ARRAY.named("mode_guess"),
+          scale=_Arg("choice", "scale", ("inv-hessian", "hessian")), tau=_POSITIVE,
+          grad_tol=_POSITIVE.named("grad_tol"))
 def laplace_reparametrize(h, mode_guess, *, scale: str, tau: float = _TAU,
                           grad_tol: float = 1e-8) -> LaplaceFit:
     """Recentre exp(h) at its mode and wrap it into a cube integrand.
