@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -70,6 +71,11 @@ class Integrand:
     fn: object                      # vectorized: (n, s) -> (n,)
     exact: float | None = None
     vanishing: bool = False
+
+    def __post_init__(self):
+        if self.exact is not None and (not isinstance(self.exact, Real)
+                                       or isinstance(self.exact, bool)):
+            raise TypeError(f"Integrand.exact must be a real number or None, got {self.exact!r}")
 
     def __call__(self, pts):
         return self.fn(pts)
@@ -246,9 +252,9 @@ VARIANTS = tuple(_REGISTRY)
 
 @dataclass
 @_checked(integrand=_Arg("instance", "integrand", Integrand),
-          variants=_Arg("tuple", "variants", _Arg("choice", "variant", VARIANTS), nonempty=True),
-          r_values=_Arg("tuple", "r_values", _Arg("integer", "r_values entry", 1)),
-          k_values=_Arg("tuple", "k_values", _Arg("integer", "k_values entry", 1), nonempty=True),
+          variants=_Arg("sequence", "variants", _Arg("choice", "variant", VARIANTS), nonempty=True),
+          r_values=_Arg("sequence", "r_values", _Arg("integer", "r", 1)),
+          k_values=_Arg("sequence", "k_values", _Arg("integer", "k", 1), nonempty=True),
           replicates=_Arg("integer", "replicates", 2), seed=_INTEGER.named("seed"))
 class ExperimentConfig:
     integrand: Integrand
@@ -323,7 +329,7 @@ def run(config: ExperimentConfig) -> list[ResultRow]:
             for (variant, r, k), n_mean, stat, denom in zip(cells, n_means, stats, denoms)]
 
 
-_ROWS = _Arg("sequence", "rows", ResultRow)
+_ROWS = _Arg("sequence", "rows", _Arg("instance", "row", ResultRow))
 
 
 @_checked(path=_PATH, rows=_ROWS)

@@ -62,15 +62,12 @@ from .lattice import (_CALLABLE, _DIMENSION, _GRID, _INTEGER, _MODE, _ORDER, _ST
 from .stencil import (
     _family_stencils,
     _lagrange_coeff_exact,
+    _multi_factorial,
     derivative_grid,
-    multi_factorial,
     multi_indices,
 )
 
 __all__ = [
-    "offset_moment",
-    "ShiftCoefficients",
-    "shift_coefficients",
     "vanishing_margin",
     "EstimatorConfig",
     "EstimateReport",
@@ -99,8 +96,7 @@ def _centred_monomial(alpha):
     return g
 
 
-@_checked(i=_Arg("integer", "moment order", 0), k=_Arg("integer", "resolution", 1))
-def offset_moment(i: int, k: int) -> float:
+def _offset_moment(i: int, k: int) -> float:
     """E[V^i] for V uniform on [-1/2k, 1/2k]: zero for odd i, else 1/((i+1)(2k)^i)."""
     if i % 2:
         return 0.0
@@ -134,27 +130,6 @@ def vanishing_margin(r: int) -> int:
     Larger margins give the same values; their points fall outside the cube.
     """
     return _reach(_shifts(r))
-
-
-@dataclass(frozen=True)
-@_checked()
-class ShiftCoefficients:
-    """Dilations and their combination weights at one order.
-
-    The weights solve the Vandermonde system making
-    ``sum_j weights[j] * g(shift[j] * u)`` reproduce ``g(0)`` up to
-    O(|u|^r): they sum to one and kill the first r-1 moments.
-    """
-
-    shifts: tuple[int, ...]
-    weights: tuple[float, ...]
-
-
-@_checked(r=_ORDER)
-def shift_coefficients(r: int) -> ShiftCoefficients:
-    shifts = _shifts(r)
-    exact = _lagrange_coeff_exact(shifts, 0)
-    return ShiftCoefficients(shifts=shifts, weights=tuple(float(w) for w in exact))
 
 
 # ---------------------------------------------------------------------------
@@ -381,8 +356,10 @@ def _plan(variant: str, r, grid: GridSpec, mode="free") -> _Plan:
 def _built_plan(variant: str, r: int, grid: GridSpec, mode: str) -> _Plan:
     family, guard = None, variant in ("vanishing", "dilated_mean")
     if variant == "vanishing":
-        coeff = shift_coefficients(r)
-        shifts, weights = coeff.shifts, coeff.weights
+        # the weights solve the Vandermonde system making sum_j w_j g(shift_j u)
+        # reproduce g(0) up to O(|u|^r): they sum to one and kill the first r-1 moments
+        shifts = _shifts(r)
+        weights = tuple(float(w) for w in _lagrange_coeff_exact(shifts, 0))
     elif variant == "dilated_mean":
         if r % 2 == 0:
             raise ValueError(f"dilation must be odd, got {r}")
@@ -484,9 +461,9 @@ def _taylor_terms(alphas: tuple[tuple[int, ...], ...], k: int) -> tuple:
         mean = 1.0
         for a in alpha:
             if a:
-                mean *= offset_moment(a, k)
+                mean *= _offset_moment(a, k)
         steps = tuple((axis, a) for axis, a in enumerate(alpha) if a)
-        terms.append((steps, mean, float(multi_factorial(alpha))))
+        terms.append((steps, mean, float(_multi_factorial(alpha))))
     return tuple(terms)
 
 
@@ -554,7 +531,7 @@ def crude_mc(f, s: int, n: int, stream: Stream | Sequence[Stream], keep_terms: b
     config = EstimatorConfig("crude", 1, GridSpec(s, 1, 0))
 
     def one(st: Stream) -> EstimateReport:
-        vals, total = _evaluate(f, st.bulk_uniform((n, config.grid.s)))
+        vals, total = _evaluate(f, st._bulk_uniform((n, config.grid.s)))
         return EstimateReport(
             value=total / n,
             config=config,
@@ -690,5 +667,5 @@ def asymptotic_variance_estimate(derivative_oracle, s: int, r: int, budget: int,
     for i, ai in enumerate(alphas):
         for j, aj in enumerate(alphas):
             cross = float(np.sum(dvals[i] * dvals[j])) * weight
-            total += cov[i, j] * cross / (multi_factorial(ai) * multi_factorial(aj))
+            total += cov[i, j] * cross / (_multi_factorial(ai) * _multi_factorial(aj))
     return float(float(r) ** (2 * r + s) * total)

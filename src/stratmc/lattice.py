@@ -23,7 +23,7 @@ grid, or on any shared generator state.  Two grids that contain the same
 index receive bit-identical offsets for it, which is what makes the
 estimator-equivalence identities in :mod:`stratmc.estimators` exact rather
 than merely distributional.  Crude Monte Carlo takes iid uniforms from
-``Stream.bulk_uniform(shape)``, numpy's generator keyed by the stream.
+``Stream._bulk_uniform(shape)``, numpy's generator keyed by the stream.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ import hashlib
 import inspect
 import math
 import os
-from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 from numbers import Integral, Real
@@ -41,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import OrderError, ResolutionError, StencilError
+from .errors import OrderError, ResolutionError
 
 __all__ = [
     "GridSpec",
@@ -52,17 +51,6 @@ __all__ = [
 ]
 
 
-def _integer(value, what: str) -> int:
-    """``value`` as a Python int, else ``TypeError`` naming ``what``: the one
-    check that an argument is an integer (numpy integers pass, floats do not)."""
-    # the exact-type test first: the ABC check costs ten times more
-    if type(value) is int:
-        return value
-    if not isinstance(value, Integral):
-        raise TypeError(f"{what} must be an integer, got {value!r}")
-    return int(value)
-
-
 # ---------------------------------------------------------------------------
 # argument classes: each rule on a public argument, stated once
 
@@ -70,21 +58,17 @@ def _a(kind: type) -> str:
     return ("an " if kind.__name__[0] in "AEIOU" else "a ") + kind.__name__
 
 
-def _items(value, what: str) -> list:
-    if isinstance(value, str) or not isinstance(value, Iterable):
-        raise TypeError(f"{what} must be a sequence, got {value!r}")
-    return list(value)
-
-
 class _Arg(NamedTuple):
     """An argument class and the label its errors name.
 
-    ``check(value, label)`` returns the value normalised (an int, a tuple or
-    list, a float64 array), or raises ``TypeError`` for the wrong type and
-    ``error`` (a ``ValueError``) for a value out of range, naming ``label``.
-    ``bound`` is an integer's floor, a choice's options, the type of an
-    instance or of a sequence's entries, or a tuple's entry class; ``one``
-    also takes one ``bound``, ``nonempty`` refuses an empty sequence.
+    ``check(value, label)`` returns the value normalised (an int, a tuple, a
+    float64 array), or raises ``TypeError`` for the wrong type and ``error``
+    (a ``ValueError``) for a value out of range, naming ``label``.  A bool
+    is neither an integer nor a real number.  ``bound`` is an integer's
+    floor, a choice's options, an instance's type, or a sequence's entry
+    class, which checks each entry (an error names its position); ``one``
+    also takes one instance of that entry class, ``nonempty`` refuses an
+    empty sequence.
     """
 
     kind: str
@@ -103,41 +87,40 @@ class _Arg(NamedTuple):
             if not isinstance(value, bound):
                 raise TypeError(f"{what} must be {_a(bound)}, got {value!r}")
         elif kind == "integer":
-            value = _integer(value, what)
+            # the exact-type test first: the ABC check costs ten times more
+            if type(value) is not int:
+                if not isinstance(value, Integral) or isinstance(value, bool):
+                    raise TypeError(f"{what} must be an integer, got {value!r}")
+                value = int(value)
             if bound is not None and value < bound:
                 raise self.error(f"{what} must be >= {bound}, got {value}")
         elif kind == "callable":
             if not callable(value):
                 raise TypeError(f"{what} must be callable, got {value!r}")
         elif kind == "sequence":
-            if self.one and isinstance(value, bound):
+            if self.one and isinstance(value, bound.bound):
                 return value
-            if isinstance(value, (bound, str)) or not isinstance(value, Iterable):
-                wanted = f"{_a(bound)} or a sequence" if self.one else "a sequence"
-                raise TypeError(f"{what} must be {wanted} of {bound.__name__}s, got {value!r}")
-            value = list(value)
-            for i, item in enumerate(value):
-                if not isinstance(item, bound):
-                    raise TypeError(f"{what} {i} of the sequence is not {_a(bound)}: {item!r}")
+            # hasattr, not the Iterable ABC: a quarter of the cost per call
+            if isinstance(value, str) or not hasattr(value, "__iter__"):
+                wanted = (f"{_a(bound.bound)} or a sequence of {bound.bound.__name__}s"
+                          if self.one else "a sequence")
+                raise TypeError(f"{what} must be {wanted}, got {value!r}")
+            items, value = value, []
+            for item in items:
+                try:
+                    value.append(bound.check(item, bound.label))
+                except (TypeError, ValueError) as exc:
+                    raise type(exc)(f"{what}[{len(value)}]: {exc}") from None
+            value = tuple(value)
         elif kind == "choice":
             if not isinstance(value, str) or value not in bound:
                 raise ValueError(f"unknown {what} {value!r}; choose from {bound}")
         elif kind in ("real", "positive"):
-            if not isinstance(value, Real):
+            if not isinstance(value, Real) or isinstance(value, bool):
                 raise TypeError(f"{what} must be a real number, got {value!r}")
             # tau: psi maps (0, 1) onto the real line only for tau > 0
             if kind == "positive" and not (value > 0.0 and math.isfinite(value)):
                 raise ValueError(f"{what} must be a finite number > 0, got {value}")
-        elif kind == "tuple":
-            value = tuple(bound.check(item, bound.label) for item in _items(value, what))
-        elif kind == "multi-indices":     # one multi-index, or a sequence of them
-            if (type(value) is tuple and all([type(a) is tuple for a in value])
-                    and all([type(v) is int for a in value for v in a])):
-                return value    # already normalised, as a plan passes them
-            items = _items(value, what)
-            if items and all(np.ndim(a) == 0 for a in items):
-                return _MULTI_INDEX.check(items, what)
-            value = tuple(_MULTI_INDEX.check(a, what) for a in items)
         elif kind == "array":
             try:
                 value = np.asarray(value)
@@ -147,12 +130,6 @@ class _Arg(NamedTuple):
                 raise TypeError(f"{what} must be an array of real numbers, "
                                 f"got dtype {value.dtype}")
             value = value.astype(np.float64, copy=False)
-        elif kind == "nodes":
-            value = tuple(_items(value, what))
-            for x in value:
-                if not isinstance(x, Integral):
-                    raise StencilError(f"{what} must be integers, got {x!r} in {value}")
-            value = tuple(int(x) for x in value)
         elif kind == "path":     # an int would open that file descriptor
             if not isinstance(value, (str, os.PathLike)):
                 raise TypeError(f"{what} must be a path, got {value!r}")
@@ -165,11 +142,10 @@ _INTEGER, _DIMENSION = _Arg("integer", "integer"), _Arg("integer", "dimension", 
 _ORDER = _Arg("integer", "order", 1, OrderError)
 _REAL, _POSITIVE = _Arg("real", "real"), _Arg("positive", "tau")
 _CALLABLE, _PATH = _Arg("callable", "integrand"), _Arg("path", "path")
-_ARRAY, _NODES = _Arg("array", "array"), _Arg("nodes", "stencil nodes")
+_ARRAY = _Arg("array", "array")
 _MODE = _Arg("choice", "stencil mode", ("free", "block"))
 _FAMILY = _Arg("choice", "stencil family", ("single", "paired"))
-_MULTI_INDEX = _Arg("tuple", "multi-index", _INTEGER.named("multi-index entry"))
-_MULTI_INDICES = _Arg("multi-indices", "multi-index")
+_MULTI_INDEX = _Arg("sequence", "multi-index", _INTEGER.named("derivative order"))
 
 # public name -> {parameter or field: its argument class}
 _ARGUMENTS: dict[str, dict[str, _Arg]] = {}
@@ -285,7 +261,7 @@ class Stream:
     are always drawn for a whole grid: each index prefix is absorbed once,
     read from the rows of ``index_array``; the chain fans out lane-major
     into one lane per axis, in blocks, and centres each lane's top 53 bits
-    in integers before one division by ``k * 2^53``.  ``bulk_uniform(shape)``
+    in integers before one division by ``k * 2^53``.  ``_bulk_uniform(shape)``
     uses numpy's ``SeedSequence`` on ``(seed, replicate)`` and one fixed tag.
 
     The fields are stored as Python ints, so ``Stream(np.int64(3)) ==
@@ -304,20 +280,20 @@ class Stream:
         """
         return _hashed_offsets(self.seed, self.replicate, grid)
 
-    def bulk_uniform(self, shape) -> np.ndarray:
+    def _bulk_uniform(self, shape) -> np.ndarray:
         """Vectorized iid uniforms for non-stratified use (crude MC)."""
         ss = np.random.SeedSequence(entropy=(self.seed & _MASK64, self.replicate & _MASK64, _BULK_TAG))
         return np.random.default_rng(ss).random(shape)
 
 
 _STREAM = _Arg("instance", "stream", Stream)
-_STREAMS = _Arg("sequence", "streams", Stream, nonempty=True)
+_STREAMS = _Arg("sequence", "streams", _STREAM, nonempty=True)
 # an estimator's stream: one Stream, or a sequence of them giving one report each
-_STREAM_OR_STREAMS = _Arg("sequence", "stream", Stream, one=True, nonempty=True)
+_STREAM_OR_STREAMS = _Arg("sequence", "stream", _STREAM, one=True, nonempty=True)
 
 
 _MASK64 = (1 << 64) - 1
-_BULK_TAG = 0x611B  # the third entropy word of every bulk_uniform draw
+_BULK_TAG = 0x611B  # the third entropy word of every _bulk_uniform draw
 # SplitMix64 (Steele, Lea & Flood, OOPSLA'14): the Weyl increment and the
 # two multipliers of the finaliser, plus one more odd constant for axis lanes
 _GOLDEN = 0x9E3779B97F4A7C15

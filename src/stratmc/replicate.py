@@ -68,7 +68,7 @@ def _aligned_terms(reports: list[EstimateReport]) -> np.ndarray:
     return np.stack([rep.per_stratum_terms for rep in reports])
 
 
-_REPORTS = _Arg("sequence", "reports", EstimateReport)
+_REPORTS = _Arg("sequence", "reports", _Arg("instance", "report", EstimateReport))
 
 
 @_checked(reports=_REPORTS)

@@ -40,11 +40,9 @@ import numpy as np
 from .errors import (DomainError, IncompleteEvaluationError, OrderError, ResolutionError,
                      StencilError)
 from .lattice import (_ARRAY, _DIMENSION, _FAMILY, _GRID, _INTEGER, _MODE, _MULTI_INDEX,
-                      _MULTI_INDICES, _NODES, GridSpec, _Arg, _checked)
+                      GridSpec, _Arg, _checked)
 
 __all__ = [
-    "abs_order",
-    "multi_factorial",
     "multi_indices",
     "univariate_weights",
     "univariate_weights_exact",
@@ -59,11 +57,11 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # multi-index helpers
 
-def abs_order(alpha) -> int:
+def _abs_order(alpha) -> int:
     """Total derivative order |alpha|."""
     return int(sum(alpha))
 
-def multi_factorial(alpha) -> int:
+def _multi_factorial(alpha) -> int:
     out = 1
     for a in alpha:
         out *= factorial(a)
@@ -107,7 +105,8 @@ def _lagrange_coeff_exact(kappa: tuple[int, ...], a: int) -> tuple[Fraction, ...
     return tuple(weights)
 
 
-_WEIGHT_ARGS = dict(kappa=_NODES, a=_INTEGER.named("derivative order"))
+_WEIGHT_ARGS = dict(kappa=_Arg("sequence", "stencil nodes", _INTEGER.named("node")),
+                    a=_INTEGER.named("derivative order"))
 
 
 @_checked(**_WEIGHT_ARGS)
@@ -205,8 +204,8 @@ def _active_tables(alpha, grid: GridSpec, r: int, mode: str):
     block = r if mode == "block" else 0
     if len(alpha) != grid.s or any(a < 0 for a in alpha):
         raise ValueError(f"bad multi-index {alpha} for dimension {grid.s}")
-    if abs_order(alpha) >= r:
-        raise OrderError(f"|alpha|={abs_order(alpha)} must be < r={r}")
+    if _abs_order(alpha) >= r:
+        raise OrderError(f"|alpha|={_abs_order(alpha)} must be < r={r}")
     if block and grid.m != 0:
         raise ValueError(f"block mode needs a margin-free grid (m = 0), got m={grid.m}")
     steps = _axis_steps(alpha, r)
@@ -241,7 +240,7 @@ _STENCIL_ARGS = dict(grid=_GRID, r=_INTEGER.named("order"), mode=_MODE)
 
 
 @_checked(alpha=_MULTI_INDEX, **_STENCIL_ARGS,
-          centre_index=_Arg("tuple", "centre index", _INTEGER.named("centre index")))
+          centre_index=_Arg("sequence", "centre index", _INTEGER.named("index")))
 def derivative_stencil(alpha, centre_index, grid: GridSpec, r: int,
                        mode: str = "free") -> DerivativeStencil:
     """Build the stencil for D^alpha at one centre.
@@ -271,7 +270,7 @@ def derivative_stencil(alpha, centre_index, grid: GridSpec, r: int,
     weights = reduce(np.multiply.outer, axis_weights).reshape(-1)
     nodes = np.asarray(centre_index, dtype=np.int64) + offsets
     return DerivativeStencil(alpha, centre_index, offsets, nodes,
-                             weights, float(grid.k) ** abs_order(alpha))
+                             weights, float(grid.k) ** _abs_order(alpha))
 
 
 @_checked(stencil=_Arg("instance", "stencil", DerivativeStencil),
@@ -302,7 +301,7 @@ def _plan_node(checked, members, depth: int, grid: GridSpec):
     for i in members:
         alpha_i, tables = checked[i]
         if depth == len(tables):
-            outs.append((i, float(grid.k) ** abs_order(alpha_i)))
+            outs.append((i, float(grid.k) ** _abs_order(alpha_i)))
             continue
         # members agree on every earlier pass, so each axis has one window here
         axis, a, _window, _starts, nodes, weights = tables[depth]
@@ -332,20 +331,20 @@ def _grid_tree(alphas: tuple[tuple[int, ...], ...], grid: GridSpec, r: int, mode
     return _plan_node(checked, range(len(checked)), 0, grid)
 
 
-@_checked(fvals=_ARRAY.named("fvals"), alpha=_MULTI_INDICES, **_STENCIL_ARGS)
+@_checked(fvals=_ARRAY.named("fvals"), alpha=_Arg("sequence", "alpha", _MULTI_INDEX),
+          **_STENCIL_ARGS)
 def derivative_grid(fvals: np.ndarray, alpha, grid: GridSpec, r: int,
-                    mode: str = "free") -> np.ndarray | list[np.ndarray]:
+                    mode: str = "free") -> list[np.ndarray]:
     """D^alpha estimates at every centre from the flat vector of centre values.
 
     ``fvals`` is indexed like :func:`stratmc.lattice.centre_array`.  ``alpha``
-    is one multi-index, giving one ``(n_centres,)`` array, or a sequence or
-    iterator of them, read once, giving a list of such arrays in input order
-    (``[]`` for none).  Each active axis reads one window table
-    (:func:`derivative_stencil` reads the same rows): one gather takes every
-    position's window along the axis and one contraction per derivative order
-    applies the weights.  Multi-indices are walked axis by axis, so those
-    that agree on their leading axes share the gathers and contractions
-    there.  Cost is O(n_centres * window) per pass and memory
+    is a sequence or iterator of multi-indices, read once, giving a list of
+    ``(n_centres,)`` arrays in input order (``[]`` for none).  Each active
+    axis reads one window table (:func:`derivative_stencil` reads the same
+    rows): one gather takes every position's window along the axis and one
+    contraction per derivative order applies the weights.  Multi-indices
+    are walked axis by axis, so those that agree on their leading axes
+    share the gathers and contractions there.  Cost is O(n_centres * window) per pass and memory
     O(n_centres * window), never side^2.
 
     The walk is planned once per ``(alphas, grid, r, mode)`` and cached as
@@ -354,14 +353,11 @@ def derivative_grid(fvals: np.ndarray, alpha, grid: GridSpec, r: int,
     plan is not cached, so a bad argument raises on every call, and the
     values are the same whether or not the tree came from the cache.
     """
-    single = bool(alpha) and type(alpha[0]) is int
-    alphas = (alpha,) if single else alpha
-    root = _grid_tree(alphas, grid, r, mode)
-    t = fvals
-    if t.size != grid.n_centres:
-        raise ValueError(f"fvals has {t.size} values, {grid} has {grid.n_centres} centres")
-    out = [None] * len(alphas)
-    stack = [(t.reshape(grid.n_centres), root)]
+    root = _grid_tree(alpha, grid, r, mode)
+    if fvals.size != grid.n_centres:
+        raise ValueError(f"fvals has {fvals.size} values, {grid} has {grid.n_centres} centres")
+    out = [None] * len(alpha)
+    stack = [(fvals.reshape(grid.n_centres), root)]
     while stack:
         t, (outs, passes) = stack.pop()
         for i, scale in outs:
@@ -376,7 +372,7 @@ def derivative_grid(fvals: np.ndarray, alpha, grid: GridSpec, r: int,
                 for weights, child in contractions:
                     stack.append((np.einsum("pwsq,ws->psq", gather, weights), child))
             del gather
-    return out[0] if single else out
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -429,6 +425,6 @@ def error_constant(s: int, r: int, family: str = "single") -> float:
         c_bar = max(c_bar, c_alpha)
 
     every = _family_stencils("single", s, r + 1)[0]
-    cv_sum = sum(1.0 / multi_factorial(alpha) for alpha in every if abs_order(alpha) < r)
-    tail_sum = sum(1.0 / multi_factorial(alpha) for alpha in every if abs_order(alpha) == r)
+    cv_sum = sum(1.0 / _multi_factorial(alpha) for alpha in every if _abs_order(alpha) < r)
+    tail_sum = sum(1.0 / _multi_factorial(alpha) for alpha in every if _abs_order(alpha) == r)
     return 2.0 * c_bar * cv_sum + 2.0 ** (1 - r) * tail_sum

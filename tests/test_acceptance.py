@@ -91,7 +91,7 @@ def test_criterion_02_stencil_order():
             for k in ks:
                 grid = GridSpec(1, k, 0)
                 c = centre_array(grid)[:, 0]
-                d = derivative_grid(np.exp(c), (a,), grid, r)
+                d = derivative_grid(np.exp(c), [(a,)], grid, r)[0]
                 errs.append(np.max(np.abs(d - np.exp(c))))
             slope = float(np.polyfit(np.log(ks), np.log(errs), 1)[0])
             details.append(f"r={r},|a|={a}: {slope:+.2f} vs {-(r - a)}")

@@ -58,12 +58,10 @@ def _valid(name):
                                    mode="free"),
         "apply_stencil": dict(stencil=stencil.derivative_stencil((1,), (2,), GridSpec(1, 8), 3),
                               values={}),
-        "derivative_grid": dict(fvals=np.zeros(8), alpha=(1,), grid=GridSpec(1, 8), r=3,
+        "derivative_grid": dict(fvals=np.zeros(8), alpha=[(1,)], grid=GridSpec(1, 8), r=3,
                                 mode="free"),
         "error_constant": dict(s=1, r=2, family="single"),
-        "offset_moment": dict(i=2, k=4),
         "vanishing_margin": dict(r=3),
-        "shift_coefficients": dict(r=3),
         "shifted_stratum_mean": dict(g=_first, shift=1, grid=grid, stream=stream),
         "crude_mc": dict(f=_first, s=1, n=4, stream=stream),
         "haber1": dict(f=_first, grid=grid, stream=stream),
@@ -102,28 +100,25 @@ def _valid(name):
 
 
 def _bad(arg):
-    """(value, label its error must name): one value of the wrong type, and
-    one out of range where the class has a range; a sequence class also
-    gets its entry class's bad values, each as the one entry."""
+    """(value, label its error must name): values of the wrong type (a bool
+    is no integer or real number), and one out of range where the class has
+    a range; a sequence gets one whose entry is its entry class's first bad
+    value, and an empty one where it must not be empty."""
     kind, bound, label = arg.kind, arg.bound, arg.label
     if kind == "integer":
-        return [(2.5, label)] + ([] if bound is None else [(bound - 1, label)])
+        return [(2.5, label), (True, label)] + ([] if bound is None else [(bound - 1, label)])
     if kind == "real":
-        return [("1", label)]
+        return [("1", label), (True, label)]
     if kind == "positive":
-        return [("1", label), (0.0, label)]
-    if kind in ("instance", "callable", "path", "multi-indices"):
+        return [("1", label), (True, label), (0.0, label)]
+    if kind in ("instance", "callable", "path"):
         return [(3, label)]
     if kind == "sequence":
-        return [(3, label), ([3], label)]
-    if kind == "tuple":
-        return [(3, label)] + [([value], named) for value, named in _bad(bound)]
+        return [(3, label), ([_bad(bound)[0][0]], label)] + ([([], label)] if arg.nonempty else [])
     if kind == "choice":
         return [(3, label), ("bogus", label)]
-    if kind in ("array", "point"):
+    if kind == "array":
         return [("abcd", label), ([[1.0], [1.0, 2.0]], label)]
-    if kind == "nodes":
-        return [(3, label), ((0, 1.5), label)]
     raise AssertionError(f"no bad values for the argument class {kind!r}")
 
 

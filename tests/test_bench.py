@@ -130,7 +130,7 @@ def test_run_rejects_star_without_derivative_oracle():
     # is never called
     calls = []
     f = Integrand(name="fs(1)", s=1, fn=lambda p: calls.append(len(p)) or p[:, 0])
-    with pytest.raises(ValueError, match=r"^unknown variant 'star'"):
+    with pytest.raises(ValueError, match=r"^variants\[1\]: unknown variant 'star'"):
         _config(integrand=f, variants=("haber1", "star"))
     assert not calls
 
@@ -639,7 +639,7 @@ def test_cli_entrypoint_subprocess(tmp_path):
 
 
 _NO_FILE = "[Errno 2] No such file or directory: '{tmp}/"
-_NO_STAR = ("unknown variant 'star'; choose from "
+_NO_STAR = ("variants[0]: unknown variant 'star'; choose from "
             "('crude', 'haber1', 'haber2', 'hat', 'tilde', 'vanishing')")
 
 
@@ -680,8 +680,8 @@ _NO_STAR = ("unknown variant 'star'; choose from "
     (["run", "--r", ""], "r_values must not be empty when a variant reads it"),
     (["run", "--variant", ""], "variants must not be empty"),
     (["run", "--variant", "hat,hat"], "variants must not repeat a value, got ('hat', 'hat')"),
-    (["run", "--variant", "haber1,hat", "--r", "0"], "r_values entry must be >= 1, got 0"),
-    (["run", "--k", "0,4"], "k_values entry must be >= 1, got 0"),
+    (["run", "--variant", "haber1,hat", "--r", "0"], "r_values[0]: r must be >= 1, got 0"),
+    (["run", "--k", "0,4"], "k_values[0]: k must be >= 1, got 0"),
     (["run", "--fn", "fs", "--tau", "0", "--dataset", "{tmp}/missing.csv"],
      "tau must be a finite number > 0, got 0.0"),
     (["run", "--fn", "fs", "--dataset", "{tmp}/missing.csv"],

@@ -21,8 +21,6 @@ from stratmc.estimators import (
     estimate_vanishing,
     haber1,
     haber2,
-    offset_moment,
-    shift_coefficients,
     shifted_stratum_mean,
     vanishing_margin,
 )
@@ -39,56 +37,61 @@ def _streams(tag, n):
     return [Stream(0, 1_000_000 * tag + i) for i in range(n)]
 
 
+def _coefficients(r):
+    """The vanishing estimator's dilations and weights at order r, as its plan holds them."""
+    plan = estimators._plan("vanishing", r, GridSpec(1, 2, vanishing_margin(r)))
+    return plan.shifts, plan.weights
+
+
 # ---------------------------------------------------------------------------
 # moments and shift coefficients
 
 def test_offset_moment_odd_zero():
-    assert offset_moment(1, 3) == 0.0
-    assert offset_moment(5, 7) == 0.0
+    assert estimators._offset_moment(1, 3) == 0.0
+    assert estimators._offset_moment(5, 7) == 0.0
 
 
 def test_offset_moment_values():
-    assert offset_moment(2, 1) == pytest.approx(1 / 12)
-    assert offset_moment(2, 2) == pytest.approx(1 / 48)
-    assert offset_moment(0, 9) == 1.0
+    assert estimators._offset_moment(2, 1) == pytest.approx(1 / 12)
+    assert estimators._offset_moment(2, 2) == pytest.approx(1 / 48)
+    assert estimators._offset_moment(0, 9) == 1.0
 
 
 def test_shift_coefficients_r1():
-    c = shift_coefficients(1)
-    assert c.shifts == (1,) and c.weights == (1.0,) and vanishing_margin(1) == 0
+    assert _coefficients(1) == ((1,), (1.0,)) and vanishing_margin(1) == 0
 
 
 def test_shift_coefficients_r2():
-    c = shift_coefficients(2)
-    assert c.shifts == (1, -1)
-    assert c.weights == (0.5, 0.5)
+    shifts, weights = _coefficients(2)
+    assert shifts == (1, -1)
+    assert weights == (0.5, 0.5)
     assert vanishing_margin(2) == 0
 
 
 def test_shift_coefficients_r4():
     # frozen from the exact rational solve of the 4x4 moment system
-    c = shift_coefficients(4)
-    assert c.shifts == (1, -1, 3, -3)
-    assert c.weights == (9 / 16, 9 / 16, -1 / 16, -1 / 16)
+    shifts, weights = _coefficients(4)
+    assert shifts == (1, -1, 3, -3)
+    assert weights == (9 / 16, 9 / 16, -1 / 16, -1 / 16)
     assert vanishing_margin(4) == 1
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6, 8])
 def test_shift_coefficient_identities(r):
-    c = shift_coefficients(r)
-    assert sum(c.weights) == pytest.approx(1.0, abs=1e-12)
+    shifts, weights = _coefficients(r)
+    assert sum(weights) == pytest.approx(1.0, abs=1e-12)
     for i in range(1, r):
-        moment = sum(w * lam ** i for w, lam in zip(c.weights, c.shifts))
-        assert abs(moment) <= 1e-12 * max(1.0, sum(abs(w * lam ** i) for w, lam in zip(c.weights, c.shifts)))
+        moment = sum(w * lam ** i for w, lam in zip(weights, shifts))
+        assert abs(moment) <= 1e-12 * max(1.0, sum(abs(w * lam ** i) for w, lam in zip(weights, shifts)))
     # exact-rational identity
-    exact = _lagrange_coeff_exact(c.shifts, 0)
+    exact = _lagrange_coeff_exact(shifts, 0)
     assert sum(exact) == 1
     for i in range(1, r):
-        assert sum(w * lam ** i for w, lam in zip(exact, c.shifts)) == 0
-    assert all(lam % 2 for lam in c.shifts)
-    assert len(set(c.shifts)) == r
+        assert sum(w * lam ** i for w, lam in zip(exact, shifts)) == 0
+    assert all(lam % 2 for lam in shifts)
+    assert len(set(shifts)) == r
     # the margin is the reach of the widest dilation, (max |shift| - 1) // 2
-    assert vanishing_margin(r) == (max(map(abs, c.shifts)) - 1) // 2 == (r - 1) // 2
+    assert vanishing_margin(r) == (max(map(abs, shifts)) - 1) // 2 == (r - 1) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -101,10 +104,10 @@ def test_crude_constant_exact():
 
 
 def test_crude_draws_from_the_one_bulk_tag():
-    # bulk_uniform takes a shape only: its tag is a lattice constant, and
+    # _bulk_uniform takes a shape only: its tag is a lattice constant, and
     # these values were those of the tag crude_mc used to pass
     with pytest.raises(TypeError, match="positional argument"):
-        Stream(0).bulk_uniform(0x611B, (8, 2))
+        Stream(0)._bulk_uniform(0x611B, (8, 2))
     got = [crude_mc(lambda p: p[:, 0] + 2.0 * p[:, 1], 2, 8, st).value.hex()
            for st in (Stream(0), Stream(2 ** 62, 3), Stream(-5, 7))]
     assert got == ["0x1.4e49b5eea00f2p+0", "0x1.a4a6c4f5c50dbp+0", "0x1.e304c5556228ep+0"]
@@ -392,9 +395,8 @@ def test_vanishing_shift_averages_reassemble():
     bump, _ = _bump()
     st = Stream(15, 3)
     rep = estimate_vanishing(bump, 4, GridSpec(1, 8, 3), st)
-    coeff = shift_coefficients(4)
     acc = 0.0
-    for w, a in zip(coeff.weights, rep.shift_averages):
+    for w, a in zip(_coefficients(4)[1], rep.shift_averages):
         acc += w * a
     assert acc == rep.value
 
@@ -455,7 +457,7 @@ def test_order_validation():
     with pytest.raises(OrderError):
         estimate_paired_cv(F1.fn, 0, GridSpec(1, 4, 0), Stream(0, 0))
     with pytest.raises(OrderError):
-        shift_coefficients(0)
+        vanishing_margin(0)
 
 
 def test_non_integer_order_is_a_type_error_naming_it():
@@ -465,7 +467,6 @@ def test_non_integer_order_is_a_type_error_naming_it():
     calls = {
         "vanishing": lambda r: estimate_vanishing(f2, r, GridSpec(2, 8, 1), st),
         "vanishing_margin": vanishing_margin,
-        "shift_coefficients": shift_coefficients,
         "orders": lambda r: estimators.vanishing_orders(f2, r, GridSpec(2, 8, 1), [st]),
         "paired": lambda r: estimate_paired_cv(F1.fn, r, GridSpec(1, 8, 0), st),
         "single": lambda r: estimate_single_cv(F1.fn, r, GridSpec(1, 8, 0), st, mode="block"),
@@ -853,9 +854,9 @@ def test_stream_sequence_rejects_empty():
 
 
 def test_stream_sequence_rejects_non_stream():
-    with pytest.raises(TypeError, match="stream 1 of the sequence is not a Stream: 7"):
+    with pytest.raises(TypeError, match=r"^stream\[1\]: stream must be a Stream, got 7$"):
         estimate_paired_cv(F1.fn, 3, GridSpec(1, 4, 0), [Stream(0, 0), 7])
-    with pytest.raises(TypeError, match=r"stream 0 of the sequence is not a Stream: \(0, 1\)"):
+    with pytest.raises(TypeError, match=r"^stream\[0\]: stream must be a Stream, got \(0, 1\)$"):
         crude_mc(F1.fn, 1, 4, [(0, 1)])
 
 
@@ -937,11 +938,11 @@ def _signed(y):
 def test_guarded_pass_matches_the_full_grid_mask(s):
     k = {1: 3, 2: 3, 3: 2, 4: 2}[s]
     for r in range(1, 7):
-        coeff = shift_coefficients(r)
+        shifts, weights = _coefficients(r)
         for m in (vanishing_margin(r), vanishing_margin(r) + 2):
             grid = GridSpec(s, k, m)
             streams = [Stream(s, 10 * r + m + j) for j in range(3)]
-            oracle = [_full_grid_pass(_signed, grid, coeff.shifts, st) for st in streams]
+            oracle = [_full_grid_pass(_signed, grid, shifts, st) for st in streams]
             seen = []
 
             def f(y):
@@ -960,11 +961,11 @@ def test_guarded_pass_matches_the_full_grid_mask(s):
                 reports = estimate_vanishing(_signed, r, grid, batched, keep_terms=keep)
                 for rep, parts in zip(reports, oracle):
                     assert (rep.per_stratum_terms is not None) == keep
-                    _assert_oracle_report(rep, parts, coeff.weights)
+                    _assert_oracle_report(rep, parts, weights)
             for r_prime, reports in estimators.vanishing_orders(_signed, r, grid, streams).items():
                 for rep, parts in zip(reports, oracle):
                     assert rep.per_stratum_terms is not None
-                    _assert_oracle_report(rep, parts, shift_coefficients(r_prime).weights)
+                    _assert_oracle_report(rep, parts, _coefficients(r_prime)[1])
             for lam in (1, -1, 3, -3, 5, -5):
                 if (abs(lam) - 1) // 2 <= m:
                     want = _full_grid_pass(_signed, grid, (lam,), streams[1])[0][2]
@@ -1029,7 +1030,7 @@ def test_guarded_nonfinite_names_the_full_grid_row_under_every_dilation(s):
     # its stratum, from the batch of its reach box
     grid = GridSpec(s, 2, vanishing_margin(6) + 1)
     stream = Stream(4, s)
-    oracle = _full_grid_pass(_signed, grid, shift_coefficients(6).shifts, stream)
+    oracle = _full_grid_pass(_signed, grid, estimators._shifts(6), stream)
     for j, (batch, rows, _mean, _vals, _n) in enumerate(oracle):
         i = len(batch) // 2
         calls = []

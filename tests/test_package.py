@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 import stratmc
-from stratmc.bench import (ExperimentConfig, fit_slope, load_labelled_csv,
+from stratmc.bench import (ExperimentConfig, Integrand, fit_slope, load_labelled_csv,
                            logistic_marginal_likelihood, make_integrand, run,
                            test_function as product_family, wrapped_gaussian)
 from stratmc.errors import DomainError, OrderError, ResolutionError, StratError
 from stratmc.estimators import (asymptotic_variance_estimate, crude_mc, estimate_analytic_cv,
-                                haber1, offset_moment, vanishing_orders)
+                                estimate_paired_cv, haber1, vanishing_orders)
 from stratmc.lattice import GridSpec, Stream, centre_array
 from stratmc.replicate import pooled, select_order, tail_bound, variance_estimate
 from stratmc.stencil import (apply_stencil, derivative_grid, derivative_stencil, error_constant,
@@ -96,15 +96,6 @@ _NOT_PD = "curvature at the mode is not positive definite: Matrix is not positiv
                  ValueError, "n must be >= 1, got 0", id="crude-n-0"),
     pytest.param(lambda tmp: asymptotic_variance_estimate(lambda a, x: x[:, 0], 1, 2, 1),
                  ValueError, "budget must be >= 2, got 1", id="asymptotic-budget-1"),
-    pytest.param(lambda tmp: offset_moment(-1, 2),
-                 ValueError, "moment order must be >= 0, got -1", id="moment-order-negative"),
-    pytest.param(lambda tmp: offset_moment(2, 0),
-                 ValueError, "resolution must be >= 1, got 0", id="moment-resolution-0"),
-    pytest.param(lambda tmp: offset_moment(2.5, 4),
-                 TypeError, "moment order must be an integer, got 2.5", id="moment-order-float"),
-    pytest.param(lambda tmp: offset_moment(2, 4.5),
-                 TypeError, "resolution must be an integer, got 4.5",
-                 id="moment-resolution-float"),
     pytest.param(lambda tmp: list(multi_indices(2, -1)),
                  OrderError, "total order must be >= 0, got -1",
                  id="multi-indices-negative-total"),
@@ -121,10 +112,10 @@ _NOT_PD = "curvature at the mode is not positive definite: Matrix is not positiv
     pytest.param(lambda tmp: derivative_stencil((1,), (2,), GridSpec(1, 8), 3, mode="bogus"),
                  ValueError, "unknown stencil mode 'bogus'; choose from ('free', 'block')",
                  id="stencil-mode-bogus"),
-    pytest.param(lambda tmp: derivative_grid([1.0] * 8, (1,), GridSpec(1, 8), 3, mode="bogus"),
+    pytest.param(lambda tmp: derivative_grid([1.0] * 8, [(1,)], GridSpec(1, 8), 3, mode="bogus"),
                  ValueError, "unknown stencil mode 'bogus'; choose from ('free', 'block')",
                  id="grid-mode-bogus"),
-    pytest.param(lambda tmp: derivative_grid([1.0] * 36, (1, 0), GridSpec(2, 4, 1), 2,
+    pytest.param(lambda tmp: derivative_grid([1.0] * 36, [(1, 0)], GridSpec(2, 4, 1), 2,
                               mode="block"),
                  ValueError, "block mode needs a margin-free grid (m = 0), got m=1",
                  id="block-partition-margin"),
@@ -158,18 +149,33 @@ _NOT_PD = "curvature at the mode is not positive definite: Matrix is not positiv
                  TypeError, "l must be an integer, got 2.0", id="select-order-l-float"),
     pytest.param(lambda tmp: asymptotic_variance_estimate(lambda a, x: x[:, 0], 1, 2, budget=4.0),
                  TypeError, "budget must be an integer, got 4.0", id="asymptotic-budget-float"),
-    pytest.param(lambda tmp: derivative_grid([1.0] * 4, (1,), GridSpec(1, 4), r=3.0),
+    pytest.param(lambda tmp: derivative_grid([1.0] * 4, [(1,)], GridSpec(1, 4), r=3.0),
                  TypeError, "order must be an integer, got 3.0", id="derivative-grid-order-float"),
-    # a multi-index entry or a centre index is checked, not truncated
-    pytest.param(lambda tmp: derivative_grid([1.0] * 8, (1.5,), GridSpec(1, 8), 3),
-                 TypeError, "multi-index entry must be an integer, got 1.5",
+    # a multi-index entry or a centre index is checked, not truncated, and
+    # named by its position
+    pytest.param(lambda tmp: derivative_grid([1.0] * 8, [(1.5,)], GridSpec(1, 8), 3),
+                 TypeError,
+                 "alpha[0]: multi-index[0]: derivative order must be an integer, got 1.5",
                  id="derivative-grid-alpha-float"),
     pytest.param(lambda tmp: derivative_stencil((1.9,), (2,), GridSpec(1, 8), 3),
-                 TypeError, "multi-index entry must be an integer, got 1.9",
+                 TypeError, "multi-index[0]: derivative order must be an integer, got 1.9",
                  id="derivative-stencil-alpha-float"),
     pytest.param(lambda tmp: derivative_stencil((1,), (2.7,), GridSpec(1, 8), 3),
-                 TypeError, "centre index must be an integer, got 2.7",
+                 TypeError, "centre index[0]: index must be an integer, got 2.7",
                  id="derivative-stencil-centre-float"),
+    # a bool is not an integer or a real number
+    pytest.param(lambda tmp: GridSpec(True, 4),
+                 TypeError, "GridSpec.s must be an integer, got True", id="grid-s-bool"),
+    pytest.param(lambda tmp: estimate_paired_cv(_first, True, GridSpec(1, 4), Stream(0)),
+                 TypeError, "order must be an integer, got True", id="paired-cv-order-bool"),
+    pytest.param(lambda tmp: crude_mc(_first, 2, True, Stream(0)),
+                 TypeError, "n must be an integer, got True", id="crude-n-bool"),
+    pytest.param(lambda tmp: psi([0.5], True),
+                 TypeError, "tau must be a real number, got True", id="psi-tau-bool"),
+    # an integrand's exact value is a real number, checked when it is built
+    pytest.param(lambda tmp: Integrand("x", 1, _first, exact="1"),
+                 TypeError, "Integrand.exact must be a real number or None, got '1'",
+                 id="integrand-exact-str"),
     # a malformed ladder fails when it is configured, naming the field
     pytest.param(lambda tmp: _ladder(replicates=3.0),
                  TypeError, "replicates must be an integer, got 3.0",
@@ -177,9 +183,9 @@ _NOT_PD = "curvature at the mode is not positive definite: Matrix is not positiv
     pytest.param(lambda tmp: _ladder(seed=0.5),
                  TypeError, "seed must be an integer, got 0.5", id="config-seed-float"),
     pytest.param(lambda tmp: _ladder(k_values=(4.0, 8)),
-                 TypeError, "k_values entry must be an integer, got 4.0", id="config-k-float"),
+                 TypeError, "k_values[0]: k must be an integer, got 4.0", id="config-k-float"),
     pytest.param(lambda tmp: _ladder(r_values=(2.0,)),
-                 TypeError, "r_values entry must be an integer, got 2.0", id="config-r-float"),
+                 TypeError, "r_values[0]: r must be an integer, got 2.0", id="config-r-float"),
     pytest.param(lambda tmp: _ladder(variants=()),
                  ValueError, "variants must not be empty", id="config-no-variant"),
     pytest.param(lambda tmp: _ladder(k_values=()),
@@ -194,9 +200,9 @@ _NOT_PD = "curvature at the mode is not positive definite: Matrix is not positiv
                  ValueError, "r_values must not repeat a value, got (2, 3, 2)",
                  id="config-repeated-r"),
     pytest.param(lambda tmp: _ladder(variants=("haber1", "hat"), r_values=(0,)),
-                 ValueError, "r_values entry must be >= 1, got 0", id="config-r-0"),
+                 ValueError, "r_values[0]: r must be >= 1, got 0", id="config-r-0"),
     pytest.param(lambda tmp: _ladder(k_values=(0, 4)),
-                 ValueError, "k_values entry must be >= 1, got 0", id="config-k-0"),
+                 ValueError, "k_values[0]: k must be >= 1, got 0", id="config-k-0"),
     # an integrand checks its tail exponent, and takes a dataset only if it reads one
     pytest.param(lambda tmp: make_integrand("fs", 1, tau=0.0),
                  ValueError, "tau must be a finite number > 0, got 0.0", id="integrand-tau-0"),
@@ -254,7 +260,7 @@ _NOT_PD = "curvature at the mode is not positive definite: Matrix is not positiv
     pytest.param(lambda tmp: derivative_stencil((1,), (2,), (1, 8), 3),
                  TypeError, "grid must be a GridSpec, got (1, 8)",
                  id="derivative-stencil-grid-tuple"),
-    pytest.param(lambda tmp: derivative_grid([1.0] * 8, (1,), [1, 8], 3),
+    pytest.param(lambda tmp: derivative_grid([1.0] * 8, [(1,)], [1, 8], 3),
                  TypeError, "grid must be a GridSpec, got [1, 8]", id="derivative-grid-grid-list"),
     pytest.param(lambda tmp: derivative_grid([1.0] * 8, [], (1, 8), 3),
                  TypeError, "grid must be a GridSpec, got (1, 8)",
@@ -272,14 +278,14 @@ _NOT_PD = "curvature at the mode is not positive definite: Matrix is not positiv
                  id="laplace-grad-tol-str"),
     # vanishing_orders names streams that are not a sequence before f is called
     pytest.param(lambda tmp: vanishing_orders(_never, 2, GridSpec(2, 4, 0), 3),
-                 TypeError, "streams must be a sequence of Streams, got 3",
+                 TypeError, "streams must be a sequence, got 3",
                  id="vanishing-orders-streams-int"),
     pytest.param(lambda tmp: vanishing_orders(_never, 2, GridSpec(2, 4, 0), Stream(0)),
                  TypeError,
-                 "streams must be a sequence of Streams, got Stream(seed=0, replicate=0)",
+                 "streams must be a sequence, got Stream(seed=0, replicate=0)",
                  id="vanishing-orders-single-stream"),
     pytest.param(lambda tmp: vanishing_orders(_never, 2, GridSpec(2, 4, 0), [Stream(0), 3]),
-                 TypeError, "streams 1 of the sequence is not a Stream: 3",
+                 TypeError, "streams[1]: stream must be a Stream, got 3",
                  id="vanishing-orders-stream-entry-int"),
     # the tail bound's real arguments pass the one real-number check
     pytest.param(lambda tmp: tail_bound(0.1, "1", 1.0, 10, 2, 1),
@@ -290,15 +296,15 @@ _NOT_PD = "curvature at the mode is not positive definite: Matrix is not positiv
                  TypeError, "norm_r must be a real number, got None", id="tail-bound-norm-none"),
     # a report list, stencil nodes or values, a dimension: named by their class
     pytest.param(lambda tmp: variance_estimate(3),
-                 TypeError, "reports must be a sequence of EstimateReports, got 3",
+                 TypeError, "reports must be a sequence, got 3",
                  id="variance-estimate-reports-int"),
     pytest.param(lambda tmp: pooled("ab"),
-                 TypeError, "reports must be a sequence of EstimateReports, got 'ab'",
+                 TypeError, "reports must be a sequence, got 'ab'",
                  id="pooled-reports-str"),
     pytest.param(lambda tmp: univariate_weights(3, 1),
                  TypeError, "stencil nodes must be a sequence, got 3",
                  id="univariate-weights-nodes-int"),
-    pytest.param(lambda tmp: derivative_grid("abcd", (1,), GridSpec(1, 4), 2),
+    pytest.param(lambda tmp: derivative_grid("abcd", [(1,)], GridSpec(1, 4), 2),
                  TypeError, "fvals must be an array of real numbers, got dtype <U4",
                  id="derivative-grid-fvals-str"),
     pytest.param(lambda tmp: crude_mc(_first, 2.0, 4, Stream(0)),
@@ -315,7 +321,7 @@ _NOT_PD = "curvature at the mode is not positive definite: Matrix is not positiv
     pytest.param(lambda tmp: apply_stencil(derivative_stencil((1,), (2,), GridSpec(1, 8), 3), 3),
                  TypeError, "values must be a Mapping, got 3", id="apply-stencil-values-int"),
     pytest.param(lambda tmp: fit_slope(3),
-                 TypeError, "rows must be a sequence of ResultRows, got 3",
+                 TypeError, "rows must be a sequence, got 3",
                  id="fit-slope-rows-int"),
     pytest.param(lambda tmp: run(3),
                  TypeError, "config must be an ExperimentConfig, got 3", id="run-config-int"),

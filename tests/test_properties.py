@@ -57,7 +57,7 @@ def test_multi_index_call_matches_single_calls(case):
     got = derivative_grid(fvals, alphas, grid, r, mode)
     assert len(got) == len(alphas)
     for alpha, d in zip(alphas, got):
-        assert d.tobytes() == derivative_grid(fvals, alpha, grid, r, mode).tobytes()
+        assert d.tobytes() == derivative_grid(fvals, [alpha], grid, r, mode)[0].tobytes()
     # a one-shot iterator is read once, not probed and then walked
     from_iter = derivative_grid(fvals, iter(alphas), grid, r, mode)
     assert [d.tobytes() for d in from_iter] == [d.tobytes() for d in got]
