@@ -100,8 +100,10 @@ class _Arg(NamedTuple):
         elif kind == "sequence":
             if self.one and isinstance(value, bound.bound):
                 return value
-            # hasattr, not the Iterable ABC: a quarter of the cost per call
-            if isinstance(value, str) or not hasattr(value, "__iter__"):
+            # hasattr, not the Iterable ABC: a quarter of the cost per call;
+            # a 0-d array has __iter__ but raises on iteration
+            if (isinstance(value, str) or not hasattr(value, "__iter__")
+                    or isinstance(value, np.ndarray) and value.ndim == 0):
                 wanted = (f"{_a(bound.bound)} or a sequence of {bound.bound.__name__}s"
                           if self.one else "a sequence")
                 raise TypeError(f"{what} must be {wanted}, got {value!r}")

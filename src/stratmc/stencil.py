@@ -18,13 +18,13 @@ estimators independent across blocks.  Axis indices tile in runs of r, and
 when r does not divide k the last block is anchored at the upper face and
 overlaps its neighbour: the block of index j starts at ``min(j // r * r, k - r)``.
 
-That rule is one clamp over axis positions (``_window_start``), tabulated
-once per axis and window as each position's window start, gather nodes and
-weights for every derivative order.  :func:`derivative_stencil` reads one row
-per active axis and :func:`derivative_grid` applies whole tables, so the two
-agree by construction; it walks a set of multi-indices axis by axis as a tree
-of passes, sharing their common passes, and plans that tree once per set of
-multi-indices and grid.
+That rule is one function of the axis position (``_window_start``), read
+where it is used: :func:`derivative_stencil` evaluates it at its centre, in
+O(window) time and memory per axis for any k, and :func:`derivative_grid`
+tabulates it per axis as gather nodes and weights.  The latter walks a set
+of multi-indices axis by axis as a tree of passes, sharing their common
+passes, and plans that tree, with each of its tables built once, once per
+set of multi-indices and grid.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from __future__ import annotations
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from math import factorial
 
 import numpy as np
@@ -128,35 +128,33 @@ def univariate_weights(kappa, a: int) -> np.ndarray:
     return w
 
 
-def _window_start(position, window: int, lo, hi):
+def _window_start(position, window: int, lo, hi, block: int = 0):
     """First offset of the window at ``position`` inside [lo, hi], elementwise.
 
     Centred when possible; an even window leans one step to the negative
     side; at a boundary the window shifts by the minimal amount that fits.
-    Callers keep ``2 <= window <= hi - lo + 1``.
+    A ``block`` side > 0 (block mode, lo = 0) first confines the window to
+    the block of the position, which starts at
+    ``min(position // block * block, hi + 1 - block)``; 0 is free mode.
+    Callers keep ``2 <= window <= hi - lo + 1`` and ``window <= block``.
     """
+    if block:
+        lo = np.minimum(position // block * block, hi + 1 - block)
+        hi = lo + block - 1
     return np.maximum(lo - position, np.minimum(-(window // 2), hi - position - (window - 1)))
 
 
-@lru_cache(maxsize=256)
 def _axis_table(window: int, lo: int, hi: int, block: int):
-    """Window starts ``(side,)``, gather nodes and weights on the axis [lo, hi].
+    """Gather nodes and weights of the window rule on the axis [lo, hi].
 
-    Entry ``j - lo`` is axis position j: window ``start + (0, ..., window-1)``,
-    confined, when ``block`` is a side > 0 (block mode, lo = 0), to the block
-    of j, which starts at ``min(j // block * block, hi + 1 - block)``; 0 is
-    free mode.  ``nodes[w, j - lo]`` is the 0-based position of node w,
-    which is what :func:`derivative_grid` gathers.  ``weights[a]`` is the
-    ``(window, side)`` table for d^a/dx^a, a = 1..window-1, solved once per
-    distinct start and stored window-major, so the contraction runs over a
-    contiguous position axis.
+    ``nodes[w, j - lo]`` is the 0-based position of node w of the window at
+    axis position j, which is what :func:`derivative_grid` gathers.
+    ``weights[a]`` is the ``(window, side)`` table for d^a/dx^a,
+    a = 1..window-1, solved once per distinct window start and stored
+    window-major, so the contraction runs over a contiguous position axis.
     """
     pos = np.arange(lo, hi + 1)
-    b_lo, b_hi = lo, hi
-    if block:
-        b_lo = np.minimum(pos // block * block, hi + 1 - block)
-        b_hi = b_lo + block - 1
-    starts = _window_start(pos, window, b_lo, b_hi)
+    starts = _window_start(pos, window, lo, hi, block)
     nodes = np.arange(window)[:, None] + (np.arange(len(pos)) + starts)
     patterns, row_pattern = np.unique(starts, return_inverse=True)
     kappas = [tuple(range(p, p + window)) for p in patterns.tolist()]
@@ -165,9 +163,8 @@ def _axis_table(window: int, lo: int, hi: int, block: int):
         pattern_w = np.array([_lagrange_coeff_exact(kappa, a) for kappa in kappas], dtype=float)
         weights[a] = np.ascontiguousarray(pattern_w[row_pattern.reshape(-1)].T)
         weights[a].setflags(write=False)
-    starts.setflags(write=False)
     nodes.setflags(write=False)
-    return starts, nodes, weights
+    return nodes, weights
 
 
 # ---------------------------------------------------------------------------
@@ -192,31 +189,23 @@ def _axis_steps(alpha, r: int) -> list[tuple[int, int, int]]:
     return steps
 
 
-def _active_tables(alpha, grid: GridSpec, r: int, mode: str):
-    """(axis, order, window, starts, nodes, weights) per active axis of ``alpha``.
+def _active_steps(alpha, grid: GridSpec, r: int, mode: str):
+    """:func:`_axis_steps` of ``alpha``, once the rules both stencil functions share hold.
 
-    The rules both stencil functions share, on their checked arguments:
-    ``alpha`` of length s with no negative entry, |alpha| < r, and k >= r
-    once an axis is active; block mode (side-r blocks) also needs a
-    margin-free grid and k >= r.  Each axis reads its ``_axis_table`` and
-    the weights of its order there.
+    On their checked arguments: ``alpha`` of length s with no negative
+    entry, |alpha| < r, and k >= r once an axis is active; block mode
+    (side-r blocks) also needs a margin-free grid and k >= r.
     """
-    block = r if mode == "block" else 0
     if len(alpha) != grid.s or any(a < 0 for a in alpha):
         raise ValueError(f"bad multi-index {alpha} for dimension {grid.s}")
     if _abs_order(alpha) >= r:
         raise OrderError(f"|alpha|={_abs_order(alpha)} must be < r={r}")
-    if block and grid.m != 0:
+    if mode == "block" and grid.m != 0:
         raise ValueError(f"block mode needs a margin-free grid (m = 0), got m={grid.m}")
     steps = _axis_steps(alpha, r)
-    if (steps or block) and grid.k < r:
+    if (steps or mode == "block") and grid.k < r:
         raise ResolutionError(f"need k >= r, got k={grid.k}, r={r}")
-    lo, hi = -grid.m, grid.k + grid.m - 1
-    tables = []
-    for axis, a, window in steps:
-        starts, nodes, weights = _axis_table(window, lo, hi, block)
-        tables.append((axis, a, window, starts, nodes, weights[a]))
-    return tables
+    return steps
 
 
 @dataclass(frozen=True)
@@ -247,27 +236,23 @@ def derivative_stencil(alpha, centre_index, grid: GridSpec, r: int,
 
     Requires |alpha| < r, k >= r (so every window fits) and a centre inside
     the grid; with ``mode="block"`` nodes stay inside the side-r block of
-    the centre, on a margin-free grid.  The per-axis windows are rows of the
-    tables :func:`derivative_grid` applies, and nodes run over their tensor
-    product, first active axis slowest.
+    the centre, on a margin-free grid.  Each active axis evaluates the
+    window rule :func:`derivative_grid` tabulates at the centre alone, so
+    time and memory are O(window) per axis for any k; nodes run over the
+    tensor product of the windows, first active axis slowest.
     """
-    tables = _active_tables(alpha, grid, r, mode)
+    steps = _active_steps(alpha, grid, r, mode)
     if len(centre_index) != grid.s or any(j not in grid.index_range() for j in centre_index):
         raise DomainError(f"centre {centre_index} is not an index of {grid}")
-    if not tables:
-        one = np.ones(1)
-        z = np.zeros((1, grid.s), dtype=np.int64)
-        return DerivativeStencil(alpha, centre_index, z, np.array([centre_index]), one, 1.0)
-    active, axis_offsets, axis_weights = [], [], []
-    for axis, _a, window, starts, _nodes, weights in tables:
-        row = centre_index[axis] + grid.m
-        active.append(axis)
-        axis_offsets.append(starts[row] + np.arange(window))
-        axis_weights.append(weights[:, row])
-    mesh = np.meshgrid(*axis_offsets, indexing="ij")
-    offsets = np.zeros((mesh[0].size, grid.s), dtype=np.int64)
-    offsets[:, active] = np.stack([m.reshape(-1) for m in mesh], axis=1)
-    weights = reduce(np.multiply.outer, axis_weights).reshape(-1)
+    block = r if mode == "block" else 0
+    offsets, weights = np.zeros((1, grid.s), dtype=np.int64), np.ones(1)
+    for axis, a, window in steps:
+        start = int(_window_start(centre_index[axis], window, -grid.m, grid.k + grid.m - 1, block))
+        kappa = tuple(range(start, start + window))
+        offsets = np.repeat(offsets, window, axis=0)
+        offsets[:, axis] = np.tile(kappa, len(weights))
+        weights = np.multiply.outer(weights, np.array(_lagrange_coeff_exact(kappa, a),
+                                                      dtype=float)).reshape(-1)
     nodes = np.asarray(centre_index, dtype=np.int64) + offsets
     return DerivativeStencil(alpha, centre_index, offsets, nodes,
                              weights, float(grid.k) ** _abs_order(alpha))
@@ -304,7 +289,7 @@ def _plan_node(checked, members, depth: int, grid: GridSpec):
             outs.append((i, float(grid.k) ** _abs_order(alpha_i)))
             continue
         # members agree on every earlier pass, so each axis has one window here
-        axis, a, _window, _starts, nodes, weights = tables[depth]
+        axis, a, nodes, weights = tables[depth]
         orders = groups.setdefault(axis, (nodes, {}))[1]
         orders.setdefault(a, (weights, []))[1].append(i)
     passes = []
@@ -325,9 +310,18 @@ def _grid_tree(alphas: tuple[tuple[int, ...], ...], grid: GridSpec, r: int, mode
     """The tree of passes :func:`derivative_grid` runs for ``alphas``.
 
     Its root reads the centre values; multi-indices are walked axis by axis,
-    and those that agree on their leading passes share one branch.
+    and those that agree on their leading passes share one branch.  Each
+    window's axis table is built once per tree.
     """
-    checked = [(a, _active_tables(a, grid, r, mode)) for a in alphas]
+    block, tables, checked = r if mode == "block" else 0, {}, []
+    for alpha in alphas:
+        passes = []
+        for axis, a, window in _active_steps(alpha, grid, r, mode):
+            if window not in tables:
+                tables[window] = _axis_table(window, -grid.m, grid.k + grid.m - 1, block)
+            nodes, weights = tables[window]
+            passes.append((axis, a, nodes, weights[a]))
+        checked.append((alpha, passes))
     return _plan_node(checked, range(len(checked)), 0, grid)
 
 
@@ -340,22 +334,23 @@ def derivative_grid(fvals: np.ndarray, alpha, grid: GridSpec, r: int,
     ``fvals`` is indexed like :func:`stratmc.lattice.centre_array`.  ``alpha``
     is a sequence or iterator of multi-indices, read once, giving a list of
     ``(n_centres,)`` arrays in input order (``[]`` for none).  Each active
-    axis reads one window table (:func:`derivative_stencil` reads the same
-    rows): one gather takes every position's window along the axis and one
-    contraction per derivative order applies the weights.  Multi-indices
+    axis tabulates the window rule :func:`derivative_stencil` evaluates at
+    one centre: one gather takes every position's window along the axis and
+    one contraction per derivative order applies the weights.  Multi-indices
     are walked axis by axis, so those that agree on their leading axes
     share the gathers and contractions there.  Cost is O(n_centres * window) per pass and memory
     O(n_centres * window), never side^2.
 
     The walk is planned once per ``(alphas, grid, r, mode)`` and cached as
     a tree of passes; a call runs it from a stack of (partial result, node),
-    so each partial is dropped once its children are computed.  A failed
-    plan is not cached, so a bad argument raises on every call, and the
-    values are the same whether or not the tree came from the cache.
+    so each partial is dropped once its children are computed.  ``fvals``
+    is checked before the plan, and a failed plan is not cached, so a bad
+    argument plans nothing and raises on every call; the values are the
+    same whether or not the tree came from the cache.
     """
-    root = _grid_tree(alpha, grid, r, mode)
     if fvals.size != grid.n_centres:
         raise ValueError(f"fvals has {fvals.size} values, {grid} has {grid.n_centres} centres")
+    root = _grid_tree(alpha, grid, r, mode)
     out = [None] * len(alpha)
     stack = [(fvals.reshape(grid.n_centres), root)]
     while stack:
@@ -416,11 +411,14 @@ def error_constant(s: int, r: int, family: str = "single") -> float:
     for alpha in alphas:
         c_alpha = 0.0
         for _axis, a, window in _axis_steps(alpha, r_build):
-            # columns at every boundary shift of the window; the Taylor budget
-            # is r minus the order consumed before this axis
-            starts, _nodes, weights = _axis_table(window, 0, 2 * window - 2, 0)
-            powers = (starts + np.arange(window)[:, None]).astype(float) ** (window - (r_build - r))
-            step = max(float(np.sum(np.abs(w * x))) for w, x in zip(weights[a].T, powers.T))
+            # every boundary shift of the window; the Taylor budget is r minus
+            # the order consumed before this axis
+            step = 0.0
+            for start in range(1 - window, 1):
+                kappa = tuple(range(start, start + window))
+                weights = np.array(_lagrange_coeff_exact(kappa, a), dtype=float)
+                powers = np.array(kappa, dtype=float) ** (window - (r_build - r))
+                step = max(step, float(np.sum(np.abs(weights * powers))))
             c_alpha = step * (1.0 + c_alpha)
         c_bar = max(c_bar, c_alpha)
 

@@ -102,8 +102,8 @@ def _valid(name):
 def _bad(arg):
     """(value, label its error must name): values of the wrong type (a bool
     is no integer or real number), and one out of range where the class has
-    a range; a sequence gets one whose entry is its entry class's first bad
-    value, and an empty one where it must not be empty."""
+    a range; a sequence gets a 0-d array, one whose entry is its entry
+    class's first bad value, and an empty one where it must not be empty."""
     kind, bound, label = arg.kind, arg.bound, arg.label
     if kind == "integer":
         return [(2.5, label), (True, label)] + ([] if bound is None else [(bound - 1, label)])
@@ -114,7 +114,8 @@ def _bad(arg):
     if kind in ("instance", "callable", "path"):
         return [(3, label)]
     if kind == "sequence":
-        return [(3, label), ([_bad(bound)[0][0]], label)] + ([([], label)] if arg.nonempty else [])
+        return ([(3, label), (np.array(3), label), ([_bad(bound)[0][0]], label)]
+                + ([([], label)] if arg.nonempty else []))
     if kind == "choice":
         return [(3, label), ("bogus", label)]
     if kind == "array":

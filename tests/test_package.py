@@ -1,3 +1,6 @@
+import functools
+import importlib
+import pkgutil
 import re
 import types
 from pathlib import Path
@@ -45,6 +48,22 @@ def test_readme_functions_resolve():
     for name in README_NAMES:
         assert f"`{name}`" in text or f"{name}(" in text, name
         assert name in stratmc.__all__ and callable(getattr(stratmc, name)), name
+
+
+def test_process_caches_are_declared():
+    # every module-level lru_cache the package defines, each holding state
+    # for the life of the process; a new one is declared here
+    caches = []
+    for info in pkgutil.iter_modules(stratmc.__path__):
+        module = importlib.import_module(f"stratmc.{info.name}")
+        for name, obj in vars(module).items():
+            while obj is not None and getattr(obj, "__module__", None) == module.__name__:
+                if isinstance(obj, functools._lru_cache_wrapper):
+                    caches.append(f"{info.name}.{name}")
+                    break
+                obj = getattr(obj, "__wrapped__", None)
+    assert sorted(caches) == ["estimators._built_plan", "lattice._grid_arrays",
+                              "stencil._grid_tree"]
 
 
 def test_exports_are_documented_or_oracles():
@@ -163,6 +182,12 @@ _NOT_PD = "curvature at the mode is not positive definite: Matrix is not positiv
     pytest.param(lambda tmp: derivative_stencil((1,), (2.7,), GridSpec(1, 8), 3),
                  TypeError, "centre index[0]: index must be an integer, got 2.7",
                  id="derivative-stencil-centre-float"),
+    # a 0-d array is no sequence
+    pytest.param(lambda tmp: derivative_grid(np.zeros(8), np.array(3), GridSpec(1, 8), 3),
+                 TypeError, "alpha must be a sequence, got array(3)", id="grid-alpha-0d"),
+    pytest.param(lambda tmp: haber1(_first, GridSpec(1, 4), np.array(Stream(0), dtype=object)),
+                 TypeError, "stream must be a Stream or a sequence of Streams, "
+                 "got array(Stream(seed=0, replicate=0), dtype=object)", id="haber1-stream-0d"),
     # a bool is not an integer or a real number
     pytest.param(lambda tmp: GridSpec(True, 4),
                  TypeError, "GridSpec.s must be an integer, got True", id="grid-s-bool"),

@@ -18,6 +18,7 @@ from stratmc.lattice import GridSpec, centre_array, index_array
 from stratmc.stencil import (
     _abs_order,
     _family_stencils,
+    _grid_tree,
     _lagrange_coeff_exact,
     _multi_factorial,
     apply_stencil,
@@ -434,6 +435,32 @@ def test_derivative_grid_rejects_wrong_fvals_size():
         derivative_grid(np.zeros(24), [(1, 0), (0, 1)], grid, 3)
 
 
+def test_rejected_grid_call_plans_nothing():
+    # the size of fvals is checked before a tree is planned and cached
+    _grid_tree.cache_clear()
+    with pytest.raises(ValueError, match="3 values"):
+        derivative_grid(np.zeros(3), [(1,)], GridSpec(1, 8), 3)
+    assert _grid_tree.cache_info().currsize == 0
+    derivative_grid(np.zeros(8), [(1,)], GridSpec(1, 8), 3)
+    assert _grid_tree.cache_info().currsize == 1
+
+
+def test_one_centre_costs_its_window():
+    # one centre evaluates the window rule there alone: a table as long as
+    # the axis would take about 19 MiB at k = 10^5
+    alpha, centre = (1, 0, 0), (0, 0, 0)
+    tracemalloc.start()
+    try:
+        stencil = derivative_stencil(alpha, centre, GridSpec(3, 10 ** 5), 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    corner = derivative_stencil(alpha, centre, GridSpec(3, 8), 4)
+    assert np.array_equal(stencil.offsets, corner.offsets)
+    assert np.array_equal(stencil.weights, corner.weights)
+
+
 def test_derivative_grid_memory_bounded():
     # s=1, k=2^16: a dense side x side axis operator would need 32 GiB; the
     # window tables keep the peak to a few arrays of side * window floats,
@@ -547,9 +574,9 @@ def test_error_constant_r_too_small():
         error_constant(1, 1)
 
 
-# repr(error_constant(s, r, family)) for r = 2..8, pinned when the family
-# table and the boundary-shift moments moved into ``_family_stencils`` and
-# ``_axis_table``: the constant is the same double as before
+# repr(error_constant(s, r, family)) for r = 2..8: the constant stays the
+# same double however the family table and the boundary-shift moments are
+# computed
 _ERROR_CONSTANTS = {
     ("single", 1): ("2.25", "30.041666666666668", "500.0052083333333", "12402.500520833335",
                     "327814.66671006946", "11474164.600003101", "451437644.02116424"),
