@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from numbers import Real
 
 import numpy as np
@@ -39,7 +39,7 @@ from .estimators import (  # noqa: F401
     haber2,
     vanishing_margin,
 )
-from .transform import _TAU, laplace_reparametrize, wrap
+from .transform import _TAU, LaplaceFit, laplace_reparametrize, wrap
 
 __all__ = [
     "Integrand",
@@ -62,15 +62,18 @@ PRIOR_SD = 5.0  # the logistic integrand's prior standard deviation per coeffici
 
 
 @dataclass
-@_checked(s=_DIMENSION.named("Integrand.s"), fn=_CALLABLE.named("Integrand.fn"))
+@_checked(s=_DIMENSION.named("Integrand.s"), fn=_CALLABLE.named("Integrand.fn"),
+          vanishing=_Arg("instance", "Integrand.vanishing", bool))
 class Integrand:
-    """A test integrand with optional exact value."""
+    """A test integrand with optional exact value; ``laplace_fit`` (output only) is
+    the ``LaplaceFit`` that ``logistic_marginal_likelihood`` built it from, else None."""
 
     name: str
     s: int
     fn: object                      # vectorized: (n, s) -> (n,)
     exact: float | None = None
     vanishing: bool = False
+    laplace_fit: LaplaceFit | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.exact is not None and (not isinstance(self.exact, Real)

@@ -41,9 +41,11 @@ through ``_evaluate``, which holds it to one contract: ``(n, s)`` points in,
 ``n`` finite real values out, else ``IntegrandError``.
 
 Estimators that admit exact identities (vanishing at orders 1/2 vs. the two
-Haber rules, the single-point rule at r=1 vs. haber1, paired rules at 2q vs.
-2q-1) run the same floating-point path through the core, so those identities
-hold bit for bit on a common stream, not just in distribution.
+Haber rules, whose dilations and weights every plan takes from the same
+sequence and Vandermonde solve; the single-point rule at r=1 vs. haber1;
+paired rules at 2q vs. 2q-1) run the same floating-point path through the
+core, so those identities hold bit for bit on a common stream, not just in
+distribution.
 """
 
 from __future__ import annotations
@@ -52,13 +54,12 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from operator import index
 
 import numpy as np
 
 from .errors import IntegrandError, ResolutionError
-from .lattice import (_CALLABLE, _DIMENSION, _GRID, _INTEGER, _MODE, _ORDER, _STREAM_OR_STREAMS,
-                      _STREAMS, GridSpec, Stream, _Arg, _checked, centre_array)
+from .lattice import (_CALLABLE, _DIMENSION, _GRID, _INTEGER, _MODE, _ORDER, _STREAM,
+                      _STREAM_OR_STREAMS, _STREAMS, GridSpec, Stream, _Arg, _checked, centre_array)
 from .stencil import (
     _family_stencils,
     _lagrange_coeff_exact,
@@ -153,11 +154,9 @@ class EstimateReport:
 
     ``per_stratum_terms`` (kept on request) holds the independent summands
     Y_c with ``value ~= sum(per_stratum_terms) / normalizer``; replicate-based
-    variance estimation needs them.  ``shift_averages`` is filled by the
-    vanishing estimator: entry j is the stratum mean of f(c + shift_j * U_c),
-    from which the estimate at every order r' <= r can be re-assembled.
-    ``stream`` is the Stream the offsets were drawn from (None for
-    hand-built reports); pooling rejects replicates that share one.
+    variance estimation needs them.  ``stream`` is the Stream the offsets
+    were drawn from (None for hand-built reports); pooling rejects
+    replicates that share one.
     """
 
     value: float
@@ -167,7 +166,6 @@ class EstimateReport:
     n_in_domain: int
     normalizer: int
     per_stratum_terms: np.ndarray | None = None
-    shift_averages: tuple[float, ...] | None = None
     stream: Stream | None = None
 
 
@@ -323,56 +321,51 @@ def _combine(weights, values):
 
 @dataclass(frozen=True)
 class _Plan:
-    """One estimator on one grid, from ``_plan``: dilations and weights, the
-    zero-extension guard, and the control-variate multi-indices with their
-    Taylor terms and stencil order (0: from an oracle)."""
+    """One estimator on one grid, from ``_plan``: dilations and weights, and the
+    control-variate multi-indices with their Taylor terms and stencil order
+    (0: from an oracle)."""
 
     config: EstimatorConfig
     shifts: tuple[int, ...]
     weights: tuple[float, ...]
-    guard: bool = False
     alphas: tuple[tuple[int, ...], ...] = ()
     taylor: tuple = ()
     r_build: int = 0
 
 
-# the unguarded variants: dilations, weights and control-variate family
+# variant -> its number of dilations (None: the order r) and control-variate family
 _RULES = {
-    "haber1": ((1,), (1.0,), None),
-    "haber2": ((1, -1), (0.5, 0.5), None),
-    "single_cv": ((1,), (1.0,), "single"),
-    "paired_cv": ((1, -1), (0.5, 0.5), "paired"),
-    "analytic_cv": ((1, -1), (0.5, 0.5), "paired"),
+    "haber1": (1, None),
+    "haber2": (2, None),
+    "single_cv": (1, "single"),
+    "paired_cv": (2, "paired"),
+    "analytic_cv": (2, "paired"),
+    "vanishing": (None, None),
 }
 
 
-def _plan(variant: str, r, grid: GridSpec, mode="free") -> _Plan:
-    """The plan of ``variant`` at order ``r`` (for ``"dilated_mean"``, its dilation) on
-    ``grid``, built once; a failed build is not cached, and a numpy integer shares its int's."""
-    return _built_plan(variant, index(r), grid, mode)
-
-
 @lru_cache(maxsize=256)
-def _built_plan(variant: str, r: int, grid: GridSpec, mode: str) -> _Plan:
-    family, guard = None, variant in ("vanishing", "dilated_mean")
-    if variant == "vanishing":
-        # the weights solve the Vandermonde system making sum_j w_j g(shift_j u)
-        # reproduce g(0) up to O(|u|^r): they sum to one and kill the first r-1 moments
-        shifts = _shifts(r)
-        weights = tuple(float(w) for w in _lagrange_coeff_exact(shifts, 0))
-    elif variant == "dilated_mean":
+def _plan(variant: str, r: int, grid: GridSpec, mode: str) -> _Plan:
+    """The plan of ``variant`` at order ``r`` (for ``"dilated_mean"``, its dilation) on
+    ``grid``, built once; a failed build is not cached."""
+    if variant == "dilated_mean":
         if r % 2 == 0:
             raise ValueError(f"dilation must be odd, got {r}")
-        shifts, weights = (r,), (1.0,)
+        shifts, family = (r,), None
     else:
-        shifts, weights, family = _RULES[variant]
+        n, family = _RULES[variant]
+        shifts = _shifts(r if n is None else n)
+    # the weights solve the Vandermonde system making sum_j w_j g(shift_j u)
+    # reproduce g(0) up to O(|u|^n) for n dilations: they sum to one and kill the
+    # first n - 1 moments; at n = 1, 2 they are Haber's (1.0,) and (0.5, 0.5)
+    weights = tuple(float(w) for w in _lagrange_coeff_exact(shifts, 0))
     alphas, r_build = (), 0
     if family:
         # a block-local window must fit in its side-r block
         alphas, r_build = _family_stencils(family, grid.s, r, r if mode == "block" else grid.k)
     if variant == "analytic_cv":
         r_build = 0     # the caller's oracle gives the derivatives
-    plan = _Plan(EstimatorConfig(variant, r, grid, mode), shifts, weights, guard, alphas,
+    plan = _Plan(EstimatorConfig(variant, r, grid, mode), shifts, weights, alphas,
                  _taylor_terms(alphas, grid.k), r_build)
     _check_grid(plan)
     return plan
@@ -380,13 +373,13 @@ def _built_plan(variant: str, r: int, grid: GridSpec, mode: str) -> _Plan:
 
 def _check_grid(plan: _Plan):
     """The grid rule of a plan, checked once when it is built: no margin
-    without the guard, with it a margin covering the dilations' reach (every
-    stratum whose points can land in the cube); k >= r for stencils, k >= 2
-    for vanishing."""
+    unless the variant zero-extends f (vanishing, dilated_mean), and a margin
+    covering the dilations' reach (every stratum whose points can land in the
+    cube); k >= r for stencils, k >= 2 for vanishing."""
     variant, r, grid = plan.config.variant, plan.config.r, plan.config.grid
-    if not plan.guard and grid.m != 0:
+    if variant not in ("vanishing", "dilated_mean") and grid.m != 0:
         raise ValueError("this estimator runs on margin-free grids (m = 0)")
-    reach = _reach(plan.shifts) if plan.guard else 0
+    reach = _reach(plan.shifts)
     if grid.m < reach:
         raise ValueError(f"margin {grid.m} is below the reach {reach} of the dilations; "
                          f"need at least {reach}")
@@ -442,7 +435,6 @@ def _estimate(plans: _Plan | tuple[_Plan, ...], f, stream, keep_terms: bool, ora
                 n_in_domain=n_det + sum(counts[:n_shifts]),
                 normalizer=grid.k ** grid.s,
                 per_stratum_terms=terms,
-                shift_averages=tuple(means[:n_shifts]) if plan.guard else None,
                 stream=st,
             ))
         return reports[0] if single else tuple(reports)
@@ -507,8 +499,7 @@ def _derivatives(plan: _Plan, f, oracle) -> list[np.ndarray]:
     return derivative_grid(fvals, plan.alphas, grid, plan.r_build, plan.config.mode)
 
 
-@_checked(g=_CALLABLE.named("g"), shift=_INTEGER.named("dilation"), grid=_GRID,
-          stream=_STREAM_OR_STREAMS)
+@_checked(g=_CALLABLE.named("g"), shift=_INTEGER.named("dilation"), grid=_GRID, stream=_STREAM)
 def shifted_stratum_mean(g, shift: int, grid: GridSpec, stream: Stream) -> float:
     """k^-s sum over centres of gbar(c + shift * U_c); unbiased for the integral.
 
@@ -516,16 +507,19 @@ def shifted_stratum_mean(g, shift: int, grid: GridSpec, stream: Stream) -> float
     (|shift| - 1) / 2, otherwise strata near the boundary would be over- or
     under-visited.
     """
-    return _estimate(_plan("dilated_mean", shift, grid), g, stream, False).shift_averages[0]
+    return _estimate(_plan("dilated_mean", shift, grid, "free"), g, stream, False).value
 
 
 # ---------------------------------------------------------------------------
 # estimators
 
-_ESTIMATOR_ARGS = dict(f=_CALLABLE, r=_ORDER, grid=_GRID, stream=_STREAM_OR_STREAMS)
+_KEEP_TERMS = _Arg("instance", "keep_terms", bool)
+_ESTIMATOR_ARGS = dict(f=_CALLABLE, r=_ORDER, grid=_GRID, stream=_STREAM_OR_STREAMS,
+                       keep_terms=_KEEP_TERMS)
 
 
-@_checked(f=_CALLABLE, s=_DIMENSION, n=_Arg("integer", "n", 1), stream=_STREAM_OR_STREAMS)
+@_checked(f=_CALLABLE, s=_DIMENSION, n=_Arg("integer", "n", 1), stream=_STREAM_OR_STREAMS,
+          keep_terms=_KEEP_TERMS)
 def crude_mc(f, s: int, n: int, stream: Stream | Sequence[Stream], keep_terms: bool = False):
     """Plain Monte Carlo: mean of f at n iid uniform points."""
     config = EstimatorConfig("crude", 1, GridSpec(s, 1, 0))
@@ -546,16 +540,16 @@ def crude_mc(f, s: int, n: int, stream: Stream | Sequence[Stream], keep_terms: b
     return _per_stream(stream, one)
 
 
-@_checked(f=_CALLABLE, grid=_GRID, stream=_STREAM_OR_STREAMS)
+@_checked(f=_CALLABLE, grid=_GRID, stream=_STREAM_OR_STREAMS, keep_terms=_KEEP_TERMS)
 def haber1(f, grid: GridSpec, stream: Stream | Sequence[Stream], keep_terms: bool = False):
     """One random evaluation per stratum; optimal for once-differentiable f."""
-    return _estimate(_plan("haber1", 1, grid), f, stream, keep_terms)
+    return _estimate(_plan("haber1", 1, grid, "free"), f, stream, keep_terms)
 
 
-@_checked(f=_CALLABLE, grid=_GRID, stream=_STREAM_OR_STREAMS)
+@_checked(f=_CALLABLE, grid=_GRID, stream=_STREAM_OR_STREAMS, keep_terms=_KEEP_TERMS)
 def haber2(f, grid: GridSpec, stream: Stream | Sequence[Stream], keep_terms: bool = False):
     """Antithetic pair per stratum; optimal for twice-differentiable f."""
-    return _estimate(_plan("haber2", 2, grid), f, stream, keep_terms)
+    return _estimate(_plan("haber2", 2, grid, "free"), f, stream, keep_terms)
 
 
 @_checked(derivative_oracle=_CALLABLE.named("derivative oracle"), **_ESTIMATOR_ARGS)
@@ -569,7 +563,8 @@ def estimate_analytic_cv(f, derivative_oracle, r: int, grid: GridSpec,
     streams consults the oracle once for all of them.
     """
     # the oracle goes to the call, not the cached plan, which would keep it alive
-    return _estimate(_plan("analytic_cv", r, grid), f, stream, keep_terms, derivative_oracle)
+    plan = _plan("analytic_cv", r, grid, "free")
+    return _estimate(plan, f, stream, keep_terms, derivative_oracle)
 
 
 @_checked(mode=_MODE, **_ESTIMATOR_ARGS)
@@ -607,11 +602,11 @@ def estimate_vanishing(f, r: int, grid: GridSpec, stream: Stream | Sequence[Stre
     the cube boundary (unchecked - it only affects the convergence rate, not
     unbiasedness).  Evaluation points outside the closed cube contribute 0
     without calling f.  The grid needs k >= 2 and a margin of at least
-    ``vanishing_margin(r)``; any larger margin gives the same value,
-    ``shift_averages`` and ``n_in_domain``, while ``n_random`` and the
-    per-stratum terms follow the grid's cells.
+    ``vanishing_margin(r)``; any larger margin gives the same value and
+    ``n_in_domain``, while ``n_random`` and the per-stratum terms follow the
+    grid's cells.
     """
-    return _estimate(_plan("vanishing", r, grid), f, stream, keep_terms)
+    return _estimate(_plan("vanishing", r, grid, "free"), f, stream, keep_terms)
 
 
 @_checked(f=_CALLABLE, r_max=_ORDER, grid=_GRID, streams=_STREAMS)
@@ -626,7 +621,7 @@ def vanishing_orders(f, r_max: int, grid: GridSpec,
     stream, on any grid that ``estimate_vanishing`` accepts at r_max.
     """
     # top order first, as its dilations and grid rule cover every lower order
-    plans = tuple(_plan("vanishing", r, grid) for r in range(r_max, 0, -1))
+    plans = tuple(_plan("vanishing", r, grid, "free") for r in range(r_max, 0, -1))
     per_stream = _estimate(plans, f, streams, keep_terms=True)
     return {r: [reports[r_max - r] for reports in per_stream] for r in range(1, r_max + 1)}
 
@@ -657,7 +652,8 @@ def asymptotic_variance_estimate(derivative_oracle, s: int, r: int, budget: int,
         samples[:, j] = [rep.value for rep in estimate_paired_cv(g, r, grid, streams, mode="block")]
     cov = np.cov(samples.T, ddof=1).reshape(len(alphas), len(alphas))
 
-    quad_per_axis = {1: 4096, 2: 128}.get(s, max(8, int(round(8192 ** (1 / s)))))
+    # about 8192 midpoints in all (a per-axis floor above 2 would grow as its s-th power)
+    quad_per_axis = {1: 4096, 2: 128}.get(s, max(2, int(round(8192 ** (1 / s)))))
     qpts = centre_array(GridSpec(s, quad_per_axis))
     dvals = [_evaluate(partial(derivative_oracle, a), qpts, f"derivative oracle at alpha={a}")[0]
              for a in alphas]

@@ -388,6 +388,12 @@ def test_logistic_mode_search_stops_at_rounding_level(tmp_path):
     assert np.max(np.abs(grad)) < 1e-6
 
 
+def test_laplace_fit_is_none_unless_a_fit_built_the_integrand():
+    integ = Integrand("x", 1, lambda p: p[:, 0])
+    assert integ.laplace_fit is None
+    assert "laplace_fit=" not in repr(integ)
+
+
 def test_logistic_too_many_predictors(tmp_path):
     path = tmp_path / "d.csv"
     _write_dataset(path)

@@ -14,7 +14,8 @@ from stratmc.bench import (ExperimentConfig, Integrand, fit_slope, load_labelled
                            test_function as product_family, wrapped_gaussian)
 from stratmc.errors import DomainError, OrderError, ResolutionError, StratError
 from stratmc.estimators import (asymptotic_variance_estimate, crude_mc, estimate_analytic_cv,
-                                estimate_paired_cv, haber1, vanishing_orders)
+                                estimate_paired_cv, haber1, shifted_stratum_mean,
+                                vanishing_orders)
 from stratmc.lattice import GridSpec, Stream, centre_array
 from stratmc.replicate import pooled, select_order, tail_bound, variance_estimate
 from stratmc.stencil import (apply_stencil, derivative_grid, derivative_stencil, error_constant,
@@ -50,6 +51,14 @@ def test_readme_functions_resolve():
         assert name in stratmc.__all__ and callable(getattr(stratmc, name)), name
 
 
+def test_readme_library_tour_runs():
+    # the first python block of the README, run as written
+    block = re.search(r"```python\n(.*?)```", README.read_text(), re.S).group(1)
+    namespace = {}
+    exec(block, namespace)
+    assert np.isfinite(namespace["report"].value)
+
+
 def test_process_caches_are_declared():
     # every module-level lru_cache the package defines, each holding state
     # for the life of the process; a new one is declared here
@@ -62,7 +71,7 @@ def test_process_caches_are_declared():
                     caches.append(f"{info.name}.{name}")
                     break
                 obj = getattr(obj, "__wrapped__", None)
-    assert sorted(caches) == ["estimators._built_plan", "lattice._grid_arrays",
+    assert sorted(caches) == ["estimators._plan", "lattice._grid_arrays",
                               "stencil._grid_tree"]
 
 
@@ -197,6 +206,27 @@ _NOT_PD = "curvature at the mode is not positive definite: Matrix is not positiv
                  TypeError, "n must be an integer, got True", id="crude-n-bool"),
     pytest.param(lambda tmp: psi([0.5], True),
                  TypeError, "tau must be a real number, got True", id="psi-tau-bool"),
+    # a flag is a bool: an array, a string, 1 or a numpy bool is named
+    pytest.param(lambda tmp: haber1(_first, GridSpec(1, 4), Stream(0),
+                                    keep_terms=np.array([1, 2])),
+                 TypeError, "keep_terms must be a bool, got array([1, 2])",
+                 id="haber1-keep-terms-array"),
+    pytest.param(lambda tmp: crude_mc(_first, 1, 4, Stream(0), keep_terms="no"),
+                 TypeError, "keep_terms must be a bool, got 'no'", id="crude-keep-terms-str"),
+    pytest.param(lambda tmp: estimate_paired_cv(_first, 2, GridSpec(1, 4), Stream(0),
+                                                keep_terms=1),
+                 TypeError, "keep_terms must be a bool, got 1", id="paired-cv-keep-terms-int"),
+    pytest.param(lambda tmp: estimate_analytic_cv(_first, _first, 2, GridSpec(1, 4), Stream(0),
+                                                  keep_terms=np.True_),
+                 TypeError, f"keep_terms must be a bool, got {np.True_!r}",
+                 id="analytic-cv-keep-terms-numpy-bool"),
+    pytest.param(lambda tmp: Integrand("x", 1, _first, vanishing="no"),
+                 TypeError, "Integrand.vanishing must be a bool, got 'no'",
+                 id="integrand-vanishing-str"),
+    # the dilated mean takes one stream
+    pytest.param(lambda tmp: shifted_stratum_mean(_first, 1, GridSpec(1, 4), [Stream(0)]),
+                 TypeError, "stream must be a Stream, got [Stream(seed=0, replicate=0)]",
+                 id="dilated-mean-stream-list"),
     # an integrand's exact value is a real number, checked when it is built
     pytest.param(lambda tmp: Integrand("x", 1, _first, exact="1"),
                  TypeError, "Integrand.exact must be a real number or None, got '1'",

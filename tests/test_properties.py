@@ -124,15 +124,15 @@ def test_dilated_mean_margin_invariant_bit_for_bit(s, k, shift, extra, seed):
        st.integers(0, 2 ** 32 - 1))
 def test_vanishing_margin_invariant_bit_for_bit(s, k, r, extra, seed):
     # vanishing_margin(r) is the smallest margin; every larger one gives the
-    # same value, shift averages and in-domain count, alone and at every
-    # order.  extra <= 3 reaches r or r - 1 layers, the margin of older releases
+    # same value and in-domain count, alone and at every order.  extra <= 3
+    # reaches r or r - 1 layers, the margin of older releases
     f = product_family(s).fn
     streams = [Stream(seed, 0), Stream(seed, 1)]
     small = GridSpec(s, k, vanishing_margin(r))
     large = GridSpec(s, k, vanishing_margin(r) + extra)
 
     def key(rep):
-        return rep.value, rep.shift_averages, rep.n_in_domain
+        return rep.value, rep.n_in_domain
 
     assert ([key(rep) for rep in estimate_vanishing(f, r, small, streams)]
             == [key(rep) for rep in estimate_vanishing(f, r, large, streams)])
@@ -155,5 +155,7 @@ def test_stream_sequence_equals_single_calls(s, extra_k, r, l, mode, seed):
             assert rep.value == one.value
             assert rep.per_stratum_terms.tobytes() == one.per_stratum_terms.tobytes()
     vgrid = GridSpec(s, max(grid.k, 2), vanishing_margin(r))
-    for st_, rep in zip(streams, estimate_vanishing(f, r, vgrid, streams)):
-        assert rep.shift_averages == estimate_vanishing(f, r, vgrid, st_).shift_averages
+    for st_, rep in zip(streams, estimate_vanishing(f, r, vgrid, streams, keep_terms=True)):
+        one = estimate_vanishing(f, r, vgrid, st_, keep_terms=True)
+        assert rep.value == one.value
+        assert rep.per_stratum_terms.tobytes() == one.per_stratum_terms.tobytes()
