@@ -79,6 +79,8 @@ class Integrand:
         if self.exact is not None and (not isinstance(self.exact, Real)
                                        or isinstance(self.exact, bool)):
             raise TypeError(f"Integrand.exact must be a real number or None, got {self.exact!r}")
+        if self.exact is not None and not math.isfinite(self.exact):
+            raise ValueError(f"Integrand.exact must be finite, got {self.exact!r}")
 
     def __call__(self, pts):
         return self.fn(pts)
@@ -186,14 +188,20 @@ def _read_table(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
 def load_labelled_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read a header CSV whose first column is the label, rest predictors.
 
-    Labels must be in {-1, 1} or {0, 1} (remapped to -1/1).  Returns
-    (labels, predictor matrix); the file may contain zero data rows.
+    Labels must be in {-1, 1} or {0, 1} (remapped to -1/1) and every cell a
+    finite number.  Returns (labels, predictor matrix); the file may contain
+    zero data rows.
     """
     header, rows = _read_table(path)
     try:
         data = np.reshape([[float(v) for v in row] for _, row in rows], (len(rows), len(header)))
     except ValueError as exc:
         raise StratError(f"{path}: non-numeric cell ({exc})") from exc
+    bad = np.argwhere(~np.isfinite(data))
+    if len(bad):
+        i, j = bad[0].tolist()
+        raise StratError(f"{path}:{rows[i][0]}: column {header[j]!r}: "
+                         f"non-finite value {rows[i][1][j]!r}")
     y = data[:, 0]
     if set(np.unique(y)) <= {0.0, 1.0}:
         y = 2.0 * y - 1.0
@@ -385,12 +393,20 @@ def read_rows(path) -> list[ResultRow]:
 def fit_slope(rows: list[ResultRow]) -> float:
     """Least-squares slope of log(rel_error) against log(n_evals).
 
-    Discarded rows (exact-to-rounding cells) are excluded; at least three
-    usable rows are required for a meaningful fit.
+    Discarded rows (exact-to-rounding cells) are excluded; a meaningful fit
+    needs at least three usable rows, each ``n_evals`` a finite number > 0,
+    and at least two distinct ``n_evals`` among them.
     """
     usable = [row for row in rows if not row.discarded and row.rel_error > 0.0]
     if len(usable) < 3:
         raise StratError(f"need >= 3 non-discarded rows to fit a slope, got {len(usable)}")
+    for row in usable:
+        if not 0.0 < row.n_evals < math.inf:
+            raise StratError(f"n_evals must be a finite number > 0, got {row.n_evals!r} "
+                             f"at k={row.k}")
+    distinct = len({row.n_evals for row in usable})
+    if distinct < 2:
+        raise StratError(f"need >= 2 distinct n_evals to fit a slope, got {distinct}")
     x = np.log([row.n_evals for row in usable])
     y = np.log([row.rel_error for row in usable])
     return float(np.polyfit(x, y, 1)[0])

@@ -6,8 +6,9 @@ core draws each stratum's uniform offset U_c once, forms the per-stratum term
 the plan has control variates, subtracts ``sum_alpha D^alpha f(c) (U_c^alpha -
 E U^alpha) / alpha!`` with derivatives from an exact oracle or from grid
 stencils on the centre values.  The public functions take their plan from
-``_plan``, which builds it and checks its grid rule (``_check_grid``) once per
-variant, order, grid and stencil mode and caches it; a derivative oracle goes
+``_plan``, which builds it once per variant, order, grid and stencil mode and
+caches it: it checks the grid against the dilations and builds the stencil
+tree, whose window rules the stencil module states.  A derivative oracle goes
 to the core per call and is never kept in a plan:
 
 * ``crude_mc`` - plain iid Monte Carlo, for reference (not stratified).
@@ -57,11 +58,12 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .errors import IntegrandError, ResolutionError
+from .errors import IntegrandError
 from .lattice import (_CALLABLE, _DIMENSION, _GRID, _INTEGER, _MODE, _ORDER, _STREAM,
                       _STREAM_OR_STREAMS, _STREAMS, GridSpec, Stream, _Arg, _checked, centre_array)
 from .stencil import (
     _family_stencils,
+    _grid_tree,
     _lagrange_coeff_exact,
     _multi_factorial,
     derivative_grid,
@@ -246,7 +248,7 @@ def _box_rows(grid: GridSpec, reach: int) -> np.ndarray:
 def _dilated_points(grid: GridSpec, lam: int, ctr: np.ndarray, u: np.ndarray):
     """The points c + lam U_c in the closed unit cube, in grid-row order, and their rows.
 
-    Only the cells within the dilation's reach ``(|lam| - 1) // 2`` of the
+    Only the cells within the dilation's reach ``_reach((lam,))`` of the
     cube are visited; at a reach equal to the margin they are the rows as
     given, and the rows returned are None.  At reach 0 (lam = +-1) no point
     leaves the cube, so none is tested: c is ``(2j+1)/2k`` rounded and U is
@@ -262,7 +264,7 @@ def _dilated_points(grid: GridSpec, lam: int, ctr: np.ndarray, u: np.ndarray):
     so the points are those of masking the whole grid, bit for bit; the
     rows are the caller's rows.
     """
-    s, reach = grid.s, (abs(lam) - 1) // 2
+    s, reach = grid.s, _reach((lam,))
     if reach == grid.m:
         c, v, rows = ctr, u, None
     else:
@@ -347,7 +349,13 @@ _RULES = {
 @lru_cache(maxsize=256)
 def _plan(variant: str, r: int, grid: GridSpec, mode: str) -> _Plan:
     """The plan of ``variant`` at order ``r`` (for ``"dilated_mean"``, its dilation) on
-    ``grid``, built once; a failed build is not cached."""
+    ``grid``, built once; a failed build is not cached.
+
+    It states the grid rules about dilations: no margin unless f is zero-extended
+    (vanishing, dilated_mean), and a margin covering the dilations' reach.  The
+    rules about stencil windows, k >= r among them, are the stencil module's: a
+    plan with stencils builds its tree here, so a bad grid fails before f is called.
+    """
     if variant == "dilated_mean":
         if r % 2 == 0:
             raise ValueError(f"dilation must be odd, got {r}")
@@ -355,6 +363,12 @@ def _plan(variant: str, r: int, grid: GridSpec, mode: str) -> _Plan:
     else:
         n, family = _RULES[variant]
         shifts = _shifts(r if n is None else n)
+    if variant not in ("vanishing", "dilated_mean") and grid.m != 0:
+        raise ValueError("this estimator runs on margin-free grids (m = 0)")
+    reach = _reach(shifts)
+    if grid.m < reach:
+        raise ValueError(f"margin {grid.m} is below the reach {reach} of the dilations; "
+                         f"need at least {reach}")
     # the weights solve the Vandermonde system making sum_j w_j g(shift_j u)
     # reproduce g(0) up to O(|u|^n) for n dilations: they sum to one and kill the
     # first n - 1 moments; at n = 1, 2 they are Haber's (1.0,) and (0.5, 0.5)
@@ -365,28 +379,10 @@ def _plan(variant: str, r: int, grid: GridSpec, mode: str) -> _Plan:
         alphas, r_build = _family_stencils(family, grid.s, r, r if mode == "block" else grid.k)
     if variant == "analytic_cv":
         r_build = 0     # the caller's oracle gives the derivatives
-    plan = _Plan(EstimatorConfig(variant, r, grid, mode), shifts, weights, alphas,
+    elif alphas:        # derivative_grid's cache key, looked up on the first estimate
+        _grid_tree(alphas, grid, r_build, mode)
+    return _Plan(EstimatorConfig(variant, r, grid, mode), shifts, weights, alphas,
                  _taylor_terms(alphas, grid.k), r_build)
-    _check_grid(plan)
-    return plan
-
-
-def _check_grid(plan: _Plan):
-    """The grid rule of a plan, checked once when it is built: no margin
-    unless the variant zero-extends f (vanishing, dilated_mean), and a margin
-    covering the dilations' reach (every stratum whose points can land in the
-    cube); k >= r for stencils, k >= 2 for vanishing."""
-    variant, r, grid = plan.config.variant, plan.config.r, plan.config.grid
-    if variant not in ("vanishing", "dilated_mean") and grid.m != 0:
-        raise ValueError("this estimator runs on margin-free grids (m = 0)")
-    reach = _reach(plan.shifts)
-    if grid.m < reach:
-        raise ValueError(f"margin {grid.m} is below the reach {reach} of the dilations; "
-                         f"need at least {reach}")
-    if plan.r_build and grid.k < r:
-        raise ResolutionError(f"need k >= r, got k={grid.k}, r={r}")
-    if variant == "vanishing" and grid.k < 2:
-        raise ResolutionError(f"need k >= 2, got {grid.k}")
 
 
 def _per_stream(stream, one):
@@ -601,7 +597,7 @@ def estimate_vanishing(f, r: int, grid: GridSpec, stream: Stream | Sequence[Stre
     The caller asserts that f and its derivatives up to order r vanish on
     the cube boundary (unchecked - it only affects the convergence rate, not
     unbiasedness).  Evaluation points outside the closed cube contribute 0
-    without calling f.  The grid needs k >= 2 and a margin of at least
+    without calling f.  The grid needs a margin of at least
     ``vanishing_margin(r)``; any larger margin gives the same value and
     ``n_in_domain``, while ``n_random`` and the per-stratum terms follow the
     grid's cells.

@@ -223,12 +223,16 @@ class GridSpec:
 _GRID = _Arg("instance", "grid", GridSpec)
 
 
-@lru_cache(maxsize=128)
-def _grid_arrays(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    # checked before any array is built: numpy cannot index more bytes
+def _check_arrays_fit(grid: GridSpec) -> None:
+    """Refuse a grid before any whole-grid array or table: numpy cannot index more bytes."""
     if grid.n_centres * grid.s * 8 > np.iinfo(np.intp).max:
         raise ResolutionError(f"{grid} is too fine for whole-grid arrays: {grid.n_centres} "
                               f"cells x {grid.s} axes x 8 bytes exceeds {np.iinfo(np.intp).max}")
+
+
+@lru_cache(maxsize=128)
+def _grid_arrays(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    _check_arrays_fit(grid)
     idx_axis = np.array(list(grid.index_range()), dtype=np.int64)
     mesh = np.meshgrid(*([idx_axis] * grid.s), indexing="ij")
     idx = np.stack([m.ravel() for m in mesh], axis=1)

@@ -40,7 +40,7 @@ import numpy as np
 from .errors import (DomainError, IncompleteEvaluationError, OrderError, ResolutionError,
                      StencilError)
 from .lattice import (_ARRAY, _DIMENSION, _FAMILY, _GRID, _INTEGER, _MODE, _MULTI_INDEX,
-                      GridSpec, _Arg, _checked)
+                      GridSpec, _Arg, _check_arrays_fit, _checked)
 
 __all__ = [
     "multi_indices",
@@ -311,12 +311,14 @@ def _grid_tree(alphas: tuple[tuple[int, ...], ...], grid: GridSpec, r: int, mode
 
     Its root reads the centre values; multi-indices are walked axis by axis,
     and those that agree on their leading passes share one branch.  Each
-    window's axis table is built once per tree.
+    window's axis table is built once per tree, once all the rules hold.
     """
+    steps = [_active_steps(alpha, grid, r, mode) for alpha in alphas]
+    _check_arrays_fit(grid)
     block, tables, checked = r if mode == "block" else 0, {}, []
-    for alpha in alphas:
+    for alpha, alpha_steps in zip(alphas, steps):
         passes = []
-        for axis, a, window in _active_steps(alpha, grid, r, mode):
+        for axis, a, window in alpha_steps:
             if window not in tables:
                 tables[window] = _axis_table(window, -grid.m, grid.k + grid.m - 1, block)
             nodes, weights = tables[window]

@@ -312,6 +312,21 @@ def test_fit_slope_needs_rows():
         fit_slope(rows)
 
 
+@pytest.mark.parametrize("bad", [0.0, -4.0, float("nan"), float("inf")])
+def test_fit_slope_rejects_unusable_n_evals(bad):
+    rows = [ResultRow("x", 1, k, n, float(k) ** -3, False, "x-r1")
+            for k, n in ((4, bad), (8, 8.0), (16, 16.0))]
+    with pytest.raises(StratError, match=re.escape(
+            f"n_evals must be a finite number > 0, got {bad!r} at k=4")):
+        fit_slope(rows)
+
+
+def test_fit_slope_needs_two_distinct_n_evals():
+    rows = [ResultRow("x", 1, k, 8.0, float(k) ** -3, False, "x-r1") for k in (4, 8, 16)]
+    with pytest.raises(StratError, match="need >= 2 distinct n_evals to fit a slope, got 1"):
+        fit_slope(rows)
+
+
 def test_fit_slope_haber1():
     rows = run(_config(k_values=(4, 8, 16, 32, 64), replicates=50))
     assert fit_slope(rows) == pytest.approx(-3.0, abs=0.45)
@@ -350,6 +365,16 @@ def test_load_rejects_non_numeric(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("y,x\n1,abc\n")
     with pytest.raises(StratError):
+        load_labelled_csv(path)
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+def test_load_rejects_non_finite(tmp_path, cell):
+    # named by file, line and column, before any integrand sees it
+    path = tmp_path / "bad.csv"
+    path.write_text(f"y,x1,x2\n1,0.5,0.2\n0,0.1,{cell}\n")
+    with pytest.raises(StratError, match=re.escape(
+            f"bad.csv:3: column 'x2': non-finite value '{cell}'")):
         load_labelled_csv(path)
 
 
@@ -617,6 +642,21 @@ def test_cli_slope_prints_a_group_it_cannot_fit(tmp_path, capsys):
     assert cli.main(["slope", "--input", str(out)]) == 0
     captured = capsys.readouterr()
     assert captured.out == "hat-r2: need >= 3 non-discarded rows to fit a slope, got 2\n"
+    assert captured.err == ""
+
+
+def test_cli_slope_prints_a_group_with_unusable_n_evals(tmp_path, capsys):
+    # a zero n_evals and a group of equal n_evals each give their group's one
+    # error line, not a log warning or a meaningless slope
+    path = tmp_path / "rows.csv"
+    path.write_text("variant,r,k,n_evals,rel_error,discarded,slope_group\n"
+                    "hat,2,4,0,0.1,0,hat-r2\nhat,2,8,16,0.01,0,hat-r2\nhat,2,16,64,0.001,0,hat-r2\n"
+                    "tilde,2,4,8,0.1,0,tilde-r2\ntilde,2,8,8,0.01,0,tilde-r2\n"
+                    "tilde,2,16,8,0.001,0,tilde-r2\n")
+    assert cli.main(["slope", "--input", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ("hat-r2: n_evals must be a finite number > 0, got 0.0 at k=4\n"
+                            "tilde-r2: need >= 2 distinct n_evals to fit a slope, got 1\n")
     assert captured.err == ""
 
 

@@ -9,6 +9,7 @@ import pytest
 
 import stratmc.estimators as estimators
 import stratmc.lattice as lattice
+import stratmc.stencil as stencil
 
 from stratmc.errors import IntegrandError, OrderError, ResolutionError
 from stratmc.lattice import GridSpec, Stream, centre_array, index_array
@@ -26,6 +27,7 @@ from stratmc.estimators import (
     vanishing_margin,
 )
 from stratmc.bench import test_function as product_family
+from stratmc.bench import wrapped_gaussian
 from stratmc.transform import laplace_reparametrize, wrap
 
 from polyutils import random_poly
@@ -247,6 +249,26 @@ def test_paired_even_odd_identity():
             assert lo == hi
 
 
+def test_paired_low_orders_run_at_k1():
+    # paired r <= 2 has no stencils, so no k rule: at k = 1 orders 1 and 2 are
+    # Haber's antithetic pair, in both stencil modes
+    g = GridSpec(2, 1, 0)
+    for st in (Stream(11, 4), Stream(3, 0), Stream(-2, 9)):
+        ref = haber2(F1_2D.fn, g, st).value
+        for mode in ("free", "block"):
+            assert [estimate_paired_cv(F1_2D.fn, r, g, st, mode).value for r in (1, 2)] == [ref] * 2
+
+
+def test_stencil_plan_builds_its_tree_once():
+    # a plan with stencils builds the tree that derivative_grid then reads
+    # from the cache
+    estimators._plan.cache_clear()
+    stencil._grid_tree.cache_clear()
+    estimate_paired_cv(F1_2D.fn, 4, GridSpec(2, 6), Stream(0))
+    info = stencil._grid_tree.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+
 def test_single_r1_is_haber1():
     g = GridSpec(2, 4, 0)
     st = Stream(30, 2)
@@ -254,10 +276,13 @@ def test_single_r1_is_haber1():
 
 
 def test_cv_resolution_error():
-    with pytest.raises(ResolutionError):
-        estimate_paired_cv(F1.fn, 4, GridSpec(1, 3, 0), Stream(0, 0))
-    with pytest.raises(ResolutionError):
-        estimate_single_cv(F1.fn, 4, GridSpec(1, 3, 0), Stream(0, 0))
+    # k >= r is the stencil module's rule, met when the plan builds its
+    # stencil tree, before f is called
+    calls = []
+    for estimator in (estimate_paired_cv, estimate_single_cv):
+        with pytest.raises(ResolutionError, match=re.escape("need k >= r, got k=3, r=4")):
+            estimator(lambda p: calls.append(p) or p[:, 0], 4, GridSpec(1, 3, 0), Stream(0, 0))
+    assert not calls
 
 
 def test_cv_block_mode_runs():
@@ -320,11 +345,25 @@ def _bump(power=4):
 
 
 def test_vanishing_equals_haber_rules():
-    g0 = GridSpec(2, 6, 0)
-    g1 = GridSpec(2, 6, 1)
-    st = Stream(11, 4)
-    assert estimate_vanishing(F1_2D.fn, 1, g1, st).value == haber1(F1_2D.fn, g0, st).value
-    assert estimate_vanishing(F1_2D.fn, 2, g1, st).value == haber2(F1_2D.fn, g0, st).value
+    # on any margin, and at k = 1 too: one stratum is a grid for every rule
+    # without stencils
+    for k in (6, 1):
+        for st in (Stream(11, 4), Stream(3, 0), Stream(-2, 9)):
+            for r, haber in ((1, haber1), (2, haber2)):
+                ref = haber(F1_2D.fn, GridSpec(2, k, 0), st)
+                for m in (0, 1, 2):
+                    rep = estimate_vanishing(F1_2D.fn, r, GridSpec(2, k, m), st)
+                    assert (rep.value, rep.n_in_domain) == (ref.value, ref.n_in_domain)
+
+
+def test_vanishing_unbiased_at_k1():
+    # order 3 on one stratum: its dilations +-3 reach the margin cells
+    gauss = wrapped_gaussian(1)
+    reports = estimate_vanishing(gauss.fn, 3, GridSpec(1, 1, vanishing_margin(3)),
+                                 _streams(17, 4000))
+    vals = np.array([report.value for report in reports])
+    se = vals.std(ddof=1) / math.sqrt(len(vals))
+    assert abs(vals.mean() - gauss.exact) <= 4 * se
 
 
 def test_vanishing_margin_mismatch():

@@ -4,9 +4,9 @@ import re
 import numpy as np
 import pytest
 
-from stratmc import lattice
+from stratmc import lattice, stencil
 from stratmc.errors import ResolutionError
-from stratmc.estimators import haber1
+from stratmc.estimators import estimate_paired_cv, estimate_single_cv, haber1
 from stratmc.stencil import derivative_stencil
 from stratmc.lattice import (
     _BLOCK,
@@ -149,6 +149,13 @@ def test_whole_grid_arrays_must_be_indexable(monkeypatch):
     assert not calls
     # a stencil on one centre of such a grid builds no whole-grid array
     assert derivative_stencil((1, 0, 0), (0, 0, 0), GridSpec(3, 10 ** 6), 3).scale == 1e6
+    # and a plan with stencils builds none of its axis tables, which at
+    # s = 2, k = 10^9 would take tens of GB
+    monkeypatch.setattr(stencil, "_axis_table", meshgrid)
+    for estimator in (estimate_paired_cv, estimate_single_cv):
+        with pytest.raises(ResolutionError, match=r"GridSpec\(s=2, k=1000000000, m=0\) is too"):
+            estimator(lambda p: calls.append(p) or p[:, 0], 4, GridSpec(2, 10 ** 9), Stream(0))
+    assert not calls
 
 
 def test_substream_id_stable():

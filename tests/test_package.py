@@ -228,6 +228,10 @@ _NOT_PD = "curvature at the mode is not positive definite: Matrix is not positiv
                  TypeError, "stream must be a Stream, got [Stream(seed=0, replicate=0)]",
                  id="dilated-mean-stream-list"),
     # an integrand's exact value is a real number, checked when it is built
+    pytest.param(lambda tmp: Integrand("x", 1, _first, exact=float("nan")),
+                 ValueError, "Integrand.exact must be finite, got nan", id="integrand-exact-nan"),
+    pytest.param(lambda tmp: Integrand("x", 1, _first, exact=float("-inf")),
+                 ValueError, "Integrand.exact must be finite, got -inf", id="integrand-exact-inf"),
     pytest.param(lambda tmp: Integrand("x", 1, _first, exact="1"),
                  TypeError, "Integrand.exact must be a real number or None, got '1'",
                  id="integrand-exact-str"),

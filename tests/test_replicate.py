@@ -220,8 +220,8 @@ def test_select_order_validation():
     with pytest.raises(ValueError):
         select_order(_smooth_bump, 2, grid, 1, Stream(0, 0))
     # a bad grid fails as it does for the vanishing estimator at the top order
-    for r_max, bad in ((2, GridSpec(1, 1, vanishing_margin(2))),  # k = 1
-                       (3, grid)):                                # wrong margin
+    for r_max, bad in ((5, GridSpec(1, 8, 1)),    # margin 1 below the reach 2
+                       (3, grid)):                # margin 0 below the reach 1
         with pytest.raises(ValueError) as standalone:
             estimate_vanishing(_smooth_bump, r_max, bad, Stream(0, 0))
         with pytest.raises(ValueError) as selected:
