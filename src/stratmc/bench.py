@@ -76,11 +76,13 @@ class Integrand:
     laplace_fit: LaplaceFit | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.exact is not None and (not isinstance(self.exact, Real)
-                                       or isinstance(self.exact, bool)):
+        if self.exact is None:
+            return
+        if not isinstance(self.exact, Real) or isinstance(self.exact, bool):
             raise TypeError(f"Integrand.exact must be a real number or None, got {self.exact!r}")
-        if self.exact is not None and not math.isfinite(self.exact):
+        if not math.isfinite(self.exact):
             raise ValueError(f"Integrand.exact must be finite, got {self.exact!r}")
+        self.exact = float(self.exact)  # a numpy scalar would reach every row's rel_error
 
     def __call__(self, pts):
         return self.fn(pts)
@@ -160,6 +162,18 @@ def _log_sigmoid(z: np.ndarray) -> np.ndarray:
     return -np.logaddexp(0.0, -z)
 
 
+def _cell(path, lineno, column, text, kind):
+    """The one rule for a numeric CSV cell: ``kind(text)``, finite when a float;
+    else ``StratError`` naming ``path:line``, the column and the reason."""
+    try:
+        value = kind(text)
+        if kind is float and not math.isfinite(value):
+            raise ValueError(f"non-finite value {text!r}")
+        return value
+    except ValueError as exc:
+        raise StratError(f"{path}:{lineno}: column {column!r}: {exc}") from exc
+
+
 def _read_table(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
     """A header CSV's header and its non-blank rows with their line numbers.
 
@@ -189,19 +203,12 @@ def load_labelled_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read a header CSV whose first column is the label, rest predictors.
 
     Labels must be in {-1, 1} or {0, 1} (remapped to -1/1) and every cell a
-    finite number.  Returns (labels, predictor matrix); the file may contain
-    zero data rows.
+    finite number (``_cell``: a bad one is named by ``path:line`` and column).
+    Returns (labels, predictor matrix); the file may contain zero data rows.
     """
     header, rows = _read_table(path)
-    try:
-        data = np.reshape([[float(v) for v in row] for _, row in rows], (len(rows), len(header)))
-    except ValueError as exc:
-        raise StratError(f"{path}: non-numeric cell ({exc})") from exc
-    bad = np.argwhere(~np.isfinite(data))
-    if len(bad):
-        i, j = bad[0].tolist()
-        raise StratError(f"{path}:{rows[i][0]}: column {header[j]!r}: "
-                         f"non-finite value {rows[i][1][j]!r}")
+    data = np.reshape([[_cell(path, lineno, name, text, float) for name, text in zip(header, row)]
+                       for lineno, row in rows], (len(rows), len(header)))
     y = data[:, 0]
     if set(np.unique(y)) <= {0.0, 1.0}:
         y = 2.0 * y - 1.0
@@ -353,16 +360,15 @@ def _write_csv(fh, rows: list[ResultRow], lineterminator: str = "\r\n") -> None:
     """The header and one line per row, each ended by ``lineterminator``."""
     writer = csv.writer(fh, lineterminator=lineterminator)
     writer.writerow(CSV_COLUMNS)
-    for row in rows:
-        writer.writerow([
-            row.variant, row.r, row.k,
-            repr(row.n_evals), repr(row.rel_error),
-            int(row.discarded), row.slope_group,
-        ])
+    # csv writes a float as its repr, so each row reads back equal
+    writer.writerows([(row.variant, row.r, row.k, float(row.n_evals), float(row.rel_error),
+                       int(row.discarded), row.slope_group) for row in rows])
 
 
 @_checked(path=_PATH)
 def read_rows(path) -> list[ResultRow]:
+    """The rows of a CSV with every column of ``CSV_COLUMNS``; each typed cell
+    goes through ``_cell``, and every row ``write_rows`` writes reads back equal."""
     header, table = _read_table(path)
     missing = [name for name in CSV_COLUMNS if name not in header]
     if missing:
@@ -370,22 +376,11 @@ def read_rows(path) -> list[ResultRow]:
     rows = []
     for lineno, row in table:
         rec = dict(zip(header, row))
-
-        def cell(name, kind):
-            try:
-                return kind(rec[name])
-            except ValueError as exc:
-                raise StratError(f"{path}:{lineno}: column {name!r}: {exc}") from exc
-
-        rows.append(ResultRow(
-            variant=rec["variant"],
-            r=cell("r", int),
-            k=cell("k", int),
-            n_evals=cell("n_evals", float),
-            rel_error=cell("rel_error", float),
-            discarded=bool(cell("discarded", int)),
-            slope_group=rec["slope_group"],
-        ))
+        r, k, n_evals, rel_error, discarded = (
+            _cell(path, lineno, name, rec[name], kind) for name, kind in
+            (("r", int), ("k", int), ("n_evals", float), ("rel_error", float), ("discarded", int)))
+        rows.append(ResultRow(rec["variant"], r, k, n_evals, rel_error, bool(discarded),
+                              rec["slope_group"]))
     return rows
 
 
@@ -393,16 +388,19 @@ def read_rows(path) -> list[ResultRow]:
 def fit_slope(rows: list[ResultRow]) -> float:
     """Least-squares slope of log(rel_error) against log(n_evals).
 
-    Discarded rows (exact-to-rounding cells) are excluded; a meaningful fit
-    needs at least three usable rows, each ``n_evals`` a finite number > 0,
-    and at least two distinct ``n_evals`` among them.
+    Discarded rows (exact-to-rounding cells) and rows with ``rel_error <= 0``
+    are excluded; a fit needs at least three usable rows, each ``n_evals`` a
+    finite number > 0 and ``rel_error`` finite, and two distinct ``n_evals``.
     """
-    usable = [row for row in rows if not row.discarded and row.rel_error > 0.0]
+    usable = [row for row in rows if not row.discarded and not row.rel_error <= 0.0]
     if len(usable) < 3:
         raise StratError(f"need >= 3 non-discarded rows to fit a slope, got {len(usable)}")
     for row in usable:
         if not 0.0 < row.n_evals < math.inf:
             raise StratError(f"n_evals must be a finite number > 0, got {row.n_evals!r} "
+                             f"at k={row.k}")
+        if not math.isfinite(row.rel_error):
+            raise StratError(f"rel_error must be a finite number, got {row.rel_error!r} "
                              f"at k={row.k}")
     distinct = len({row.n_evals for row in usable})
     if distinct < 2:

@@ -278,6 +278,19 @@ def test_csv_roundtrip(tmp_path):
     assert back == rows
 
 
+def test_numpy_exact_rows_read_back(tmp_path):
+    # a numpy exact value is stored as a Python float, so no numpy scalar
+    # reaches a row and the file holds plain numbers that read back equal
+    integrand = Integrand("fs1", 1, product_family(1).fn, exact=np.float64(1.0))
+    assert type(integrand.exact) is float
+    rows = run(_config(integrand=integrand, variants=("hat",), r_values=(2,)))
+    assert all(type(row.rel_error) is float for row in rows)
+    path = tmp_path / "rows.csv"
+    write_rows(path, rows)
+    assert "np." not in path.read_text()
+    assert read_rows(path) == rows
+
+
 def _with_blank_line(path, out):
     # the file with an empty line after its second line
     lines = path.read_text().splitlines(keepends=True)
@@ -312,12 +325,19 @@ def test_fit_slope_needs_rows():
         fit_slope(rows)
 
 
-@pytest.mark.parametrize("bad", [0.0, -4.0, float("nan"), float("inf")])
-def test_fit_slope_rejects_unusable_n_evals(bad):
-    rows = [ResultRow("x", 1, k, n, float(k) ** -3, False, "x-r1")
-            for k, n in ((4, bad), (8, 8.0), (16, 16.0))]
-    with pytest.raises(StratError, match=re.escape(
-            f"n_evals must be a finite number > 0, got {bad!r} at k=4")):
+@pytest.mark.parametrize("column, bad, rule", [
+    ("n_evals", 0.0, "n_evals must be a finite number > 0"),
+    ("n_evals", -4.0, "n_evals must be a finite number > 0"),
+    ("n_evals", float("nan"), "n_evals must be a finite number > 0"),
+    ("n_evals", float("inf"), "n_evals must be a finite number > 0"),
+    ("rel_error", float("inf"), "rel_error must be a finite number"),
+    ("rel_error", float("nan"), "rel_error must be a finite number"),
+], ids=["0.0", "-4.0", "nan", "inf", "rel_error-inf", "rel_error-nan"])
+def test_fit_slope_rejects_unusable_n_evals(column, bad, rule):
+    # a usable row's n_evals and rel_error are finite, or the fit names the row
+    rows = [ResultRow("x", 1, k, float(k), float(k) ** -3, False, "x-r1") for k in (4, 8, 16)]
+    setattr(rows[0], column, bad)
+    with pytest.raises(StratError, match=re.escape(f"{rule}, got {bad!r} at k=4")):
         fit_slope(rows)
 
 
@@ -362,9 +382,11 @@ def test_load_rejects_bad_labels(tmp_path):
 
 
 def test_load_rejects_non_numeric(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("y,x\n1,abc\n")
-    with pytest.raises(StratError):
+    # named by file, line and column, as a non-finite cell is
+    path = tmp_path / "nn.csv"
+    path.write_text("y,x1\n1,0.5\n0,abc\n")
+    with pytest.raises(StratError, match=re.escape(
+            "nn.csv:3: column 'x1': could not convert string to float: 'abc'")):
         load_labelled_csv(path)
 
 
@@ -703,6 +725,10 @@ _NO_STAR = ("variants[0]: unknown variant 'star'; choose from "
      "{tmp}/abc.csv:2: column 'n_evals': could not convert string to float: 'abc'"),
     (["slope", "--input", "{tmp}/int.csv"],
      "{tmp}/int.csv:3: column 'k': invalid literal for int() with base 10: 'x'"),
+    (["slope", "--input", "{tmp}/inf.csv"],
+     "{tmp}/inf.csv:2: column 'rel_error': non-finite value 'inf'"),
+    (["orders", "--fn", "logistic", "--dataset", "{tmp}/nn.csv"],
+     "{tmp}/nn.csv:3: column 'x1': could not convert string to float: 'abc'"),
     (["slope", "--input", "{tmp}/short.csv"],
      "{tmp}/short.csv:3: ragged row: 6 cells under a 7-column header"),
     (["slope", "--input", "{tmp}/long.csv"],
@@ -736,8 +762,8 @@ _NO_STAR = ("variants[0]: unknown variant 'star'; choose from "
     (["run", "--fn", "poly2", "--dim", "0"], "dimension must be >= 1, got 0"),
 ], ids=["variant-star", "k-decreasing", "logistic-without-dataset", "order-0",
         "slope-missing-input", "missing-config", "slope-missing-column", "slope-empty-file",
-        "slope-bad-cell",
-        "slope-bad-int-cell", "slope-short-row", "slope-long-row",
+        "slope-bad-cell", "slope-bad-int-cell", "slope-inf-cell", "dataset-bad-cell",
+        "slope-short-row", "slope-long-row",
         "logistic-missing-dataset", "out-in-missing-dir", "config-line-without-equals", "tau-0",
         "config-misspelt-key", "config-key-of-another-command", "config-names-a-config",
         "config-repeated-key", "config-rel-mode", "k-empty", "r-empty",
@@ -751,6 +777,10 @@ def test_cli_library_errors_are_usage_errors(argv, message, tmp_path, capsys):
     (tmp_path / "abc.csv").write_text(",".join(CSV_COLUMNS) + "\nhat,2,4,abc,0.1,0,hat-r2\n")
     (tmp_path / "int.csv").write_text(",".join(CSV_COLUMNS)
                                       + "\nhat,2,4,16,0.1,0,hat-r2\nhat,2,x,64,0.01,0,hat-r2\n")
+    # an infinite error would otherwise fit a slope of nan
+    (tmp_path / "inf.csv").write_text(",".join(CSV_COLUMNS) + "\nhat,2,4,16,inf,0,hat-r2\n"
+                                      "hat,2,8,64,0.01,0,hat-r2\nhat,2,16,256,0.001,0,hat-r2\n")
+    (tmp_path / "nn.csv").write_text("y,x1\n1,0.5\n0,abc\n")
     # a row without its slope group would otherwise fail to sort among the groups
     (tmp_path / "short.csv").write_text(",".join(CSV_COLUMNS)
                                         + "\nhat,2,4,16,0.1,0,hat-r2\nhat,2,8,64,0.01,0\n")

@@ -3,13 +3,22 @@
 Examples are derandomized, so every run checks the same cases.
 """
 
+import os
+import string
+import tempfile
+
 import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from stratmc.bench import test_function as product_family  # noqa: E402
+from stratmc.bench import (  # noqa: E402
+    ResultRow,
+    read_rows,
+    test_function as product_family,
+    write_rows,
+)
 from stratmc.estimators import (  # noqa: E402
     estimate_paired_cv,
     estimate_single_cv,
@@ -159,3 +168,37 @@ def test_stream_sequence_equals_single_calls(s, extra_k, r, l, mode, seed):
         one = estimate_vanishing(f, r, vgrid, st_, keep_terms=True)
         assert rep.value == one.value
         assert rep.per_stratum_terms.tobytes() == one.per_stratum_terms.tobytes()
+
+
+_CSV_TEXT = st.text(string.ascii_letters + string.digits + ' -_,"\r\n', max_size=6)
+
+
+@st.composite
+def result_rows(draw):
+    """(row, twin): a ResultRow whose numbers are finite Python or numpy
+    scalars, and the same row in Python types."""
+    ints = draw(st.sampled_from([int, np.int32, np.int64]))
+    floats = draw(st.sampled_from([float, np.float32, np.float64]))
+    finite = st.floats(allow_nan=False, allow_infinity=False,
+                       width=32 if floats is np.float32 else 64)
+    r, k = ints(draw(st.integers(0, 10))), ints(draw(st.integers(1, 10 ** 6)))
+    n_evals, rel_error = floats(draw(finite)), floats(draw(finite))
+    discarded = draw(st.sampled_from([bool, np.bool_]))(draw(st.booleans()))
+    variant, group = draw(_CSV_TEXT), draw(_CSV_TEXT)
+    return (ResultRow(variant, r, k, n_evals, rel_error, discarded, group),
+            ResultRow(variant, int(r), int(k), float(n_evals), float(rel_error), bool(discarded),
+                      group))
+
+
+@SETTINGS
+@given(st.lists(result_rows(), max_size=4))
+def test_written_rows_read_back_equal(pairs):
+    # every finite row write_rows writes, read_rows reads back as its Python twin
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "rows.csv")
+        write_rows(path, [row for row, _ in pairs])
+        back = read_rows(path)
+    twins = [twin for _, twin in pairs]
+    assert back == twins
+    assert [[type(value) for value in vars(row).values()] for row in back] == [
+        [type(value) for value in vars(row).values()] for row in twins]
