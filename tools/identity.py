@@ -2,14 +2,13 @@
 
 Usage (from the repository root):
 
-    python3 tools/identity.py --parent REV [--change REV]
+    python3 tools/identity.py --parent REV
 
 exports ``REV`` with ``git archive`` into ``tools/out/<sha>/`` and runs this
-script's record pass against each tree's ``src/``, each in a fresh ``python3``
-process with BLAS pinned to one thread.  Without ``--change`` the second tree
-is the working tree this script sits in.  The record pass is always this
-file, so both trees answer the same fixed matrix, with fixed seeds, in four
-groups:
+script's record pass against its ``src/`` and against the ``src/`` of the
+working tree this script sits in, each in a fresh ``python3`` process with
+BLAS pinned to one thread.  The record pass is always this file, so both
+trees answer the same fixed matrix, with fixed seeds, in four groups:
 
 * ``estimators`` - value, counts and ``per_stratum_terms`` bytes of the seven
   estimators, ``vanishing_orders`` and ``shifted_stratum_mean``, at s 1-3,
@@ -24,9 +23,10 @@ groups:
 
 A refused call records its error type and message.  The report prints one
 sha256 per group and tree; for a group that differs it prints how many
-records differ, the first of them with the largest relative difference of its
-numbers, and the keys of the others.  The exit status is 0 when every group
-matches and 1 otherwise.
+records differ (a record differs when its JSON line does, so a zero's sign
+or a number's type counts), the first of them with the largest relative
+difference of its numbers, and the keys of the others.  The exit status is 0
+when every group matches and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -445,18 +445,22 @@ def compare(parent: Path, change: Path, names=("parent", "change")) -> tuple[boo
         report.append(f"{group:<11} {len(a):5d} / {len(b)} records  DIFFER")
         report.append(f"  {names[0]:<7} sha256 {da}")
         report.append(f"  {names[1]:<7} sha256 {db}")
-        outs_b = {key: out for key, out, _ in b}
+        # a record differs when its line does; the decoded values only size it
+        lines_b = {key: line for key, _, line in b}
         keys_a = {key for key, _, _ in a}
-        differing = [key for key, out, _ in a if key not in outs_b or outs_b[key] != out]
+        differing = [key for key, _, line in a if lines_b.get(key) != line]
         differing += [key for key, _, _ in b if key not in keys_a]
         report.append(f"  {len(differing)} differing records")
         first = differing[0]
         out_a = next((out for key, out, _ in a if key == first), "<absent>")
-        out_b = outs_b.get(first, "<absent>")
+        out_b = next((out for key, out, _ in b if key == first), "<absent>")
         diffs: list[float] = []
-        comparable = _numbers(out_a, out_b, diffs)
-        largest = (f"largest relative difference {max(diffs, default=0.0):.3g}" if comparable
-                   else "not comparable: the outputs differ in kind or in words")
+        if not _numbers(out_a, out_b, diffs):
+            largest = "not comparable: the outputs differ in kind or in words"
+        elif max(diffs, default=0.0) == 0.0:
+            largest = "equal as numbers: a zero's sign or a number's type differs"
+        else:
+            largest = f"largest relative difference {max(diffs):.3g}"
         report.append(f"  first: {first}: {largest}")
         for name, excerpt in zip(names, _excerpts(out_a, out_b)):
             report.append(f"    {name:<7} {excerpt}")
@@ -505,7 +509,6 @@ def run_records(tree: Path, out: Path) -> float:
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--parent", help="git revision to compare against")
-    p.add_argument("--change", help="git revision to compare (default: this working tree)")
     p.add_argument("--records", metavar="SRC", help=argparse.SUPPRESS)
     p.add_argument("--out", help=argparse.SUPPRESS)
     args = p.parse_args(argv)
@@ -514,7 +517,7 @@ def main(argv=None) -> int:
         return 0
     if not args.parent:
         p.error("--parent is required")
-    trees = [export(args.parent), export(args.change) if args.change else ROOT]
+    trees = [export(args.parent), ROOT]
     files = []
     for name, tree in zip(("parent", "change"), trees):
         out = OUT / f"records-{name}.jsonl"
